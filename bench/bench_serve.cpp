@@ -6,10 +6,13 @@
 // Emits BENCH_serve.json via --json_out.
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "apps/convolution/convolution.hpp"
 #include "codec/mpstz.hpp"
@@ -79,7 +82,12 @@ int main(int argc, char** argv) {
 
   const trace::TraceFile tf =
       quick ? record_convolution(8, 30) : record_convolution(64, 200);
-  const std::string path = "bench_serve_trace.mpstz";
+  // Under the temp directory with the pid in the name: concurrent runs
+  // never share the file, and nothing lands in the working directory.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bench_serve_trace." + std::to_string(::getpid()) + ".mpstz"))
+          .string();
   {
     const std::vector<std::uint8_t> packed = codec::compress(tf);
     std::ofstream out(path, std::ios::binary);

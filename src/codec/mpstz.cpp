@@ -8,6 +8,10 @@
 #include <type_traits>
 #include <unordered_map>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "codec/huffman.hpp"
 #include "codec/rle.hpp"
 #include "obs/counters.hpp"
@@ -292,24 +296,61 @@ void get_fields(trace::ByteReader& r, FieldContext& ctx, trace::Event& ev) {
   k = ev;
 }
 
-/// Pick the XOR lag that zeroes the most stream bytes. Iterative apps
-/// repeat the same per-step pattern, so both the tag stream and the
-/// residual fields stream are near-periodic at the per-step byte period;
-/// XOR against that lag turns them into almost all zeros, which the RLE
-/// stage then collapses. Lag 0 = identity (the baseline zero count).
+/// Longest run count_equal() takes: 255 vector steps of 16 bytes, so no
+/// 8-bit lane counter can overflow before the horizontal sum.
+constexpr std::size_t kCountBlock = 255 * 16;
+
+/// Number of positions i < len with a[i] == b[i]; len <= kCountBlock.
+std::size_t count_equal(const std::uint8_t* a, const std::uint8_t* b,
+                        std::size_t len) {
+  std::size_t i = 0;
+  std::size_t count = 0;
+#if defined(__SSE2__)
+  // cmpeq yields 0xFF (-1) per equal byte; subtracting it bumps that
+  // lane by one. _mm_sad_epu8 against zero sums each 8-lane half.
+  __m128i lanes = _mm_setzero_si128();
+  for (; i + 16 <= len; i += 16) {
+    const __m128i x =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
+    const __m128i y =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
+    lanes = _mm_sub_epi8(lanes, _mm_cmpeq_epi8(x, y));
+  }
+  const __m128i sums = _mm_sad_epu8(lanes, _mm_setzero_si128());
+  count = static_cast<std::size_t>(_mm_cvtsi128_si32(sums)) +
+          static_cast<std::size_t>(_mm_extract_epi16(sums, 4));
+#endif
+  for (; i < len; ++i) count += a[i] == b[i] ? 1 : 0;
+  return count;
+}
+
+}  // namespace
+
+namespace detail {
+
+/// Exact pruned search: it returns the lag a full scan of every lag
+/// 1..4096 returns, so the container bytes are unchanged, but it skips
+/// the work of lags that provably cannot win.
 std::uint64_t best_lag(std::span<const std::uint8_t> bytes) {
   constexpr std::size_t kMaxLag = 4096;
+  const std::size_t n = bytes.size();
+  const std::uint8_t* p = bytes.data();
   std::uint64_t best = 0;
-  std::size_t best_zeros = 0;
-  for (const std::uint8_t b : bytes) {
-    if (b == 0) ++best_zeros;
-  }
-  const std::size_t max_lag =
-      bytes.empty() ? 0 : std::min(kMaxLag, bytes.size() - 1);
-  for (std::size_t lag = 1; lag <= max_lag; ++lag) {
+  std::size_t best_zeros = static_cast<std::size_t>(
+      std::count(bytes.begin(), bytes.end(), std::uint8_t{0}));
+  const std::size_t max_lag = n == 0 ? 0 : std::min(kMaxLag, n - 1);
+  // Lag L scores at most its n - L pairs, and a lag must beat the best
+  // count strictly; once n - L <= best_zeros no larger lag can win either.
+  for (std::size_t lag = 1; lag <= max_lag && n - lag > best_zeros; ++lag) {
+    const std::size_t pairs = n - lag;
     std::size_t zeros = 0;
-    for (std::size_t i = lag; i < bytes.size(); ++i) {
-      if (bytes[i] == bytes[i - lag]) ++zeros;
+    std::size_t done = 0;
+    // Abandon the lag once even all remaining pairs matching would not
+    // lift it above the best count.
+    while (done < pairs && zeros + (pairs - done) > best_zeros) {
+      const std::size_t len = std::min(kCountBlock, pairs - done);
+      zeros += count_equal(p + lag + done, p + done, len);
+      done += len;
     }
     if (zeros > best_zeros) {
       best_zeros = zeros;
@@ -318,6 +359,10 @@ std::uint64_t best_lag(std::span<const std::uint8_t> bytes) {
   }
   return best;
 }
+
+}  // namespace detail
+
+namespace {
 
 std::vector<std::uint8_t> lag_apply(std::span<const std::uint8_t> bytes,
                                     std::uint64_t lag) {
@@ -528,8 +573,8 @@ std::vector<std::uint8_t> compress_stream(
       crc = support::crc32(streams.fields, crc);
       crc = support::crc32(streams.times, crc);
       info.crc = crc;
-      const std::uint64_t tag_lag = best_lag(streams.tags);
-      const std::uint64_t field_lag = best_lag(streams.fields);
+      const std::uint64_t tag_lag = detail::best_lag(streams.tags);
+      const std::uint64_t field_lag = detail::best_lag(streams.fields);
       const std::vector<std::uint8_t> tags_b =
           build_block(lag_apply(streams.tags, tag_lag));
       const std::vector<std::uint8_t> fields_b =

@@ -34,6 +34,9 @@
 // The tag and field streams are additionally XORed against the byte lag
 // that cancels the most bytes — iterative apps repeat their per-step
 // pattern, so both streams collapse into zero runs at the step period.
+// The lag search (detail::best_lag) is exact: it prunes lags that cannot
+// win, but returns the same lag as scoring every lag 1..4096 in full, so
+// the container bytes do not depend on how the search is implemented.
 // Decoding a chunk rebuilds the exact Event structs, so re-encoding the
 // whole trace reproduces the original .mpst bytes bit for bit.
 //
@@ -150,5 +153,19 @@ class MpstzReader {
 /// Stable content digest of a trace: FNV-1a 64 over the canonical .mpst
 /// v3 encoding (identical whether the trace came from .mpst or .mpstz).
 [[nodiscard]] std::uint64_t trace_digest(const trace::TraceFile& tf);
+
+namespace detail {
+
+/// The XOR lag in 0..min(4096, n-1) that zeroes the most bytes of
+/// `bytes`. Iterative apps repeat the same per-step pattern, so the tag
+/// and residual field streams are near-periodic at the per-step byte
+/// period; XOR against that lag turns them into almost all zeros, which
+/// the RLE stage then collapses. Lag 0 is the identity (the stream's own
+/// zero count); a larger lag must score strictly more to win, so ties go
+/// to the smallest lag. Lag L scores its n - L pairs i >= L with
+/// bytes[i] == bytes[i - L]. Exposed for the exactness tests.
+[[nodiscard]] std::uint64_t best_lag(std::span<const std::uint8_t> bytes);
+
+}  // namespace detail
 
 }  // namespace mpisect::codec

@@ -233,9 +233,12 @@ class World {
   /// Whether on_comm_create fired for the current world communicator (so a
   /// later run() knows to emit the matching on_comm_free).
   bool world_comm_announced_ = false;
+  // Declared before extensions_: an extension that is also a tool (the
+  // trace recorder) detaches from the stack in its destructor, so the
+  // stack must outlive every extension.
+  std::unique_ptr<hooks::ToolStack> tool_stack_;
   std::vector<std::shared_ptr<Extension>> extensions_;
   std::unique_ptr<faults::FaultEngine> fault_engine_;
-  std::unique_ptr<hooks::ToolStack> tool_stack_;
 };
 
 /// Per-rank execution context; lives on the rank thread's stack for the

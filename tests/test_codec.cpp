@@ -1,8 +1,11 @@
 // .mpstz codec: bit-exact roundtrips, chunked random access with the
 // bytes-decoded accounting, compression-pipeline unit coverage (RLE,
-// canonical Huffman), and integrity rejection of corrupted containers.
+// canonical Huffman), exactness of the pruned lag search against the full
+// scan, pinned container bytes, and integrity rejection of corrupted
+// containers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -16,10 +19,13 @@
 #include "codec/rle.hpp"
 #include "core/sections/runtime.hpp"
 #include "mpisim/runtime.hpp"
+#include "support/digest.hpp"
 #include "support/rng.hpp"
 #include "trace/event_wire.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
+
+#include "temp_path.hpp"
 
 namespace {
 
@@ -198,9 +204,10 @@ TEST(Mpstz, SeekedWindowDecodesOnlyNeededChunks) {
 
 TEST(Mpstz, DigestIsFormatIndependent) {
   const trace::TraceFile tf = record_convolution(4, 10);
-  const std::string dir = ::testing::TempDir();
-  const std::string mpst_path = dir + "codec_digest.mpst";
-  const std::string mpstz_path = dir + "codec_digest.mpstz";
+  const std::string mpst_path =
+      testutil::unique_temp_path("codec_digest", ".mpst");
+  const std::string mpstz_path =
+      testutil::unique_temp_path("codec_digest", ".mpstz");
   tf.save(mpst_path);
   const auto z = codec::compress(tf);
   {
@@ -254,6 +261,132 @@ TEST(Mpstz, CorruptionIsRejectedNotUB) {
     FAIL() << "raw reader must reject compressed containers";
   } catch (const trace::TraceError& err) {
     EXPECT_NE(std::string(err.what()).find("mpstz"), std::string::npos);
+  }
+}
+
+TEST(Mpstz, ContainerBytesArePinned) {
+  // The lag search and every other encoder stage are deterministic, so a
+  // fixed trace has one container. Captured before the pruned lag search
+  // replaced the full scan; any change to these bytes is a format change.
+  const std::vector<std::uint8_t> mpstz =
+      codec::compress(record_convolution(64, 200));
+  EXPECT_EQ(mpstz.size(), 126143u);
+  EXPECT_EQ(support::fnv1a64(mpstz), 0x4CCE5B5D3F3687D7ull);
+}
+
+// ---------------------------------------------------------- lag search --
+
+/// The full O(4096 * n) scan the pruned search must reproduce exactly.
+std::uint64_t reference_best_lag(std::span<const std::uint8_t> bytes) {
+  std::uint64_t best = 0;
+  std::size_t best_zeros = 0;
+  for (const std::uint8_t b : bytes) {
+    if (b == 0) ++best_zeros;
+  }
+  const std::size_t max_lag =
+      bytes.empty() ? 0 : std::min<std::size_t>(4096, bytes.size() - 1);
+  for (std::size_t lag = 1; lag <= max_lag; ++lag) {
+    std::size_t zeros = 0;
+    for (std::size_t i = lag; i < bytes.size(); ++i) {
+      if (bytes[i] == bytes[i - lag]) ++zeros;
+    }
+    if (zeros > best_zeros) {
+      best_zeros = zeros;
+      best = lag;
+    }
+  }
+  return best;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed,
+                                       unsigned alphabet) {
+  support::SequentialRng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next() % alphabet);
+  return out;
+}
+
+/// `period` random bytes repeated to length n, with every `flip_every`-th
+/// byte perturbed so the stream is only near-periodic.
+std::vector<std::uint8_t> periodic_bytes(std::size_t n, std::size_t period,
+                                         std::size_t flip_every,
+                                         std::uint64_t seed) {
+  const std::vector<std::uint8_t> motif = random_bytes(period, seed, 256);
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = motif[i % period];
+    if (flip_every != 0 && i % flip_every == flip_every - 1) out[i] ^= 0x5A;
+  }
+  return out;
+}
+
+void expect_exact(const std::vector<std::uint8_t>& bytes,
+                  const std::string& what) {
+  EXPECT_EQ(codec::detail::best_lag(bytes), reference_best_lag(bytes))
+      << what << " (n=" << bytes.size() << ")";
+}
+
+TEST(MpstzLagSearch, MatchesFullScanAcrossBlockAndLagBoundaries) {
+  // Around the 16-byte vector width, the 4080-byte count block and the
+  // 4096 lag cap.
+  for (const std::size_t n :
+       {0, 1, 2, 15, 16, 17, 31, 4079, 4080, 4081, 4097, 4098, 8161, 12000}) {
+    for (const unsigned alphabet : {2u, 4u, 256u}) {
+      expect_exact(random_bytes(n, 0xB16 + n, alphabet),
+                   "random alphabet " + std::to_string(alphabet));
+    }
+    expect_exact(periodic_bytes(n, 37, 0, n), "period 37");
+    expect_exact(periodic_bytes(n, 100, 7, n), "noisy period 100");
+  }
+}
+
+TEST(MpstzLagSearch, ConstantStreams) {
+  for (const std::size_t n : {1, 16, 4081, 9000}) {
+    const std::vector<std::uint8_t> zeros(n, 0);
+    EXPECT_EQ(codec::detail::best_lag(zeros), 0u) << n;
+    expect_exact(zeros, "all zero");
+    const std::vector<std::uint8_t> ones(n, 1);
+    EXPECT_EQ(codec::detail::best_lag(ones), n > 1 ? 1u : 0u) << n;
+    expect_exact(ones, "all one");
+  }
+}
+
+TEST(MpstzLagSearch, PeriodAboveTheLagCap) {
+  // No searchable lag reaches the true period; the best partial match
+  // must still be the one the full scan picks.
+  for (const std::size_t period : {4097, 5000, 6007}) {
+    expect_exact(periodic_bytes(3 * period, period, 0, period),
+                 "period " + std::to_string(period));
+    expect_exact(periodic_bytes(2 * period + 123, period, 11, period),
+                 "noisy period " + std::to_string(period));
+  }
+}
+
+TEST(MpstzLagSearch, TiesGoToTheSmallestLag) {
+  // Period 3 over 61 bytes: lag 3 matches 58 pairs, lag 6 matches 55.
+  // Overwriting s[3] breaks two lag-3 pairs but one lag-6 pair (there is
+  // no s[-3]); overwriting s[30] and s[36] alike breaks four lag-3 pairs
+  // but two lag-6 pairs. Both lags end at 52 and the smaller must win.
+  std::vector<std::uint8_t> s;
+  for (int i = 0; i < 61; ++i) {
+    s.push_back(static_cast<std::uint8_t>(1 + i % 3));
+  }
+  s[3] = s[30] = s[36] = 9;
+  std::vector<std::size_t> counts(7, 0);
+  for (std::size_t lag = 1; lag <= 6; ++lag) {
+    for (std::size_t i = lag; i < s.size(); ++i) {
+      if (s[i] == s[i - lag]) ++counts[lag];
+    }
+  }
+  ASSERT_EQ(counts[3], 52u);
+  ASSERT_EQ(counts[6], 52u) << "fixture must force a tie";
+  EXPECT_EQ(codec::detail::best_lag(s), 3u);
+  expect_exact(s, "forced tie");
+
+  // Random two-letter streams tie constantly; each must resolve the same
+  // way the full scan resolves it.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    expect_exact(random_bytes(8 + seed % 64, seed, 2), "binary");
   }
 }
 

@@ -7,6 +7,8 @@
 #include "core/sections/runtime.hpp"
 #include "profiler/section_profiler.hpp"
 
+#include "temp_path.hpp"
+
 namespace {
 
 using namespace mpisect;
@@ -160,7 +162,8 @@ TEST(ConvolutionStore, WritesRequestedFile) {
   World world(2, ideal_options());
   sections::SectionRuntime::install(world);
   ConvolutionConfig cfg = small_config(1, /*full=*/true);
-  cfg.store_path = "/tmp/mpisect_conv_test.ppm";
+  cfg.store_path =
+      testutil::unique_temp_path("mpisect_conv_test", ".ppm");
   ConvolutionApp app(cfg);
   world.run(std::ref(app));
   FILE* f = std::fopen(cfg.store_path.c_str(), "rb");

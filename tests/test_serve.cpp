@@ -29,6 +29,8 @@
 #include "support/json.hpp"
 #include "trace/recorder.hpp"
 
+#include "temp_path.hpp"
+
 namespace {
 
 using namespace mpisect;
@@ -46,10 +48,6 @@ trace::TraceFile record_fixture(int ranks = 4, int steps = 10) {
   apps::conv::ConvolutionApp app(cfg);
   world.run(std::ref(app));
   return rec->finish();
-}
-
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "/" + name;
 }
 
 void write_bytes(const std::string& path,
@@ -71,12 +69,19 @@ const Fixture& fixture() {
   static const Fixture* fx = [] {
     auto* f = new Fixture;
     f->tf = record_fixture();
-    f->mpst_path = temp_path("serve_fixture.mpst");
-    f->mpstz_path = temp_path("serve_fixture.mpstz");
+    f->mpst_path = testutil::unique_temp_path("serve_fixture", ".mpst");
+    f->mpstz_path = testutil::unique_temp_path("serve_fixture", ".mpstz");
     write_bytes(f->mpst_path, f->tf.encode());
     write_bytes(f->mpstz_path, codec::compress(f->tf));
     return f;
   }();
+  // Every test process writes its own pair of files; remove them at exit.
+  static const struct Cleanup {
+    ~Cleanup() {
+      std::remove(fx->mpst_path.c_str());
+      std::remove(fx->mpstz_path.c_str());
+    }
+  } cleanup;
   return *fx;
 }
 
@@ -345,7 +350,8 @@ TEST(Service, StatsReportsCounters) {
 }
 
 TEST(Service, CorruptContainerIsACleanError) {
-  const std::string path = temp_path("serve_corrupt.mpstz");
+  const std::string path =
+      testutil::unique_temp_path("serve_corrupt", ".mpstz");
   std::vector<std::uint8_t> bytes = codec::compress(fixture().tf);
   bytes[bytes.size() / 2] ^= 0xFF;
   write_bytes(path, bytes);
@@ -359,6 +365,7 @@ TEST(Service, CorruptContainerIsACleanError) {
   if (!v.find("ok")->boolean) {
     EXPECT_FALSE(v.find("error")->string.empty());
   }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- server --

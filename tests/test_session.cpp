@@ -36,6 +36,8 @@
 #include "trace/file.hpp"
 #include "trace/recorder.hpp"
 
+#include "temp_path.hpp"
+
 namespace {
 
 using namespace mpisect;
@@ -236,7 +238,8 @@ TEST(SessionStreaming, RecorderSaveMatchesFinishEncode) {
   const std::vector<std::uint8_t> monolithic = tf.encode();
   EXPECT_GT(rec->total_events(), 0u);
 
-  const std::string path = ::testing::TempDir() + "session_stream.mpst";
+  const std::string path =
+      testutil::unique_temp_path("session_stream", ".mpst");
   rec->save(path);
   EXPECT_EQ(slurp(path), monolithic);
   std::remove(path.c_str());

@@ -15,6 +15,8 @@
 #include "support/rng.hpp"
 #include "trace/file.hpp"
 
+#include "temp_path.hpp"
+
 namespace {
 
 using namespace mpisect;
@@ -311,7 +313,7 @@ TEST(TraceFormat, ByteSwappedMagicGetsEndianDiagnostic) {
 TEST(TraceFormat, SaveLoadRoundTrip) {
   const TraceFile tf = random_trace(11, 2, 30);
   const std::string path =
-      testing::TempDir() + "/mpisect_format_roundtrip.mpst";
+      testutil::unique_temp_path("mpisect_format_roundtrip", ".mpst");
   tf.save(path);
   const TraceFile back = TraceFile::load(path);
   EXPECT_EQ(back.encode(), tf.encode());

@@ -1,8 +1,10 @@
 // Recorder behaviour: same-seed determinism (byte-identical files), zero
 // virtual-time perturbation, tool stacking with the profiler and checker in
-// either order, and the delta/varint size bound for paper-scale runs.
+// either order, teardown of a still-attached recorder with its World, and
+// the delta/varint size bound for paper-scale runs.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -12,6 +14,7 @@
 #include "checker/checker.hpp"
 #include "core/sections/runtime.hpp"
 #include "mpisim/runtime.hpp"
+#include "mpisim/toolstack.hpp"
 #include "profiler/section_profiler.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
@@ -122,6 +125,47 @@ TEST(TraceRecord, StacksWithProfilerAndCheckerRecorderLast) {
 
 TEST(TraceRecord, StacksWithProfilerAndCheckerRecorderFirst) {
   check_stacked(/*recorder_last=*/false);
+}
+
+/// An extension that is also a tool, like the recorder: it notes the size
+/// of the tool stack its destructor finds, then detaches.
+class StackProbe final : public mpisim::Extension,
+                         public mpisim::hooks::Tool {
+ public:
+  StackProbe(mpisim::World& world, std::size_t& seen)
+      : world_(&world), seen_(&seen) {
+    world.tool_stack().attach(this, mpisim::hooks::kOrderRecorder);
+  }
+  ~StackProbe() override {
+    *seen_ = world_->tool_stack().size();
+    world_->tool_stack().detach(this);
+  }
+  StackProbe(const StackProbe&) = delete;
+  StackProbe& operator=(const StackProbe&) = delete;
+
+ private:
+  mpisim::World* world_;
+  std::size_t* seen_;
+};
+
+// The World owns the last reference to a recorder nobody detached, so the
+// recorder detaches inside ~World; the tool stack must still be alive then.
+TEST(TraceRecord, WorldTeardownDetachesAnAttachedRecorder) {
+  std::size_t stack_size_at_teardown = 0;
+  std::weak_ptr<trace::TraceRecorder> weak;
+  {
+    mpisim::World world(2, jittery_options());
+    sections::SectionRuntime::install(world);
+    world.attach_extension(
+        std::make_shared<StackProbe>(world, stack_size_at_teardown));
+    auto rec = trace::TraceRecorder::install(world, {});
+    run_convolution(world, 2);
+    EXPECT_GT(rec->finish().total_events(), 0u);
+    weak = rec;
+  }
+  EXPECT_TRUE(weak.expired());
+  EXPECT_GE(stack_size_at_teardown, 1u)
+      << "an extension's destructor saw a fresh tool stack, not the live one";
 }
 
 TEST(TraceRecord, HeaderCarriesProvenance) {
