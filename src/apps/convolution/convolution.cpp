@@ -108,11 +108,19 @@ void ConvolutionApp::run_1d(mpisim::Ctx& ctx) {
     if (rank == 0) run_rank0_io(ctx, /*load=*/true, &global);
   }
 
+  // scatterv/gatherv read counts and displacements only at the root, so the
+  // other ranks pass empty spans instead of building two p-length vectors
+  // each (O(p^2) work over the whole world).
+  std::vector<std::size_t> counts;
+  std::vector<std::size_t> displs;
+  if (rank == 0) {
+    counts = decomp.byte_counts(row_bytes);
+    displs = decomp.byte_displs(row_bytes);
+  }
+
   // --- SCATTER: 1D row split.
   {
     const Phase phase(comm, labels::kScatter, pc);
-    const auto counts = decomp.byte_counts(row_bytes);
-    const auto displs = decomp.byte_displs(row_bytes);
     comm.scatterv(full && rank == 0 ? global.data() : nullptr, counts, displs,
                   full ? local.row(1) : nullptr,
                   static_cast<std::size_t>(my_rows) * row_bytes, 0);
@@ -172,8 +180,6 @@ void ConvolutionApp::run_1d(mpisim::Ctx& ctx) {
     const Phase phase(comm, labels::kGather, pc);
     Image gathered;
     if (full && rank == 0) gathered = Image(config_.width, config_.height);
-    const auto counts = decomp.byte_counts(row_bytes);
-    const auto displs = decomp.byte_displs(row_bytes);
     comm.gatherv(full ? local.row(1) : nullptr,
                  static_cast<std::size_t>(my_rows) * row_bytes,
                  full && rank == 0 ? gathered.data() : nullptr, counts,

@@ -14,7 +14,7 @@ using mpisim::MpiCall;
 
 std::shared_ptr<MpiChecker> MpiChecker::install(mpisim::World& world,
                                                 CheckerOptions options) {
-  if (auto existing = world.find_extension<MpiChecker>()) return existing;
+  if (auto existing = world.shared_extension<MpiChecker>()) return existing;
   auto self = std::make_shared<MpiChecker>(world, options);
   world.attach_extension(self);
   return self;

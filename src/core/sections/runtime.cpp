@@ -35,14 +35,16 @@ SectionRuntime::SectionRuntime(int world_size)
     : ranks_(static_cast<std::size_t>(world_size)) {}
 
 std::shared_ptr<SectionRuntime> SectionRuntime::install(mpisim::World& world) {
-  if (auto existing = find(world)) return existing;
+  if (auto existing = world.shared_extension<SectionRuntime>()) {
+    return existing;
+  }
   auto rt = std::make_shared<SectionRuntime>(world.size());
   rt->validate_.store(world.options().validate_sections);
   world.attach_extension(rt);
   return rt;
 }
 
-std::shared_ptr<SectionRuntime> SectionRuntime::find(mpisim::World& world) {
+SectionRuntime* SectionRuntime::find(mpisim::World& world) {
   return world.find_extension<SectionRuntime>();
 }
 

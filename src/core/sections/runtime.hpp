@@ -81,8 +81,10 @@ class SectionRuntime final : public mpisim::Extension {
   /// Create and attach a SectionRuntime to the world (before run()).
   /// Returns the existing instance if one is already attached.
   static std::shared_ptr<SectionRuntime> install(mpisim::World& world);
-  /// The world's SectionRuntime, or nullptr.
-  static std::shared_ptr<SectionRuntime> find(mpisim::World& world);
+  /// The world's SectionRuntime, or nullptr. Borrowed (the world owns it)
+  /// and free of reference counting: MPIX_Section_enter/exit call this on
+  /// every section event from every scheduler worker.
+  static SectionRuntime* find(mpisim::World& world);
 
   /// Non-blocking collective section entry (MPIX_Section_enter).
   int enter(mpisim::Ctx& ctx, mpisim::Comm& comm, const char* label);

@@ -87,6 +87,14 @@ CommImpl::RankState& CommImpl::rank_state(int comm_rank) {
   return rank_states_[static_cast<std::size_t>(comm_rank)];
 }
 
+std::uint64_t& CommImpl::SendSeq::widen(int dst) {
+  wide_ = std::make_unique<std::unordered_map<int, std::uint64_t>>();
+  wide_->reserve(2 * kLinearMax);
+  for (const Entry& e : entries_) wide_->emplace(e.dst, e.count);
+  entries_ = {};
+  return (*wide_)[dst];
+}
+
 // ---------------------------------------------------------------------------
 // Raw (hook-free) point-to-point helpers
 // ---------------------------------------------------------------------------

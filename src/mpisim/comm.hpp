@@ -20,6 +20,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "mpisim/channel.hpp"
@@ -122,12 +123,16 @@ class Comm {
   /// Equal-chunk scatter: root sends bytes_per_rank to every rank.
   void scatter(const void* sendbuf, std::size_t bytes_per_rank, void* recvbuf,
                int root);
-  /// Variable scatter with per-rank byte counts and displacements (at root).
+  /// Variable scatter with per-rank byte counts and displacements. counts
+  /// and displs are read only at the root, which must pass at least size()
+  /// entries of each (Err::Arg otherwise); other ranks may pass empty spans.
   void scatterv(const void* sendbuf, std::span<const std::size_t> counts,
                 std::span<const std::size_t> displs, void* recvbuf,
                 std::size_t recv_bytes, int root);
   void gather(const void* sendbuf, std::size_t bytes_per_rank, void* recvbuf,
               int root);
+  /// Variable gather; counts and displs follow the scatterv contract (read
+  /// only at the root, empty spans are fine elsewhere).
   void gatherv(const void* sendbuf, std::size_t send_bytes, void* recvbuf,
                std::span<const std::size_t> counts,
                std::span<const std::size_t> displs, int root);
@@ -274,19 +279,28 @@ class CommImpl {
   /// partners (halo neighbours, binomial-tree edges), so the dense
   /// p-entry vector per rank — p² counters per communicator — was the first
   /// structure to die at 65k ranks. A linear probe over the touched
-  /// destinations beats a hash map at the observed degree.
+  /// destinations beats a hash map at the observed degree (a Lulesh rank's
+  /// 26 halo neighbours plus its collective-tree edges stay well under
+  /// kLinearMax). A rank that fans out wider (the root of a linear scatter
+  /// sends to p-1 ranks) moves its counters into a hash map past
+  /// kLinearMax destinations, so the fan-out costs O(p) lookups instead of
+  /// O(p²) probes.
   class SendSeq {
    public:
+    static constexpr std::size_t kLinearMax = 64;
+
     [[nodiscard]] std::uint64_t& operator[](int dst) {
+      if (wide_) return (*wide_)[dst];
       for (auto& e : entries_) {
         if (e.dst == dst) return e.count;
       }
+      if (entries_.size() == kLinearMax) return widen(dst);
       entries_.push_back({dst, 0});
       return entries_.back().count;
     }
     /// Destinations this rank has ever sent to (diagnostics).
     [[nodiscard]] std::size_t destinations() const noexcept {
-      return entries_.size();
+      return wide_ ? wide_->size() : entries_.size();
     }
 
    private:
@@ -294,7 +308,11 @@ class CommImpl {
       int dst = 0;
       std::uint64_t count = 0;
     };
+    /// Move the entries into wide_ and return dst's (new) counter.
+    std::uint64_t& widen(int dst);
+
     std::vector<Entry> entries_;
+    std::unique_ptr<std::unordered_map<int, std::uint64_t>> wide_;
   };
 
   /// Per-rank mutable state; each slot is touched only by its owner thread.

@@ -5,7 +5,7 @@
 namespace mpisect::mpisim::faults {
 
 std::shared_ptr<FaultInjector> FaultInjector::install(World& world) {
-  if (auto existing = world.find_extension<FaultInjector>()) return existing;
+  if (auto existing = world.shared_extension<FaultInjector>()) return existing;
   auto self = std::make_shared<FaultInjector>(world);
   world.attach_extension(self);
   return self;

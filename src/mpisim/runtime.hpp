@@ -172,8 +172,19 @@ class World {
 
   /// Find an attached extension by concrete type (nullptr if absent).
   /// Attach extensions before run(); lookup from rank threads is read-only.
+  /// The pointer is borrowed from the world, and the lookup touches no
+  /// reference count, so rank fibers may call it on every event.
   template <typename T>
-  [[nodiscard]] std::shared_ptr<T> find_extension() const {
+  [[nodiscard]] T* find_extension() const {
+    for (const auto& e : extensions_) {
+      if (auto* p = dynamic_cast<T*>(e.get())) return p;
+    }
+    return nullptr;
+  }
+  /// find_extension with shared ownership, for installers that hand the
+  /// existing instance back to their caller.
+  template <typename T>
+  [[nodiscard]] std::shared_ptr<T> shared_extension() const {
     for (const auto& e : extensions_) {
       if (auto p = std::dynamic_pointer_cast<T>(e)) return p;
     }

@@ -478,12 +478,24 @@ class FiberExecutor final : public Executor {
     // Caller holds wp's owner mutex; see ThreadExecutor::do_notify.
     wp.epoch_.fetch_add(1, std::memory_order_relaxed);
     wp.cv_.notify_all();
+    // Every write to parked_ holds the owner mutex, which the caller holds
+    // too, so an empty list here is exact: nobody is parked and nobody is
+    // half-way through parking. Most notifies (a deposit or post with no
+    // waiter) end here without touching the scheduler mutex.
+    if (wp.parked_.empty()) return;
     wake_parked(wp);
   }
 
   void do_wake(WaitPoint& wp) override {
-    Executor::do_wake(wp);  // epoch bump + cv for off-fiber waiters
-    wake_parked(wp);
+    // Same epoch bump and cv notify as Executor::do_wake, but the parked
+    // tasks move while the owner mutex is still held: that keeps every
+    // write to parked_ under it, which do_notify's early return relies on.
+    {
+      const std::lock_guard lock(wp.owner_mu_);
+      wp.epoch_.fetch_add(1, std::memory_order_relaxed);
+      wake_parked(wp);
+    }
+    wp.cv_.notify_all();
   }
 
  private:
@@ -576,7 +588,8 @@ class FiberExecutor final : public Executor {
     t.started = true;
   }
 
-  /// Move every task parked on wp to the ready queue.
+  /// Move every task parked on wp to the ready queue. Caller holds wp's
+  /// owner mutex (lock order: owner mutex, then mu_).
   void wake_parked(WaitPoint& wp) {
     bool woke = false;
     {

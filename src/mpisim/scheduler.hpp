@@ -235,9 +235,11 @@ class WaitPoint {
   /// waiter records it before blocking; "epoch unchanged" is both the
   /// cv wait predicate and the "no wake pending" half of quiescence.
   std::atomic<std::uint64_t> epoch_{0};
-  /// Fiber backend: tasks parked here (FiberTask*, guarded by the
-  /// scheduler mutex, populated before the parking fiber's owner mutex is
-  /// released so a notifier can never miss a half-parked task).
+  /// Fiber backend: tasks parked here (FiberTask*). Every write holds the
+  /// owner mutex and then the scheduler mutex; a task is added before the
+  /// parking fiber releases the owner mutex, so a notifier (which holds
+  /// it) never misses a half-parked task and may read the list under the
+  /// owner mutex alone.
   std::vector<void*> parked_;
   /// Slot in the executor's registry (maintained by add/remove_waitpoint so
   /// deregistration is O(1) — worlds create one WaitPoint per channel, and

@@ -62,6 +62,7 @@ Server::~Server() {
   for (auto& t : pool_) {
     if (t.joinable()) t.join();
   }
+  if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
 int Server::listen(int port) {
@@ -111,11 +112,11 @@ void Server::run() {
 
 void Server::stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Shutting the listen socket down is what wakes a blocked accept(). The
+  // descriptor itself stays open until the destructor: run() reads
+  // listen_fd_ on another thread, and closing it here would let a new
+  // socket reuse the number under that accept().
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);

@@ -59,9 +59,17 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        // The parser recurses once per level, so a hostile line of nested
+        // brackets must fail here instead of overflowing the stack.
+        if (depth_ == kJsonMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+        }
+        ++depth_;
+        JsonValue v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::String;
@@ -215,6 +223,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

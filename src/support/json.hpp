@@ -46,8 +46,12 @@ class JsonValue {
   [[nodiscard]] const JsonValue* find(const std::string& key) const;
 };
 
+/// Deepest nesting of objects and arrays json_parse accepts.
+inline constexpr std::size_t kJsonMaxDepth = 256;
+
 /// Parse one JSON document (must consume all non-whitespace input).
-/// Throws std::runtime_error with position info on malformed input.
+/// Throws std::runtime_error with position info on malformed input,
+/// including nesting deeper than kJsonMaxDepth.
 [[nodiscard]] JsonValue json_parse(std::string_view text);
 
 }  // namespace mpisect::support

@@ -10,7 +10,7 @@ namespace mpisect::telemetry {
 
 std::shared_ptr<TelemetrySampler> TelemetrySampler::install(
     mpisim::World& world, SamplerOptions options) {
-  if (auto existing = world.find_extension<TelemetrySampler>()) {
+  if (auto existing = world.shared_extension<TelemetrySampler>()) {
     return existing;
   }
   auto self = std::make_shared<TelemetrySampler>(world, options);

@@ -35,7 +35,7 @@ bool is_traced_collective(MpiCall c) noexcept {
 
 std::shared_ptr<TraceRecorder> TraceRecorder::install(mpisim::World& world,
                                                       RecorderOptions options) {
-  if (auto existing = world.find_extension<TraceRecorder>()) return existing;
+  if (auto existing = world.shared_extension<TraceRecorder>()) return existing;
   auto self = std::make_shared<TraceRecorder>(world, std::move(options));
   world.attach_extension(self);
   return self;

@@ -5,7 +5,9 @@
 
 #include "apps/convolution/convolution.hpp"
 #include "core/sections/runtime.hpp"
+#include "mpisim/session.hpp"
 #include "profiler/section_profiler.hpp"
+#include "support/digest.hpp"
 
 #include "temp_path.hpp"
 
@@ -156,6 +158,48 @@ TEST(ConvolutionScaling, HaloAbsentForSingleRank) {
   const auto halo = prof.totals_for(labels::kHalo);
   EXPECT_EQ(halo.instances, 3);
   EXPECT_EQ(halo.mpi_calls, 0);  // no neighbors, no messages
+}
+
+TEST(ConvolutionScale, Modeled2048RankTimesArePinned) {
+  // Virtual time is a pure function of the model: a modeled 2048-rank run
+  // has one set of final times and section totals, whatever the scheduler
+  // or the host-side data structures. The digest was taken before the
+  // v-collective counts, section lookup, scheduler notify and send-
+  // sequence table were optimized; any change to it is a model change.
+  constexpr int kRanks = 2048;
+  const auto world = mpisim::Session(kRanks)
+                         .world_builder()
+                         .machine(MachineModel::nehalem_cluster())
+                         .seed(7)
+                         .build();
+  sections::SectionRuntime::install(*world);
+  profiler::SectionProfiler prof(*world);
+  ConvolutionConfig cfg;
+  cfg.width = 256;
+  cfg.height = kRanks * 2;
+  cfg.steps = 5;
+  cfg.full_fidelity = false;
+  ConvolutionApp app(cfg);
+  world->run(std::ref(app));
+
+  const std::vector<double>& ft = world->final_times();
+  ASSERT_EQ(ft.size(), static_cast<std::size_t>(kRanks));
+  std::uint64_t h = support::fnv1a64(
+      {reinterpret_cast<const std::uint8_t*>(ft.data()),
+       ft.size() * sizeof(double)});
+  const auto mix = [&h](const void* p, std::size_t n) {
+    h = support::fnv1a64({static_cast<const std::uint8_t*>(p), n}, h);
+  };
+  for (const auto& t : prof.totals()) {
+    mix(t.label.data(), t.label.size());
+    mix(&t.instances, sizeof t.instances);
+    mix(&t.ranks_seen, sizeof t.ranks_seen);
+    mix(&t.total_time, sizeof t.total_time);
+    mix(&t.exclusive_total, sizeof t.exclusive_total);
+    mix(&t.mpi_time, sizeof t.mpi_time);
+    mix(&t.mpi_calls, sizeof t.mpi_calls);
+  }
+  EXPECT_EQ(support::format_digest(h), "mpst1-227e2b8e4cd4232b");
 }
 
 TEST(ConvolutionStore, WritesRequestedFile) {

@@ -163,6 +163,45 @@ TEST_P(CollectiveSweep, ScattervGathervVariableChunks) {
   });
 }
 
+TEST_P(CollectiveSweep, VCollectivesReadCountsOnlyAtRoot) {
+  // counts and displs are read only at the root: every other rank passes
+  // empty spans and still gets (and returns) the right bytes.
+  const int p = GetParam();
+  for (const int root : {0, p - 1}) {
+    World world(p, ideal_options());
+    world.run([p, root](Ctx& ctx) {
+      Comm comm = ctx.world_comm();
+      const bool at_root = ctx.rank() == root;
+      std::vector<std::size_t> counts;
+      std::vector<std::size_t> displs;
+      std::size_t total = 0;
+      if (at_root) {
+        for (int r = 0; r < p; ++r) {
+          counts.push_back((static_cast<std::size_t>(r) + 1) * sizeof(int));
+          displs.push_back(total);
+          total += counts.back();
+        }
+      }
+      std::vector<int> all;
+      if (at_root) {
+        all.resize(total / sizeof(int));
+        std::iota(all.begin(), all.end(), 0);
+      }
+      std::vector<int> mine(static_cast<std::size_t>(ctx.rank()) + 1, -1);
+      comm.scatterv(at_root ? all.data() : nullptr, counts, displs,
+                    mine.data(), mine.size() * sizeof(int), root);
+      const int my_start = ctx.rank() * (ctx.rank() + 1) / 2;
+      for (std::size_t i = 0; i < mine.size(); ++i) {
+        EXPECT_EQ(mine[i], my_start + static_cast<int>(i));
+      }
+      std::vector<int> back(all.size(), -1);
+      comm.gatherv(mine.data(), mine.size() * sizeof(int),
+                   at_root ? back.data() : nullptr, counts, displs, root);
+      EXPECT_EQ(back, all);
+    });
+  }
+}
+
 TEST_P(CollectiveSweep, AllgatherEveryRankSeesAll) {
   const int p = GetParam();
   World world(p, ideal_options());
@@ -243,6 +282,33 @@ TEST(Collectives, RootedCollectiveBadRootThrows) {
     comm.bcast(nullptr, 8, 5);
   }),
                MpiError);
+}
+
+TEST(Collectives, VCollectiveRootWithShortCountsThrowsArg) {
+  // The root must pass a count and a displacement for every rank.
+  for (const bool scatter : {true, false}) {
+    World world(4, ideal_options());
+    Err code = Err::Internal;
+    try {
+      world.run([scatter](Ctx& ctx) {
+        Comm comm = ctx.world_comm();
+        std::vector<std::size_t> counts;
+        std::vector<std::size_t> displs;
+        if (ctx.rank() == 0) {
+          counts.assign(3, 0);  // one short of comm.size()
+          displs.assign(3, 0);
+        }
+        if (scatter) {
+          comm.scatterv(nullptr, counts, displs, nullptr, 0, 0);
+        } else {
+          comm.gatherv(nullptr, 0, nullptr, counts, displs, 0);
+        }
+      });
+    } catch (const MpiError& e) {
+      code = e.code();
+    }
+    EXPECT_EQ(code, Err::Arg) << (scatter ? "scatterv" : "gatherv");
+  }
 }
 
 TEST(Collectives, BcastCostGrowsLogarithmically) {

@@ -287,6 +287,19 @@ TEST(P2P, ProbeSeesEnvelopeWithoutConsuming) {
   });
 }
 
+TEST(P2P, SendSeqCountsPerDestinationAcrossWideFanOut) {
+  // A linear scatter root sends to p-1 ranks; the counters must stay exact
+  // when the sparse table outgrows its linear probe.
+  constexpr int kDestinations = 1000;
+  CommImpl::SendSeq seq;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int dst = 0; dst < kDestinations; ++dst) {
+      EXPECT_EQ(seq[dst]++, static_cast<std::uint64_t>(pass)) << dst;
+    }
+  }
+  EXPECT_EQ(seq.destinations(), static_cast<std::size_t>(kDestinations));
+}
+
 TEST(P2P, InvalidArgumentsThrow) {
   World world(2, ideal_options());
   EXPECT_THROW(world.run([](Ctx& ctx) {

@@ -250,7 +250,8 @@ TEST(Extensions, InitFinalizeOrdering) {
   World world(3, ideal_options());
   auto rec = std::make_shared<Recorder>();
   world.attach_extension(rec);
-  EXPECT_EQ(world.find_extension<Recorder>(), rec);
+  EXPECT_EQ(world.find_extension<Recorder>(), rec.get());
+  EXPECT_EQ(world.shared_extension<Recorder>(), rec);
   world.run([&](Ctx&) {
     EXPECT_GE(rec->inits.load(), 1);  // own rank's init already ran
   });

@@ -331,6 +331,17 @@ TEST(Service, ErrorContract) {
                "unknown model");
 }
 
+TEST(Service, DeeplyNestedRequestIsAnErrorReply) {
+  // A request line of 200,000 '[' used to overflow the parser's stack.
+  serve::Service svc;
+  const support::JsonValue v =
+      parse_response(svc.handle_line(std::string(200000, '[')));
+  ASSERT_TRUE(v.find("ok") != nullptr);
+  EXPECT_FALSE(v.find("ok")->boolean);
+  EXPECT_NE(v.find("error")->string.find("nesting"), std::string::npos)
+      << v.find("error")->string;
+}
+
 TEST(Service, StatsReportsCounters) {
   const Fixture& fx = fixture();
   serve::Service svc;

@@ -1,15 +1,18 @@
-// Tests for strings, tables, CSV, CLI parsing and ASCII charts.
+// Tests for strings, tables, CSV, CLI parsing, ASCII charts and JSON.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "support/chart.hpp"
 #include "support/cli.hpp"
 #include "support/crc32.hpp"
 #include "support/csv.hpp"
 #include "support/digest.hpp"
+#include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 
@@ -171,6 +174,21 @@ TEST(Cli, DeprecationMessageNamesExactReplacement) {
 
 std::span<const std::uint8_t> as_bytes(const char* s) {
   return {reinterpret_cast<const std::uint8_t*>(s), std::strlen(s)};
+}
+
+TEST(Json, NestingDepthIsBounded) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const JsonValue deepest = json_parse(nested(kJsonMaxDepth));
+  EXPECT_TRUE(deepest.is_array());
+  EXPECT_THROW((void)json_parse(nested(kJsonMaxDepth + 1)),
+               std::runtime_error);
+  // Unterminated and far too deep: fails at the limit, not on the stack.
+  EXPECT_THROW((void)json_parse(std::string(200000, '[')), std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 200000; ++i) objects += "{\"a\":";
+  EXPECT_THROW((void)json_parse(objects), std::runtime_error);
 }
 
 TEST(Crc32, KnownVectors) {
