@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <set>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "mpisim/message.hpp"
-#include "mpisim/netmodel.hpp"
-#include "mpisim/progress.hpp"
+#include "trace/walker.hpp"
 
 namespace mpisect::analysis {
 
@@ -17,80 +14,6 @@ namespace {
 
 using trace::Event;
 using trace::EventKind;
-using trace::TraceError;
-
-struct MsgKey {
-  int comm = 0;
-  int src = 0;
-  int dst = 0;
-  std::uint64_t seq = 0;
-  bool operator==(const MsgKey&) const = default;
-};
-
-struct MsgKeyHash {
-  std::size_t operator()(const MsgKey& k) const noexcept {
-    std::size_t h = static_cast<std::size_t>(k.comm) * 1000003u;
-    h ^= static_cast<std::size_t>(k.src) * 10007u;
-    h ^= static_cast<std::size_t>(k.dst) * 65599u;
-    h ^= static_cast<std::size_t>(k.seq) + (h << 6) + (h >> 2);
-    return h;
-  }
-};
-
-/// Recorded-frame view of one in-flight message (single-frame mirror of
-/// trace/replay.cpp's MsgState — the arithmetic must stay identical).
-struct MsgState {
-  double start = 0.0, wire = 0.0, avail = 0.0, post = 0.0;
-  bool rend = false;
-  bool have_send = false, have_post = false;
-  int consumed = 0;
-  // Offline extras: where the endpoints live, for HB joins and parents.
-  int send_rank = -1;
-  std::uint32_t send_idx = 0;
-  int post_rank = -1;
-  std::uint32_t post_idx = 0;
-  std::size_t channel_slot = 0;  ///< index into channels[key] vector
-};
-
-struct SyncState {
-  int members = 0;
-  int arrived = 0;
-  std::uint64_t rounds = 0;
-  double max_t = 0.0;
-  int max_rank = -1;  ///< member whose entry time is the running max
-  std::uint32_t max_idx = 0;
-  std::vector<std::uint64_t> joined;  ///< VC join of all entries
-};
-
-/// Nonblocking-collective round, keyed by (comm, generation). The post is
-/// the HB source (every member's completion joins every member's post),
-/// and the timing mirrors replay's recorded frame: the completion fence
-/// charges ProgressModel::nbc_complete_time over the max post time.
-struct NbcState {
-  int members = 0;
-  int arrived = 0;
-  int departed = 0;
-  std::uint64_t bytes = 0;
-  double max_t = 0.0;
-  int max_rank = -1;
-  std::uint32_t max_idx = 0;
-  std::vector<std::uint64_t> joined;
-};
-
-struct RankRt {
-  std::size_t cursor = 0;
-  double t = 0.0;
-  std::vector<MsgKey> send_keys, recv_keys;
-  std::vector<std::size_t> recv_slots;  ///< recvs[] index per post, in order
-  bool sync_entered = false;
-  std::pair<int, std::uint64_t> sync_key{0, 0};
-  std::map<int, std::uint64_t> sync_ordinal;
-  std::vector<std::pair<int, std::uint32_t>> stack;  ///< (comm, label)
-  std::vector<std::uint64_t> vc;
-  bool done = false;
-};
-
-enum class Step : std::uint8_t { Advanced, Progress, Blocked };
 
 void join_vc(std::vector<std::uint64_t>& into,
              const std::vector<std::uint64_t>& other) {
@@ -99,32 +22,40 @@ void join_vc(std::vector<std::uint64_t>& into,
   }
 }
 
-struct Engine {
-  const trace::TraceFile& tf;
-  const mpisim::NetworkModel& net;
-  bool track_clocks = false;
+/// What the analyzer attaches to the walker's records: each send's slot
+/// in its channel list, and each barrier/NBC round's joined vector clock.
+struct HbExtra {
+  struct Msg {
+    std::size_t channel_slot = 0;
+  };
+  struct Round {
+    std::vector<std::uint64_t> joined;
+  };
+};
+using HbWalker = trace::Walker<1, HbExtra>;
 
+/// The analyzer's share of the walk (recorded frame only): per-event
+/// times with binding parents and sections, vector clocks, and the
+/// channel/receive database.
+struct Interpreter : trace::WalkObserver {
+  const trace::TraceFile& tf;
   InterpResult res;
-  std::vector<RankRt> ranks;
-  std::unordered_map<MsgKey, MsgState, MsgKeyHash> msgs;
-  std::map<std::pair<int, std::uint64_t>, SyncState> syncs;
-  std::map<std::pair<int, std::uint64_t>, NbcState> nbc_rounds;
+  bool track_clocks = false;
+  std::vector<std::vector<std::uint64_t>> vc;  ///< per-rank running clock
   std::map<int, std::set<int>> members_seen;
 
-  explicit Engine(const trace::TraceFile& t)
-      : tf(t), net(t.header.machine.net) {
+  explicit Interpreter(const trace::TraceFile& t) : tf(t) {
     const std::size_t n = tf.ranks.size();
-    ranks.resize(n);
-    res.times.resize(n);
-    res.t0.resize(n);
-    for (std::size_t r = 0; r < n; ++r) res.t0[r] = tf.ranks[r].t0;
-    res.final_times.assign(n, 0.0);
     scan_envelopes();
     track_clocks = res.has_wildcard && res.envelopes_recorded;
-    if (track_clocks) res.clocks.resize(n);
+    res.times.resize(n);
+    if (track_clocks) {
+      res.clocks.resize(n);
+      vc.assign(n, std::vector<std::uint64_t>(n, 0));  // O(n^2): only if used
+    }
+    res.rank_recvs.resize(n);
     for (std::size_t r = 0; r < n; ++r) {
-      ranks[r].t = tf.ranks[r].t0;
-      ranks[r].vc.assign(n, 0);
+      res.t0.push_back(tf.ranks[r].t0);
       res.times[r].reserve(tf.ranks[r].events.size());
       if (track_clocks) res.clocks[r].reserve(tf.ranks[r].events.size());
     }
@@ -164,353 +95,75 @@ struct Engine {
     }
   }
 
-  [[noreturn]] void fail(int r, const Event& ev, const std::string& why) {
-    throw TraceError("analysis failed at rank " + std::to_string(r) +
-                     " event #" + std::to_string(ranks[r].cursor) + " (" +
-                     event_kind_name(ev.kind) + "): " + why);
+  void on_arrive(int r, HbWalker::Round& round) {
+    if (!track_clocks) return;
+    if (round.x.joined.empty()) round.x.joined.assign(vc.size(), 0);
+    join_vc(round.x.joined, vc[static_cast<std::size_t>(r)]);
   }
 
-  /// Mirror of replay's charge_gap, recorded frame only.
-  void charge_gap(int r, RankRt& st, const Event& ev) {
-    if (!ev.has_time) return;
-    if (ev.t_before < st.t) {
-      fail(r, ev,
-           "recorded clock behind interpreted clock (trace/model mismatch)");
-    }
-    st.t = ev.t_before;
+  void on_send(int r, const Event& ev, HbWalker::Msg& ms) {
+    auto& chan = res.channels[ChannelKey{ev.comm, r, ev.peer}];
+    ms.x.channel_slot = chan.size();
+    chan.push_back(SendInfo{ev.seq, ev.tag, ev.bytes, ms.send_idx, ms.rend[0],
+                            false, 0, false, 0});
   }
 
-  void consume(const MsgKey& key, MsgState& ms) {
-    if (++ms.consumed >= 2) msgs.erase(key);
+  void on_recv_post(int r, const Event& ev, std::uint32_t idx) {
+    res.rank_recvs[static_cast<std::size_t>(r)].push_back(res.recvs.size());
+    res.recvs.push_back(RecvInfo{r, ev.comm, idx, false, 0, ev.post_src,
+                                 ev.tag, ev.peer, ev.seq});
   }
 
-  /// Commit one processed event: time, binding parent, section, VC.
-  void commit(int r, RankRt& st, int parent_rank, std::uint32_t parent_idx) {
+  /// Mark the channel-side match so match sets can see consumption.
+  void on_recv_wait(int r, std::uint32_t idx, std::size_t back,
+                    const trace::MsgKey& key, const HbWalker::Msg& ms) {
+    auto& send = res.channels[ChannelKey{key.comm, key.src, key.dst}]
+                             [ms.x.channel_slot];
+    send.matched = true;
+    send.recv_post_idx = ms.post_idx;
+    send.completed = true;
+    send.recv_wait_idx = idx;
+    auto& ri = res.recvs[res.rank_recvs[static_cast<std::size_t>(r)][back]];
+    ri.completed = true;
+    ri.wait_idx = idx;
+  }
+
+  /// Commit one event: time, binding parent, section, vector clock.
+  void on_event(int r, const HbWalker::RankState& st, const Event& /*ev*/,
+                const HbWalker::Link& link) {
+    const auto rank = static_cast<std::size_t>(r);
     EventInfo info;
-    info.t = st.t;
-    info.parent_rank = parent_rank;
-    info.parent_idx = parent_idx;
+    info.t = st.t[0];
+    if (link.binds) {
+      info.parent_rank = link.rank;
+      info.parent_idx = link.idx;
+    }
     if (!st.stack.empty()) {
-      info.section_comm = st.stack.back().first;
-      info.section = st.stack.back().second;
+      info.section_comm = st.stack.back().comm;
+      info.section = st.stack.back().label;
     }
-    res.times[static_cast<std::size_t>(r)].push_back(info);
-    if (track_clocks) {
-      ++st.vc[static_cast<std::size_t>(r)];
-      res.clocks[static_cast<std::size_t>(r)].push_back(st.vc);
+    res.times[rank].push_back(info);
+    if (!track_clocks) return;
+    std::vector<std::uint64_t>& clock = vc[rank];
+    if (link.round != nullptr) {
+      join_vc(clock, link.round->x.joined);
+    } else if (link.rank >= 0) {
+      join_vc(clock, res.clocks[static_cast<std::size_t>(link.rank)][link.idx]);
     }
+    ++clock[rank];
+    res.clocks[rank].push_back(clock);
   }
 
-  Step step(int r) {
-    RankRt& st = ranks[static_cast<std::size_t>(r)];
-    const trace::RankStream& stream = tf.ranks[static_cast<std::size_t>(r)];
-    if (st.cursor >= stream.events.size()) {
-      st.done = true;
-      res.final_times[static_cast<std::size_t>(r)] = st.t;
-      return Step::Advanced;
+  void finalize(const HbWalker& walker) {
+    res.makespan = -std::numeric_limits<double>::infinity();
+    for (const auto& st : walker.ranks()) {
+      if (st.t[0] > res.makespan) {
+        res.makespan = st.t[0];
+        res.last_rank = static_cast<int>(res.final_times.size());
+      }
+      res.final_times.push_back(st.t[0]);
     }
-    const Event& ev = stream.events[st.cursor];
-    const auto idx = static_cast<std::uint32_t>(st.cursor);
-    int parent_rank = -1;
-    std::uint32_t parent_idx = 0;
-    switch (ev.kind) {
-      case EventKind::SendPost: {
-        charge_gap(r, st, ev);
-        st.t +=
-            std::max(net.cpu_overhead(r, net.send_overhead, ev.op, 0), 0.0);
-        const MsgKey key{ev.comm, r, ev.peer, ev.seq};
-        MsgState& ms = msgs[key];
-        const auto nbytes = static_cast<std::size_t>(ev.bytes);
-        ms.start = st.t;
-        ms.wire = net.transfer_cost(r, ev.peer, nbytes, ev.seq);
-        ms.avail = ms.start + ms.wire;
-        ms.rend = nbytes > net.eager_threshold;
-        ms.have_send = true;
-        ms.send_rank = r;
-        ms.send_idx = idx;
-        st.send_keys.push_back(key);
-        auto& chan = res.channels[ChannelKey{ev.comm, r, ev.peer}];
-        ms.channel_slot = chan.size();
-        chan.push_back(SendInfo{ev.seq, ev.tag, ev.bytes, idx, ms.rend,
-                                false, 0, false, 0});
-        break;
-      }
-      case EventKind::SendWait: {
-        if (ev.op >= st.send_keys.size()) fail(r, ev, "bad send backref");
-        const MsgKey key = st.send_keys[st.send_keys.size() - 1 - ev.op];
-        const auto it = msgs.find(key);
-        if (it == msgs.end()) {  // already fully consumed: no-op re-wait
-          charge_gap(r, st, ev);
-          break;
-        }
-        MsgState& ms = it->second;
-        if (ms.rend && !ms.have_post) return Step::Blocked;
-        charge_gap(r, st, ev);
-        if (ms.rend) {
-          const double sync = std::max(ms.start, ms.post) + ms.wire;
-          if (sync > st.t && ms.post >= ms.start) {
-            parent_rank = ms.post_rank;  // receiver's post gated the sync
-            parent_idx = ms.post_idx;
-          }
-          st.t = std::max(st.t, sync);
-          if (track_clocks) {
-            join_vc(st.vc,
-                    res.clocks[static_cast<std::size_t>(ms.post_rank)]
-                              [ms.post_idx]);
-          }
-        }
-        consume(key, ms);
-        break;
-      }
-      case EventKind::RecvPost: {
-        charge_gap(r, st, ev);
-        std::size_t slot = res.recvs.size();
-        RecvInfo ri;
-        ri.rank = r;
-        ri.comm = ev.comm;
-        ri.post_idx = idx;
-        ri.post_src = ev.post_src;
-        ri.post_tag = ev.tag;
-        ri.matched_src = ev.peer;
-        ri.seq = ev.seq;
-        res.recvs.push_back(ri);
-        st.recv_slots.push_back(slot);
-        if (ev.peer == Event::kUnmatched) {
-          st.recv_keys.push_back(MsgKey{-1, 0, 0, 0});
-        } else {
-          const MsgKey key{ev.comm, ev.peer, r, ev.seq};
-          MsgState& ms = msgs[key];
-          ms.post = st.t;
-          ms.have_post = true;
-          ms.post_rank = r;
-          ms.post_idx = idx;
-          st.recv_keys.push_back(key);
-        }
-        break;
-      }
-      case EventKind::RecvWait: {
-        if (ev.seq >= st.recv_keys.size()) fail(r, ev, "bad recv backref");
-        const std::size_t back = st.recv_keys.size() - 1 - ev.seq;
-        const MsgKey key = st.recv_keys[back];
-        if (key.comm < 0) fail(r, ev, "wait on a receive that never matched");
-        const auto it = msgs.find(key);
-        if (it == msgs.end() || !it->second.have_send) return Step::Blocked;
-        MsgState& ms = it->second;
-        charge_gap(r, st, ev);
-        const double del = ms.rend ? std::max(ms.start, ms.post) + ms.wire
-                                   : std::max(ms.post, ms.avail);
-        const bool remote_wins =
-            del > st.t && (ms.rend ? ms.start >= ms.post : ms.avail >= ms.post);
-        if (remote_wins) {
-          parent_rank = ms.send_rank;
-          parent_idx = ms.send_idx;
-        }
-        st.t = std::max(st.t, del);
-        st.t +=
-            std::max(net.cpu_overhead(r, net.recv_overhead, ev.op, 1), 0.0);
-        if (track_clocks) {
-          join_vc(st.vc, res.clocks[static_cast<std::size_t>(ms.send_rank)]
-                                   [ms.send_idx]);
-        }
-        // Mark the channel-side match so match sets can see consumption.
-        auto& send = res.channels[ChannelKey{key.comm, key.src, key.dst}]
-                                 [ms.channel_slot];
-        send.matched = true;
-        send.recv_post_idx = ms.post_idx;
-        send.completed = true;
-        send.recv_wait_idx = idx;
-        auto& ri = res.recvs[st.recv_slots[back]];
-        ri.completed = true;
-        ri.wait_idx = idx;
-        consume(key, ms);
-        break;
-      }
-      case EventKind::Probe: {
-        const MsgKey key{ev.comm, ev.peer, r, ev.seq};
-        const auto it = msgs.find(key);
-        if (it == msgs.end() || !it->second.have_send) return Step::Blocked;
-        const MsgState& ms = it->second;
-        charge_gap(r, st, ev);
-        if (ms.rend) {
-          if (ms.start >= st.t) {
-            parent_rank = ms.send_rank;
-            parent_idx = ms.send_idx;
-          }
-          st.t = std::max(ms.start, st.t) + ms.wire;
-        } else {
-          if (ms.avail > st.t) {
-            parent_rank = ms.send_rank;
-            parent_idx = ms.send_idx;
-          }
-          st.t = std::max(st.t, ms.avail);
-        }
-        if (track_clocks) {
-          join_vc(st.vc, res.clocks[static_cast<std::size_t>(ms.send_rank)]
-                                   [ms.send_idx]);
-        }
-        break;
-      }
-      case EventKind::CollBegin: {
-        charge_gap(r, st, ev);
-        st.t +=
-            std::max(net.cpu_overhead(r, net.send_overhead, ev.op, 2), 0.0);
-        break;
-      }
-      case EventKind::CollEnd:
-      case EventKind::Pcontrol: {
-        charge_gap(r, st, ev);
-        break;
-      }
-      case EventKind::SectionEnter: {
-        charge_gap(r, st, ev);
-        commit(r, st, parent_rank, parent_idx);  // outer section attributed
-        st.stack.emplace_back(ev.comm, ev.label);
-        ++st.cursor;
-        return Step::Advanced;
-      }
-      case EventKind::SectionExit: {
-        charge_gap(r, st, ev);
-        if (st.stack.empty()) fail(r, ev, "section exit with empty stack");
-        commit(r, st, parent_rank, parent_idx);  // exited section attributed
-        st.stack.pop_back();
-        ++st.cursor;
-        return Step::Advanced;
-      }
-      case EventKind::CommSync: {
-        if (!st.sync_entered) {
-          charge_gap(r, st, ev);
-          const std::uint64_t ordinal = st.sync_ordinal[ev.comm]++;
-          st.sync_key = {ev.comm, ordinal};
-          SyncState& sy = syncs[st.sync_key];
-          sy.members = ev.peer;
-          sy.rounds = ev.seq;
-          if (sy.arrived == 0 || st.t > sy.max_t) {
-            sy.max_t = st.t;
-            sy.max_rank = r;
-            sy.max_idx = idx;
-          }
-          if (track_clocks) {
-            if (sy.joined.empty()) sy.joined.assign(ranks.size(), 0);
-            join_vc(sy.joined, st.vc);
-          }
-          ++sy.arrived;
-          st.sync_entered = true;
-          if (sy.arrived < sy.members) return Step::Progress;
-        }
-        const SyncState& sy = syncs[st.sync_key];
-        if (sy.arrived < sy.members) return Step::Blocked;
-        const double rounds = static_cast<double>(sy.rounds);
-        const double leave = sy.max_t + rounds * net.inter_node.latency;
-        if (leave > st.t && sy.max_rank != r) {
-          parent_rank = sy.max_rank;
-          parent_idx = sy.max_idx;
-        }
-        st.t = std::max(st.t, leave);
-        if (track_clocks) join_vc(st.vc, sy.joined);
-        st.sync_entered = false;
-        break;
-      }
-      case EventKind::NbcPost: {
-        charge_gap(r, st, ev);
-        st.t +=
-            std::max(net.cpu_overhead(r, net.send_overhead, ev.op, 2), 0.0);
-        NbcState& nb = nbc_rounds[{ev.comm, ev.seq}];
-        nb.members = ev.peer;
-        nb.bytes = std::max(nb.bytes, ev.bytes);
-        if (nb.arrived == 0 || st.t > nb.max_t) {
-          nb.max_t = st.t;
-          nb.max_rank = r;
-          nb.max_idx = idx;
-        }
-        if (track_clocks) {
-          if (nb.joined.empty()) nb.joined.assign(ranks.size(), 0);
-          join_vc(nb.joined, st.vc);
-        }
-        ++nb.arrived;
-        break;
-      }
-      case EventKind::NbcComplete: {
-        const auto it = nbc_rounds.find({ev.comm, ev.seq});
-        if (it == nbc_rounds.end() ||
-            it->second.arrived < it->second.members) {
-          return Step::Blocked;  // fence stalls until the post quorum
-        }
-        NbcState& nb = it->second;
-        charge_gap(r, st, ev);
-        const double algo = net.nbc_cost(nb.members, nb.bytes);
-        const double done =
-            tf.header.progress.nbc_complete_time(st.t, nb.max_t, algo);
-        if (done > st.t && nb.max_rank != r) {
-          parent_rank = nb.max_rank;  // latest poster gated the fence
-          parent_idx = nb.max_idx;
-        }
-        st.t = std::max(st.t, done);
-        if (track_clocks) join_vc(st.vc, nb.joined);
-        if (++nb.departed == nb.members) nbc_rounds.erase(it);
-        break;
-      }
-      case EventKind::Finalize: {
-        charge_gap(r, st, ev);
-        if (st.t != stream.t_final) {
-          fail(r, ev, "recorded final time mismatch (corrupt trace?)");
-        }
-        res.final_times[static_cast<std::size_t>(r)] = st.t;
-        st.done = true;
-        break;
-      }
-    }
-    commit(r, st, parent_rank, parent_idx);
-    ++st.cursor;
-    return Step::Advanced;
-  }
-
-  void run() {
-    for (;;) {
-      bool any_active = false;
-      bool progress = false;
-      for (int r = 0; r < static_cast<int>(ranks.size()); ++r) {
-        RankRt& st = ranks[static_cast<std::size_t>(r)];
-        if (st.done) continue;
-        any_active = true;
-        for (;;) {
-          const Step s = step(r);
-          if (s == Step::Advanced) {
-            progress = true;
-            if (st.done) break;
-            continue;
-          }
-          if (s == Step::Progress) progress = true;
-          break;
-        }
-      }
-      if (!any_active) break;
-      if (!progress) {
-        std::string stuck;
-        for (int r = 0; r < static_cast<int>(ranks.size()); ++r) {
-          const RankRt& st = ranks[static_cast<std::size_t>(r)];
-          if (st.done) continue;
-          if (!stuck.empty()) stuck += ", ";
-          stuck += std::to_string(r) + "@" + std::to_string(st.cursor);
-          if (stuck.size() > 120) break;
-        }
-        throw TraceError(
-            "analysis dependency stall (truncated or inconsistent trace); "
-            "blocked ranks: " +
-            stuck);
-      }
-    }
-  }
-
-  void finalize() {
-    res.makespan = res.final_times.empty()
-                       ? 0.0
-                       : -std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < res.final_times.size(); ++r) {
-      if (res.final_times[r] > res.makespan) {
-        res.makespan = res.final_times[r];
-        res.last_rank = static_cast<int>(r);
-      }
-    }
+    if (res.final_times.empty()) res.makespan = 0.0;
   }
 };
 
@@ -526,13 +179,12 @@ bool InterpResult::happens_before(int rank_a, std::uint32_t idx_a, int rank_b,
 }
 
 InterpResult interpret(const trace::TraceFile& tf) {
-  if (tf.ranks.size() != static_cast<std::size_t>(tf.header.nranks)) {
-    throw trace::TraceError("trace rank streams do not match header count");
-  }
-  Engine eng(tf);
-  eng.run();
-  eng.finalize();
-  return std::move(eng.res);
+  HbWalker walker(tf, {trace::Frame{&tf.header.machine.net, tf.header.progress}},
+                  "analysis");
+  Interpreter interp(tf);
+  walker.run(interp);
+  interp.finalize(walker);
+  return std::move(interp.res);
 }
 
 }  // namespace mpisect::analysis

@@ -1,11 +1,14 @@
 // Recorded-frame interpretation of a .mpst trace for offline analysis.
 //
 // Re-derives, without re-execution, everything the happens-before passes
-// need from the recorded event skeleton:
+// need from the recorded event skeleton. It is a one-frame trace::Walker
+// over the recorded machine and progress model, the same walk and cost
+// arithmetic as trace::replay's recorded frame:
 //
 //   * per-event virtual completion times under the *recorded* machine
-//     model, bit-identical to trace::replay's recorded frame (the critical
-//     path's total time must equal the replay makespan exactly);
+//     model, equal to replay's recorded frame event for event (so section
+//     enter/exit times sum to the recorded footer totals, and the critical
+//     path's total time equals the replay makespan exactly);
 //   * the binding predecessor of every event — the (rank, event) whose
 //     completion the event's time actually derives from when a cross-rank
 //     term wins the max (message delivery, rendezvous sync, comm-sync
@@ -92,7 +95,8 @@ struct InterpResult {
   int last_rank = -1;  ///< argmax of final_times (smallest on ties)
 
   std::map<ChannelKey, std::vector<SendInfo>> channels;  ///< seq-ordered
-  std::vector<RecvInfo> recvs;  ///< ordered by (rank, post_idx)
+  std::vector<RecvInfo> recvs;  ///< walk order (per rank: post order)
+  std::vector<std::vector<std::size_t>> rank_recvs;  ///< rank -> recvs[] slots
 
   /// clocks[rank][event] — vector clocks (empty unless wildcards present
   /// and the trace recorded posted envelopes, i.e. format v3).

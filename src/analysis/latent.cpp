@@ -5,6 +5,7 @@
 
 #include "checker/comm_registry.hpp"
 #include "mpisim/message.hpp"
+#include "trace/walker.hpp"
 
 namespace mpisect::analysis {
 
@@ -12,6 +13,8 @@ namespace {
 
 using trace::Event;
 using trace::EventKind;
+using trace::Quorum;
+using trace::Step;
 
 bool tag_compatible(int posted_tag, int tag) {
   if (posted_tag == mpisim::kAnyTag) return tag < mpisim::kInternalTagBase;
@@ -28,19 +31,16 @@ struct PendingSend {
   bool matched = false;
 };
 
-/// One posted receive during the simulation.
+bool eligible(const PendingSend& ps, int post_tag) {
+  return !ps.matched && !ps.reserved && tag_compatible(post_tag, ps.tag);
+}
+
+/// One posted receive during the simulation (its envelope is in
+/// InterpResult::recvs).
 struct PostedRecv {
   std::size_t recv_slot = 0;  ///< InterpResult::recvs index
-  int comm = 0;
-  int post_src = 0;
-  int post_tag = 0;
   bool forced = false;
   bool matched = false;
-};
-
-struct SyncPoint {
-  int members = 0;
-  int arrived = 0;
 };
 
 struct SimRank {
@@ -48,10 +48,15 @@ struct SimRank {
   /// Program-order send identities for SendWait backrefs.
   std::vector<std::pair<ChannelKey, std::uint64_t>> sends;
   std::vector<std::size_t> posted;  ///< posted-receive indices, post order
-  std::map<int, std::uint64_t> sync_ordinal;
-  std::map<int, std::uint64_t> sync_done;
+  std::map<int, std::uint64_t> sync_done;  ///< per-comm completed CommSyncs
   bool sync_entered = false;
   bool done = false;
+  checker::RankWaitState wait;  ///< the call the last blocked step sat in
+
+  [[nodiscard]] std::uint64_t sync_ordinal(int comm) const {
+    const auto it = sync_done.find(comm);
+    return it == sync_done.end() ? 0 : it->second;
+  }
 };
 
 /// Untimed greedy re-matching of the event skeleton with one forced pair.
@@ -64,22 +69,15 @@ struct Sim {
   std::vector<SimRank> ranks;
   std::map<ChannelKey, std::vector<PendingSend>> channels;
   std::vector<PostedRecv> posts;
-  std::map<std::pair<int, std::uint64_t>, SyncPoint> syncs;
+  std::map<std::pair<int, std::uint64_t>, Quorum> syncs;
   /// Nonblocking-collective rounds keyed by (comm, generation): the post
   /// never blocks, the completion waits for every member's post.
-  std::map<std::pair<int, std::uint64_t>, SyncPoint> nbc;
-  std::vector<std::vector<std::size_t>> slot_index;  ///< rank -> recv slots
+  std::map<std::pair<int, std::uint64_t>, Quorum> nbc;
   std::uint64_t advanced = 0;
 
   Sim(const trace::TraceFile& t, const InterpResult& i, std::size_t slot,
       const AltSender& alt)
-      : tf(t), in(i), forced_slot(slot), forced(alt) {
-    ranks.resize(tf.ranks.size());
-    slot_index.resize(tf.ranks.size());
-    for (std::size_t k = 0; k < in.recvs.size(); ++k) {
-      slot_index[static_cast<std::size_t>(in.recvs[k].rank)].push_back(k);
-    }
-  }
+      : tf(t), in(i), forced_slot(slot), forced(alt), ranks(t.ranks.size()) {}
 
   PendingSend* find_send(const ChannelKey& key, std::uint64_t seq) {
     const auto it = channels.find(key);
@@ -90,41 +88,18 @@ struct Sim {
     return nullptr;
   }
 
-  /// Greedy match policy: the forced receive takes only its reserved
-  /// send; everything else prefers its recorded sender, then the lowest
-  /// (src, seq) pending send — deterministic, so reports are byte-stable.
-  bool try_match(int dst, PostedRecv& pr) {
-    if (pr.forced) {
-      PendingSend* ps =
-          find_send(ChannelKey{pr.comm, forced.src, dst}, forced.seq);
-      if (ps == nullptr || ps->matched) return false;
-      ps->matched = true;
-      pr.matched = true;
-      return true;
-    }
-    auto eligible = [&](const PendingSend& ps) {
-      return !ps.matched && !ps.reserved &&
-             tag_compatible(pr.post_tag, ps.tag);
-    };
-    const RecvInfo& ri = in.recvs[pr.recv_slot];
-    if (ri.matched_src >= 0) {
-      PendingSend* ps =
-          find_send(ChannelKey{pr.comm, ri.matched_src, dst}, ri.seq);
-      if (ps != nullptr && eligible(*ps)) {
-        ps->matched = true;
-        pr.matched = true;
-        return true;
-      }
-    }
-    const bool any_src = pr.post_src == mpisim::kAnySource;
+  /// The send a receive posted as (post_src, post_tag) would match now:
+  /// the first live compatible send of each channel (FIFO), lowest
+  /// (src, seq) across channels.
+  PendingSend* best_pending(int comm, int dst, int post_src, int post_tag) {
     PendingSend* best = nullptr;
     for (auto& [key, queue] : channels) {
-      if (key.comm != pr.comm || key.dst != dst) continue;
-      if (!any_src && key.src != pr.post_src) continue;
+      if (key.comm != comm || key.dst != dst) continue;
+      if (post_src != mpisim::kAnySource && key.src != post_src) continue;
       for (PendingSend& ps : queue) {
         // Non-overtaking applies among matching envelopes only: consumed,
         // reserved, and tag-mismatched sends are scanned past.
-        if (!eligible(ps)) continue;
+        if (!eligible(ps, post_tag)) continue;
         if (best == nullptr || ps.src < best->src ||
             (ps.src == best->src && ps.seq < best->seq)) {
           best = &ps;
@@ -132,8 +107,29 @@ struct Sim {
         break;  // FIFO: first compatible live send per channel
       }
     }
-    if (best == nullptr) return false;
-    best->matched = true;
+    return best;
+  }
+
+  /// Greedy match policy: the forced receive takes only its reserved
+  /// send; everything else prefers its recorded sender, then the lowest
+  /// (src, seq) pending send — deterministic, so reports are byte-stable.
+  bool try_match(int dst, PostedRecv& pr) {
+    const RecvInfo& ri = in.recvs[pr.recv_slot];
+    PendingSend* ps = nullptr;
+    if (pr.forced) {
+      ps = find_send(ChannelKey{ri.comm, forced.src, dst}, forced.seq);
+      if (ps != nullptr && ps->matched) ps = nullptr;
+    } else {
+      if (ri.matched_src >= 0) {
+        ps = find_send(ChannelKey{ri.comm, ri.matched_src, dst}, ri.seq);
+        if (ps != nullptr && !eligible(*ps, ri.post_tag)) ps = nullptr;
+      }
+      if (ps == nullptr) {
+        ps = best_pending(ri.comm, dst, ri.post_src, ri.post_tag);
+      }
+    }
+    if (ps == nullptr) return false;
+    ps->matched = true;
     pr.matched = true;
     return true;
   }
@@ -144,13 +140,25 @@ struct Sim {
     }
   }
 
-  /// Advance rank r by one event; false = blocked (or finished).
-  bool step(int r) {
+  /// Record what a blocked rank waits in, for snapshot().
+  static Step block(SimRank& st, mpisim::MpiCall call, int comm, int peer,
+                    bool collective = false, std::uint64_t ordinal = 0) {
+    st.wait = {.call = call,
+               .collective = collective,
+               .comm_context = comm,
+               .peer_world = peer,
+               .coll_ordinal = ordinal,
+               .coll_done = {}};
+    return Step::Blocked;
+  }
+
+  /// Advance rank r by one event.
+  Step step(int r) {
     SimRank& st = ranks[static_cast<std::size_t>(r)];
     const auto& events = tf.ranks[static_cast<std::size_t>(r)].events;
     if (st.cursor >= events.size()) {
       st.done = true;
-      return false;
+      return Step::Advanced;
     }
     const Event& ev = events[st.cursor];
     switch (ev.kind) {
@@ -168,30 +176,35 @@ struct Sim {
         break;
       }
       case EventKind::SendWait: {
-        if (ev.op >= st.sends.size()) return false;  // corrupt backref
+        if (ev.op >= st.sends.size()) {  // corrupt backref
+          return block(st, mpisim::MpiCall::Init, -1, -1);
+        }
         const auto& [key, seq] = st.sends[st.sends.size() - 1 - ev.op];
         const PendingSend* ps = find_send(key, seq);
-        if (ps != nullptr && ps->rendezvous && !ps->matched) return false;
+        if (ps != nullptr && ps->rendezvous && !ps->matched) {
+          return block(st, mpisim::MpiCall::Wait, key.comm, key.dst);
+        }
         break;
       }
       case EventKind::RecvPost: {
-        PostedRecv pr;
-        pr.recv_slot =
-            slot_index[static_cast<std::size_t>(r)][st.posted.size()];
-        const RecvInfo& ri = in.recvs[pr.recv_slot];
-        pr.comm = ri.comm;
-        pr.post_src = ri.post_src;
-        pr.post_tag = ri.post_tag;
-        pr.forced = pr.recv_slot == forced_slot;
-        posts.push_back(pr);
+        const std::size_t slot =
+            in.rank_recvs[static_cast<std::size_t>(r)][st.posted.size()];
+        posts.push_back(PostedRecv{slot, slot == forced_slot, false});
         st.posted.push_back(posts.size() - 1);
         match_rank(r);
         break;
       }
       case EventKind::RecvWait: {
-        if (ev.seq >= st.posted.size()) return false;  // corrupt backref
-        const std::size_t p = st.posted[st.posted.size() - 1 - ev.seq];
-        if (!posts[p].matched) return false;
+        if (ev.seq >= st.posted.size()) {  // corrupt backref
+          return block(st, mpisim::MpiCall::Init, -1, -1);
+        }
+        const PostedRecv& pr = posts[st.posted[st.posted.size() - 1 - ev.seq]];
+        if (!pr.matched) {
+          // The forced receive waits specifically for its reserved sender.
+          const RecvInfo& ri = in.recvs[pr.recv_slot];
+          return block(st, mpisim::MpiCall::Recv, ri.comm,
+                       pr.forced ? forced.src : ri.post_src);
+        }
         break;
       }
       case EventKind::Probe: {
@@ -200,50 +213,37 @@ struct Sim {
         const bool recorded = ev.post_src != Event::kNotRecorded;
         const int post_src = recorded ? ev.post_src : ev.peer;
         const int post_tag = recorded ? ev.tag : mpisim::kAnyTag;
-        bool found = false;
-        for (const auto& [key, queue] : channels) {
-          if (key.comm != ev.comm || key.dst != r) continue;
-          if (post_src != mpisim::kAnySource && key.src != post_src) {
-            continue;
-          }
-          for (const PendingSend& ps : queue) {
-            if (!ps.matched && !ps.reserved &&
-                tag_compatible(post_tag, ps.tag)) {
-              found = true;
-              break;
-            }
-          }
-          if (found) break;
+        if (best_pending(ev.comm, r, post_src, post_tag) == nullptr) {
+          return block(st, mpisim::MpiCall::Probe, ev.comm, post_src);
         }
-        if (!found) return false;
         break;
       }
       case EventKind::CommSync: {
-        const std::uint64_t ordinal = st.sync_ordinal.contains(ev.comm)
-                                          ? st.sync_ordinal.at(ev.comm)
-                                          : 0;
-        SyncPoint& sy = syncs[{ev.comm, ordinal}];
+        const std::uint64_t ordinal = st.sync_ordinal(ev.comm);
+        Quorum& sy = syncs[{ev.comm, ordinal}];
         if (sy.members == 0) sy.members = ev.peer;
         if (!st.sync_entered) {
           ++sy.arrived;
           st.sync_entered = true;
         }
-        if (sy.arrived < sy.members) return false;
+        if (!sy.met()) {
+          return block(st, mpisim::MpiCall::CommSplit, ev.comm, -1, true,
+                       ordinal);
+        }
         st.sync_entered = false;
-        st.sync_ordinal[ev.comm] = ordinal + 1;
         ++st.sync_done[ev.comm];
         break;
       }
       case EventKind::NbcPost: {
-        SyncPoint& nb = nbc[{ev.comm, ev.seq}];
+        Quorum& nb = nbc[{ev.comm, ev.seq}];
         if (nb.members == 0) nb.members = ev.peer;
         ++nb.arrived;
         break;
       }
       case EventKind::NbcComplete: {
         const auto it = nbc.find({ev.comm, ev.seq});
-        if (it == nbc.end() || it->second.arrived < it->second.members) {
-          return false;
+        if (it == nbc.end() || !it->second.met()) {
+          return block(st, mpisim::MpiCall::Wait, ev.comm, -1, true, ev.seq);
         }
         break;
       }
@@ -259,22 +259,12 @@ struct Sim {
     }
     ++st.cursor;
     ++advanced;
-    return true;
+    return Step::Advanced;
   }
 
   /// Run to completion or quiescence; true = everyone finished.
   bool run() {
-    for (;;) {
-      bool progress = false;
-      bool all_done = true;
-      for (int r = 0; r < static_cast<int>(ranks.size()); ++r) {
-        if (ranks[static_cast<std::size_t>(r)].done) continue;
-        while (step(r)) progress = true;
-        if (!ranks[static_cast<std::size_t>(r)].done) all_done = false;
-      }
-      if (all_done) return true;
-      if (!progress) return false;
-    }
+    return trace::run_to_quiescence(ranks, [&](int r) { return step(r); });
   }
 
   /// Blocked-rank snapshot in checker::RankWaitState form.
@@ -283,72 +273,16 @@ struct Sim {
     for (std::size_t r = 0; r < ranks.size(); ++r) {
       const SimRank& st = ranks[r];
       auto& ws = states[r];
-      for (const auto& [ctx, n] : st.sync_done) ws.coll_done[ctx] = n;
       if (st.done) {
         ws.phase = checker::RankWaitState::Phase::Finished;
-        continue;
+      } else {
+        ws = st.wait;
+        ws.phase = checker::RankWaitState::Phase::Blocked;
+        // Observation time: the recorded clock of the last completed event.
+        ws.t_virtual = st.cursor > 0 ? in.times[r][st.cursor - 1].t
+                                     : tf.ranks[r].t0;
       }
-      ws.phase = checker::RankWaitState::Phase::Blocked;
-      const auto& events = tf.ranks[r].events;
-      const Event& ev = events[st.cursor];
-      // Observation time: the recorded clock of the last completed event.
-      ws.t_virtual = st.cursor > 0 ? in.times[r][st.cursor - 1].t
-                                   : tf.ranks[r].t0;
-      switch (ev.kind) {
-        case EventKind::RecvWait: {
-          if (ev.seq >= st.posted.size()) {
-            ws.peer_world = -1;
-            break;
-          }
-          const std::size_t p = st.posted[st.posted.size() - 1 - ev.seq];
-          const PostedRecv& pr = posts[p];
-          ws.call = mpisim::MpiCall::Recv;
-          ws.comm_context = pr.comm;
-          // The forced receive waits specifically for its reserved sender.
-          ws.peer_world = pr.forced ? forced.src : pr.post_src;
-          break;
-        }
-        case EventKind::SendWait: {
-          if (ev.op >= st.sends.size()) {
-            ws.peer_world = -1;
-            break;
-          }
-          const auto& [key, seq] = st.sends[st.sends.size() - 1 - ev.op];
-          ws.call = mpisim::MpiCall::Wait;
-          ws.comm_context = key.comm;
-          ws.peer_world = key.dst;
-          break;
-        }
-        case EventKind::Probe: {
-          ws.call = mpisim::MpiCall::Probe;
-          ws.comm_context = ev.comm;
-          ws.peer_world = ev.post_src == Event::kNotRecorded ? ev.peer
-                                                             : ev.post_src;
-          break;
-        }
-        case EventKind::CommSync: {
-          ws.call = mpisim::MpiCall::CommSplit;
-          ws.collective = true;
-          ws.comm_context = ev.comm;
-          ws.coll_ordinal = st.sync_ordinal.contains(ev.comm)
-                                ? st.sync_ordinal.at(ev.comm)
-                                : 0;
-          break;
-        }
-        case EventKind::NbcComplete: {
-          ws.call = mpisim::MpiCall::Wait;
-          ws.collective = true;
-          ws.comm_context = ev.comm;
-          ws.coll_ordinal = ev.seq;
-          break;
-        }
-        default:
-          // A non-blocking event can only be "stuck" on a corrupt backref.
-          ws.call = mpisim::MpiCall::Wait;
-          ws.comm_context = -1;
-          ws.peer_world = -1;
-          break;
-      }
+      ws.coll_done = st.sync_done;
     }
     return states;
   }
@@ -358,13 +292,12 @@ struct Sim {
 void fill_registry(const InterpResult& in, checker::CommRegistry& comms) {
   for (const auto& [ctx, members] : in.comm_members) {
     for (std::size_t i = 0; i < members.size(); ++i) {
-      mpisim::CommLifecycle info;
-      info.context = ctx;
-      info.parent_context = -1;
-      info.rank = static_cast<int>(i);
-      info.size = static_cast<int>(members.size());
-      info.world_ranks = &members;
-      comms.on_create(info, 0.0);
+      comms.on_create({.context = ctx,
+                       .parent_context = -1,
+                       .rank = static_cast<int>(i),
+                       .size = static_cast<int>(members.size()),
+                       .world_ranks = &members},
+                      0.0);
     }
   }
 }

@@ -32,6 +32,10 @@ constexpr std::uint8_t kMethodRleHuffman = 1;
 /// before allocating.
 constexpr std::uint64_t kMaxEventWireBytes = 80;
 
+/// Smallest wire size of one chunk-index entry: six one-byte varints, two
+/// f64 time bounds and the u32 CRC.
+constexpr std::size_t kMinIndexEntryBytes = 6 + 2 * 8 + 4;
+
 // --------------------------------------------------------------------
 // Chunk stream model. Events are split into three independently
 // compressed streams whose residuals are near zero on periodic traces:
@@ -710,6 +714,9 @@ MpstzReader::MpstzReader(std::vector<std::uint8_t> data)
   for (const std::uint64_t c : rank_event_counts_) total_events += c;
   if (nchunks > total_events) {
     throw trace::TraceError("corrupt trace: more chunks than events");
+  }
+  if (nchunks > r.remaining() / kMinIndexEntryBytes) {
+    throw trace::TraceError("corrupt trace: chunk index overruns file");
   }
   std::vector<std::uint64_t> next_event(skeleton_.ranks.size(), 0);
   std::uint64_t next_offset = 0;

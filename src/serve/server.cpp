@@ -176,6 +176,7 @@ void Server::connection_loop(int fd) {
     for (;;) {
       const std::size_t nl = buffer.find('\n', start);
       if (nl == std::string::npos) break;
+      if (nl - start > kMaxLineBytes) break;  // refused below
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -186,8 +187,31 @@ void Server::connection_loop(int fd) {
       }
     }
     buffer.erase(0, start);
+    if (buffer.size() > kMaxLineBytes) {
+      refuse_overlong_line(fd);
+      break;
+    }
   }
   ::close(fd);
+}
+
+void Server::refuse_overlong_line(int fd) {
+  (void)write_all(fd, service_.error_reply(
+                          "0", "request line longer than " +
+                                   std::to_string(kMaxLineBytes) +
+                                   " bytes; closing the connection") +
+                          "\n");
+  // Send EOF after the reply, then discard (a bounded amount of) what the
+  // client is still sending: closing with unread input would reset the
+  // connection and could destroy the reply before the client reads it.
+  ::shutdown(fd, SHUT_WR);
+  char chunk[4096];
+  for (std::size_t drained = 0; drained <= kMaxLineBytes;) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    drained += static_cast<std::size_t>(n);
+  }
 }
 
 }  // namespace mpisect::serve

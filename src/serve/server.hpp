@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -27,6 +28,10 @@ namespace mpisect::serve {
 
 class Server {
  public:
+  /// Longest request line a connection may send (far above any documented
+  /// request). Past it the client gets one error reply and is dropped.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   /// `workers` is clamped to at least 1.
   Server(Service& service, int workers);
   ~Server();
@@ -58,6 +63,8 @@ class Server {
 
   void worker_loop(Shard& shard);
   void connection_loop(int fd);
+  /// Answer a line over kMaxLineBytes with an error, then end the session.
+  void refuse_overlong_line(int fd);
   /// Route one request line through its trace's shard and return the
   /// response line.
   std::string dispatch(const std::string& line);

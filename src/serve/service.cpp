@@ -363,10 +363,15 @@ std::string Service::handle_line(const std::string& line) {
            "\",\"cached\":" + (cached ? "true" : "false") + ",\"result\":\"" +
            support::json_escape(result) + "\"}";
   } catch (const std::exception& e) {
-    reg_.inc(id_errors_, 0);
-    return "{\"id\":" + id + ",\"ok\":false,\"error\":\"" +
-           support::json_escape(e.what()) + "\"}";
+    return error_reply(id, e.what());
   }
+}
+
+std::string Service::error_reply(const std::string& id,
+                                 const std::string& what) {
+  reg_.inc(id_errors_, 0);
+  return "{\"id\":" + id + ",\"ok\":false,\"error\":\"" +
+         support::json_escape(what) + "\"}";
 }
 
 std::string Service::stats_text() const {

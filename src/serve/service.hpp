@@ -51,6 +51,12 @@ class Service {
   /// newline). Never throws: every failure becomes an ok:false response.
   [[nodiscard]] std::string handle_line(const std::string& line);
 
+  /// The ok:false response for request `id` (its JSON text), counted in
+  /// serve.errors — handle_line's failure reply, also used by the daemon
+  /// for lines it refuses to read.
+  [[nodiscard]] std::string error_reply(const std::string& id,
+                                        const std::string& what);
+
   /// Load (or fetch the pinned copy of) a trace. Throws trace::TraceError.
   [[nodiscard]] std::shared_ptr<const LoadedTrace> trace(
       const std::string& path);

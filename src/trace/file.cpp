@@ -412,23 +412,23 @@ TraceFile TraceFile::decode(std::span<const std::uint8_t> data) {
     tf.header.progress.core_tax = r.f64();
   }
   tf.header.machine = decode_machine(r, version);
-  const std::uint64_t nlabels = r.varint();
-  tf.labels.reserve(static_cast<std::size_t>(nlabels));
-  for (std::uint64_t i = 0; i < nlabels; ++i) tf.labels.push_back(r.str());
-  const std::uint64_t nranks = r.varint();
-  for (std::uint64_t i = 0; i < nranks; ++i) {
+  const std::size_t nlabels = r.count();
+  tf.labels.reserve(nlabels);
+  for (std::size_t i = 0; i < nlabels; ++i) tf.labels.push_back(r.str());
+  const std::size_t nranks = r.count();
+  for (std::size_t i = 0; i < nranks; ++i) {
     RankStream rs;
     rs.rank = static_cast<int>(r.varint());
     rs.t0 = r.f64();
     rs.t_final = r.f64();
-    const std::uint64_t nev = r.varint();
-    rs.events.reserve(static_cast<std::size_t>(nev));
+    const std::size_t nev = r.count();
+    rs.events.reserve(nev);
     std::uint64_t prev_op = 0;
-    for (std::uint64_t e = 0; e < nev; ++e) {
+    for (std::size_t e = 0; e < nev; ++e) {
       rs.events.push_back(decode_event(r, prev_op, version));
     }
-    const std::uint64_t ntot = r.varint();
-    for (std::uint64_t t = 0; t < ntot; ++t) {
+    const std::size_t ntot = r.count();
+    for (std::size_t t = 0; t < ntot; ++t) {
       SectionTotal st;
       st.comm = static_cast<int>(r.varint());
       st.label = static_cast<std::uint32_t>(r.varint());

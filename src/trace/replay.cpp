@@ -4,111 +4,44 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "mpisim/faults/engine.hpp"
 #include "mpisim/message.hpp"
-#include "support/rng.hpp"
+#include "trace/walker.hpp"
 
 namespace mpisect::trace {
 
 namespace {
 
-struct MsgKey {
-  int comm = 0;
-  int src = 0;
-  int dst = 0;
-  std::uint64_t seq = 0;
-  bool operator==(const MsgKey&) const = default;
-  [[nodiscard]] bool null() const noexcept { return comm < 0; }
-  static MsgKey none() noexcept { return MsgKey{-1, 0, 0, 0}; }
-};
+/// Frame 0 re-simulates the recording; frame 1 is the what-if machine.
+constexpr std::size_t kWhatIf = 1;
+using ReplayWalker = Walker<2>;
+using SectionKey = std::pair<int, std::uint32_t>;
 
-struct MsgKeyHash {
-  std::size_t operator()(const MsgKey& k) const noexcept {
-    return static_cast<std::size_t>(support::stream_id(
-        static_cast<std::uint64_t>(k.comm) << 32 |
-            static_cast<std::uint32_t>(k.src),
-        static_cast<std::uint64_t>(k.dst), k.seq));
-  }
-};
-
-/// Both frames' view of one in-flight message.
-struct MsgState {
-  double start_rec = 0.0, wire_rec = 0.0, avail_rec = 0.0, post_rec = 0.0;
-  double start_cur = 0.0, wire_cur = 0.0, avail_cur = 0.0, post_cur = 0.0;
-  bool rend_rec = false, rend_cur = false;
-  bool lost_cur = false;  ///< fault plan lost this message in the cur frame
-  bool have_send = false, have_post = false;
-  int consumed = 0;  ///< SendWait + RecvWait; erased at 2
-};
-
-struct SyncState {
-  int members = 0;
-  int arrived = 0;
-  std::uint64_t rounds = 0;
-  double max_rec = 0.0, max_cur = 0.0;
-};
-
-/// One nonblocking-collective round, keyed by (comm, generation): posts
-/// accumulate the max post time per frame, fences stall on the quorum.
-struct NbcRound {
-  int members = 0;
-  int arrived = 0;
-  int departed = 0;
-  std::uint64_t bytes = 0;
-  double max_rec = 0.0, max_cur = 0.0;
-};
-
-struct RankRt {
-  std::size_t cursor = 0;
-  double t_rec = 0.0, t_cur = 0.0;
-  std::vector<MsgKey> send_keys, recv_keys;
-  bool sync_entered = false;
-  std::pair<int, std::uint64_t> sync_key{0, 0};
-  std::map<int, std::uint64_t> sync_ordinal;  ///< per-comm CommSync counter
-  std::vector<std::tuple<int, std::uint32_t, double>> stack;
-  std::map<std::pair<int, std::uint32_t>, std::pair<std::uint64_t, double>>
-      totals;
-  std::map<std::pair<int, std::uint32_t>, long> instance_idx;
-  bool done = false;
-};
-
-enum class Step { Advanced, Progress, Blocked };
-
-struct Engine {
-  const TraceFile& tf;
-  const mpisim::NetworkModel& rec_net;
-  const mpisim::NetworkModel& cur_net;
+/// The replay's share of the walk: fault re-costing of the what-if frame,
+/// counters, per-rank section totals, metrics spans and the timeline.
+struct Replayer : WalkObserver {
   ReplayOptions opt;
   ReplayResult res;
-
-  /// Progress models of the two frames, and the derived per-frame terms:
-  /// rendezvous delivery surcharge and the compute-gap rescale (recorded
-  /// gaps already include the recorded model's core tax, so the what-if
-  /// frame multiplies by the factor ratio).
-  mpisim::ProgressModel rec_prog, cur_prog;
-  double rex_rec = 0.0, rex_cur = 0.0;
-  double prog_scale = 1.0;
-
-  std::vector<RankRt> ranks;
-  std::unordered_map<MsgKey, MsgState, MsgKeyHash> msgs;
-  std::map<std::pair<int, std::uint64_t>, SyncState> syncs;
-  std::map<std::pair<int, std::uint64_t>, NbcRound> nbc_rounds;
-  std::map<std::pair<int, std::uint32_t>,
-           std::vector<std::vector<sections::RankSpan>>>
-      spans;
+  /// Compute-gap rescale of the what-if frame: recorded gaps already
+  /// include the recorded model's core tax, so multiply by the ratio.
+  double gap_factor = 1.0;
   std::unique_ptr<mpisim::faults::FaultEngine> fault_eng;
+  /// Per rank: (comm, label) -> (count, inclusive seconds), and the next
+  /// instance ordinal.
+  std::vector<std::map<SectionKey, std::pair<std::uint64_t, double>>> totals;
+  std::vector<std::map<SectionKey, long>> instance_idx;
+  std::map<SectionKey, std::vector<std::vector<sections::RankSpan>>> spans;
 
-  Engine(const TraceFile& t, const mpisim::MachineModel& cur,
-         const ReplayOptions& o)
-      : tf(t), rec_net(t.header.machine.net), cur_net(cur.net), opt(o) {
-    rec_prog = t.header.progress;
-    cur_prog = opt.progress.value_or(rec_prog);
-    rex_rec = rec_prog.rendezvous_extra();
-    rex_cur = cur_prog.rendezvous_extra();
-    prog_scale = cur_prog.compute_factor() / rec_prog.compute_factor();
+  Replayer(const TraceFile& t, const ReplayOptions& o,
+           const mpisim::ProgressModel& rec_prog,
+           const mpisim::ProgressModel& cur_prog)
+      : opt(o),
+        gap_factor(opt.compute_scale *
+                   (cur_prog.compute_factor() / rec_prog.compute_factor())),
+        totals(t.ranks.size()),
+        instance_idx(t.ranks.size()) {
     if (!opt.faults.empty()) {
       if (!opt.faults.kills.empty()) {
         throw TraceError(
@@ -120,410 +53,114 @@ struct Engine {
       fault_eng = std::make_unique<mpisim::faults::FaultEngine>(
           opt.faults, seed, t.header.nranks);
     }
-    ranks.resize(tf.ranks.size());
-    for (std::size_t r = 0; r < tf.ranks.size(); ++r) {
-      ranks[r].t_rec = tf.ranks[r].t0;
-      ranks[r].t_cur = tf.ranks[r].t0;
-    }
-    res.nranks = tf.header.nranks;
-    res.labels = tf.labels;
-    res.final_times.assign(tf.ranks.size(), 0.0);
+    res.nranks = t.header.nranks;
+    res.labels = t.labels;
   }
 
-  [[noreturn]] void fail(int r, const Event& ev, const std::string& why) {
-    throw TraceError("replay failed at rank " + std::to_string(r) +
-                     " event #" + std::to_string(ranks[r].cursor) + " (" +
-                     event_kind_name(ev.kind) + "): " + why);
+  // Stall rules charge at the rank's first event past their trigger time
+  // (mirror of the live engine's fault checkpoints).
+  void before_step(int r, ReplayWalker::Clocks& t) {
+    if (fault_eng) t[kWhatIf] += fault_eng->take_stall(r, t[kWhatIf]);
   }
 
-  /// Re-charge the compute gap preceding `ev`. The recorded frame adopts
-  /// the recorded absolute clock; the what-if frame adds the scaled delta
-  /// (or adopts it too while in bitwise lockstep).
-  void charge_gap(int r, RankRt& st, const Event& ev) {
-    if (!ev.has_time) return;
-    if (ev.t_before < st.t_rec) {
-      fail(r, ev,
-           "recorded clock behind replayed clock (trace/model mismatch)");
-    }
-    double scale = opt.compute_scale * prog_scale;
-    if (fault_eng) scale *= fault_eng->compute_factor(r, st.t_cur);
-    if (scale == 1.0 && st.t_cur == st.t_rec) {
-      st.t_cur = ev.t_before;
-    } else {
-      st.t_cur += (ev.t_before - st.t_rec) * scale;
-    }
-    st.t_rec = ev.t_before;
+  double gap_scale(int r, double t) {
+    return fault_eng ? gap_factor * fault_eng->compute_factor(r, t) : gap_factor;
   }
 
-  void consume(const MsgKey& key, MsgState& ms) {
-    if (++ms.consumed >= 2) msgs.erase(key);
+  void on_send(int r, const Event& ev, ReplayWalker::Msg& ms) {
+    if (fault_eng) {
+      const mpisim::faults::WireFate fate = fault_eng->wire_fate(
+          r, ev.peer, ev.seq, ms.start[kWhatIf],
+          ev.tag >= mpisim::kInternalTagBase);
+      ms.wire[kWhatIf] = ms.wire[kWhatIf] * fate.cost_factor +
+                         fate.add_latency + fate.extra_delay;
+      ms.lost[kWhatIf] = fate.lost;
+    }
+    ++res.messages;
+    res.bytes_sent += ev.bytes;
   }
 
-  Step step(int r) {
-    RankRt& st = ranks[static_cast<std::size_t>(r)];
-    const RankStream& stream = tf.ranks[static_cast<std::size_t>(r)];
-    if (st.cursor >= stream.events.size()) {
-      // No Finalize event recorded (aborted run): finish at current time.
-      st.done = true;
-      res.final_times[static_cast<std::size_t>(r)] = st.t_cur;
-      return Step::Advanced;
-    }
-    const Event& ev = stream.events[st.cursor];
-    // Stall rules charge at the rank's first event past their trigger time
-    // (mirror of the live engine's fault checkpoints).
-    if (fault_eng) st.t_cur += fault_eng->take_stall(r, st.t_cur);
+  void on_event(int r, const ReplayWalker::RankState& st, const Event& ev,
+                const ReplayWalker::Link& /*link*/) {
+    ++res.events;
+    const auto rank = static_cast<std::size_t>(r);
+    const double t = st.t[kWhatIf];
     switch (ev.kind) {
-      case EventKind::SendPost: {
-        charge_gap(r, st, ev);
-        st.t_rec += std::max(
-            rec_net.cpu_overhead(r, rec_net.send_overhead, ev.op, 0), 0.0);
-        st.t_cur += std::max(
-            cur_net.cpu_overhead(r, cur_net.send_overhead, ev.op, 0), 0.0);
-        const MsgKey key{ev.comm, r, ev.peer, ev.seq};
-        MsgState& ms = msgs[key];
-        const auto nbytes = static_cast<std::size_t>(ev.bytes);
-        ms.start_rec = st.t_rec;
-        ms.wire_rec = rec_net.transfer_cost(r, ev.peer, nbytes, ev.seq);
-        ms.avail_rec = ms.start_rec + ms.wire_rec;
-        ms.rend_rec = nbytes > rec_net.eager_threshold;
-        ms.start_cur = st.t_cur;
-        ms.wire_cur = cur_net.transfer_cost(r, ev.peer, nbytes, ev.seq);
-        if (fault_eng) {
-          const mpisim::faults::WireFate fate = fault_eng->wire_fate(
-              r, ev.peer, ev.seq, st.t_cur,
-              ev.tag >= mpisim::kInternalTagBase);
-          ms.wire_cur = ms.wire_cur * fate.cost_factor + fate.add_latency +
-                        fate.extra_delay;
-          ms.lost_cur = fate.lost;
-        }
-        ms.avail_cur = ms.start_cur + ms.wire_cur;
-        ms.rend_cur = nbytes > cur_net.eager_threshold;
-        ms.have_send = true;
-        st.send_keys.push_back(key);
-        ++res.messages;
-        res.bytes_sent += ev.bytes;
-        break;
-      }
-      case EventKind::SendWait: {
-        if (ev.op >= st.send_keys.size()) fail(r, ev, "bad send backref");
-        const MsgKey key = st.send_keys[st.send_keys.size() - 1 - ev.op];
-        const auto it = msgs.find(key);
-        if (it == msgs.end()) {
-          // Already fully consumed — wait() was a no-op re-wait.
-          charge_gap(r, st, ev);
-          break;
-        }
-        MsgState& ms = it->second;
-        if (ms.rend_cur && ms.lost_cur) {
-          fail(r, ev,
-               "rendezvous message to rank " + std::to_string(key.dst) +
-                   " seq " + std::to_string(key.seq) +
-                   " lost under the fault plan (retransmit budget "
-                   "exhausted); the recorded send cannot complete");
-        }
-        if ((ms.rend_rec || ms.rend_cur) && !ms.have_post) {
-          return Step::Blocked;
-        }
-        charge_gap(r, st, ev);
-        if (ms.rend_rec) {
-          st.t_rec = std::max(st.t_rec, std::max(ms.start_rec, ms.post_rec) +
-                                            ms.wire_rec + rex_rec);
-        }
-        if (ms.rend_cur) {
-          st.t_cur = std::max(st.t_cur, std::max(ms.start_cur, ms.post_cur) +
-                                            ms.wire_cur + rex_cur);
-        }
-        consume(key, ms);
-        break;
-      }
-      case EventKind::RecvPost: {
-        charge_gap(r, st, ev);
-        if (ev.peer == Event::kUnmatched) {
-          st.recv_keys.push_back(MsgKey::none());
-        } else {
-          const MsgKey key{ev.comm, ev.peer, r, ev.seq};
-          MsgState& ms = msgs[key];
-          ms.post_rec = st.t_rec;
-          ms.post_cur = st.t_cur;
-          ms.have_post = true;
-          st.recv_keys.push_back(key);
-        }
-        break;
-      }
-      case EventKind::RecvWait: {
-        if (ev.seq >= st.recv_keys.size()) fail(r, ev, "bad recv backref");
-        const MsgKey key = st.recv_keys[st.recv_keys.size() - 1 - ev.seq];
-        if (key.null()) fail(r, ev, "wait on a receive that never matched");
-        const auto it = msgs.find(key);
-        if (it == msgs.end() || !it->second.have_send) return Step::Blocked;
-        MsgState& ms = it->second;
-        if (ms.lost_cur) {
-          fail(r, ev,
-               "message from rank " + std::to_string(key.src) + " seq " +
-                   std::to_string(key.seq) +
-                   " lost under the fault plan (retransmit budget "
-                   "exhausted); the recorded receive can never complete");
-        }
-        charge_gap(r, st, ev);
-        const double del_rec =
-            ms.rend_rec
-                ? std::max(ms.start_rec, ms.post_rec) + ms.wire_rec + rex_rec
-                : std::max(ms.post_rec, ms.avail_rec);
-        st.t_rec = std::max(st.t_rec, del_rec);
-        st.t_rec += std::max(
-            rec_net.cpu_overhead(r, rec_net.recv_overhead, ev.op, 1), 0.0);
-        const double del_cur =
-            ms.rend_cur
-                ? std::max(ms.start_cur, ms.post_cur) + ms.wire_cur + rex_cur
-                : std::max(ms.post_cur, ms.avail_cur);
-        st.t_cur = std::max(st.t_cur, del_cur);
-        st.t_cur += std::max(
-            cur_net.cpu_overhead(r, cur_net.recv_overhead, ev.op, 1), 0.0);
-        consume(key, ms);
-        break;
-      }
-      case EventKind::Probe: {
-        const MsgKey key{ev.comm, ev.peer, r, ev.seq};
-        const auto it = msgs.find(key);
-        if (it == msgs.end() || !it->second.have_send) return Step::Blocked;
-        const MsgState& ms = it->second;
-        if (ms.lost_cur) {
-          fail(r, ev,
-               "probed message from rank " + std::to_string(key.src) +
-                   " seq " + std::to_string(key.seq) +
-                   " lost under the fault plan; the recorded probe can "
-                   "never match");
-        }
-        charge_gap(r, st, ev);
-        // Mirror of Channel::probe: the completion time of a hypothetical
-        // receive posted at the prober's current time (rendezvous pays its
-        // wire cost, eager is availability-bound).
-        st.t_rec =
-            ms.rend_rec
-                ? std::max(ms.start_rec, st.t_rec) + ms.wire_rec + rex_rec
-                : std::max(st.t_rec, ms.avail_rec);
-        st.t_cur =
-            ms.rend_cur
-                ? std::max(ms.start_cur, st.t_cur) + ms.wire_cur + rex_cur
-                : std::max(st.t_cur, ms.avail_cur);
-        break;
-      }
-      case EventKind::CollBegin: {
-        charge_gap(r, st, ev);
-        st.t_rec += std::max(
-            rec_net.cpu_overhead(r, rec_net.send_overhead, ev.op, 2), 0.0);
-        st.t_cur += std::max(
-            cur_net.cpu_overhead(r, cur_net.send_overhead, ev.op, 2), 0.0);
+      case EventKind::CollBegin:
+      case EventKind::NbcPost:
         ++res.collectives;
         break;
-      }
-      case EventKind::CollEnd:
-      case EventKind::Pcontrol: {
-        charge_gap(r, st, ev);
-        break;
-      }
-      case EventKind::SectionEnter: {
-        charge_gap(r, st, ev);
-        st.stack.emplace_back(ev.comm, ev.label, st.t_cur);
+      case EventKind::SectionEnter:
         if (opt.timeline) {
-          res.timeline.push_back(
-              {st.t_cur, r, ev.comm, ev.label, true,
-               static_cast<int>(st.stack.size()) - 1,
-               st.instance_idx[{ev.comm, ev.label}]});
+          res.timeline.push_back({t, r, ev.comm, ev.label, true,
+                                  static_cast<int>(st.stack.size()),
+                                  instance_idx[rank][{ev.comm, ev.label}]});
         }
         break;
-      }
       case EventKind::SectionExit: {
-        charge_gap(r, st, ev);
-        if (st.stack.empty()) fail(r, ev, "section exit with empty stack");
-        const auto [c, l, t_in] = st.stack.back();
-        st.stack.pop_back();
-        auto& [count, inclusive] = st.totals[{c, l}];
+        const auto& open = st.stack.back();
+        const SectionKey key{open.comm, open.label};
+        const double t_in = open.t_in[kWhatIf];
+        auto& [count, inclusive] = totals[rank][key];
         ++count;
-        inclusive += st.t_cur - t_in;
-        const long k = st.instance_idx[{c, l}]++;
+        inclusive += t - t_in;
+        const long k = instance_idx[rank][key]++;
         if (opt.collect_metrics) {
-          auto& per_instance = spans[{c, l}];
+          auto& per_instance = spans[key];
           if (per_instance.size() <= static_cast<std::size_t>(k)) {
             per_instance.resize(static_cast<std::size_t>(k) + 1);
           }
-          per_instance[static_cast<std::size_t>(k)].push_back(
-              {r, t_in, st.t_cur});
+          per_instance[static_cast<std::size_t>(k)].push_back({r, t_in, t});
         }
         if (opt.timeline) {
-          res.timeline.push_back({st.t_cur, r, c, l, false,
-                                  static_cast<int>(st.stack.size()), k});
+          res.timeline.push_back({t, r, key.first, key.second, false,
+                                  static_cast<int>(st.stack.size()) - 1, k});
         }
         break;
       }
-      case EventKind::CommSync: {
-        if (!st.sync_entered) {
-          charge_gap(r, st, ev);
-          const std::uint64_t ordinal = st.sync_ordinal[ev.comm]++;
-          st.sync_key = {ev.comm, ordinal};
-          SyncState& sy = syncs[st.sync_key];
-          sy.members = ev.peer;
-          sy.rounds = ev.seq;
-          if (sy.arrived == 0) {
-            sy.max_rec = st.t_rec;
-            sy.max_cur = st.t_cur;
-          } else {
-            sy.max_rec = std::max(sy.max_rec, st.t_rec);
-            sy.max_cur = std::max(sy.max_cur, st.t_cur);
-          }
-          ++sy.arrived;
-          st.sync_entered = true;
-          if (sy.arrived < sy.members) return Step::Progress;
-        }
-        const SyncState& sy = syncs[st.sync_key];
-        if (sy.arrived < sy.members) return Step::Blocked;
-        const double rounds = static_cast<double>(sy.rounds);
-        st.t_rec = std::max(
-            st.t_rec, sy.max_rec + rounds * rec_net.inter_node.latency);
-        st.t_cur = std::max(
-            st.t_cur, sy.max_cur + rounds * cur_net.inter_node.latency);
-        st.sync_entered = false;
+      default:
         break;
-      }
-      case EventKind::Finalize: {
-        charge_gap(r, st, ev);
-        if (st.t_rec != stream.t_final) {
-          fail(r, ev, "recorded-frame final time mismatch (corrupt trace?)");
-        }
-        res.final_times[static_cast<std::size_t>(r)] = st.t_cur;
-        st.done = true;
-        break;
-      }
-      case EventKind::NbcPost: {
-        charge_gap(r, st, ev);
-        // Entry overhead on the collective-entry jitter stream (salt 2),
-        // mirroring Comm::nbc_post.
-        st.t_rec += std::max(
-            rec_net.cpu_overhead(r, rec_net.send_overhead, ev.op, 2), 0.0);
-        st.t_cur += std::max(
-            cur_net.cpu_overhead(r, cur_net.send_overhead, ev.op, 2), 0.0);
-        NbcRound& round = nbc_rounds[{ev.comm, ev.seq}];
-        round.members = ev.peer;
-        round.bytes = std::max(round.bytes, ev.bytes);
-        if (round.arrived == 0) {
-          round.max_rec = st.t_rec;
-          round.max_cur = st.t_cur;
-        } else {
-          round.max_rec = std::max(round.max_rec, st.t_rec);
-          round.max_cur = std::max(round.max_cur, st.t_cur);
-        }
-        ++round.arrived;
-        ++res.collectives;
-        break;
-      }
-      case EventKind::NbcComplete: {
-        const auto it = nbc_rounds.find({ev.comm, ev.seq});
-        if (it == nbc_rounds.end() || it->second.arrived < it->second.members) {
-          return Step::Blocked;  // fence stalls until the post quorum
-        }
-        charge_gap(r, st, ev);
-        NbcRound& round = it->second;
-        st.t_rec = rec_prog.nbc_complete_time(
-            st.t_rec, round.max_rec,
-            rec_net.nbc_cost(round.members, round.bytes));
-        st.t_cur = cur_prog.nbc_complete_time(
-            st.t_cur, round.max_cur,
-            cur_net.nbc_cost(round.members, round.bytes));
-        if (++round.departed == round.members) nbc_rounds.erase(it);
-        break;
-      }
-    }
-    ++st.cursor;
-    ++res.events;
-    return Step::Advanced;
-  }
-
-  void run() {
-    for (;;) {
-      bool any_active = false;
-      bool progress = false;
-      for (int r = 0; r < static_cast<int>(ranks.size()); ++r) {
-        RankRt& st = ranks[static_cast<std::size_t>(r)];
-        if (st.done) continue;
-        any_active = true;
-        for (;;) {
-          const Step s = step(r);
-          if (s == Step::Advanced) {
-            progress = true;
-            if (st.done) break;
-            continue;
-          }
-          if (s == Step::Progress) progress = true;
-          break;
-        }
-      }
-      if (!any_active) break;
-      if (!progress) {
-        std::string stuck;
-        for (int r = 0; r < static_cast<int>(ranks.size()); ++r) {
-          const RankRt& st = ranks[static_cast<std::size_t>(r)];
-          if (st.done) continue;
-          if (!stuck.empty()) stuck += ", ";
-          stuck += std::to_string(r) + "@" + std::to_string(st.cursor);
-          if (stuck.size() > 120) break;
-        }
-        throw TraceError(
-            "replay dependency stall (truncated or inconsistent trace); "
-            "blocked ranks: " +
-            stuck);
-      }
     }
   }
 
-  void finalize_result() {
+  void finalize_result(const ReplayWalker& walker) {
     // Seed with -infinity, not 0.0: compute-rescale what-ifs can shift the
     // time base negative and a 0.0 seed would clamp the makespan.
-    res.makespan = res.final_times.empty()
-                       ? 0.0
-                       : -std::numeric_limits<double>::infinity();
-    for (const double t : res.final_times) res.makespan = std::max(res.makespan, t);
-
-    // Per-rank totals in footer order (sorted by (comm, label)).
-    res.rank_totals.resize(ranks.size());
-    for (std::size_t r = 0; r < ranks.size(); ++r) {
-      for (const auto& [key, val] : ranks[r].totals) {
-        res.rank_totals[r].push_back(
-            SectionTotal{key.first, key.second, val.first, val.second});
-      }
+    res.makespan = -std::numeric_limits<double>::infinity();
+    for (const auto& st : walker.ranks()) {
+      res.final_times.push_back(st.t[kWhatIf]);
+      res.makespan = std::max(res.makespan, st.t[kWhatIf]);
     }
+    if (res.final_times.empty()) res.makespan = 0.0;
 
-    // Aggregate section statistics across ranks.
-    std::map<std::pair<int, std::uint32_t>, ReplaySectionStat> stats;
-    for (const auto& rt : res.rank_totals) {
-      for (const auto& t : rt) {
-        auto& s = stats[{t.comm, t.label}];
-        s.comm = t.comm;
-        s.label = t.label < res.labels.size()
-                      ? res.labels[t.label]
-                      : "label#" + std::to_string(t.label);
+    // Per-rank totals in footer order (sorted by (comm, label)), and the
+    // section statistics aggregated across ranks.
+    std::map<SectionKey, ReplaySectionStat> stats;
+    res.rank_totals.resize(totals.size());
+    for (std::size_t r = 0; r < totals.size(); ++r) {
+      for (const auto& [key, val] : totals[r]) {
+        const auto& [count, inclusive] = val;
+        res.rank_totals[r].push_back(
+            SectionTotal{key.first, key.second, count, inclusive});
+        auto& s = stats[key];
+        s.comm = key.first;
+        s.label = key.second < res.labels.size()
+                      ? res.labels[key.second]
+                      : "label#" + std::to_string(key.second);
         ++s.ranks;
-        s.instances += t.count;
-        s.total_inclusive += t.inclusive;
+        s.instances += count;
+        s.total_inclusive += inclusive;
       }
     }
     for (auto& [key, s] : stats) {
       s.mean_per_process = s.ranks > 0 ? s.total_inclusive / s.ranks : 0.0;
-      if (opt.collect_metrics) {
-        const auto it = spans.find(key);
-        if (it != spans.end()) {
-          // Ranks finish an instance in dependency order, not rank order;
-          // sort so metric summation matches a rank-ordered profiler
-          // bit for bit.
-          for (auto& instance : it->second) {
-            std::sort(instance.begin(), instance.end(),
-                      [](const sections::RankSpan& a,
-                         const sections::RankSpan& b) {
-                        return a.rank < b.rank;
-                      });
-            if (!instance.empty()) {
-              s.agg.add(sections::compute_metrics(instance));
-            }
-          }
+      // Ranks finish an instance in dependency order, not rank order; sort
+      // so metric summation matches a rank-ordered profiler bit for bit.
+      // (spans stays empty unless opt.collect_metrics.)
+      if (const auto it = spans.find(key); it != spans.end()) {
+        for (auto& instance : it->second) {
+          std::ranges::sort(instance, {}, &sections::RankSpan::rank);
+          if (!instance.empty()) s.agg.add(sections::compute_metrics(instance));
         }
       }
       res.sections.push_back(std::move(s));
@@ -558,13 +195,16 @@ mpisim::MachineModel fold_progress(mpisim::MachineModel m,
 
 ReplayResult replay(const TraceFile& tf, const mpisim::MachineModel& machine,
                     const ReplayOptions& options) {
-  if (tf.ranks.size() != static_cast<std::size_t>(tf.header.nranks)) {
-    throw TraceError("trace rank streams do not match header rank count");
-  }
-  Engine eng(tf, machine, options);
-  eng.run();
-  eng.finalize_result();
-  return std::move(eng.res);
+  const mpisim::ProgressModel rec_prog = tf.header.progress;
+  const mpisim::ProgressModel cur_prog = options.progress.value_or(rec_prog);
+  ReplayWalker walker(tf,
+                      {Frame{&tf.header.machine.net, rec_prog},
+                       Frame{&machine.net, cur_prog}},
+                      "replay");
+  Replayer rep(tf, options, rec_prog, cur_prog);
+  walker.run(rep);
+  rep.finalize_result(walker);
+  return std::move(rep.res);
 }
 
 VerifyResult verify_roundtrip(const TraceFile& tf) {

@@ -100,6 +100,18 @@ class ByteReader {
     }
     throw TraceError("corrupt trace: varint longer than 64 bits");
   }
+  /// A varint count of items that each take at least one more byte. A
+  /// count the remaining input cannot hold is rejected here, before any
+  /// caller reserves room for it.
+  [[nodiscard]] std::size_t count() {
+    const std::uint64_t n = varint();
+    if (n > remaining()) {
+      throw TraceError("corrupt trace: count " + std::to_string(n) +
+                       " exceeds the " + std::to_string(remaining()) +
+                       " remaining byte(s)");
+    }
+    return static_cast<std::size_t>(n);
+  }
   [[nodiscard]] std::int64_t zigzag() { return zigzag_decode(varint()); }
   [[nodiscard]] double f64() {
     need(8);

@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -19,6 +21,7 @@
 #include "core/sections/api.hpp"
 #include "core/sections/runtime.hpp"
 #include "mpisim/message.hpp"
+#include "mpisim/progress.hpp"
 #include "mpisim/runtime.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/events.hpp"
@@ -38,20 +41,27 @@ mpisim::WorldOptions jittery_options(std::uint64_t seed = 0x5EED) {
 
 trace::TraceFile record_body(int ranks,
                              const std::function<void(mpisim::Ctx&)>& body,
-                             std::uint64_t seed = 0x5EED) {
-  mpisim::World world(ranks, jittery_options(seed));
+                             const mpisim::WorldOptions& opts) {
+  mpisim::World world(ranks, opts);
   sections::SectionRuntime::install(world);
   auto rec = trace::TraceRecorder::install(world, {.app = "fixture"});
   world.run(body);
   return rec->finish();
 }
 
-trace::TraceFile record_convolution(int ranks, int steps) {
+trace::TraceFile record_body(int ranks,
+                             const std::function<void(mpisim::Ctx&)>& body,
+                             std::uint64_t seed = 0x5EED) {
+  return record_body(ranks, body, jittery_options(seed));
+}
+
+trace::TraceFile record_convolution(
+    int ranks, int steps, const mpisim::WorldOptions& opts = jittery_options()) {
   apps::conv::ConvolutionConfig cfg;
   cfg.steps = steps;
   cfg.full_fidelity = false;
   apps::conv::ConvolutionApp app(cfg);
-  return record_body(ranks, std::ref(app));
+  return record_body(ranks, std::ref(app), opts);
 }
 
 // Rank 0's wildcard receive has two concurrent eligible senders (rank 1,
@@ -118,6 +128,60 @@ TEST(AnalysisInterp, MakespanMatchesReplayBitExactly) {
   const analysis::InterpResult in = analysis::interpret(tf);
   const trace::ReplayResult rr = trace::replay(tf, tf.header.machine);
   EXPECT_EQ(in.makespan, rr.makespan);  // bitwise, not approx
+}
+
+// Sums exit minus enter times of interpret() per (rank, comm, label) and
+// compares them bit for bit with the totals the live run recorded in the
+// footer. This checks the analyzer against the recording itself, not
+// against replay: under progress-thread every rendezvous delivery carries
+// the thread latency, and a walk that drops it shifts the event times
+// inside a section while Finalize still re-adopts the recorded clock.
+TEST(AnalysisInterp,
+     SectionTotalsFromEventTimesMatchFooterUnderEveryProgressModel) {
+  const auto rendezvous = [](mpisim::Ctx& ctx) {
+    mpisim::Comm world = ctx.world_comm();
+    std::vector<char> buf(64 * 1024);
+    sections::MPIX_Section_enter(world, "XFER");
+    if (world.rank() == 0) {
+      world.send(buf.data(), buf.size(), 1, 7);
+    } else {
+      world.recv(buf.data(), buf.size(), 0, 7);
+    }
+    sections::MPIX_Section_exit(world, "XFER");
+  };
+  for (const char* spec : {"blocking-only", "opportunistic", "progress-thread"}) {
+    mpisim::WorldOptions opts = jittery_options();
+    opts.progress = mpisim::ProgressModel::parse(spec);
+    const trace::TraceFile fixtures[] = {record_body(2, rendezvous, opts),
+                                         record_convolution(64, 10, opts)};
+    for (const trace::TraceFile& tf : fixtures) {
+      const analysis::InterpResult in = analysis::interpret(tf);
+      std::size_t compared = 0;
+      for (std::size_t r = 0; r < tf.ranks.size(); ++r) {
+        const auto& events = tf.ranks[r].events;
+        std::vector<std::pair<std::pair<int, std::uint32_t>, double>> open;
+        std::map<std::pair<int, std::uint32_t>, double> sums;
+        for (std::size_t i = 0; i < events.size(); ++i) {
+          const double t = in.times[r][i].t;
+          if (events[i].kind == trace::EventKind::SectionEnter) {
+            open.push_back({{events[i].comm, events[i].label}, t});
+          } else if (events[i].kind == trace::EventKind::SectionExit) {
+            ASSERT_FALSE(open.empty());
+            sums[open.back().first] += t - open.back().second;
+            open.pop_back();
+          }
+        }
+        ASSERT_EQ(sums.size(), tf.ranks[r].totals.size()) << spec;
+        for (const trace::SectionTotal& tot : tf.ranks[r].totals) {
+          const std::pair<int, std::uint32_t> key{tot.comm, tot.label};
+          EXPECT_EQ(sums[key], tot.inclusive)  // bitwise
+              << spec << " rank " << r << " label " << tf.labels[tot.label];
+          ++compared;
+        }
+      }
+      EXPECT_GT(compared, 0u) << spec;
+    }
+  }
 }
 
 TEST(AnalysisInterp, DeterministicTraceSkipsVectorClocks) {

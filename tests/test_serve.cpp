@@ -9,6 +9,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -381,15 +382,12 @@ TEST(Service, CorruptContainerIsACleanError) {
 
 // ---------------------------------------------------------------- server --
 
-/// Minimal synchronous client: send each line, wait for its response.
-/// Failures surface as ADD_FAILURE plus a short response list.
-std::vector<std::string> tcp_session(int port,
-                                     const std::vector<std::string>& lines) {
-  std::vector<std::string> responses;
+/// Connected loopback socket to the daemon, or -1 (after ADD_FAILURE).
+int connect_local(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     ADD_FAILURE() << "socket() failed";
-    return responses;
+    return -1;
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -398,8 +396,18 @@ std::vector<std::string> tcp_session(int port,
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     ADD_FAILURE() << "connect() failed";
     ::close(fd);
-    return responses;
+    return -1;
   }
+  return fd;
+}
+
+/// Minimal synchronous client: send each line, wait for its response.
+/// Failures surface as ADD_FAILURE plus a short response list.
+std::vector<std::string> tcp_session(int port,
+                                     const std::vector<std::string>& lines) {
+  std::vector<std::string> responses;
+  const int fd = connect_local(port);
+  if (fd < 0) return responses;
   std::string buffer;
   char chunk[4096];
   for (const std::string& line : lines) {
@@ -463,6 +471,52 @@ TEST(Server, SessionByteIdenticalAcrossWorkerCounts) {
   const std::vector<std::string> four = serve_session(4, script);
   ASSERT_EQ(one.size(), script.size());
   EXPECT_EQ(one, four);
+}
+
+TEST(Server, OverlongRequestLineGetsOneErrorThenEofWhileOthersAreServed) {
+  const Fixture& fx = fixture();
+  serve::Service svc;
+  serve::Server server(svc, 1);
+  const int port = server.listen(0);
+  std::thread runner([&] { server.run(); });
+
+  // 2 MiB with no newline. The daemon refuses the line once it passes
+  // kMaxLineBytes; MSG_NOSIGNAL keeps a refused write from raising SIGPIPE.
+  const int fd = connect_local(port);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{10, 0};  // fail rather than hang if never answered
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  const std::string junk(std::size_t{2} << 20, 'x');
+  for (std::size_t off = 0; off < junk.size();) {
+    const ssize_t n =
+        ::send(fd, junk.data() + off, junk.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+
+  const std::vector<std::string> other = tcp_session(
+      port, {"{\"id\":1,\"op\":\"info\",\"trace\":\"" + fx.mpstz_path + "\"}"});
+  ASSERT_EQ(other.size(), 1u);
+  EXPECT_TRUE(parse_response(other[0]).find("ok")->boolean) << other[0];
+
+  std::string reply;
+  char chunk[4096];
+  ssize_t n = 0;
+  while ((n = ::read(fd, chunk, sizeof chunk)) > 0) {
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "expected an orderly EOF after the error reply";
+  ::close(fd);
+  server.stop();
+  runner.join();
+
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply.find('\n'), reply.size() - 1) << "exactly one reply line";
+  const support::JsonValue v = parse_response(reply.substr(0, reply.size() - 1));
+  EXPECT_FALSE(v.find("ok")->boolean);
+  EXPECT_NE(v.find("error")->string.find("request line longer than"),
+            std::string::npos)
+      << reply;
 }
 
 TEST(Server, ConcurrentClientsGetConsistentAnswers) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -83,6 +84,85 @@ bool exercise(std::span<const std::uint8_t> bytes) {
     // Structurally inconsistent but decodable: also a clean rejection.
   }
   return true;
+}
+
+/// An 8-rank ring with one section per rank.
+trace::TraceFile record_ring() {
+  mpisim::WorldOptions opts;
+  opts.machine = mpisim::MachineModel::nehalem_cluster();
+  opts.seed = 0x5EED;
+  mpisim::World world(8, opts);
+  sections::SectionRuntime::install(world);
+  auto rec = trace::TraceRecorder::install(world, {.app = "fuzz-ring"});
+  world.run([](mpisim::Ctx& ctx) {
+    mpisim::Comm comm = ctx.world_comm();
+    sections::MPIX_Section_enter(comm, "RING");
+    char buf[8] = {};
+    const int next = (comm.rank() + 1) % comm.size();
+    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
+    comm.sendrecv(buf, sizeof buf, next, 1, buf, sizeof buf, prev, 1);
+    sections::MPIX_Section_exit(comm, "RING");
+  });
+  return rec->finish();
+}
+
+/// LEB128 varint at bytes[pos]: (value, encoded length).
+std::pair<std::uint64_t, std::size_t> read_varint(
+    const std::vector<std::uint8_t>& bytes, std::size_t pos) {
+  std::uint64_t v = 0;
+  std::size_t len = 0;
+  for (;; ++len) {
+    v |= static_cast<std::uint64_t>(bytes.at(pos + len) & 0x7F) << (7 * len);
+    if ((bytes[pos + len] & 0x80) == 0) return {v, len + 1};
+  }
+}
+
+/// Replace the varint at bytes[pos] with `value`.
+void patch_varint(std::vector<std::uint8_t>& bytes, std::size_t pos,
+                  std::uint64_t value) {
+  std::vector<std::uint8_t> enc;
+  do {
+    enc.push_back(static_cast<std::uint8_t>((value & 0x7F) |
+                                            (value > 0x7F ? 0x80 : 0)));
+    value >>= 7;
+  } while (value != 0);
+  const auto at = bytes.begin() + static_cast<std::ptrdiff_t>(pos);
+  const auto len = static_cast<std::ptrdiff_t>(read_varint(bytes, pos).second);
+  bytes.erase(at, at + len);
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(pos), enc.begin(),
+               enc.end());
+}
+
+TEST(TraceFuzz, HugeEventCountIsRejectedBeforeAllocating) {
+  const trace::TraceFile tf = record_ring();
+  std::vector<std::uint8_t> bytes = tf.encode();
+  // Rank 0's stream starts where the preamble (header, labels, stream
+  // count) ends; its event count follows the rank id and two f64 clocks.
+  trace::TraceFile preamble = tf;
+  preamble.ranks.clear();
+  const std::size_t at = preamble.encode().size() + 1 + 16;
+  ASSERT_EQ(read_varint(bytes, at).first, tf.ranks[0].events.size());
+  patch_varint(bytes, at, std::uint64_t{1} << 32);
+  // A TraceError, not bad_alloc from reserving 2^32 events.
+  EXPECT_THROW((void)trace::TraceFile::decode(bytes), trace::TraceError);
+}
+
+TEST(TraceFuzz, MpstzHugeChunkCountIsRejectedBeforeAllocating) {
+  const trace::TraceFile tf = record_ring();
+  std::vector<std::uint8_t> bytes = codec::compress(tf, {.chunk_events = 16});
+  // magic, version, metadata blob + CRC, then one event count per rank
+  // and the chunk count. The index is not CRC-protected: inflate rank 0's
+  // count so "more chunks than events" still passes.
+  const auto [meta_size, meta_len] = read_varint(bytes, 8);
+  std::size_t pos = 8 + meta_len + static_cast<std::size_t>(meta_size) + 4;
+  patch_varint(bytes, pos, std::uint64_t{1} << 40);
+  for (std::size_t r = 0; r < tf.ranks.size(); ++r) {
+    pos += read_varint(bytes, pos).second;
+  }
+  ASSERT_LT(read_varint(bytes, pos).first, 1000u);
+  patch_varint(bytes, pos, std::uint64_t{1} << 39);
+  EXPECT_THROW((void)codec::MpstzReader(bytes), trace::TraceError);
+  EXPECT_THROW((void)codec::decompress(bytes), trace::TraceError);
 }
 
 TEST(TraceFuzz, SingleByteFlipsNeverCrash) {
@@ -271,9 +351,10 @@ TEST(TraceFuzz, MpstzReplayAndServeLoadAgreeOnMutantAcceptance) {
 }
 
 TEST(TraceFuzz, ReplayAndAnalysisAgreeOnMutantAcceptance) {
-  // Any mutant the analyzer accepts, the replayer's recorded frame also
-  // accepts (both rebuild the same arithmetic): a divergence would mean
-  // the analyzer's mirror drifted from trace/replay.cpp.
+  // Any mutant the analyzer accepts, the replayer also accepts, and the
+  // other way round: both run the same trace::Walker over the recorded
+  // frame, so a divergence would mean an observer rejects (or throws on)
+  // something the shared walk accepted.
   const std::vector<std::uint8_t> bytes = record_fixture().encode();
   support::SequentialRng rng(0xD1CE);
   for (int i = 0; i < 60; ++i) {
