@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) of the trace subsystem: host-time
 // recording overhead per event, encode/decode throughput, and replay
 // throughput in events/s — the costs that decide whether "record one run,
-// replay thousands of what-ifs" is actually cheaper than re-running.
+// replay thousands of what-ifs" is actually cheaper than re-running, and
+// what a sweep costs per point when its points share one walk.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -11,6 +12,7 @@
 #include "core/sections/runtime.hpp"
 #include "mpisim/runtime.hpp"
 #include "mpisim/session.hpp"
+#include "serve/queries.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
 
@@ -146,5 +148,24 @@ void BM_ReplayWhatIfSweepPoint(benchmark::State& state) {
                           static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_ReplayWhatIfSweepPoint);
+
+/// A 2x2x2 what-if sweep (two models, two latency and two bandwidth
+/// scales) of the 32-rank trace BM_ReplaySameModel/32 replays. Its 8
+/// points share one walk: compare against 8x that per-point cost.
+void BM_SweepEightPoints(benchmark::State& state) {
+  const trace::TraceFile tf = record_convolution(32, 50);
+  serve::SweepQuery q;
+  q.models = {"recorded", "knl"};
+  q.latency_scales = {1.0, 2.0};
+  q.bandwidth_scales = {1.0, 0.5};
+  for (auto _ : state) {
+    const std::string csv = serve::run_sweep(tf, q);
+    benchmark::DoNotOptimize(csv.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(8 * tf.total_events()));
+  state.counters["points"] = 8;
+}
+BENCHMARK(BM_SweepEightPoints)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -32,6 +32,12 @@ constexpr std::uint8_t kMethodRleHuffman = 1;
 /// before allocating.
 constexpr std::uint64_t kMaxEventWireBytes = 80;
 
+/// Most raw bytes one coded byte can decode to: a Huffman code spends at
+/// least one bit per RLE symbol, and a two-symbol RLE run yields at most
+/// 128 bytes. Every event has a tag byte, so this also bounds the events
+/// per payload byte.
+constexpr std::uint64_t kMaxRawPerCodedByte = 8 * 128 / 2;
+
 /// Smallest wire size of one chunk-index entry: six one-byte varints, two
 /// f64 time bounds and the u32 CRC.
 constexpr std::size_t kMinIndexEntryBytes = 6 + 2 * 8 + 4;
@@ -736,6 +742,12 @@ MpstzReader::MpstzReader(std::vector<std::uint8_t> data)
     if (it == rank_index.end()) {
       throw trace::TraceError("corrupt trace: chunk names unknown rank " +
                               std::to_string(c.rank));
+    }
+    // The payload follows the index, so a chunk fits in what is left; its
+    // events must fit in its payload.
+    if (c.size > r.remaining() || c.nevents > c.size * kMaxRawPerCodedByte) {
+      throw trace::TraceError(
+          "corrupt trace: chunk claims more events than its payload holds");
     }
     if (c.nevents == 0 || c.first_event != next_event[it->second]) {
       throw trace::TraceError("corrupt trace: chunk index out of order");

@@ -48,20 +48,34 @@ double NetworkModel::jitter_additive(std::uint64_t stream,
   return extra;
 }
 
-double NetworkModel::transfer_cost(int src, int dst, std::size_t bytes,
-                                   std::uint64_t seq) const noexcept {
-  const LinkParams& link = same_node(src, dst) ? intra_node : inter_node;
+JitterDraw NetworkModel::transfer_jitter(int src, int dst,
+                                        std::uint64_t seq) const noexcept {
   const auto edge = support::stream_id(static_cast<std::uint64_t>(src) + 1,
                                        static_cast<std::uint64_t>(dst) + 1);
-  const double base = link.cost(bytes);
-  return base * jitter_factor(edge, seq) + jitter_additive(edge, seq);
+  return {jitter_factor(edge, seq), jitter_additive(edge, seq)};
+}
+
+double NetworkModel::transfer_cost(int src, int dst, std::size_t bytes,
+                                   const JitterDraw& draw) const noexcept {
+  const LinkParams& link = same_node(src, dst) ? intra_node : inter_node;
+  return link.cost(bytes) * draw.factor + draw.additive;
+}
+
+double NetworkModel::transfer_cost(int src, int dst, std::size_t bytes,
+                                   std::uint64_t seq) const noexcept {
+  return transfer_cost(src, dst, bytes, transfer_jitter(src, dst, seq));
+}
+
+JitterDraw NetworkModel::cpu_jitter(int rank, std::uint64_t seq,
+                                    std::uint64_t kind_salt) const noexcept {
+  const auto stream = support::stream_id(static_cast<std::uint64_t>(rank) + 1,
+                                         kSaltCpu, kind_salt);
+  return {jitter_factor(stream, seq), 0.0};
 }
 
 double NetworkModel::cpu_overhead(int rank, double base, std::uint64_t seq,
                                   std::uint64_t kind_salt) const noexcept {
-  const auto stream = support::stream_id(static_cast<std::uint64_t>(rank) + 1,
-                                         kSaltCpu, kind_salt);
-  return base * jitter_factor(stream, seq);
+  return cpu_overhead(base, cpu_jitter(rank, seq, kind_salt));
 }
 
 double NetworkModel::nbc_cost(int p, std::uint64_t bytes) const noexcept {

@@ -35,6 +35,15 @@ struct JitterModel {
   /// exponential extra delay with mean spike_mean seconds.
   double spike_prob = 0.0;
   double spike_mean = 0.0;
+  bool operator==(const JitterModel&) const = default;
+};
+
+/// The jitter drawn for one keyed event: a multiplicative factor on its
+/// base cost and an additive term. Two models with the same seed and
+/// JitterModel draw the same values for the same key.
+struct JitterDraw {
+  double factor = 1.0;
+  double additive = 0.0;
 };
 
 /// One link class: base latency plus streaming bandwidth.
@@ -79,11 +88,26 @@ class NetworkModel {
   /// used to key the jitter draw.
   [[nodiscard]] double transfer_cost(int src, int dst, std::size_t bytes,
                                      std::uint64_t seq) const noexcept;
+  /// The jitter draws transfer_cost() keys on (src, dst, seq).
+  [[nodiscard]] JitterDraw transfer_jitter(int src, int dst,
+                                           std::uint64_t seq) const noexcept;
+  /// transfer_cost() with its draws supplied, e.g. shared with another
+  /// model of the same seed and jitter.
+  [[nodiscard]] double transfer_cost(int src, int dst, std::size_t bytes,
+                                     const JitterDraw& draw) const noexcept;
 
   /// Jittered CPU overhead for one send/recv call. `kind_salt`
   /// disambiguates the draw stream (0 = send, 1 = recv).
   [[nodiscard]] double cpu_overhead(int rank, double base, std::uint64_t seq,
                                     std::uint64_t kind_salt) const noexcept;
+  /// The jitter draw cpu_overhead() keys on (rank, seq, kind_salt).
+  [[nodiscard]] JitterDraw cpu_jitter(int rank, std::uint64_t seq,
+                                      std::uint64_t kind_salt) const noexcept;
+  /// cpu_overhead() with its draw supplied.
+  [[nodiscard]] static double cpu_overhead(double base,
+                                           const JitterDraw& draw) noexcept {
+    return base * draw.factor;
+  }
 
   /// Modeled background-algorithm cost of a nonblocking collective over p
   /// ranks. Flat (default): ceil(log2 p) rounds of one inter-node link

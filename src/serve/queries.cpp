@@ -3,6 +3,8 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <utility>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/report.hpp"
@@ -100,6 +102,61 @@ trace::ReplayOptions replay_options(const trace::TraceFile& tf,
   }
   (void)tf;
   return ropts;
+}
+
+/// The key columns of one sweep point's CSV rows.
+struct SweepKey {
+  std::string machine;
+  double latency_scale = 1.0;
+  double bandwidth_scale = 1.0;
+  double compute_scale = 1.0;
+  double drop_rate = 0.0;
+  std::string progress;
+};
+
+/// Resolve the sweep grid point by point in loop order and hand each to
+/// `fn(key, point)`; throws at the first bad grid entry.
+template <class Fn>
+void for_each_sweep_point(const trace::TraceFile& tf, const SweepQuery& q,
+                          Fn&& fn) {
+  for (const auto& mname : q.models) {
+    const mpisim::MachineModel base = base_model(tf, mname);
+    for (const double ls : q.latency_scales) {
+      for (const double bs : q.bandwidth_scales) {
+        for (const std::string& citem : q.compute_scales) {
+          const double cs = parse_compute_scale(tf, base, citem);
+          mpisim::MachineModel m = base;
+          m.net.intra_node.latency *= ls;
+          m.net.inter_node.latency *= ls;
+          m.net.intra_node.bandwidth *= bs;
+          m.net.inter_node.bandwidth *= bs;
+          for (const std::string& pitem : q.progress) {
+            const mpisim::ProgressModel pm = resolve_progress(tf, pitem);
+            const mpisim::MachineModel mp = trace::fold_progress(
+                m, tf.header.progress, pm,
+                /*machine_is_recorded=*/mname == "recorded");
+            for (const double dr : q.drop_rates) {
+              if (dr < 0.0 || dr >= 1.0) {
+                throw trace::TraceError(
+                    "bad drop-rates entry (need 0 <= p < 1)");
+              }
+              trace::ReplayOptions ropts;
+              ropts.compute_scale = cs;
+              ropts.progress = pm;
+              if (dr > 0.0) {
+                char spec[48];
+                std::snprintf(spec, sizeof spec, "drop:p=%.9g", dr);
+                ropts.faults = mpisim::faults::FaultPlan::parse(spec);
+                ropts.fault_seed = q.fault_seed;
+              }
+              fn(SweepKey{mname, ls, bs, cs, dr, pm.spec()},
+                 trace::WhatIfPoint{mp, std::move(ropts)});
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -223,47 +280,34 @@ std::string run_timeline(const trace::TraceFile& tf, const TimelineQuery& q) {
 std::string run_sweep(const trace::TraceFile& tf, const SweepQuery& q) {
   std::optional<double> t_seq;
   if (q.tseq > 0) t_seq = q.tseq;
+  const auto rows = [&](const trace::ReplayResult& res, const SweepKey& k) {
+    return trace::sweep_csv_rows(res, k.machine, k.latency_scale,
+                                 k.bandwidth_scale, k.compute_scale,
+                                 k.drop_rate, k.progress, t_seq);
+  };
 
   std::string out = trace::sweep_csv_header();
-  for (const auto& mname : q.models) {
-    const mpisim::MachineModel base = base_model(tf, mname);
-    for (const double ls : q.latency_scales) {
-      for (const double bs : q.bandwidth_scales) {
-        for (const std::string& citem : q.compute_scales) {
-          const double cs = parse_compute_scale(tf, base, citem);
-          mpisim::MachineModel m = base;
-          m.net.intra_node.latency *= ls;
-          m.net.inter_node.latency *= ls;
-          m.net.intra_node.bandwidth *= bs;
-          m.net.inter_node.bandwidth *= bs;
-          for (const std::string& pitem : q.progress) {
-            const mpisim::ProgressModel pm = resolve_progress(tf, pitem);
-            const mpisim::MachineModel mp = trace::fold_progress(
-                m, tf.header.progress, pm,
-                /*machine_is_recorded=*/mname == "recorded");
-            for (const double dr : q.drop_rates) {
-              if (dr < 0.0 || dr >= 1.0) {
-                throw trace::TraceError(
-                    "bad drop-rates entry (need 0 <= p < 1)");
-              }
-              trace::ReplayOptions ropts;
-              ropts.compute_scale = cs;
-              ropts.progress = pm;
-              if (dr > 0.0) {
-                char spec[48];
-                std::snprintf(spec, sizeof spec, "drop:p=%.9g", dr);
-                ropts.faults = mpisim::faults::FaultPlan::parse(spec);
-                ropts.fault_seed = q.fault_seed;
-              }
-              const trace::ReplayResult res = trace::replay(tf, mp, ropts);
-              out += trace::sweep_csv_rows(res, mname, ls, bs, cs, dr,
-                                           pm.spec(), t_seq);
-            }
-          }
-        }
-      }
+  try {
+    std::vector<SweepKey> keys;
+    std::vector<trace::WhatIfPoint> points;
+    for_each_sweep_point(tf, q, [&](SweepKey key, trace::WhatIfPoint point) {
+      keys.push_back(std::move(key));
+      points.push_back(std::move(point));
+    });
+    const std::vector<trace::ReplayResult> results = trace::replay(tf, points);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      out += rows(results[i], keys[i]);
     }
+    return out;
+  } catch (const std::exception&) {
+    // Error path only: which point fails first, and its message, are those
+    // of resolving and replaying one point at a time in grid order.
   }
+  out = trace::sweep_csv_header();
+  for_each_sweep_point(tf, q, [&](const SweepKey& key,
+                                  const trace::WhatIfPoint& point) {
+    out += rows(trace::replay(tf, point.machine, point.options), key);
+  });
   return out;
 }
 

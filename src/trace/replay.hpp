@@ -7,19 +7,26 @@
 // *recorded* RNG keys — so the what-if machine sees the same logical
 // jitter draws the original machine did, just with different parameters.
 //
-// Two clock frames run side by side per rank:
-//   t_rec  re-simulates the recorded machine. It reproduces the recorded
-//          clock exactly (bit for bit) by induction, which lets gap events
-//          restore absolute recorded times and doubles as an integrity
-//          check: a recorded timestamp behind t_rec means the trace and
-//          its header model disagree.
-//   t_cur  runs the what-if machine. When the what-if model equals the
-//          recorded one (and compute_scale is 1) the frames stay in
-//          lockstep and the replay is bit-identical to the original run.
+// One walk advances frame 0 plus K what-if frames per rank:
+//   frame 0    re-simulates the recorded machine. It reproduces the
+//              recorded clock exactly (bit for bit) by induction, which
+//              lets gap events restore absolute recorded times and doubles
+//              as an integrity check: a recorded timestamp behind frame 0
+//              means the trace and its header model disagree.
+//   frame 1..K each run one what-if point: its machine, compute scale,
+//              progress model and fault plan. When a point's model equals
+//              the recorded one (and compute_scale is 1) its frame stays in
+//              lockstep with frame 0 and is bit-identical to the original
+//              run.
+// replay() of one point is a walk with K = 1; replay() of many points
+// walks once per batch of up to 8 points, and each point's result equals
+// its own one-point replay. Verify is a frame-0-only walk: with the
+// recorded model a what-if frame would be frame 0 bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,6 +115,19 @@ struct ReplayResult {
 [[nodiscard]] ReplayResult replay(const TraceFile& tf,
                                   const mpisim::MachineModel& machine,
                                   const ReplayOptions& options = {});
+
+/// One what-if point of a batched replay.
+struct WhatIfPoint {
+  mpisim::MachineModel machine;
+  ReplayOptions options;
+};
+
+/// Replay every point, one walk per batch of up to 8 points. Results come
+/// in point order, each equal to replay(tf, p.machine, p.options). Throws
+/// TraceError when any point's replay would; which point's error is
+/// reported when several fail is unspecified.
+[[nodiscard]] std::vector<ReplayResult> replay(
+    const TraceFile& tf, std::span<const WhatIfPoint> points);
 
 /// Same-model, scale-1 replay with exact comparison against the recorded
 /// footer (per-rank final times and section totals).

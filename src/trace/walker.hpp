@@ -11,8 +11,15 @@
 // of the cost arithmetic. Frame 0 re-simulates the recorded machine: each
 // timestamped event adopts the recorded clock, which reproduces the
 // recording bit for bit and checks it. Frames 1..N-1 are what-if frames:
-// they re-charge recorded compute gaps (rescaled by the observer) and cost
-// messages through their own machine and progress model.
+// they re-charge recorded compute gaps (rescaled per frame by the
+// observer) and cost messages through their own machine and progress model.
+//
+// Frames share jitter draws: the draws are keyed on logical ids and depend
+// only on a model's seed and JitterModel, so a frame whose network has the
+// same seed and jitter as an earlier frame reuses that frame's draws for
+// every message and CPU overhead instead of drawing again. Most of a
+// frame's cost is its draws, so what-if frames that only rescale links or
+// compute cost little beyond the first.
 //
 // Whatever a caller keeps beyond the clocks lives in an observer passed to
 // run() (hooks: WalkObserver); `Extra` adds observer fields to every
@@ -107,9 +114,9 @@ struct Frame {
 struct WalkObserver {
   /// Before each step of a rank (also steps that end up blocked).
   void before_step(int, auto& /*clocks*/) {}
-  /// Multiplier of a recorded compute gap in the what-if frames, given the
-  /// frame's clock before the gap.
-  double gap_scale(int, double) { return 1.0; }
+  /// Multiplier of a recorded compute gap in what-if frame `frame`, given
+  /// the frame's clock before the gap.
+  double gap_scale(int, std::size_t /*frame*/, double) { return 1.0; }
   /// A send was posted; the observer may still perturb its wire costs.
   void on_send(int, const Event&, auto& /*msg*/) {}
   /// A receive was posted (matched or not) at event `idx`.
@@ -197,6 +204,17 @@ class Walker {
     if (tf.ranks.size() != static_cast<std::size_t>(tf.header.nranks)) {
       throw TraceError("trace rank streams do not match header rank count");
     }
+    for (std::size_t f = 0; f < N; ++f) {
+      const mpisim::NetworkModel& net = *frames_[f].net;
+      draws_from_[f] = f;
+      for (std::size_t g = 0; g < f; ++g) {
+        const mpisim::NetworkModel& other = *frames_[g].net;
+        if (other.seed == net.seed && other.jitter == net.jitter) {
+          draws_from_[f] = g;
+          break;
+        }
+      }
+    }
     for (std::size_t r = 0; r < ranks_.size(); ++r) {
       ranks_[r].t.fill(tf.ranks[r].t0);
     }
@@ -243,7 +261,7 @@ class Walker {
            "recorded clock behind replayed clock (trace/model mismatch)");
     }
     for (std::size_t f = 1; f < N; ++f) {
-      const double scale = obs.gap_scale(r, st.t[f]);
+      const double scale = obs.gap_scale(r, f, st.t[f]);
       if (scale == 1.0 && st.t[f] == st.t[0]) {
         st.t[f] = ev.t_before;
       } else {
@@ -253,12 +271,28 @@ class Walker {
     st.t[0] = ev.t_before;
   }
 
+  /// Every frame's jitter draw for one key: `draw(net)` in a frame that
+  /// owns its draws, the earlier frame's draw in a frame that shares them.
+  template <class DrawFn>
+  std::array<mpisim::JitterDraw, N> jitter(DrawFn&& draw) const {
+    std::array<mpisim::JitterDraw, N> out;
+    out[0] = draw(*frames_[0].net);
+    for (std::size_t f = 1; f < N; ++f) {
+      out[f] = draws_from_[f] == f ? draw(*frames_[f].net)
+                                   : out[draws_from_[f]];
+    }
+    return out;
+  }
+
   /// Charge the jittered CPU overhead of a call in every frame.
   void charge_overhead(int r, RankState& st, double mpisim::NetworkModel::*base,
                        std::uint64_t op, std::uint64_t salt) {
+    const auto jit = jitter([&](const mpisim::NetworkModel& net) {
+      return net.cpu_jitter(r, op, salt);
+    });
     for (std::size_t f = 0; f < N; ++f) {
       const mpisim::NetworkModel& net = *frames_[f].net;
-      st.t[f] += std::max(net.cpu_overhead(r, net.*base, op, salt), 0.0);
+      st.t[f] += std::max(net.cpu_overhead(net.*base, jit[f]), 0.0);
     }
   }
 
@@ -324,10 +358,13 @@ class Walker {
         const MsgKey key{ev.comm, r, ev.peer, ev.seq};
         Msg& ms = msgs_[key];
         const auto nbytes = static_cast<std::size_t>(ev.bytes);
+        const auto jit = jitter([&](const mpisim::NetworkModel& net) {
+          return net.transfer_jitter(r, ev.peer, ev.seq);
+        });
         for (std::size_t f = 0; f < N; ++f) {
           const mpisim::NetworkModel& net = *frames_[f].net;
           ms.start[f] = st.t[f];
-          ms.wire[f] = net.transfer_cost(r, ev.peer, nbytes, ev.seq);
+          ms.wire[f] = net.transfer_cost(r, ev.peer, nbytes, jit[f]);
           ms.rend[f] = nbytes > net.eager_threshold;
         }
         ms.send_rank = r;
@@ -512,6 +549,8 @@ class Walker {
 
   const TraceFile& tf_;
   std::array<Frame, N> frames_;
+  /// The frame whose jitter draws each frame reuses (itself if none).
+  std::array<std::size_t, N> draws_from_{};
   const char* who_;
   std::vector<RankState> ranks_;
   std::unordered_map<MsgKey, Msg, MsgKeyHash> msgs_;

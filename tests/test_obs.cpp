@@ -217,18 +217,17 @@ TEST(ObsMem, ChannelChargesReachHighWaterThenDrain) {
   opts.machine = mpisim::MachineModel::nehalem_cluster();
   opts.seed = 0x5EED;
   mpisim::World world(4, opts);
+  // One order under any scheduling: every eager send completes before the
+  // barrier and every receive is posted after it, so each payload waits in
+  // its receiver's unexpected queue.
   world.run([](mpisim::Ctx& ctx) {
     mpisim::Comm comm = ctx.world_comm();
     std::vector<double> buf(256, static_cast<double>(ctx.rank()));
     const std::size_t bytes = buf.size() * sizeof(double);
     const int peer = ctx.rank() ^ 1;
-    if ((ctx.rank() & 1) == 0) {
-      comm.send(buf.data(), bytes, peer, /*tag=*/7);
-      comm.recv(buf.data(), bytes, peer, /*tag=*/9);
-    } else {
-      comm.recv(buf.data(), bytes, peer, /*tag=*/7);
-      comm.send(buf.data(), bytes, peer, /*tag=*/9);
-    }
+    comm.send(buf.data(), bytes, peer, /*tag=*/7);
+    comm.barrier();
+    comm.recv(buf.data(), bytes, peer, /*tag=*/7);
   });
   const obs::MemAccount& mem = world.mem_account();
   // Every rank queued at least one entry at some point...

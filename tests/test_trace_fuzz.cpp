@@ -165,6 +165,31 @@ TEST(TraceFuzz, MpstzHugeChunkCountIsRejectedBeforeAllocating) {
   EXPECT_THROW((void)codec::decompress(bytes), trace::TraceError);
 }
 
+TEST(TraceFuzz, MpstzHugeChunkEventCountIsRejectedBeforeAllocating) {
+  const trace::TraceFile tf = record_ring();
+  std::vector<std::uint8_t> bytes = codec::compress(tf, {.chunk_events = 16});
+  // Claim 2^40 events for rank 0 and for its first chunk, so the index
+  // stays consistent: the per-rank count and the chunk cover each other.
+  const auto [meta_size, meta_len] = read_varint(bytes, 8);
+  std::size_t pos = 8 + meta_len + static_cast<std::size_t>(meta_size) + 4;
+  const std::uint64_t rank0 = read_varint(bytes, pos).first;
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  patch_varint(bytes, pos, huge);
+  for (std::size_t r = 0; r < tf.ranks.size(); ++r) {
+    pos += read_varint(bytes, pos).second;
+  }
+  pos += read_varint(bytes, pos).second;  // chunk count
+  ASSERT_EQ(read_varint(bytes, pos).first, 0u);  // rank 0 ...
+  pos += read_varint(bytes, pos).second;
+  ASSERT_EQ(read_varint(bytes, pos).first, 0u);  // ... from event 0 ...
+  pos += read_varint(bytes, pos).second;
+  ASSERT_EQ(read_varint(bytes, pos).first, rank0);  // ... is all of rank 0
+  patch_varint(bytes, pos, huge);
+  // A TraceError from the index, not bad_alloc from reserving 2^40 events.
+  EXPECT_THROW((void)codec::MpstzReader(bytes), trace::TraceError);
+  EXPECT_THROW((void)codec::decompress(bytes), trace::TraceError);
+}
+
 TEST(TraceFuzz, SingleByteFlipsNeverCrash) {
   const std::vector<std::uint8_t> bytes = record_fixture().encode();
   support::SequentialRng rng(0xF1E2);
