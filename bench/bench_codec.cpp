@@ -4,9 +4,9 @@
 // window must touch only that window's chunks, not the whole payload.
 //
 // Emits BENCH_codec.json via --json_out. In full mode the 3x ratio bar and
-// the compress-throughput floor are enforced (nonzero exit on regression);
-// --quick shrinks the workloads for smoke testing and reports without
-// enforcing.
+// the compress-throughput floor are enforced on conv64 and lulesh64
+// (nonzero exit on regression), and lulesh512 is reported only; --quick
+// shrinks the workloads for smoke testing and reports without enforcing.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -28,8 +28,10 @@ using namespace mpisect;
 
 /// Full-mode floor on compress throughput, in flat trace MB/s. On a 4-core
 /// x86-64 host the full 1..4096 XOR-lag scan ran at 0.5 (conv64) and 0.4
-/// (lulesh64) MB/s, the exact pruned search at 34.4 and 11.5 MB/s; the
-/// floor fails the full scan and leaves 2x headroom for slower runners.
+/// (lulesh64) MB/s, the exact pruned search at 30–47 and 10–16 MB/s on one
+/// thread, and at 98–127 and 42–48 MB/s with ranks encoded on all 4 cores
+/// (lulesh512: 32–40 MB/s); the floor fails the full scan and leaves 2x
+/// headroom for slower single-core runners.
 constexpr double kCompressFloorMBps = 4.0;
 
 double now_s() {
@@ -55,7 +57,7 @@ trace::TraceFile record_convolution(int ranks, int steps) {
   return rec->finish();
 }
 
-trace::TraceFile record_lulesh(int ranks, int steps) {
+trace::TraceFile record_lulesh(int ranks, int steps, int edge) {
   mpisim::WorldOptions opts;
   opts.machine = mpisim::MachineModel::knl();
   opts.seed = 0x5EED;
@@ -67,7 +69,7 @@ trace::TraceFile record_lulesh(int ranks, int steps) {
       trace::TraceRecorder::install(world, {.app = "bench-codec-lulesh"});
   apps::lulesh::LuleshConfig cfg;
   cfg.steps = steps;
-  cfg.s = 4;
+  cfg.s = edge;
   cfg.full_fidelity = false;
   apps::lulesh::LuleshApp app(cfg);
   world.run(std::ref(app));
@@ -133,19 +135,24 @@ int main(int argc, char** argv) {
   bench::print_banner("codec", "sec. 4 (trace container)",
                       quick ? "quick: conv 16r/60s, lulesh 27r/4s"
                             : "conv 64r/200s, lulesh 64r/10s; 3x bar, "
-                              "compress floor");
+                              "compress floor; lulesh 512r/2s reported");
 
   struct Case {
     const char* name;
     trace::TraceFile tf;
+    bool gated = true;  ///< full mode enforces the bars on this case
   };
   std::vector<Case> cases;
   if (quick) {
     cases.push_back({"conv16", record_convolution(16, 60)});
-    cases.push_back({"lulesh27", record_lulesh(27, 4)});
+    cases.push_back({"lulesh27", record_lulesh(27, 4, 4)});
   } else {
     cases.push_back({"conv64", record_convolution(64, 200)});
-    cases.push_back({"lulesh64", record_lulesh(64, 10)});
+    cases.push_back({"lulesh64", record_lulesh(64, 10, 4)});
+    // The trace_pipeline benchmark's shape: 512 ranks of one chunk each,
+    // too short (2 steps) for the lag search to find a period, so ~1.6x.
+    // Reported for the codec's speed, not held to the ratio bar.
+    cases.push_back({"lulesh512", record_lulesh(512, 2, 6), false});
   }
 
   bench::BenchJson json("recorded", 0x5EED);
@@ -162,19 +169,20 @@ int main(int argc, char** argv) {
               {"compress_MBps", p.compress_mb_s},
               {"decode_GBps", p.decode_gb_s},
               {"window_byte_frac", p.window_byte_frac}});
-    if (!quick && p.ratio < 3.0) {
+    if (quick || !c.gated) continue;
+    if (p.ratio < 3.0) {
       std::fprintf(stderr, "bench_codec: %s ratio %.2fx is below the 3x bar\n",
                    c.name, p.ratio);
       ok = false;
     }
-    if (!quick && p.compress_mb_s < kCompressFloorMBps) {
+    if (p.compress_mb_s < kCompressFloorMBps) {
       std::fprintf(stderr,
                    "bench_codec: %s compress %.1f MB/s is below the %.1f MB/s "
                    "floor\n",
                    c.name, p.compress_mb_s, kCompressFloorMBps);
       ok = false;
     }
-    if (!quick && p.window_byte_frac > 0.5) {
+    if (p.window_byte_frac > 0.5) {
       std::fprintf(stderr,
                    "bench_codec: %s window decode read %.0f%% of the payload "
                    "(seek is not selective)\n",

@@ -40,6 +40,16 @@
 // Decoding a chunk rebuilds the exact Event structs, so re-encoding the
 // whole trace reproduces the original .mpst bytes bit for bit.
 //
+// Because chunks are self-contained, compress() encodes ranks and
+// MpstzReader::all() (so decompress and load_trace) decodes chunks on a
+// fan-out of up to hardware_concurrency threads (support::parallel_for).
+// The container bytes, the decoded trace and every error text are the
+// same at any thread count: ranks are assembled in rank order, and a
+// failing decode reports its lowest-index failing chunk, the one a
+// chunk-by-chunk loop would hit first. compress_stream() stays serial:
+// its provider hands out one rank at a time, valid until the next call,
+// which is what keeps the caller from holding every rank's events at once.
+//
 // Every read failure throws trace::TraceError; corrupt indexes, length
 // tables, bitstreams and payloads are structural errors, never UB.
 #pragma once
@@ -75,7 +85,7 @@ struct ChunkInfo {
   std::uint32_t crc = 0;       ///< crc32 of the raw event bytes
 };
 
-/// Encode `tf` as a .mpstz byte vector.
+/// Encode `tf` as a .mpstz byte vector, ranks in parallel.
 [[nodiscard]] std::vector<std::uint8_t> compress(
     const trace::TraceFile& tf, const CompressOptions& options = {});
 
@@ -84,7 +94,8 @@ struct ChunkInfo {
 /// `rank_provider(r)` returns rank r's full stream (called once per rank,
 /// in order, and the reference only needs to stay valid for that call).
 /// The caller therefore never has to materialize all event streams at
-/// once — e.g. TraceRecorder::skeleton() + finish_rank(). Produces bytes
+/// once — e.g. TraceRecorder::skeleton() + finish_rank(). Encodes ranks
+/// one after another with compress()'s encoder, so the bytes are
 /// identical to compress() of the assembled TraceFile.
 [[nodiscard]] std::vector<std::uint8_t> compress_stream(
     const trace::TraceFile& skeleton,
@@ -121,7 +132,8 @@ class MpstzReader {
   /// Decode one chunk's events (CRC-checked).
   [[nodiscard]] std::vector<trace::Event> chunk_events(std::size_t index);
 
-  /// Decode every chunk of every rank into a complete TraceFile.
+  /// Decode every chunk of every rank into a complete TraceFile, chunks
+  /// in parallel; on failure throws the lowest-index chunk's error.
   [[nodiscard]] trace::TraceFile all();
 
   /// Decode only the chunks of `rank` whose [t_begin, t_end] coverage
@@ -136,6 +148,10 @@ class MpstzReader {
   }
 
  private:
+  /// Decode chunk `c` into `out` (exactly c.nevents events), running
+  /// every check. Modifies no reader state, so chunks decode in parallel.
+  void decode_chunk(const ChunkInfo& c, std::span<trace::Event> out) const;
+
   std::vector<std::uint8_t> data_;
   trace::TraceFile skeleton_;  ///< events empty; filled by all()
   std::vector<std::uint64_t> rank_event_counts_;

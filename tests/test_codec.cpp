@@ -1,8 +1,8 @@
 // .mpstz codec: bit-exact roundtrips, chunked random access with the
 // bytes-decoded accounting, compression-pipeline unit coverage (RLE,
 // canonical Huffman), exactness of the pruned lag search against the full
-// scan, pinned container bytes, and integrity rejection of corrupted
-// containers.
+// scan, pinned container bytes, integrity rejection of corrupted
+// containers, and the parallel encode/decode against the serial paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,12 +14,14 @@
 #include <vector>
 
 #include "apps/convolution/convolution.hpp"
+#include "apps/lulesh/lulesh.hpp"
 #include "codec/huffman.hpp"
 #include "codec/mpstz.hpp"
 #include "codec/rle.hpp"
 #include "core/sections/runtime.hpp"
 #include "mpisim/runtime.hpp"
 #include "support/digest.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "trace/event_wire.hpp"
 #include "trace/recorder.hpp"
@@ -42,6 +44,22 @@ trace::TraceFile record_convolution(int ranks, int steps) {
   cfg.steps = steps;
   cfg.full_fidelity = false;
   apps::conv::ConvolutionApp app(cfg);
+  world.run(std::ref(app));
+  return rec->finish();
+}
+
+trace::TraceFile record_lulesh(int ranks, int steps) {
+  mpisim::WorldOptions opts;
+  opts.machine = mpisim::MachineModel::knl();
+  opts.seed = 0x5EED;
+  mpisim::World world(ranks, opts);
+  sections::SectionRuntime::install(world);
+  auto rec = trace::TraceRecorder::install(world, {.app = "codec-lulesh"});
+  apps::lulesh::LuleshConfig cfg;
+  cfg.steps = steps;
+  cfg.s = 4;
+  cfg.full_fidelity = false;
+  apps::lulesh::LuleshApp app(cfg);
   world.run(std::ref(app));
   return rec->finish();
 }
@@ -272,6 +290,161 @@ TEST(Mpstz, ContainerBytesArePinned) {
       codec::compress(record_convolution(64, 200));
   EXPECT_EQ(mpstz.size(), 126143u);
   EXPECT_EQ(support::fnv1a64(mpstz), 0x4CCE5B5D3F3687D7ull);
+}
+
+// ------------------------------------------------- parallel vs serial --
+
+/// compress_stream the way `record --compress` drives it: a skeleton with
+/// empty event lists and a provider whose reference dies at the next call.
+std::vector<std::uint8_t> compress_streaming(
+    const trace::TraceFile& tf, const codec::CompressOptions& options) {
+  trace::TraceFile skeleton = tf;
+  for (trace::RankStream& rs : skeleton.ranks) rs.events.clear();
+  trace::RankStream scratch;
+  return codec::compress_stream(
+      skeleton,
+      [&](int r) -> const trace::RankStream& {
+        scratch = tf.ranks[static_cast<std::size_t>(r)];
+        return scratch;
+      },
+      options);
+}
+
+TEST(Mpstz, ParallelCompressMatchesStreamingCompress) {
+  const trace::TraceFile conv = record_convolution(64, 20);
+  const trace::TraceFile lulesh = record_lulesh(64, 2);
+  for (const trace::TraceFile* tf : {&conv, &lulesh}) {
+    ASSERT_GE(tf->total_events(), support::kParallelMinWork)
+        << "fixture too small to take the parallel path";
+    for (const std::uint64_t chunk_events :
+         {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{64},
+          std::uint64_t{16384}}) {
+      const codec::CompressOptions options{.chunk_events = chunk_events};
+      const std::vector<std::uint8_t> parallel = codec::compress(*tf, options);
+      EXPECT_EQ(parallel, compress_streaming(*tf, options))
+          << tf->header.app << " chunk_events=" << chunk_events;
+      EXPECT_EQ(codec::decompress(parallel).encode(), tf->encode())
+          << tf->header.app << " chunk_events=" << chunk_events;
+    }
+  }
+  // Edge shapes: one rank, and a rank that recorded no events.
+  trace::TraceFile one = conv;
+  one.ranks.resize(1);
+  one.header.nranks = 1;
+  trace::TraceFile hole = conv;
+  hole.ranks[5].events.clear();
+  for (const trace::TraceFile* tf : {&one, &hole}) {
+    const std::vector<std::uint8_t> parallel = codec::compress(*tf);
+    EXPECT_EQ(parallel, compress_streaming(*tf, {}));
+    EXPECT_EQ(codec::decompress(parallel).encode(), tf->encode());
+  }
+}
+
+TEST(Mpstz, ParallelDecodeMatchesChunkByChunkDecode) {
+  const trace::TraceFile tf = record_convolution(64, 20);
+  const std::vector<std::uint8_t> bytes =
+      codec::compress(tf, {.chunk_events = 64});
+  codec::MpstzReader parallel(bytes);
+  const trace::TraceFile all = parallel.all();
+  codec::MpstzReader serial(bytes);
+  std::vector<std::vector<trace::Event>> by_rank(tf.ranks.size());
+  for (std::size_t c = 0; c < serial.chunks().size(); ++c) {
+    const std::vector<trace::Event> events = serial.chunk_events(c);
+    auto& dst = by_rank[static_cast<std::size_t>(serial.chunks()[c].rank)];
+    dst.insert(dst.end(), events.begin(), events.end());
+  }
+  trace::TraceFile rebuilt = tf;
+  for (std::size_t r = 0; r < tf.ranks.size(); ++r) {
+    rebuilt.ranks[r].events = by_rank[r];
+  }
+  EXPECT_EQ(all.encode(), tf.encode());
+  EXPECT_EQ(rebuilt.encode(), tf.encode());
+  EXPECT_EQ(parallel.bytes_decoded(), serial.bytes_decoded());
+}
+
+/// Byte offset of chunk `chunk`'s index CRC and of the `times_len` size
+/// varint at the head of its payload blob.
+struct ChunkSites {
+  std::size_t crc = 0;
+  std::size_t times_len = 0;
+};
+
+ChunkSites locate_chunk(const std::vector<std::uint8_t>& bytes,
+                        std::size_t nranks, std::size_t chunk) {
+  trace::ByteReader r(bytes);
+  const auto pos = [&] { return bytes.size() - r.remaining(); };
+  (void)r.u32le();
+  (void)r.u32le();
+  const std::uint64_t meta_size = r.varint();
+  for (std::uint64_t i = 0; i < meta_size; ++i) (void)r.u8();
+  (void)r.u32le();
+  for (std::size_t i = 0; i < nranks; ++i) (void)r.varint();
+  const std::uint64_t nchunks = r.varint();
+  ChunkSites sites;
+  std::uint64_t offset = 0;
+  for (std::uint64_t i = 0; i < nchunks; ++i) {
+    for (int v = 0; v < 3; ++v) (void)r.varint();
+    (void)r.f64();
+    (void)r.f64();
+    const std::uint64_t off = r.varint();
+    for (int v = 0; v < 2; ++v) (void)r.varint();
+    if (i == chunk) {
+      sites.crc = pos();
+      offset = off;
+    }
+    (void)r.u32le();
+  }
+  (void)r.varint();
+  trace::ByteReader blob(std::span<const std::uint8_t>(bytes).subspan(
+      pos() + static_cast<std::size_t>(offset)));
+  for (int v = 0; v < 4; ++v) (void)blob.varint();
+  sites.times_len = bytes.size() - blob.remaining();
+  return sites;
+}
+
+std::string error_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const trace::TraceError& err) {
+    return err.what();
+  }
+  return "";
+}
+
+TEST(Mpstz, ParallelDecodeReportsFirstCorruptChunk) {
+  const trace::TraceFile tf = record_convolution(64, 20);
+  const std::vector<std::uint8_t> bytes =
+      codec::compress(tf, {.chunk_events = 64});
+  ASSERT_GE(tf.total_events(), support::kParallelMinWork);
+  ASSERT_GT(codec::MpstzReader(bytes).chunks().size(), 40u);
+  const ChunkSites c3 = locate_chunk(bytes, tf.ranks.size(), 3);
+
+  // Both chunks fail their CRC; one of them also fails its size check,
+  // which runs before the decode, so the two errors read differently and
+  // the test can tell which chunk decompress reported. Chunk 4 is claimed
+  // alongside chunk 3 and, when it fails fast, fails first in wall time.
+  for (const std::size_t later_index : {std::size_t{40}, std::size_t{4}}) {
+    const ChunkSites later_sites =
+        locate_chunk(bytes, tf.ranks.size(), later_index);
+    for (const bool low_sizes : {false, true}) {
+      std::vector<std::uint8_t> mutant = bytes;
+      mutant[c3.crc] ^= 0xFF;
+      mutant[later_sites.crc] ^= 0xFF;
+      mutant[(low_sizes ? c3 : later_sites).times_len] ^= 0x01;
+      codec::MpstzReader reader(mutant);
+      const std::string first =
+          error_of([&] { (void)reader.chunk_events(3); });
+      const std::string later =
+          error_of([&] { (void)reader.chunk_events(later_index); });
+      ASSERT_FALSE(first.empty());
+      ASSERT_FALSE(later.empty());
+      ASSERT_NE(first, later);
+      for (int rep = 0; rep < 50; ++rep) {
+        EXPECT_EQ(error_of([&] { (void)codec::decompress(mutant); }), first)
+            << "chunks 3 and " << later_index << ", repeat " << rep;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------- lag search --

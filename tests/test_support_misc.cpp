@@ -1,11 +1,16 @@
-// Tests for strings, tables, CSV, CLI parsing, ASCII charts and JSON.
+// Tests for strings, tables, CSV, CLI parsing, ASCII charts, JSON and the
+// parallel_for fan-out.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "support/chart.hpp"
 #include "support/cli.hpp"
@@ -13,6 +18,7 @@
 #include "support/csv.hpp"
 #include "support/digest.hpp"
 #include "support/json.hpp"
+#include "support/parallel.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 
@@ -255,6 +261,39 @@ TEST(Chart, BarChartProportions) {
     return n;
   };
   EXPECT_EQ(count_hashes(big_pos), 2 * count_hashes(small_pos));
+}
+
+TEST(ParallelFor, VisitsEveryIndexOnce) {
+  std::vector<int> hits(1000, 0);
+  parallel_for(hits.size(), kParallelMinWork, [&](std::size_t i) { ++hits[i]; });
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 1000);
+}
+
+TEST(ParallelFor, RethrowsTheLowestFailingIndex) {
+  // Every 97th index fails; whichever thread fails first in wall time,
+  // the caller sees index 41, as from a plain loop.
+  for (int rep = 0; rep < 20; ++rep) {
+    try {
+      parallel_for(1000, kParallelMinWork, [](std::size_t i) {
+        if (i % 97 == 41) throw std::runtime_error(std::to_string(i));
+      });
+      FAIL() << "no exception";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "41");
+    }
+  }
+}
+
+TEST(ParallelFor, SmallWorkRunsInlineInOrder) {
+  std::vector<std::size_t> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  parallel_for(100, kParallelMinWork - 1, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  std::vector<std::size_t> expected(100);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
 }
 
 }  // namespace

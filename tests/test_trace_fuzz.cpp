@@ -8,13 +8,16 @@
 //
 // The same contract covers the compressed .mpstz container: flips in the
 // chunk index, Huffman length tables and payloads, and truncations at
-// every chunk boundary, all through both the eager decompressor and the
-// random-access reader.
+// every chunk boundary, all through both the eager (parallel)
+// decompressor and a serial chunk-by-chunk reference, which must accept,
+// reject and word their errors alike.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -248,34 +251,54 @@ TEST(TraceFuzz, AppendedGarbageIsRejected) {
 
 // ------------------------------------------------------ .mpstz container --
 
-/// Decode a .mpstz mutant through both the eager path and the
-/// random-access reader, accepting only success or TraceError. The two
-/// paths must agree on acceptance: a mutant one rejects, both reject.
-bool exercise_mpstz(const std::vector<std::uint8_t>& bytes) {
-  bool eager_ok = true;
-  trace::TraceFile tf;
-  try {
-    tf = codec::decompress(bytes);
-  } catch (const trace::TraceError&) {
-    eager_ok = false;
-  }
-  bool reader_ok = true;
+/// The serial reference decode: the reader's chunks one at a time in
+/// index order, appended per rank. Returns the first error's text, or ""
+/// with `events` holding every rank's stream.
+std::string serial_decode(const std::vector<std::uint8_t>& bytes,
+                          std::map<int, std::vector<trace::Event>>& events) {
   try {
     codec::MpstzReader reader(bytes);
     for (std::size_t c = 0; c < reader.chunks().size(); ++c) {
-      (void)reader.chunk_events(c);
+      const std::vector<trace::Event> chunk = reader.chunk_events(c);
+      auto& dst = events[reader.chunks()[c].rank];
+      dst.insert(dst.end(), chunk.begin(), chunk.end());
     }
+  } catch (const trace::TraceError& err) {
+    return err.what();
+  }
+  return "";
+}
+
+/// Decode a .mpstz mutant through the eager (parallel) decompressor and
+/// the serial reference, accepting only success or TraceError. The two
+/// must agree on acceptance, on the error text when both reject, and on
+/// every event when both accept.
+bool exercise_mpstz(const std::vector<std::uint8_t>& bytes) {
+  std::string eager_error;
+  trace::TraceFile tf;
+  try {
+    tf = codec::decompress(bytes);
+  } catch (const trace::TraceError& err) {
+    eager_error = err.what();
+  }
+  std::map<int, std::vector<trace::Event>> events;
+  const std::string serial_error = serial_decode(bytes, events);
+  EXPECT_EQ(eager_error, serial_error)
+      << "eager and serial decode disagree on acceptance or error text";
+  if (!eager_error.empty()) return false;
+  if (serial_error.empty()) {
+    trace::TraceFile serial = tf;
+    for (trace::RankStream& rs : serial.ranks) {
+      rs.events = std::move(events[rs.rank]);
+    }
+    EXPECT_EQ(serial.encode(), tf.encode())
+        << "eager and serial decode produced different events";
+  }
+  try {
+    (void)analysis::analyze(tf);
   } catch (const trace::TraceError&) {
-    reader_ok = false;
   }
-  EXPECT_EQ(eager_ok, reader_ok) << "eager and random-access decode disagree";
-  if (eager_ok) {
-    try {
-      (void)analysis::analyze(tf);
-    } catch (const trace::TraceError&) {
-    }
-  }
-  return eager_ok;
+  return true;
 }
 
 TEST(TraceFuzz, MpstzSingleByteFlipsNeverCrash) {

@@ -24,6 +24,8 @@
 //
 // Exit status: 0 = ok, 1 = usage/file error (one-line diagnostic),
 // 3 = --verify mismatch.
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -62,13 +64,27 @@ bool emit(const std::string& text, const std::string& out_path) {
   return true;
 }
 
+/// Write `bytes` to `<path>.tmp.<pid>`, then rename that over `path`: a
+/// failed or interrupted write never leaves a truncated file at `path`
+/// (which mpisect-serve would otherwise load and pin).
 void save_bytes(const std::vector<std::uint8_t>& bytes,
                 const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw trace::TraceError("cannot write '" + path + "'");
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw trace::TraceError("write error on '" + path + "'");
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  {
+    std::ofstream out(tmp, std::ios::binary);
+    if (!out) throw trace::TraceError("cannot write '" + path + "'");
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    if (!out) {
+      std::remove(tmp.c_str());
+      throw trace::TraceError("write error on '" + path + "'");
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw trace::TraceError("cannot write '" + path + "'");
+  }
 }
 
 std::string preset_list() {
@@ -403,7 +419,7 @@ int cmd_decompress(int argc, const char* const* argv) {
   if (!parse_with_self_trace(args, argc, argv)) return 1;
 
   const trace::TraceFile tf = codec::load_trace(args.get_string("in"));
-  tf.save(args.get_string("out"));
+  save_bytes(tf.encode(), args.get_string("out"));
   std::printf("%s: %llu events, digest %s\n", args.get_string("out").c_str(),
               static_cast<unsigned long long>(tf.total_events()),
               support::format_digest(codec::trace_digest(tf)).c_str());
