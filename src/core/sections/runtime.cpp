@@ -99,7 +99,7 @@ int SectionRuntime::enter(mpisim::Ctx& ctx, mpisim::Comm& comm,
 
   ActiveSection section;
   section.label = id;
-  section.instance = st.occurrences[{comm.context_id(), id}]++;
+  section.instance = st.occurrences[occurrence_key(comm.context_id(), id)]++;
   section.t_in = ctx.now();
   section.depth = static_cast<int>(stack.size());
   stack.push_back(section);

@@ -37,6 +37,7 @@
 
 #include "core/sections/labels.hpp"
 #include "mpisim/hooks.hpp"
+#include "mpisim/lane_table.hpp"
 #include "mpisim/runtime.hpp"
 
 namespace mpisect::sections {
@@ -125,8 +126,8 @@ class SectionRuntime final : public mpisim::Extension {
   struct RankState {
     /// context id -> open-section stack.
     std::map<int, std::vector<ActiveSection>> stacks;
-    /// (context id, label) -> occurrence counter.
-    std::map<std::pair<int, LabelId>, std::uint64_t> occurrences;
+    /// occurrence_key(context id, label) -> occurrence counter.
+    mpisim::LaneTable<std::uint64_t> occurrences;
     SectionCounters counters;
   };
   RankState& state_of(const mpisim::Ctx& ctx);

@@ -72,9 +72,9 @@ Channel::~Channel() {
   // Credit back whatever never matched so the world's MemAccount drains to
   // zero when all channels die (a leak here would poison the next world's
   // high-water mark reading).
-  if (mem_ != nullptr) {
-    for (const auto& m : unexpected_) mem_->sub(queued_bytes(*m));
-    if (!posted_.empty()) mem_->sub(posted_.size() * sizeof(PostedRecv));
+  if (mem_ != nullptr && legacy_ != nullptr) {
+    for (const auto& m : legacy_->unexpected) mem_->sub(queued_bytes(*m));
+    mem_->sub(legacy_->posted.size() * sizeof(PostedRecv));
   }
   for (MsgNode* n = um_all_.head; n != nullptr;) {
     MsgNode* next = n->next[3];
@@ -85,17 +85,17 @@ Channel::~Channel() {
   if (mem_ != nullptr && pr_count_ > 0) {
     mem_->sub(pr_count_ * sizeof(PostedRecv));
   }
-  const auto drop_lane = [](RecvList& lane) {
+  const auto drop_lane = [](std::uint64_t /*key*/, RecvList& lane) {
     for (RecvNode* n = lane.head; n != nullptr;) {
       RecvNode* next = n->next;
       delete n;
       n = next;
     }
   };
-  for (auto& [key, lane] : pr_by_pair_) drop_lane(lane);
-  for (auto& [key, lane] : pr_by_src_) drop_lane(lane);
-  for (auto& [key, lane] : pr_by_tag_) drop_lane(lane);
-  drop_lane(pr_any_);
+  pr_by_pair_.for_each(drop_lane);
+  pr_by_src_.for_each(drop_lane);
+  pr_by_tag_.for_each(drop_lane);
+  drop_lane(0, pr_any_);
   for (MsgNode* n = msg_free_; n != nullptr;) {
     MsgNode* next = n->next[0];
     delete n;
@@ -108,13 +108,13 @@ Channel::~Channel() {
   }
 }
 
-void Channel::reserve_tables(std::size_t buckets) {
-  um_by_pair_.reserve(buckets);
-  um_by_src_.reserve(buckets);
-  um_by_tag_.reserve(buckets);
-  pr_by_pair_.reserve(buckets);
-  pr_by_src_.reserve(buckets);
-  pr_by_tag_.reserve(buckets);
+void Channel::reserve_tables(std::size_t lanes) {
+  um_by_pair_.reserve(lanes);
+  um_by_src_.reserve(lanes);
+  um_by_tag_.reserve(lanes);
+  pr_by_pair_.reserve(lanes);
+  pr_by_src_.reserve(lanes);
+  pr_by_tag_.reserve(lanes);
 }
 
 bool Channel::compatible(const PostedRecv& r, const Message& m) noexcept {
@@ -187,39 +187,65 @@ void Channel::free_recv_node(RecvNode* n) {
 
 // --- hashed engine ---------------------------------------------------------
 
+void Channel::append(MsgList& list, MsgNode* n, int k) noexcept {
+  n->prev[k] = list.tail;
+  n->next[k] = nullptr;
+  if (list.tail != nullptr) {
+    list.tail->next[k] = n;
+  } else {
+    list.head = n;
+  }
+  list.tail = n;
+}
+
+void Channel::remove(MsgList& list, MsgNode* n, int k) noexcept {
+  if (n->prev[k] != nullptr) {
+    n->prev[k]->next[k] = n->next[k];
+  } else {
+    list.head = n->next[k];
+  }
+  if (n->next[k] != nullptr) {
+    n->next[k]->prev[k] = n->prev[k];
+  } else {
+    list.tail = n->prev[k];
+  }
+}
+
+void Channel::remove_keyed(LaneTable<MsgList>& table, std::uint64_t key,
+                           MsgNode* n, int k) noexcept {
+  MsgList* list = table.find(key);
+  remove(*list, n, k);
+  if (list->head == nullptr) table.erase(key);
+}
+
 void Channel::link_msg(const MessagePtr& msg) {
   MsgNode* n = alloc_msg_node();
   n->msg = msg;
-  MsgList* lists[4] = {&um_by_pair_[pair_key(msg->src, msg->tag)],
-                       &um_by_src_[msg->src], &um_by_tag_[msg->tag],
-                       &um_all_};
-  for (int k = 0; k < 4; ++k) {
-    n->prev[k] = lists[k]->tail;
-    n->next[k] = nullptr;
-    if (lists[k]->tail != nullptr) {
-      lists[k]->tail->next[k] = n;
-    } else {
-      lists[k]->head = n;
-    }
-    lists[k]->tail = n;
+  append(um_by_pair_[pair_key(msg->src, msg->tag)], n, 0);
+  if (wild_index_) {
+    append(um_by_src_[one_key(msg->src)], n, 1);
+    append(um_by_tag_[one_key(msg->tag)], n, 2);
   }
+  append(um_all_, n, 3);
 }
 
 void Channel::unlink_msg(MsgNode* n) {
   const Message& m = *n->msg;
-  MsgList* lists[4] = {&um_by_pair_[pair_key(m.src, m.tag)],
-                       &um_by_src_[m.src], &um_by_tag_[m.tag], &um_all_};
-  for (int k = 0; k < 4; ++k) {
-    if (n->prev[k] != nullptr) {
-      n->prev[k]->next[k] = n->next[k];
-    } else {
-      lists[k]->head = n->next[k];
-    }
-    if (n->next[k] != nullptr) {
-      n->next[k]->prev[k] = n->prev[k];
-    } else {
-      lists[k]->tail = n->prev[k];
-    }
+  remove_keyed(um_by_pair_, pair_key(m.src, m.tag), n, 0);
+  if (wild_index_) {
+    remove_keyed(um_by_src_, one_key(m.src), n, 1);
+    remove_keyed(um_by_tag_, one_key(m.tag), n, 2);
+  }
+  remove(um_all_, n, 3);
+}
+
+void Channel::index_wildcards() {
+  // Walking the arrival list appends in arrival order, so the new lists are
+  // exactly what linking every message on deposit would have built.
+  wild_index_ = true;
+  for (MsgNode* n = um_all_.head; n != nullptr; n = n->next[3]) {
+    append(um_by_src_[one_key(n->msg->src)], n, 1);
+    append(um_by_tag_[one_key(n->msg->tag)], n, 2);
   }
 }
 
@@ -228,28 +254,28 @@ std::size_t Channel::deposit_hashed(const MessagePtr& msg) {
   // Each lane's head is its earliest-posted member, so the global earliest
   // compatible receive is the min post-ordinal among the four heads —
   // identical to the legacy scan's "first compatible in post order".
+  LaneTable<RecvList>* tables[3] = {&pr_by_pair_, &pr_by_src_, &pr_by_tag_};
+  const std::uint64_t keys[3] = {pair_key(msg->src, msg->tag),
+                                 one_key(msg->src), one_key(msg->tag)};
   RecvList* lanes[4] = {nullptr, nullptr, nullptr, &pr_any_};
-  if (const auto it = pr_by_pair_.find(pair_key(msg->src, msg->tag));
-      it != pr_by_pair_.end()) {
-    lanes[0] = &it->second;
+  if (pr_count_ > 0) {
+    for (int k = 0; k < 3; ++k) lanes[k] = tables[k]->find(keys[k]);
   }
-  if (const auto it = pr_by_src_.find(msg->src); it != pr_by_src_.end()) {
-    lanes[1] = &it->second;
-  }
-  if (const auto it = pr_by_tag_.find(msg->tag); it != pr_by_tag_.end()) {
-    lanes[2] = &it->second;
-  }
-  RecvList* best = nullptr;
-  for (RecvList* lane : lanes) {
-    if (lane != nullptr && lane->head != nullptr &&
-        (best == nullptr || lane->head->ord < best->head->ord)) {
-      best = lane;
+  int best = -1;
+  for (int k = 0; k < 4; ++k) {
+    if (lanes[k] != nullptr && lanes[k]->head != nullptr &&
+        (best < 0 || lanes[k]->head->ord < lanes[best]->head->ord)) {
+      best = k;
     }
   }
-  if (best != nullptr) {
-    RecvNode* n = best->head;
-    best->head = n->next;
-    if (best->head == nullptr) best->tail = nullptr;
+  if (best >= 0) {
+    RecvList* lane = lanes[best];
+    RecvNode* n = lane->head;
+    lane->head = n->next;
+    if (lane->head == nullptr) {
+      lane->tail = nullptr;
+      if (best < 3) tables[best]->erase(keys[best]);
+    }
     complete_match(msg, n->recv);
     free_recv_node(n);
     --pr_count_;
@@ -269,23 +295,8 @@ std::size_t Channel::post_hashed(const PostedRecvPtr& recv) {
   // The receive's wildcard class picks the one message index whose head is
   // the earliest-arrival compatible message (every index list preserves
   // arrival order).
-  MsgList* lane = nullptr;
-  if (recv->src != kAnySource && recv->tag != kAnyTag) {
-    if (const auto it = um_by_pair_.find(pair_key(recv->src, recv->tag));
-        it != um_by_pair_.end()) {
-      lane = &it->second;
-    }
-  } else if (recv->src != kAnySource) {
-    if (const auto it = um_by_src_.find(recv->src); it != um_by_src_.end()) {
-      lane = &it->second;
-    }
-  } else if (recv->tag != kAnyTag) {
-    if (const auto it = um_by_tag_.find(recv->tag); it != um_by_tag_.end()) {
-      lane = &it->second;
-    }
-  } else {
-    lane = &um_all_;
-  }
+  const MsgList* lane =
+      um_count_ > 0 ? probe_lane(recv->src, recv->tag) : nullptr;
   if (lane != nullptr && lane->head != nullptr) {
     MsgNode* n = lane->head;
     if (mem_ != nullptr) mem_->sub(queued_bytes(*n->msg));
@@ -303,9 +314,9 @@ std::size_t Channel::post_hashed(const PostedRecvPtr& recv) {
   if (recv->src != kAnySource && recv->tag != kAnyTag) {
     dest = &pr_by_pair_[pair_key(recv->src, recv->tag)];
   } else if (recv->src != kAnySource) {
-    dest = &pr_by_src_[recv->src];
+    dest = &pr_by_src_[one_key(recv->src)];
   } else if (recv->tag != kAnyTag) {
-    dest = &pr_by_tag_[recv->tag];
+    dest = &pr_by_tag_[one_key(recv->tag)];
   } else {
     dest = &pr_any_;
   }
@@ -320,26 +331,14 @@ std::size_t Channel::post_hashed(const PostedRecvPtr& recv) {
   return pr_count_;
 }
 
-const Message* Channel::probe_head(int src, int tag) const {
+Channel::MsgList* Channel::probe_lane(int src, int tag) {
   if (src != kAnySource && tag != kAnyTag) {
-    const auto it = um_by_pair_.find(pair_key(src, tag));
-    return it != um_by_pair_.end() && it->second.head != nullptr
-               ? it->second.head->msg.get()
-               : nullptr;
+    return um_by_pair_.find(pair_key(src, tag));
   }
-  if (src != kAnySource) {
-    const auto it = um_by_src_.find(src);
-    return it != um_by_src_.end() && it->second.head != nullptr
-               ? it->second.head->msg.get()
-               : nullptr;
-  }
-  if (tag != kAnyTag) {
-    const auto it = um_by_tag_.find(tag);
-    return it != um_by_tag_.end() && it->second.head != nullptr
-               ? it->second.head->msg.get()
-               : nullptr;
-  }
-  return um_all_.head != nullptr ? um_all_.head->msg.get() : nullptr;
+  if (src == kAnySource && tag == kAnyTag) return &um_all_;
+  if (!wild_index_) index_wildcards();
+  if (src != kAnySource) return um_by_src_.find(one_key(src));
+  return um_by_tag_.find(one_key(tag));
 }
 
 // --- public operations -----------------------------------------------------
@@ -351,40 +350,42 @@ std::size_t Channel::deposit(const MessagePtr& msg) {
     // never reaches the matching engine. An eager sender proceeds unaware;
     // a rendezvous sender blocks in wait_delivered until quiescence, where
     // the checker attributes the hang to the fault plan.
-    return match_.mode == MatchMode::Hashed ? um_count_ : unexpected_.size();
+    return legacy_ == nullptr ? um_count_ : legacy_->unexpected.size();
   }
-  if (match_.mode == MatchMode::Hashed) return deposit_hashed(msg);
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+  if (legacy_ == nullptr) return deposit_hashed(msg);
+  auto& posted = legacy_->posted;
+  for (auto it = posted.begin(); it != posted.end(); ++it) {
     if (compatible(**it, *msg)) {
       complete_match(msg, *it);
-      posted_.erase(it);
+      posted.erase(it);
       if (mem_ != nullptr) mem_->sub(sizeof(PostedRecv));
       wp_.notify_all();
       return 0;
     }
   }
-  unexpected_.push_back(msg);
+  legacy_->unexpected.push_back(msg);
   if (mem_ != nullptr) mem_->add(queued_bytes(*msg));
   // Wake probers waiting for a matching envelope.
   wp_.notify_all();
-  return unexpected_.size();
+  return legacy_->unexpected.size();
 }
 
 std::size_t Channel::post(const PostedRecvPtr& recv) {
   const std::lock_guard lock(mu_);
-  if (match_.mode == MatchMode::Hashed) return post_hashed(recv);
-  for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
+  if (legacy_ == nullptr) return post_hashed(recv);
+  auto& unexpected = legacy_->unexpected;
+  for (auto it = unexpected.begin(); it != unexpected.end(); ++it) {
     if (compatible(*recv, **it)) {
       if (mem_ != nullptr) mem_->sub(queued_bytes(**it));
       complete_match(*it, recv);
-      unexpected_.erase(it);
+      unexpected.erase(it);
       wp_.notify_all();
       return 0;
     }
   }
-  posted_.push_back(recv);
+  legacy_->posted.push_back(recv);
   if (mem_ != nullptr) mem_->add(sizeof(PostedRecv));
-  return posted_.size();
+  return legacy_->posted.size();
 }
 
 Status Channel::wait_recv(const PostedRecvPtr& recv) {
@@ -442,12 +443,15 @@ Status Channel::probe(int src, int tag, double t_probe) {
   std::unique_lock lock(mu_);
   for (;;) {
     const Message* found = nullptr;
-    if (match_.mode == MatchMode::Hashed) {
-      found = probe_head(src, tag);
+    if (legacy_ == nullptr) {
+      const MsgList* lane = probe_lane(src, tag);
+      if (lane != nullptr && lane->head != nullptr) {
+        found = lane->head->msg.get();
+      }
     } else {
       const PostedRecv pattern{src, tag, t_probe, nullptr, 0, false, false,
                                {}};
-      for (const auto& msg : unexpected_) {
+      for (const auto& msg : legacy_->unexpected) {
         if (compatible(pattern, *msg)) {
           found = msg.get();
           break;
@@ -479,12 +483,12 @@ Status Channel::probe(int src, int tag, double t_probe) {
 
 std::size_t Channel::pending_messages() {
   const std::lock_guard lock(mu_);
-  return match_.mode == MatchMode::Hashed ? um_count_ : unexpected_.size();
+  return legacy_ == nullptr ? um_count_ : legacy_->unexpected.size();
 }
 
 std::size_t Channel::pending_recvs() {
   const std::lock_guard lock(mu_);
-  return match_.mode == MatchMode::Hashed ? pr_count_ : posted_.size();
+  return legacy_ == nullptr ? pr_count_ : legacy_->posted.size();
 }
 
 }  // namespace mpisect::mpisim

@@ -17,7 +17,10 @@
 //     linked into four index lists (by pair, by source, by tag, arrival
 //     order), so a posting receive of any wildcard class finds its
 //     earliest-arrival candidate at a list head and a match unlinks in O(1)
-//     with no tombstones.
+//     with no tombstones. Keyed lanes sit in flat LaneTables
+//     (lane_table.hpp): a short vector scanned linearly, indexed by an
+//     open-addressing hash past a few keys, and a lane is erased as soon as
+//     it drains, so cycling internal collective tags leave no empty lanes.
 //   * Legacy: the original linear scans over two deques, kept as the
 //     differential-testing reference. Virtual times are bit-identical
 //     between the engines by construction; tests enforce it.
@@ -36,10 +39,11 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
+#include "mpisim/lane_table.hpp"
 #include "mpisim/message.hpp"
 #include "mpisim/scheduler.hpp"
 #include "obs/memory.hpp"
@@ -48,19 +52,19 @@ namespace mpisect::mpisim {
 
 /// Which matching engine a Channel uses.
 enum class MatchMode {
-  Hashed,  ///< per-(src,tag) hash lanes + wildcard lists (default)
+  Hashed,  ///< per-(src,tag) lanes + wildcard lists (default)
   Legacy,  ///< linear deque scans (differential reference)
 };
 
 /// Matching-engine selection plus its tuning knobs, in the shared
 /// `preset[:key=value,...]` spec vocabulary (the `--match` flag):
 ///
-///   hashed                 O(1) engine, tables sized on demand
-///   hashed:buckets=64      pre-reserve 64 hash buckets per table
+///   hashed                 O(1) engine, lanes sized on demand
+///   hashed:buckets=64      reserve room for 64 lanes per lane table
 ///   legacy                 linear-scan reference engine
 struct MatchModel {
   MatchMode mode = MatchMode::Hashed;
-  std::size_t buckets = 0;  ///< initial hash-table reservation per channel
+  std::size_t buckets = 0;  ///< initial lane reservation per lane table
 
   bool operator==(const MatchModel&) const = default;
 
@@ -92,9 +96,11 @@ class Channel {
           obs::MemAccount::RankMem* mem = nullptr,
           MatchModel match = {}) noexcept
       : abort_(abort_flag), rendezvous_extra_(rendezvous_extra), mem_(mem),
-        match_(match), wp_(exec, mu_) {
-    if (match_.mode == MatchMode::Hashed && match_.buckets > 0) {
-      reserve_tables(match_.buckets);
+        wp_(exec, mu_) {
+    if (match.mode == MatchMode::Legacy) {
+      legacy_ = std::make_unique<LegacyQueues>();
+    } else if (match.buckets > 0) {
+      reserve_tables(match.buckets);
     }
   }
 
@@ -160,6 +166,10 @@ class Channel {
   // Index 0: (src,tag) pair bucket; 1: per-source; 2: per-tag; 3: arrival
   // order (all messages). Every list preserves arrival order, so each
   // list's head is the earliest compatible message for that wildcard class.
+  // Indices 1 and 2 serve only (src,ANY) and (ANY,tag) receives and probes,
+  // so they are built from the arrival list on the first such call and
+  // kept from then on; a channel that only sees exact receives never pays
+  // for them.
   struct MsgNode {
     MessagePtr msg;
     MsgNode* prev[4] = {nullptr, nullptr, nullptr, nullptr};
@@ -182,25 +192,43 @@ class Channel {
     RecvNode* tail = nullptr;
   };
 
+  /// The legacy engine's queues, allocated only in MatchMode::Legacy.
+  struct LegacyQueues {
+    std::deque<MessagePtr> unexpected;
+    std::deque<PostedRecvPtr> posted;
+  };
+
   static bool compatible(const PostedRecv& r, const Message& m) noexcept;
   /// Pair up msg and recv: compute times, copy payload, flag completion.
   /// Caller holds the mutex.
   void complete_match(const MessagePtr& msg, const PostedRecvPtr& recv) const;
   void check_abort() const;
-  void reserve_tables(std::size_t buckets);
+  void reserve_tables(std::size_t lanes);
 
   static std::uint64_t pair_key(int src, int tag) noexcept {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
             << 32) |
            static_cast<std::uint32_t>(tag);
   }
+  static std::uint64_t one_key(int v) noexcept {
+    return static_cast<std::uint32_t>(v);
+  }
 
   // Hashed-engine helpers (caller holds the mutex).
   std::size_t deposit_hashed(const MessagePtr& msg);
   std::size_t post_hashed(const PostedRecvPtr& recv);
-  const Message* probe_head(int src, int tag) const;
+  /// The message index a (src, tag) receive or probe would match from
+  /// (nullptr: no lane, so nothing queued for that key).
+  MsgList* probe_lane(int src, int tag);
   void link_msg(const MessagePtr& msg);
   void unlink_msg(MsgNode* n);
+  /// Build the per-source and per-tag indices over the queued messages.
+  void index_wildcards();
+  static void append(MsgList& list, MsgNode* n, int k) noexcept;
+  static void remove(MsgList& list, MsgNode* n, int k) noexcept;
+  /// remove() from the lane under `key`, erasing the lane if it drains.
+  static void remove_keyed(LaneTable<MsgList>& table, std::uint64_t key,
+                           MsgNode* n, int k) noexcept;
   MsgNode* alloc_msg_node();
   void free_msg_node(MsgNode* n);
   RecvNode* alloc_recv_node();
@@ -212,28 +240,26 @@ class Channel {
   }
 
   std::mutex mu_;
-  // Legacy engine state (only populated in MatchMode::Legacy).
-  std::deque<MessagePtr> unexpected_;
-  std::deque<PostedRecvPtr> posted_;
+  std::unique_ptr<LegacyQueues> legacy_;  ///< null unless MatchMode::Legacy
   // Hashed engine state.
-  std::unordered_map<std::uint64_t, MsgList> um_by_pair_;
-  std::unordered_map<int, MsgList> um_by_src_;
-  std::unordered_map<int, MsgList> um_by_tag_;
+  LaneTable<MsgList> um_by_pair_;
+  LaneTable<MsgList> um_by_src_;
+  LaneTable<MsgList> um_by_tag_;
   MsgList um_all_;
-  std::unordered_map<std::uint64_t, RecvList> pr_by_pair_;
-  std::unordered_map<int, RecvList> pr_by_src_;  ///< (src, ANY)
-  std::unordered_map<int, RecvList> pr_by_tag_;  ///< (ANY, tag)
-  RecvList pr_any_;                              ///< (ANY, ANY)
+  LaneTable<RecvList> pr_by_pair_;
+  LaneTable<RecvList> pr_by_src_;  ///< (src, ANY)
+  LaneTable<RecvList> pr_by_tag_;  ///< (ANY, tag)
+  RecvList pr_any_;                ///< (ANY, ANY)
   MsgNode* msg_free_ = nullptr;   ///< node freelist (allocation reuse)
   RecvNode* recv_free_ = nullptr;
-  std::size_t um_count_ = 0;  ///< unmatched queued messages (both engines)
-  std::size_t pr_count_ = 0;  ///< unmatched posted receives (both engines)
+  std::size_t um_count_ = 0;  ///< unmatched queued messages (hashed)
+  std::size_t pr_count_ = 0;  ///< unmatched posted receives (hashed)
   std::uint64_t pr_ord_ = 0;  ///< next post ordinal
+  bool wild_index_ = false;   ///< um_by_src_/um_by_tag_ are maintained
 
   const std::atomic<bool>* abort_;
   double rendezvous_extra_;
   obs::MemAccount::RankMem* mem_;
-  MatchModel match_;
   WaitPoint wp_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 
 #include "mpisim/comm.hpp"
 
@@ -45,7 +46,8 @@ void SectionProfiler::on_section_enter(mpisim::Ctx& ctx, mpisim::Comm& comm,
   OpenSection open;
   open.label = id;
   open.comm_context = comm.context_id();
-  open.instance = rd.occurrences[{open.comm_context, id}]++;
+  open.instance =
+      rd.occurrences[sections::occurrence_key(open.comm_context, id)]++;
   open.t_in = td.t_in;
   rd.stack.push_back(open);
 }
@@ -66,7 +68,8 @@ void SectionProfiler::on_section_leave(mpisim::Ctx& ctx, mpisim::Comm& comm,
   const double t_out = ctx.now();
   const double inclusive = t_out - td.t_in;
 
-  auto& stats = rd.stats[{open.comm_context, open.label}];
+  auto& stats =
+      rd.stats[sections::occurrence_key(open.comm_context, open.label)];
   if (stats.count == 0) {
     stats.min_instance = inclusive;
     stats.max_instance = inclusive;
@@ -128,18 +131,20 @@ const LabelStats* SectionProfiler::rank_stats(int rank, int comm_context,
   const auto id = labels_.lookup(label);
   if (id == sections::kInvalidLabel) return nullptr;
   const auto& rd = ranks_.at(static_cast<std::size_t>(rank));
-  const auto it = rd.stats.find({comm_context, id});
-  return it == rd.stats.end() ? nullptr : &it->second;
+  return rd.stats.find(sections::occurrence_key(comm_context, id));
 }
 
 std::vector<SectionProfiler::SectionTotals> SectionProfiler::totals() const {
   std::map<std::pair<int, std::uint32_t>, SectionTotals> acc;
   for (const auto& rd : ranks_) {
-    for (const auto& [key, stats] : rd.stats) {
-      auto& t = acc[key];
+    rd.stats.for_each([&](std::uint64_t key, const LabelStats& stats) {
+      const auto context =
+          static_cast<int>(static_cast<std::uint32_t>(key >> 32));
+      const auto label = static_cast<sections::LabelId>(key);
+      auto& t = acc[{context, label}];
       if (t.ranks_seen == 0) {
-        t.label = labels_.name(key.second);
-        t.comm_context = key.first;
+        t.label = labels_.name(label);
+        t.comm_context = context;
       }
       ++t.ranks_seen;
       t.instances = std::max(t.instances, stats.count);
@@ -147,7 +152,7 @@ std::vector<SectionProfiler::SectionTotals> SectionProfiler::totals() const {
       t.exclusive_total += stats.exclusive;
       t.mpi_time += stats.mpi_time;
       t.mpi_calls += stats.mpi_calls;
-    }
+    });
   }
   std::vector<SectionTotals> out;
   out.reserve(acc.size());
@@ -218,8 +223,9 @@ std::uint64_t SectionProfiler::instance_count(int comm_context,
   if (id == sections::kInvalidLabel) return 0;
   std::uint64_t n = 0;
   for (const auto& rd : ranks_) {
-    const auto it = rd.occurrences.find({comm_context, id});
-    if (it != rd.occurrences.end()) n = std::max(n, it->second);
+    const std::uint64_t* count =
+        rd.occurrences.find(sections::occurrence_key(comm_context, id));
+    if (count != nullptr) n = std::max(n, *count);
   }
   return n;
 }

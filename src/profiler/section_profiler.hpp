@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +30,7 @@
 #include "core/sections/labels.hpp"
 #include "core/sections/metrics.hpp"
 #include "core/sections/runtime.hpp"
+#include "mpisim/lane_table.hpp"
 #include "mpisim/runtime.hpp"
 #include "mpisim/toolstack.hpp"
 
@@ -148,8 +148,9 @@ class SectionProfiler : public mpisim::hooks::Tool {
   };
   struct RankData {
     std::vector<OpenSection> stack;
-    std::map<std::pair<int, std::uint32_t>, LabelStats> stats;
-    std::map<std::pair<int, std::uint32_t>, std::uint64_t> occurrences;
+    /// Both keyed by sections::occurrence_key(context, label).
+    mpisim::LaneTable<LabelStats> stats;
+    mpisim::LaneTable<std::uint64_t> occurrences;
     std::vector<InstanceSpan> spans;
     double call_begin_time = 0.0;
     int call_depth = 0;

@@ -1,5 +1,7 @@
 #include "serve/service.hpp"
 
+#include <sys/stat.h>
+
 #include <chrono>
 #include <fstream>
 #include <stdexcept>
@@ -210,10 +212,23 @@ Service::Service(std::size_t cache_entries, std::size_t cache_bytes)
 }
 
 std::shared_ptr<const LoadedTrace> Service::trace(const std::string& path) {
+  // Stamp before reading: a rewrite that lands mid-read leaves the entry
+  // under the older stamp, so the next request decodes again.
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) {
+    throw trace::TraceError("cannot open '" + path + "'");
+  }
+  const FileStamp stamp{
+      static_cast<std::uint64_t>(st.st_size),
+      static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+          st.st_mtim.tv_nsec,
+      static_cast<std::uint64_t>(st.st_ino)};
   {
     std::lock_guard<std::mutex> lock(traces_mu_);
     auto it = traces_.find(path);
-    if (it != traces_.end()) return it->second;
+    if (it != traces_.end() && it->second.stamp == stamp) {
+      return it->second.trace;
+    }
   }
   // Decode outside the lock: loading is the expensive part and two
   // different traces should not serialize against each other.
@@ -228,13 +243,14 @@ std::shared_ptr<const LoadedTrace> Service::trace(const std::string& path) {
   lt->digest = codec::trace_digest(lt->tf);
   lt->digest_str = support::format_digest(lt->digest);
   std::lock_guard<std::mutex> lock(traces_mu_);
-  auto [it, inserted] = traces_.emplace(path, std::move(lt));
-  if (inserted) {
+  Pinned& pinned = traces_[path];
+  if (pinned.trace == nullptr || pinned.stamp != stamp) {
+    // First load, or the file changed: the stale decode is dropped.
     reg_.inc(id_traces_, 0);
-    reg_.inc(id_bytes_decoded_, 0,
-             static_cast<double>(it->second->file_bytes));
+    reg_.inc(id_bytes_decoded_, 0, static_cast<double>(lt->file_bytes));
+    pinned = {stamp, std::move(lt)};
   }
-  return it->second;
+  return pinned.trace;
 }
 
 std::string Service::handle_line(const std::string& line) {

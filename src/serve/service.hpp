@@ -1,7 +1,8 @@
 // The daemon's query service: a shared trace store (each trace is loaded
-// and decoded once, then pinned), an LRU result cache keyed on
-// (trace digest, query canonical form), and the line-delimited-JSON
-// request dispatcher both the TCP server and the in-process tests drive.
+// and decoded once, then pinned until the file at its path changes), an
+// LRU result cache keyed on (trace digest, query canonical form), and the
+// line-delimited-JSON request dispatcher both the TCP server and the
+// in-process tests drive.
 //
 // Requests are one JSON object per line:
 //   {"id":1,"op":"info","trace":"out.mpstz"}
@@ -57,7 +58,9 @@ class Service {
   [[nodiscard]] std::string error_reply(const std::string& id,
                                         const std::string& what);
 
-  /// Load (or fetch the pinned copy of) a trace. Throws trace::TraceError.
+  /// Load (or fetch the pinned copy of) a trace. The pinned copy is reused
+  /// while the file's (size, mtime, inode) stamp is unchanged; a rewritten
+  /// file is decoded again and replaces it. Throws trace::TraceError.
   [[nodiscard]] std::shared_ptr<const LoadedTrace> trace(
       const std::string& path);
 
@@ -74,8 +77,20 @@ class Service {
 
  private:
   LruCache cache_;
+  /// What identifies one version of the file at a path.
+  struct FileStamp {
+    std::uint64_t size = 0;
+    std::int64_t mtime_ns = 0;
+    std::uint64_t inode = 0;
+    bool operator==(const FileStamp&) const = default;
+  };
+  struct Pinned {
+    FileStamp stamp;
+    std::shared_ptr<const LoadedTrace> trace;
+  };
+
   std::mutex traces_mu_;
-  std::map<std::string, std::shared_ptr<const LoadedTrace>> traces_;
+  std::map<std::string, Pinned> traces_;
 
   telemetry::Registry reg_;
   telemetry::InstrumentId id_requests_;

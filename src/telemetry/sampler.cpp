@@ -118,7 +118,7 @@ void TelemetrySampler::on_section_enter(mpisim::Ctx& ctx,
                                         const char* label, char* /*data*/) {
   RankState& rs = state(ctx);
   advance(rs, ctx.rank(), ctx.now());
-  rs.stack.push_back(intern_cached(rs, label));
+  rs.stack.push_back(labels_.intern(label));
   registry_.inc(std_.section_enters, ctx.rank());
 }
 
@@ -248,16 +248,6 @@ void TelemetrySampler::on_fault(mpisim::Ctx& ctx, const mpisim::TapFault& f) {
       registry_.inc(std_.fault_kills, ctx.rank());
       break;
   }
-}
-
-sections::LabelId TelemetrySampler::intern_cached(RankState& rs,
-                                                  const char* label) {
-  for (const auto& [ptr, id] : rs.label_cache) {
-    if (ptr == label) return id;
-  }
-  const sections::LabelId id = labels_.intern(label);
-  if (rs.label_cache.size() < 16) rs.label_cache.emplace_back(label, id);
-  return id;
 }
 
 void TelemetrySampler::attribute(RankState& rs, double d) {

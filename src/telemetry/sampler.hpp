@@ -180,10 +180,6 @@ class TelemetrySampler : public mpisim::Extension,
     /// sampler's overhead). `touched` lists the nonzero ids.
     std::vector<double> busy;
     std::vector<sections::LabelId> touched;
-    /// Interning takes the LabelRegistry mutex; section labels are almost
-    /// always string literals, so a tiny pointer-keyed cache short-cuts
-    /// the common case (same pointer => same id; misses just re-intern).
-    std::vector<std::pair<const char*, sections::LabelId>> label_cache;
     double mpi_seconds = 0.0;
     std::vector<double> last_snapshot;
     std::vector<double> scratch;
@@ -199,8 +195,6 @@ class TelemetrySampler : public mpisim::Extension,
   void advance(RankState& rs, int rank, double t);
   void attribute(RankState& rs, double d);
   void flush_window(RankState& rs, int rank);
-  [[nodiscard]] sections::LabelId intern_cached(RankState& rs,
-                                                const char* label);
 
   mpisim::World* world_;
   SamplerOptions options_;

@@ -66,17 +66,6 @@ Event& TraceRecorder::push(RankBuf& b, EventKind kind, double t_before) {
   return b.events.back();
 }
 
-std::uint32_t TraceRecorder::intern(const char* label) {
-  const std::string name = label != nullptr ? label : "";
-  const std::lock_guard lock(label_mu_);
-  const auto it = label_ids_.find(name);
-  if (it != label_ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(label_names_.size());
-  label_names_.push_back(name);
-  label_ids_.emplace(name, id);
-  return id;
-}
-
 void TraceRecorder::on_begin(mpisim::Ctx& ctx, const CallInfo& info) {
   RankBuf& b = buf(ctx);
   if (info.call == MpiCall::Init) {
@@ -278,12 +267,12 @@ void TraceRecorder::label_remap(std::vector<std::string>& sorted,
   // Remap label ids to lexicographic order: interning order depends on
   // which rank thread saw a label first, and byte-identical files for
   // same-seed runs are a determinism guarantee of the format.
-  sorted = label_names_;
+  const std::vector<std::string> names = labels_.all();
+  sorted = names;
   std::sort(sorted.begin(), sorted.end());
-  remap.resize(label_names_.size());
-  for (std::size_t old = 0; old < label_names_.size(); ++old) {
-    const auto it =
-        std::lower_bound(sorted.begin(), sorted.end(), label_names_[old]);
+  remap.resize(names.size());
+  for (std::size_t old = 0; old < names.size(); ++old) {
+    const auto it = std::lower_bound(sorted.begin(), sorted.end(), names[old]);
     remap[old] = static_cast<std::uint32_t>(it - sorted.begin());
   }
 }

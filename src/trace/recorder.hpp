@@ -18,12 +18,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/sections/labels.hpp"
 #include "mpisim/hooks.hpp"
 #include "mpisim/runtime.hpp"
 #include "mpisim/toolstack.hpp"
@@ -135,7 +135,11 @@ class TraceRecorder : public mpisim::Extension, public mpisim::hooks::Tool {
   /// Append an event whose charges begin at `t_before`; sets the gap flag
   /// when the clock moved since the previous event on this rank.
   Event& push(RankBuf& b, EventKind kind, double t_before);
-  std::uint32_t intern(const char* label);
+  /// Intern a section or pcontrol label (null = ""); ids are in
+  /// first-intern order until label_remap sorts them.
+  std::uint32_t intern(const char* label) {
+    return labels_.intern(label != nullptr ? label : "");
+  }
 
   void on_begin(mpisim::Ctx& ctx, const mpisim::CallInfo& info);
   void on_end(mpisim::Ctx& ctx, const mpisim::CallInfo& info);
@@ -151,9 +155,7 @@ class TraceRecorder : public mpisim::Extension, public mpisim::hooks::Tool {
   RecorderOptions options_;
   bool attached_ = false;
   std::vector<RankBuf> bufs_;
-  std::mutex label_mu_;
-  std::vector<std::string> label_names_;
-  std::unordered_map<std::string, std::uint32_t> label_ids_;
+  sections::LabelRegistry labels_;
 };
 
 }  // namespace mpisect::trace

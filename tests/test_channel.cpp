@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "mpisim/channel.hpp"
 #include "mpisim/error.hpp"
+#include "mpisim/lane_table.hpp"
 #include "mpisim/scheduler.hpp"
+#include "obs/memory.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -354,6 +357,149 @@ TEST(ChannelEngines, RandomizedHistoriesAgree) {
       EXPECT_EQ(a.t_complete, b.t_complete)
           << "round " << round << " recv " << i;
     }
+  }
+}
+
+// Flat lanes under stress, against the legacy scans: more than
+// LaneTable::kLinearMax (8) distinct (src,tag), source and tag keys (the tables
+// widen to a hash index), the 1024-value internal collective tag cycle,
+// lanes drained and refilled, and receives of all four wildcard classes.
+// Every call's return value, every match and every Status must agree, and
+// each engine's MemAccount slot must drain to zero once its channel dies.
+TEST(ChannelEngines, FlatLanesAgreeWithLegacyAcrossWidenAndTagCycle) {
+  constexpr int kSources = 12;
+  mpisect::obs::MemAccount mem(2);
+  std::atomic<bool> abort{false};
+  std::unique_ptr<Executor> exec = make_executor(ExecBackend::Threads);
+  const mpisect::support::CounterRng rng(0xF1A7);
+  std::uint64_t ctr = 0;
+  {
+    Channel hashed{*exec, &abort, 0.25, &mem.rank(0),
+                   MatchModel{MatchMode::Hashed}};
+    Channel legacy{*exec, &abort, 0.25, &mem.rank(1),
+                   MatchModel{MatchMode::Legacy}};
+    std::vector<PostedRecvPtr> hashed_recvs;
+    std::vector<PostedRecvPtr> legacy_recvs;
+    double t = 0.0;
+    auto deposit = [&](int src, int tag) {
+      t += 0.125;
+      const bool rdv = (ctr++ % 5) == 0;
+      const std::size_t bytes = 8 + (ctr % 7) * 16;
+      ASSERT_EQ(hashed.deposit(make_msg(src, tag, t, 0.0625, rdv, bytes)),
+                legacy.deposit(make_msg(src, tag, t, 0.0625, rdv, bytes)))
+          << "deposit " << src << "," << tag;
+    };
+    auto post = [&](int src, int tag) {
+      t += 0.125;
+      hashed_recvs.push_back(make_recv(src, tag, t, 256));
+      legacy_recvs.push_back(make_recv(src, tag, t, 256));
+      ASSERT_EQ(hashed.post(hashed_recvs.back()),
+                legacy.post(legacy_recvs.back()))
+          << "post " << src << "," << tag;
+    };
+    auto wildcard = [&](int src, int tag, std::uint64_t cls) {
+      post(cls & 1 ? kAnySource : src, cls & 2 ? kAnyTag : tag);
+    };
+
+    for (int round = 0; round < 3; ++round) {
+      // Fill 36 pair lanes (12 sources x 3 tags) in arrival order, then
+      // drain them with receives of every wildcard class, and refill.
+      for (int tag = 0; tag < 3; ++tag) {
+        for (int src = 0; src < kSources; ++src) deposit(src, tag);
+      }
+      for (int k = 0; k < 3 * kSources; ++k) {
+        const int src = static_cast<int>(rng.below(0, ctr++, kSources));
+        wildcard(src, static_cast<int>(rng.below(1, ctr++, 3)), k % 4);
+      }
+      // Leftover receives (a wildcard may have taken another lane's
+      // message) are consumed by fresh deposits.
+      for (int k = 0; k < 3 * kSources; ++k) {
+        const int src = static_cast<int>(rng.below(2, ctr++, kSources));
+        deposit(src, static_cast<int>(rng.below(3, ctr++, 3)));
+      }
+    }
+    // Collective traffic: every operation takes the next internal tag, so
+    // a channel sees each of the 1024 values come and go twice over.
+    for (int seq = 0; seq < 2100; ++seq) {
+      const int tag = kInternalTagBase + seq % 1024;
+      const int src = seq % kSources;
+      if (seq % 3 == 0) {
+        post(src, tag);
+        deposit(src, tag);
+      } else {
+        deposit(src, tag);
+        wildcard(src, tag, rng.below(4, ctr++, 4));
+      }
+    }
+    // Random mix over more keys than kLinearMax, leaving both queues
+    // non-empty for the destructor to credit back.
+    for (int op = 0; op < 600; ++op) {
+      const int src = static_cast<int>(rng.below(5, ctr++, kSources));
+      const int tag = static_cast<int>(rng.below(6, ctr++, 10));
+      if (rng.below(7, ctr++, 2) == 0) {
+        deposit(src, tag);
+      } else {
+        wildcard(src, tag, rng.below(8, ctr++, 4));
+      }
+    }
+
+    EXPECT_EQ(hashed.pending_messages(), legacy.pending_messages());
+    EXPECT_EQ(hashed.pending_recvs(), legacy.pending_recvs());
+    EXPECT_GT(hashed.pending_messages() + hashed.pending_recvs(), 0u);
+    for (std::size_t i = 0; i < hashed_recvs.size(); ++i) {
+      const bool done = hashed.test_recv(hashed_recvs[i]);
+      ASSERT_EQ(done, legacy.test_recv(legacy_recvs[i])) << "recv " << i;
+      if (!done) continue;
+      const Status a = hashed.wait_recv(hashed_recvs[i]);
+      const Status b = legacy.wait_recv(legacy_recvs[i]);
+      EXPECT_EQ(a.source, b.source) << "recv " << i;
+      EXPECT_EQ(a.tag, b.tag) << "recv " << i;
+      EXPECT_EQ(a.bytes, b.bytes) << "recv " << i;
+      EXPECT_EQ(a.t_complete, b.t_complete) << "recv " << i;
+    }
+    EXPECT_EQ(mem.rank(0).hwm.load(), mem.rank(1).hwm.load());
+    EXPECT_EQ(mem.rank(0).current.load(), mem.rank(1).current.load());
+    EXPECT_GT(mem.rank(0).current.load(), 0u);
+  }
+  EXPECT_EQ(mem.rank(0).current.load(), 0u);
+  EXPECT_EQ(mem.rank(1).current.load(), 0u);
+}
+
+// LaneTable against std::map under random inserts and erases, with key
+// counts that cross kLinearMax in both directions and force index rebuilds
+// and backward-shift deletions (keys collide in the low bits on purpose).
+TEST(LaneTable, RandomInsertEraseMatchesMap) {
+  const mpisect::support::CounterRng rng(0x1A7E);
+  LaneTable<int> table;
+  std::map<std::uint64_t, int> ref;
+  std::uint64_t ctr = 0;
+  for (int op = 0; op < 20000; ++op) {
+    // Phases of growth and shrinkage: the live key count swings between a
+    // few and a few hundred.
+    const bool grow = (op / 2500) % 2 == 0;
+    const std::uint64_t hi = rng.below(0, ctr++, 64);
+    const std::uint64_t key = (hi << 32) | (rng.below(1, ctr++, 8) << 10);
+    if (rng.below(2, ctr++, 4) < (grow ? 3u : 1u)) {
+      table[key] += 1;
+      ref[key] += 1;
+    } else {
+      table.erase(key);
+      ref.erase(key);
+    }
+    if (op % 97 == 0) {
+      for (const auto& [k, v] : ref) {
+        const int* got = table.find(k);
+        ASSERT_NE(got, nullptr) << "op " << op << " key " << k;
+        ASSERT_EQ(*got, v) << "op " << op << " key " << k;
+      }
+      std::size_t n = 0;
+      table.for_each([&](std::uint64_t k, int& v) {
+        ++n;
+        EXPECT_EQ(ref.at(k), v);
+      });
+      ASSERT_EQ(n, ref.size()) << "op " << op;
+    }
+    ASSERT_EQ(table.find(key) != nullptr, ref.count(key) == 1) << "op " << op;
   }
 }
 

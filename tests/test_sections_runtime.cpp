@@ -1,10 +1,14 @@
 // MPI_Section runtime semantics: nesting invariants, MPI_MAIN bracketing,
-// callbacks with the 32-byte payload, validation mode, stack inspection.
+// callbacks with the 32-byte payload, validation mode, stack inspection,
+// and the label registry's concurrent interning.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/sections/api.hpp"
@@ -304,6 +308,84 @@ TEST(SectionLabels, InterningStableAndShared) {
   EXPECT_EQ(reg.name(12345), "?");
   EXPECT_EQ(reg.size(), 2u);
   EXPECT_EQ(reg.all().size(), 2u);
+}
+
+// Eight threads intern overlapping label sets into one registry: ids must
+// come out dense, every thread must see the same id for a label, and
+// name/lookup must agree with intern. Then two registries seeded in
+// opposite orders are hit from all threads at once: each must keep its own
+// ids (a hit cache shared across registries would leak one into the other),
+// also when a registry reuses the address of a destroyed one.
+TEST(SectionLabels, ConcurrentInternIsDenseAndPerRegistry) {
+  constexpr int kThreads = 8;
+  constexpr int kLabels = 96;
+  std::vector<std::string> text(kLabels);
+  for (int i = 0; i < kLabels; ++i) text[i] = "label-" + std::to_string(i);
+
+  LabelRegistry reg;
+  std::vector<std::vector<LabelId>> seen(
+      kThreads, std::vector<LabelId>(kLabels, kInvalidLabel));
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Thread t covers half the labels starting at 12 t, in its own
+        // stride order, three times over (later passes are all hits).
+        for (int pass = 0; pass < 3; ++pass) {
+          for (int k = 0; k < kLabels / 2; ++k) {
+            const int i = (12 * t + 7 * k) % kLabels;
+            const LabelId id = reg.intern(text[i]);
+            if (seen[t][i] == kInvalidLabel) seen[t][i] = id;
+            EXPECT_EQ(id, seen[t][i]);
+            EXPECT_EQ(reg.lookup(text[i]), id);
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  ASSERT_EQ(reg.size(), static_cast<std::size_t>(kLabels));
+  std::vector<bool> used(kLabels, false);
+  for (int i = 0; i < kLabels; ++i) {
+    const LabelId id = reg.lookup(text[i]);
+    ASSERT_LT(id, static_cast<LabelId>(kLabels)) << text[i];
+    EXPECT_FALSE(used[id]) << "id " << id << " handed out twice";
+    used[id] = true;
+    EXPECT_EQ(reg.name(id), text[i]);
+    EXPECT_EQ(reg.intern(text[i]), id);
+    for (int t = 0; t < kThreads; ++t) {
+      if (seen[t][i] != kInvalidLabel) {
+        EXPECT_EQ(seen[t][i], id);
+      }
+    }
+  }
+  EXPECT_EQ(reg.all()[reg.lookup(text[5])], text[5]);
+
+  for (int round = 0; round < 3; ++round) {
+    auto forward = std::make_unique<LabelRegistry>();
+    auto backward = std::make_unique<LabelRegistry>();
+    for (int i = 0; i < kLabels; ++i) {
+      ASSERT_EQ(forward->intern(text[i]), static_cast<LabelId>(i));
+      ASSERT_EQ(backward->intern(text[kLabels - 1 - i]),
+                static_cast<LabelId>(i));
+    }
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int k = 0; k < kLabels; ++k) {
+          const int i = (t + 5 * k) % kLabels;
+          EXPECT_EQ(forward->intern(text[i]), static_cast<LabelId>(i));
+          EXPECT_EQ(backward->intern(text[i]),
+                    static_cast<LabelId>(kLabels - 1 - i));
+          EXPECT_EQ(backward->lookup(text[i]),
+                    static_cast<LabelId>(kLabels - 1 - i));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(forward->size(), static_cast<std::size_t>(kLabels));
+    EXPECT_EQ(backward->size(), static_cast<std::size_t>(kLabels));
+  }
 }
 
 TEST(SectionLabels, HashDiffersByContent) {

@@ -380,6 +380,48 @@ TEST(Service, CorruptContainerIsACleanError) {
   std::remove(path.c_str());
 }
 
+// A trace atomically rewritten at the same path (write a temp file, rename
+// it over the old one) must be decoded again: info and replay answer with
+// the new content's digest, not the pinned decode of the old file.
+TEST(Service, RewrittenTraceAtSamePathIsReloaded) {
+  const std::string path = testutil::unique_temp_path("serve_rewrite", ".mpst");
+  const std::string tmp = path + ".tmp";
+  const trace::TraceFile before = fixture().tf;
+  const trace::TraceFile after = record_fixture(4, 12);
+  const std::string digest_before =
+      support::format_digest(codec::trace_digest(before));
+  const std::string digest_after =
+      support::format_digest(codec::trace_digest(after));
+  ASSERT_NE(digest_before, digest_after);
+
+  serve::Service svc;
+  auto ask = [&](const std::string& op, const std::string& params) {
+    return parse_response(svc.handle_line("{\"id\":1,\"op\":\"" + op +
+                                          "\",\"trace\":\"" + path + "\"" +
+                                          params + "}"));
+  };
+  const std::string replay_params =
+      ",\"params\":{\"model\":\"knl\",\"format\":\"csv\"}";
+  write_bytes(path, before.encode());
+  const support::JsonValue info0 = ask("info", "");
+  ASSERT_TRUE(info0.find("ok")->boolean);
+  EXPECT_EQ(info0.find("digest")->string, digest_before);
+  EXPECT_EQ(ask("replay", replay_params).find("digest")->string,
+            digest_before);
+
+  write_bytes(tmp, after.encode());
+  ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
+  const support::JsonValue info1 = ask("info", "");
+  ASSERT_TRUE(info1.find("ok")->boolean);
+  EXPECT_EQ(info1.find("digest")->string, digest_after);
+  EXPECT_EQ(info1.find("result")->string, serve::run_info(after));
+  const support::JsonValue replay1 = ask("replay", replay_params);
+  ASSERT_TRUE(replay1.find("ok")->boolean);
+  EXPECT_EQ(replay1.find("digest")->string, digest_after);
+  EXPECT_FALSE(replay1.find("cached")->boolean);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------- server --
 
 /// Connected loopback socket to the daemon, or -1 (after ADD_FAILURE).

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
@@ -174,6 +175,32 @@ TEST(TelemetrySampler, NestedSectionsUseExclusiveAttribution) {
   for (const auto& st : tl.section_totals) totals[st.label] = st.total;
   EXPECT_DOUBLE_EQ(totals["outer"], 1.5);  // inner's 2.0 not double-counted
   EXPECT_DOUBLE_EQ(totals["inner"], 2.0);
+}
+
+// Labels formatted into one reused buffer share a pointer but not a text:
+// each section must be attributed to the text it had when entered.
+TEST(Telemetry, ReusedLabelBufferIsAttributedToItsCurrentText) {
+  World world(1, ideal_options());
+  sections::SectionRuntime::install(world);
+  SamplerOptions sopts;
+  sopts.dt = 10.0;  // one window
+  auto sampler = TelemetrySampler::install(world, sopts);
+  world.run([](Ctx& ctx) {
+    Comm comm = ctx.world_comm();
+    char label[16];
+    for (int phase = 0; phase < 3; ++phase) {
+      std::snprintf(label, sizeof label, "phase%d", phase);
+      MPIX_Section_enter(comm, label);
+      ctx.compute_exact(1.0 + phase);
+      MPIX_Section_exit(comm, label);
+    }
+  });
+  const auto tl = telemetry::build_timeline(*sampler);
+  std::map<std::string, double> totals;
+  for (const auto& st : tl.section_totals) totals[st.label] = st.total;
+  EXPECT_DOUBLE_EQ(totals["phase0"], 1.0);
+  EXPECT_DOUBLE_EQ(totals["phase1"], 2.0);
+  EXPECT_DOUBLE_EQ(totals["phase2"], 3.0);
 }
 
 // ---------------------------------------------------------------------------
