@@ -3,9 +3,13 @@
 // backend vs the thread-per-rank reference, across rank counts and worker
 // pool sizes. The ranks/s counter is the number BENCH_*.json tracks — the
 // paper-scale worlds (64+ ranks, Table 7) are only practical when it stays
-// roughly flat as ranks grow past the core count.
+// roughly flat as ranks grow past the core count. Every benchmark here runs
+// on real time: the benchmark thread only waits while workers (or rank
+// threads) do the work, so its own CPU time would make any rate meaningless.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <ctime>
 #include <functional>
 
 #include "apps/convolution/convolution.hpp"
@@ -32,7 +36,7 @@ void run_world(int ranks, const mpisim::WorldOptions& opts, int steps) {
   sections::SectionRuntime::install(world);
   apps::conv::ConvolutionConfig cfg;
   cfg.width = 256;
-  cfg.height = 256;
+  cfg.height = std::max(256, ranks);  // the decomposition needs a row per rank
   cfg.steps = steps;
   cfg.full_fidelity = false;
   apps::conv::ConvolutionApp app(cfg);
@@ -60,6 +64,7 @@ BENCHMARK(BM_SchedulerCooperative)
     ->Arg(8)
     ->Arg(64)
     ->Arg(256)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Thread-per-rank reference: same work, one OS thread per virtual rank.
@@ -71,21 +76,37 @@ void BM_SchedulerThreads(benchmark::State& state) {
   for (auto _ : state) run_world(ranks, opts, /*steps=*/10);
   with_rank_counter(state, ranks);
 }
-BENCHMARK(BM_SchedulerThreads)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SchedulerThreads)
+    ->Arg(8)
+    ->Arg(64)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
-/// Worker-pool sensitivity at a fixed 64-rank world: serialized (1 worker)
-/// vs small pools. Virtual-time results are identical either way; only
-/// wall-clock changes.
+/// Worker-pool sensitivity: serialized (1 worker) vs small pools, at 64
+/// ranks and at 4096, where the ranks' state no longer fits in cache and
+/// cross-core traffic between halo neighbours shows. Args are (ranks,
+/// workers). Virtual-time results are identical either way; only
+/// wall-clock changes. cpu_us_per_rank_step is process CPU time (every
+/// worker) per rank per step: above its 1-worker value, the excess is
+/// parallel overhead.
 void BM_SchedulerWorkerSweep(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
+  const int ranks = static_cast<int>(state.range(0));
+  const int workers = static_cast<int>(state.range(1));
+  constexpr int kSteps = 10;
   const auto opts = options(mpisim::ExecBackend::Cooperative, workers);
-  for (auto _ : state) run_world(64, opts, /*steps=*/10);
-  with_rank_counter(state, 64);
+  const std::clock_t cpu0 = std::clock();
+  for (auto _ : state) run_world(ranks, opts, kSteps);
+  const double cpu_s =
+      static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
+  with_rank_counter(state, ranks);
+  state.counters["cpu_us_per_rank_step"] =
+      cpu_s * 1e6 /
+      (static_cast<double>(state.iterations()) * ranks * kSteps);
 }
 BENCHMARK(BM_SchedulerWorkerSweep)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
+    ->ArgNames({"ranks", "workers"})
+    ->ArgsProduct({{64, 4096}, {1, 2, 4}})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

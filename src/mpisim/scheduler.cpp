@@ -250,7 +250,11 @@ struct FiberTask {
   int rank = -1;
   FiberExecutor* exec = nullptr;
   const std::function<void(int)>* body = nullptr;
+  int home = 0;  ///< ready lane every wake and yield of this rank goes to
   bool finished = false;
+  /// Set by yield() before switching out: the worker requeues the task on
+  /// its home lane instead of counting it parked.
+  bool yielding = false;
   /// Stack + context are materialized by the first worker that resumes the
   /// task (lazy: unstarted ranks hold no stack, finished ranks give theirs
   /// back to the pool, so live stack demand tracks concurrently-active
@@ -261,7 +265,7 @@ struct FiberTask {
   ucontext_t* ret_uc = nullptr;
   /// Park handshake. A parking fiber registers itself on the waitpoint and
   /// releases the owner mutex BEFORE switching out (so lock ownership stays
-  /// with the fiber), which means a notifier can move it to the ready queue
+  /// with the fiber), which means a notifier can move it to a ready lane
   /// while its context is still being saved. `resumable` closes that race:
   /// cleared by the fiber before registering, set by its worker once
   /// swapcontext has returned (context fully saved); a resuming worker
@@ -290,9 +294,10 @@ std::size_t fiber_stack_bytes(std::size_t stack_kb) noexcept {
   std::size_t kb = kDefaultStackKb;
   if (stack_kb > 0) {
     kb = std::max(kMinStackKb, stack_kb);
-  } else if (const char* env = std::getenv("MPISECT_STACK_KB")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= static_cast<long>(kMinStackKb)) kb = static_cast<std::size_t>(v);
+  } else if (const int env = support::env_int(
+                 "MPISECT_STACK_KB", static_cast<int>(ExecModel::kMaxStackKb));
+             env > 0) {
+    kb = std::max(kMinStackKb, static_cast<std::size_t>(env));
   }
   return kb * 1024;
 }
@@ -340,7 +345,7 @@ void fiber_trampoline() {
   (*t->body)(t->rank);
   t->finished = true;
   fiber_switch_out(*t, /*final_exit=*/true);
-  // Unreachable: a finished fiber is never put back on the ready queue.
+  // Unreachable: a finished fiber is never put back on a ready lane.
   MPISECT_LOG_ERROR("fiber %d resumed after exit", t->rank);
   std::abort();
 }
@@ -359,15 +364,6 @@ class FiberExecutor final : public Executor {
   }
 
   void run(int n, const std::function<void(int)>& body) override {
-    {
-      const std::lock_guard lock(mu_);
-      total_ = n;
-      finished_ = 0;
-      running_ = 0;
-      parked_count_ = 0;
-      fired_ = false;
-      shutdown_ = false;
-    }
     stats_.reset();
     // Latch the wall-clock instrumentation decision once per run: the
     // hot paths below read a plain bool instead of the atomic, and the
@@ -375,8 +371,15 @@ class FiberExecutor final : public Executor {
     // it only reads the steady clock around scheduling transitions.
     timed_ = obs::timing_enabled();
     const obs::Span run_span("sched.run");
+    nw_ = std::min(workers_, std::max(1, n));
     MPISECT_LOG_DEBUG("scheduler: cooperative backend, %d ranks on %d workers",
-                      n, std::min(workers_, std::max(1, n)));
+                      n, nw_);
+    total_ = n;
+    finished_.store(0, std::memory_order_relaxed);
+    runnable_.store(n, std::memory_order_relaxed);
+    fired_.store(false, std::memory_order_relaxed);
+    shutdown_ = n == 0;
+    lanes_ = std::make_unique<Lane[]>(static_cast<std::size_t>(nw_));
     tasks_.clear();
     tasks_.reserve(static_cast<std::size_t>(n));
     for (int r = 0; r < n; ++r) {
@@ -384,32 +387,25 @@ class FiberExecutor final : public Executor {
       t->rank = r;
       t->exec = this;
       t->body = &body;
+      // Contiguous blocks: halo neighbours share a home lane, so their
+      // deposits, matches and wakes stay on one core.
+      t->home = static_cast<int>(static_cast<std::int64_t>(r) * nw_ / n);
       // Stack + makecontext happen lazily on first resume (see
       // start_task): an unstarted rank costs one FiberTask, not a stack
       // mapping, which is what lets 65k-rank worlds start up in O(active).
+      lanes_[t->home].ready.push_back(t.get());
       tasks_.push_back(std::move(t));
     }
-    {
-      const std::lock_guard lock(mu_);
-      for (const auto& t : tasks_) ready_.push_back(t.get());
-    }
 
-    const int nw = std::min(workers_, std::max(1, n));
     std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(nw));
-    for (int i = 0; i < nw; ++i) {
-      pool.emplace_back([this] { worker_main(); });
+    pool.reserve(static_cast<std::size_t>(nw_));
+    for (int i = 0; i < nw_; ++i) {
+      pool.emplace_back([this, i] { worker_main(i); });
     }
-    {
-      std::unique_lock lock(mu_);
-      done_cv_.wait(lock, [this] { return finished_ == total_; });
-      shutdown_ = true;
-    }
-    work_cv_.notify_all();
+    // The worker that retires the last task shuts the pool down. Finished
+    // tasks released their stacks + sanitizer fibers on the worker that
+    // retired them — nothing left to tear down but the task records.
     for (auto& w : pool) w.join();
-    // Every task has finished (done_cv_ gated on it), and finished tasks
-    // released their stacks + sanitizer fibers on the worker that retired
-    // them — nothing left to tear down but the task records.
     tasks_.clear();
   }
 
@@ -418,28 +414,17 @@ class FiberExecutor final : public Executor {
   }
   [[nodiscard]] int workers() const noexcept override { return workers_; }
 
-  [[nodiscard]] std::size_t ready_depth() const noexcept override {
-    const std::lock_guard lock(mu_);
-    return ready_.size();
-  }
-
   void yield() noexcept override {
     FiberTask* t = current_fiber();
     if (t == nullptr || t->exec != this) {
       std::this_thread::yield();
       return;
     }
-    // Go to the back of the ready queue so every runnable rank gets CPU
-    // time before we spin again. Same handshake as the park path: clear
-    // `resumable` before queueing, the worker re-sets it once swapcontext
-    // has fully saved this context. The task sits in ready_ (not parked),
-    // so quiescence correctly stays off while a yielding rank exists.
-    t->resumable.store(false, std::memory_order_relaxed);
-    {
-      const std::lock_guard g(mu_);
-      ready_.push_back(t);
-    }
-    work_cv_.notify_one();
+    // The worker puts us at the back of our home lane once swapcontext has
+    // saved this context, so every runnable rank of the lane gets CPU time
+    // before we spin again. The task stays counted runnable, so quiescence
+    // correctly stays off while a yielding rank exists.
+    t->yielding = true;
     fiber_switch_out(*t, /*final_exit=*/false);
   }
 
@@ -459,16 +444,12 @@ class FiberExecutor final : public Executor {
     // — a notifier (which must hold it to notify) can therefore never miss
     // a half-parked task — then release the mutex here on the fiber, so
     // lock ownership never crosses a context switch, and hand the CPU back
-    // to the worker. When a notify (or abort wake) moves us to the ready
-    // queue, a worker resumes us here; re-acquire the owner mutex to
+    // to the worker. When a notify (or abort wake) moves us to our home
+    // lane, a worker resumes us here; re-acquire the owner mutex to
     // restore the caller's invariant.
     t->resumable.store(false, std::memory_order_relaxed);
     stats_.parks.fetch_add(1, std::memory_order_relaxed);
-    {
-      const std::lock_guard g(mu_);
-      wp.parked_.push_back(t);
-      ++parked_count_;
-    }
+    wp.parked_.push_back(t);
     lk.unlock();
     fiber_switch_out(*t, /*final_exit=*/false);
     lk.lock();
@@ -481,8 +462,7 @@ class FiberExecutor final : public Executor {
     // Every write to parked_ holds the owner mutex, which the caller holds
     // too, so an empty list here is exact: nobody is parked and nobody is
     // half-way through parking. Most notifies (a deposit or post with no
-    // waiter) end here without touching the scheduler mutex.
-    if (wp.parked_.empty()) return;
+    // waiter) end in wake_parked's empty check without touching a lane.
     wake_parked(wp);
   }
 
@@ -573,8 +553,8 @@ class FiberExecutor final : public Executor {
   }
 
   /// First resume of a task: give it a stack and a context. Runs on the
-  /// resuming worker, outside the scheduler lock (mmap under mu_ would
-  /// serialize every worker behind a syscall).
+  /// resuming worker, outside every lane lock (mmap under one would
+  /// serialize that lane's workers behind a syscall).
   void start_task(FiberTask& t) {
     allocate_stack(t);
     (void)getcontext(&t.uc);
@@ -588,44 +568,93 @@ class FiberExecutor final : public Executor {
     t.started = true;
   }
 
-  /// Move every task parked on wp to the ready queue. Caller holds wp's
-  /// owner mutex (lock order: owner mutex, then mu_).
+  /// Move every task parked on wp to its home lane. Caller holds wp's owner
+  /// mutex, which guards parked_.
   void wake_parked(WaitPoint& wp) {
-    bool woke = false;
-    {
-      const std::lock_guard lock(mu_);
-      if (!wp.parked_.empty()) {
-        const std::uint64_t stamp = timed_ ? obs::now_ns() : 0;
-        for (void* p : wp.parked_) {
-          auto* t = static_cast<FiberTask*>(p);
-          if (stamp != 0) t->wake_ns.store(stamp, std::memory_order_relaxed);
-          ready_.push_back(t);
-          --parked_count_;
-        }
-        stats_.wakes.fetch_add(wp.parked_.size(), std::memory_order_relaxed);
-        const auto depth = static_cast<std::uint64_t>(ready_.size());
-        if (depth > stats_.max_ready.load(std::memory_order_relaxed)) {
-          stats_.max_ready.store(depth, std::memory_order_relaxed);
-        }
-        stats_.ready_depth_sum.fetch_add(depth, std::memory_order_relaxed);
-        stats_.ready_depth_samples.fetch_add(1, std::memory_order_relaxed);
-        wp.parked_.clear();
-        woke = true;
+    const std::size_t k = wp.parked_.size();
+    if (k == 0) return;
+    // Count the tasks runnable before publishing any: a fiber waker is
+    // itself counted, so the count cannot touch 0 between here and the
+    // woken tasks' next park.
+    const auto depth = static_cast<std::uint64_t>(
+        runnable_.fetch_add(static_cast<int>(k), std::memory_order_acq_rel) +
+        static_cast<int>(k));
+    if (timed_) {
+      const std::uint64_t stamp = obs::now_ns();
+      for (FiberTask* t : wp.parked_) {
+        t->wake_ns.store(stamp, std::memory_order_relaxed);
       }
     }
-    if (woke) work_cv_.notify_all();
+    push(wp.parked_.data(), k);
+    wp.parked_.clear();
+    stats_.wakes.fetch_add(k, std::memory_order_relaxed);
+    obs::update_max(stats_.max_ready, depth);
+    stats_.ready_depth_sum.fetch_add(depth, std::memory_order_relaxed);
+    stats_.ready_depth_samples.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Caller holds mu_. All live tasks parked, nothing ready or running, no
-  /// wake pending (a pending wake is a ready task) — exact deadlock.
-  bool quiescent_locked() {
-    if (fired_ || running_ != 0 || !ready_.empty()) return false;
-    if (parked_count_ == 0 || finished_ >= total_) return false;
-    fired_ = true;
-    return true;
+  /// Append tasks to their home lanes (one lock hold per run of tasks that
+  /// share a lane), then wake sleeping workers. A sleeper registers in
+  /// sleepers_ before it checks the lanes under their locks, so either it
+  /// sees these tasks or this load sees it.
+  void push(FiberTask* const* ts, std::size_t k) {
+    for (std::size_t i = 0; i < k;) {
+      Lane& lane = lanes_[ts[i]->home];
+      const std::lock_guard g(lane.mu);
+      do {
+        lane.ready.push_back(ts[i]);
+      } while (++i < k && ts[i]->home == ts[i - 1]->home);
+    }
+    if (sleepers_.load(std::memory_order_relaxed) == 0) return;
+    const std::lock_guard g(idle_mu_);
+    if (k > 1) {
+      idle_cv_.notify_all();
+    } else {
+      idle_cv_.notify_one();
+    }
   }
 
-  void worker_main() {
+  /// Own lane first, then steal from the others in turn.
+  FiberTask* pop(int self) {
+    for (int i = 0; i < nw_; ++i) {
+      Lane& lane = lanes_[(self + i) % nw_];
+      const std::lock_guard g(lane.mu);
+      if (!lane.ready.empty()) {
+        FiberTask* t = lane.ready.front();
+        lane.ready.pop_front();
+        return t;
+      }
+    }
+    return nullptr;
+  }
+
+  /// Sleep until some lane has a task (true) or the run is over (false).
+  bool sleep() {
+    std::unique_lock lock(idle_mu_);
+    sleepers_.fetch_add(1, std::memory_order_relaxed);
+    idle_cv_.wait(lock, [this] {
+      if (shutdown_) return true;
+      for (int i = 0; i < nw_; ++i) {
+        const std::lock_guard g(lanes_[i].mu);
+        if (!lanes_[i].ready.empty()) return true;
+      }
+      return false;
+    });
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    return !shutdown_;
+  }
+
+  /// The runnable count just reached 0. With ranks unfinished, every live
+  /// rank is parked with no wake pending (a pending wake is a counted
+  /// task) — exact deadlock, reported once per run.
+  void on_no_runnable() {
+    if (finished_.load(std::memory_order_acquire) < total_ &&
+        !fired_.exchange(true, std::memory_order_acq_rel)) {
+      fire_quiescence();
+    }
+  }
+
+  void worker_main(int self) {
     ucontext_t worker_uc;
 #if defined(MPISECT_TSAN_FIBERS)
     void* const worker_tsan = __tsan_get_current_fiber();
@@ -633,21 +662,19 @@ class FiberExecutor final : public Executor {
 #if defined(MPISECT_ASAN_FIBERS)
     void* asan_save = nullptr;
 #endif
-    std::unique_lock lock(mu_);
     for (;;) {
-      const std::uint64_t t_idle0 = timed_ ? obs::now_ns() : 0;
-      work_cv_.wait(lock, [this] { return shutdown_ || !ready_.empty(); });
-      if (timed_) {
-        stats_.idle_ns.fetch_add(obs::now_ns() - t_idle0,
-                                 std::memory_order_relaxed);
+      FiberTask* t = pop(self);
+      if (t == nullptr) {
+        const std::uint64_t t_idle0 = timed_ ? obs::now_ns() : 0;
+        const bool more = sleep();
+        if (timed_) {
+          stats_.idle_ns.fetch_add(obs::now_ns() - t_idle0,
+                                   std::memory_order_relaxed);
+        }
+        if (!more) return;
+        continue;
       }
-      if (ready_.empty()) return;  // shutdown
-      FiberTask* t = ready_.front();
-      ready_.pop_front();
-      ++running_;
-      lock.unlock();
       stats_.switches.fetch_add(1, std::memory_order_relaxed);
-
       // A freshly notified task may still be mid-park on another worker
       // (its context not yet saved); wait for the handshake. The window is
       // one swapcontext, so spinning beats blocking.
@@ -701,55 +728,59 @@ class FiberExecutor final : public Executor {
         t->tsan_fiber = nullptr;
 #endif
         release_stack(*t);
-        bool fire = false;
-        bool all_done = false;
-        {
-          const std::lock_guard g(mu_);
-          --running_;
-          ++finished_;
-          all_done = finished_ == total_;
-          fire = quiescent_locked();
+        const bool last =
+            finished_.fetch_add(1, std::memory_order_acq_rel) + 1 == total_;
+        if (runnable_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          on_no_runnable();
         }
-        if (all_done) done_cv_.notify_all();
-        if (fire) fire_quiescence();
+        if (last) {
+          const std::lock_guard g(idle_mu_);
+          shutdown_ = true;
+          idle_cv_.notify_all();
+        }
+      } else if (t->yielding) {
+        t->yielding = false;
+        push(&t, 1);
       } else {
         // The task parked (it registered itself on the waitpoint and
         // released the owner mutex before switching out). Its context is
-        // now fully saved: complete the handshake so a notified resume can
-        // proceed, and update the quiescence accounting.
-        bool fire = false;
-        {
-          const std::lock_guard g(mu_);
-          --running_;
-          fire = quiescent_locked();
-        }
+        // now fully saved: uncount it, then complete the handshake so a
+        // notified resume can proceed.
+        const bool none =
+            runnable_.fetch_sub(1, std::memory_order_acq_rel) == 1;
         t->resumable.store(true, std::memory_order_release);
-        if (fire) fire_quiescence();
+        if (none) on_no_runnable();
       }
-      lock.lock();
     }
   }
+
+  struct alignas(64) Lane {
+    std::mutex mu;
+    std::deque<FiberTask*> ready;
+  };
 
   int workers_;
   std::size_t stack_bytes_;
   /// Whether this run reads wall clocks (latched from obs::timing_enabled
   /// before the worker pool starts; workers see it via thread creation).
   bool timed_ = false;
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::deque<FiberTask*> ready_;
+  int nw_ = 1;  ///< workers this run (min(workers_, n)), one lane each
+  int total_ = 0;
+  std::unique_ptr<Lane[]> lanes_;
   std::vector<std::unique_ptr<FiberTask>> tasks_;
   std::mutex pool_mu_;
   std::vector<Stack> stack_pool_;
   std::vector<Slab> slabs_;
   std::atomic<std::uint64_t> live_stack_bytes_{0};
-  int total_ = 0;
-  int finished_ = 0;
-  int running_ = 0;
-  int parked_count_ = 0;
-  bool fired_ = false;
-  bool shutdown_ = false;
+  /// Tasks ready or running. Its own cache line: every park and wake
+  /// updates it from every worker.
+  alignas(64) std::atomic<int> runnable_{0};
+  std::atomic<int> finished_{0};
+  std::atomic<bool> fired_{false};
+  alignas(64) std::atomic<int> sleepers_{0};  ///< read by every push
+  std::mutex idle_mu_;
+  std::condition_variable idle_cv_;
+  bool shutdown_ = false;  ///< guarded by idle_mu_
 };
 
 // ---------------------------------------------------------------------------
@@ -758,9 +789,9 @@ class FiberExecutor final : public Executor {
 
 int resolve_workers(int workers) noexcept {
   if (workers > 0) return workers;
-  if (const char* env = std::getenv("MPISECT_WORKERS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<int>(v);
+  if (const int env = support::env_int("MPISECT_WORKERS", ExecModel::kMaxWorkers);
+      env > 0) {
+    return env;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
@@ -830,8 +861,18 @@ ExecModel ExecModel::parse(const std::string& spec) {
       throw MpiError(Err::Arg, std::string("exec ") + e.what());
     }
     if (key == "workers") {
+      if (value > kMaxWorkers) {
+        throw MpiError(Err::Arg, "exec workers=" + raw +
+                                     " exceeds the bound of " +
+                                     std::to_string(kMaxWorkers));
+      }
       m.workers = value;
     } else if (key == "stack") {
+      if (static_cast<std::size_t>(value) > kMaxStackKb) {
+        throw MpiError(Err::Arg, "exec stack=" + raw +
+                                     " KiB exceeds the bound of " +
+                                     std::to_string(kMaxStackKb) + " KiB");
+      }
       m.stack_kb = static_cast<std::size_t>(value);
     } else {
       throw MpiError(Err::Arg,

@@ -10,7 +10,12 @@
 //     until they block, then parks them on the WaitPoint and picks up the
 //     next runnable fiber. Parking costs one user-space context switch, so
 //     worlds with thousands of ranks multiplex over a handful of OS
-//     threads instead of oversubscribing the machine.
+//     threads instead of oversubscribing the machine. Each worker owns one
+//     ready lane, and rank r's home lane is that of the worker owning its
+//     contiguous block (r * workers / n): a wake or a yield appends the
+//     rank to its home lane, so halo neighbours' messages and wakes stay on
+//     one core. A worker pops its own lane first and steals from the others
+//     before it sleeps; there is no global ready-queue lock.
 //   * Threads: one OS thread per rank, waits are plain condition-variable
 //     blocks. Kept as the differential-testing reference — virtual-time
 //     results must be bit-identical between the two backends for the same
@@ -25,7 +30,10 @@
 // parked with no wake pending, the quiescence handler fires. That is the
 // scheduler's "all runnable tasks parked" signal — a true deadlock by
 // construction, which replaces the checker's old real-time watchdog with
-// deterministic detection.
+// deterministic detection. The cooperative backend keeps one atomic count
+// of ready-or-running tasks: a wake adds to it before it publishes a task,
+// a park subtracts once the fiber's context is saved, a finish subtracts
+// too, and the count reaching 0 with ranks unfinished is the signal.
 #pragma once
 
 #include <atomic>
@@ -58,6 +66,11 @@ enum class ExecBackend {
 ///   cooperative:workers=4,stack=256  256 KiB fiber stacks
 ///   threads                        one OS thread per rank
 struct ExecModel {
+  /// Bounds on the knobs, for specs and environment variables alike: a
+  /// hostile value is rejected before any thread or stack exists.
+  static constexpr int kMaxWorkers = 1024;
+  static constexpr std::size_t kMaxStackKb = 1048576;  ///< 1 GiB
+
   ExecBackend backend = ExecBackend::Cooperative;
   int workers = 0;          ///< 0 = MPISECT_WORKERS env, else hw concurrency
   std::size_t stack_kb = 0; ///< 0 = MPISECT_STACK_KB env, else 1 MiB; min 64
@@ -68,12 +81,14 @@ struct ExecModel {
   /// Canonical spec string; ExecModel::parse(spec()) == *this.
   [[nodiscard]] std::string spec() const;
   /// Parse a spec string. Throws MpiError(Err::Arg) on unknown presets,
-  /// unknown options, or options on the threads backend.
+  /// unknown options, options on the threads backend, or values above
+  /// kMaxWorkers / kMaxStackKb.
   static ExecModel parse(const std::string& spec);
   static std::string choices();
 };
 
 class WaitPoint;
+struct FiberTask;
 
 /// Wall-clock execution counters maintained by the backends (relaxed
 /// atomics, bumped on the park/wake paths). These describe *scheduling*,
@@ -84,8 +99,9 @@ struct ExecStats {
   std::atomic<std::uint64_t> parks{0};      ///< rank blocked on a WaitPoint
   std::atomic<std::uint64_t> wakes{0};      ///< tasks moved back to ready
   std::atomic<std::uint64_t> switches{0};   ///< fiber resumes (coop backend)
-  std::atomic<std::uint64_t> max_ready{0};  ///< peak ready-queue depth
-  /// Ready-queue depth sampled at every wake batch (sum / samples = mean).
+  /// Peak runnable ranks (ready or running), sampled at every wake batch.
+  std::atomic<std::uint64_t> max_ready{0};
+  /// Runnable ranks sampled at every wake batch (sum / samples = mean).
   std::atomic<std::uint64_t> ready_depth_sum{0};
   std::atomic<std::uint64_t> ready_depth_samples{0};
   /// Wake-to-resume latency of parked fibers. Only accumulated while
@@ -139,7 +155,7 @@ class Executor {
   void wake_all() noexcept;
 
   /// Reschedule the calling rank without blocking it: on the cooperative
-  /// backend the current fiber goes to the back of the ready queue so other
+  /// backend the current fiber goes to the back of its home lane so other
   /// runnable ranks get CPU time; on the thread backend this is an OS
   /// yield. Completion-test loops (Request::test) call this so a spinning
   /// rank can never starve the peer that would complete its request.
@@ -163,10 +179,6 @@ class Executor {
   /// exact stack high-water mark. Accounting only — never affects
   /// scheduling or virtual time.
   void set_mem_account(obs::MemAccount* acct) noexcept { mem_ = acct; }
-
-  /// Ranks currently runnable but not running (cooperative backend's ready
-  /// queue; always 0 for the thread backend). Racy snapshot, telemetry only.
-  [[nodiscard]] virtual std::size_t ready_depth() const noexcept { return 0; }
 
  protected:
   Executor() = default;
@@ -235,12 +247,10 @@ class WaitPoint {
   /// waiter records it before blocking; "epoch unchanged" is both the
   /// cv wait predicate and the "no wake pending" half of quiescence.
   std::atomic<std::uint64_t> epoch_{0};
-  /// Fiber backend: tasks parked here (FiberTask*). Every write holds the
-  /// owner mutex and then the scheduler mutex; a task is added before the
-  /// parking fiber releases the owner mutex, so a notifier (which holds
-  /// it) never misses a half-parked task and may read the list under the
-  /// owner mutex alone.
-  std::vector<void*> parked_;
+  /// Fiber backend: tasks parked here. Every access holds the owner mutex;
+  /// a task is added before the parking fiber releases it, so a notifier
+  /// (which holds it) never misses a half-parked task.
+  std::vector<FiberTask*> parked_;
   /// Slot in the executor's registry (maintained by add/remove_waitpoint so
   /// deregistration is O(1) — worlds create one WaitPoint per channel, and
   /// a 65k-rank teardown cannot afford a linear registry scan each).
@@ -248,13 +258,14 @@ class WaitPoint {
 };
 
 /// Number of worker threads `workers` resolves to: the value itself if > 0,
-/// else the MPISECT_WORKERS environment variable, else hardware_concurrency.
+/// else the MPISECT_WORKERS environment variable (read by support::env_int,
+/// bounded by ExecModel::kMaxWorkers), else hardware_concurrency.
 [[nodiscard]] int resolve_workers(int workers) noexcept;
 
 /// Create an executor. workers is resolved via resolve_workers() and only
 /// meaningful for the cooperative backend. stack_kb sets the fiber stack
-/// size (clamped up to 64 KiB); 0 falls back to MPISECT_STACK_KB, else
-/// 1 MiB.
+/// size (clamped up to 64 KiB); 0 falls back to MPISECT_STACK_KB (bounded
+/// by ExecModel::kMaxStackKb, clamped up likewise), else 1 MiB.
 [[nodiscard]] std::unique_ptr<Executor> make_executor(ExecBackend backend,
                                                       int workers = 0,
                                                       std::size_t stack_kb = 0);

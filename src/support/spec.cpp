@@ -1,8 +1,11 @@
 #include "support/spec.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+
+#include "support/log.hpp"
 
 namespace mpisect::support {
 
@@ -42,6 +45,20 @@ int spec_int(const std::string& value) {
       v > 0x7fffffff) {
     throw std::invalid_argument("spec value is not a non-negative integer: " +
                                 value);
+  }
+  return static_cast<int>(v);
+}
+
+int env_int(const char* name, int max) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return 0;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(env, &end, 10);
+  if (end == env || *end != '\0' || errno == ERANGE || v < 1 || v > max) {
+    MPISECT_LOG_WARN("ignoring %s=%s: expected an integer in [1, %d]", name,
+                     env, max);
+    return 0;
   }
   return static_cast<int>(v);
 }

@@ -31,6 +31,13 @@ struct SpecParts {
 /// std::invalid_argument on garbage, fractions, or negatives.
 [[nodiscard]] int spec_int(const std::string& value);
 
+/// Read environment variable `name` as an integer in [1, max]. Returns 0
+/// when it is unset; a value that is not an integer in that range is
+/// ignored with a warning and also reads as 0. Every numeric knob taken
+/// from the environment goes through here, so none can ask for an
+/// unbounded number of threads or bytes.
+[[nodiscard]] int env_int(const char* name, int max);
+
 /// %g keeps canonical specs short (5e-08, 0.05) and round-trippable
 /// through strtod for every value a user can express on the flag.
 [[nodiscard]] std::string spec_value(double v);

@@ -2,15 +2,19 @@
 // thread-per-rank backend (virtual time is a pure function of program
 // order + seeded draws, never of scheduling), worker-count independence,
 // scale (256 ranks on a fixed worker pool), exact deadlock quiescence,
-// and the max-accumulator / multi-run lifecycle fixes that rode along.
+// the per-worker home lanes (quiescence across lanes, stealing from one
+// loaded lane), the bounds on the --exec knobs, and the max-accumulator /
+// multi-run lifecycle fixes that rode along.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +26,8 @@
 #include "mpisim/runtime.hpp"
 #include "mpisim/scheduler.hpp"
 #include "profiler/section_profiler.hpp"
+#include "support/log.hpp"
+#include "support/spec.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/timeline.hpp"
@@ -170,6 +176,190 @@ TEST(Scheduler, ResolveWorkersHonorsEnvironment) {
   EXPECT_EQ(mpisim::resolve_workers(7), 7);  // explicit beats env
   ::unsetenv("MPISECT_WORKERS");
   EXPECT_GE(mpisim::resolve_workers(0), 1);
+}
+
+// Hostile --exec values are rejected at parse time, naming the bound, so
+// no world and no thread is ever built from one.
+TEST(Scheduler, ExecSpecRejectsWorkersAndStacksAboveTheirBounds) {
+  const auto parse_error = [](const std::string& spec) -> std::string {
+    try {
+      (void)mpisim::ExecModel::parse(spec);
+    } catch (const MpiError& err) {
+      EXPECT_EQ(err.code(), Err::Arg) << spec;
+      return err.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(mpisim::ExecModel::parse("cooperative:workers=1024").workers,
+            1024);
+  EXPECT_EQ(mpisim::ExecModel::parse("cooperative:stack=1048576").stack_kb,
+            1048576u);
+  EXPECT_NE(parse_error("cooperative:workers=1025").find("1024"),
+            std::string::npos);
+  EXPECT_NE(parse_error("cooperative:workers=2147483647").find("1024"),
+            std::string::npos);
+  EXPECT_NE(parse_error("cooperative:stack=1048577").find("1048576"),
+            std::string::npos);
+  EXPECT_NE(parse_error("cooperative:workers=4,stack=2147483647")
+                .find("1048576"),
+            std::string::npos);
+  EXPECT_FALSE(parse_error("cooperative:workers=99999999999").empty());
+}
+
+// MPISECT_WORKERS and MPISECT_STACK_KB share one bounded reader: values
+// outside [1, bound] or not integers are ignored with a warning.
+TEST(Scheduler, EnvironmentKnobsIgnoreOutOfRangeValues) {
+  std::string log;
+  support::set_log_capture(&log);
+  ::setenv("MPISECT_WORKERS", "2147483647", 1);
+  EXPECT_EQ(support::env_int("MPISECT_WORKERS", 1024), 0);
+  // Falls back to the hardware default instead of 2^31 - 1 threads.
+  EXPECT_EQ(mpisim::resolve_workers(0),
+            static_cast<int>(
+                std::max(1u, std::thread::hardware_concurrency())));
+  ::setenv("MPISECT_WORKERS", "99999999999999999999", 1);  // strtol overflow
+  EXPECT_EQ(support::env_int("MPISECT_WORKERS", 1024), 0);
+  ::setenv("MPISECT_WORKERS", "4x", 1);
+  EXPECT_EQ(support::env_int("MPISECT_WORKERS", 1024), 0);
+  ::setenv("MPISECT_WORKERS", "1024", 1);
+  EXPECT_EQ(mpisim::resolve_workers(0), 1024);
+  ::unsetenv("MPISECT_WORKERS");
+  EXPECT_EQ(support::env_int("MPISECT_WORKERS", 1024), 0);
+  ::setenv("MPISECT_STACK_KB", "1048577", 1);
+  EXPECT_EQ(support::env_int("MPISECT_STACK_KB",
+                             static_cast<int>(mpisim::ExecModel::kMaxStackKb)),
+            0);
+  ::unsetenv("MPISECT_STACK_KB");
+  support::set_log_capture(nullptr);
+  EXPECT_NE(log.find("ignoring MPISECT_WORKERS=2147483647"),
+            std::string::npos)
+      << log;
+  EXPECT_NE(log.find("ignoring MPISECT_STACK_KB=1048577"), std::string::npos)
+      << log;
+}
+
+// ---------------------------------------------------------------------------
+// Home lanes: rank r lives on lane r * workers / n. Each test runs at 1, 2
+// and 4 workers, so the same scenario covers one lane, two and four.
+// ---------------------------------------------------------------------------
+
+constexpr std::array<int, 3> kLaneWorkers{1, 2, 4};
+
+struct LaneRun {
+  int fires = 0;       ///< quiescence handler invocations
+  bool aborted = false;
+  std::vector<double> final_times;
+};
+
+LaneRun run_counting_quiescence(int ranks, int workers,
+                                const std::function<void(Ctx&)>& body) {
+  World world(ranks, nehalem_options(ExecBackend::Cooperative, workers));
+  std::atomic<int> fires{0};
+  world.set_deadlock_handler([&fires] { fires.fetch_add(1); });
+  LaneRun out;
+  try {
+    world.run(body);
+  } catch (const MpiError& err) {
+    out.aborted = err.code() == Err::Aborted && world.aborted();
+  }
+  out.fires = fires.load();
+  out.final_times = world.final_times();
+  return out;
+}
+
+// A receive ring: every rank waits on its right neighbour, which never
+// sends. At 4 workers the 16 blocked ranks sit in all four home lanes; the
+// last park anywhere must fire the handler exactly once.
+TEST(SchedulerLanes, DeadlockAcrossEveryLaneFiresOnceAndAborts) {
+  for (const int workers : kLaneWorkers) {
+    const LaneRun run = run_counting_quiescence(16, workers, [](Ctx& ctx) {
+      Comm comm = ctx.world_comm();
+      std::array<char, 4> buf{};
+      comm.recv(buf.data(), buf.size(), (comm.rank() + 1) % comm.size(), 0);
+    });
+    EXPECT_EQ(run.fires, 1) << "workers=" << workers;
+    EXPECT_TRUE(run.aborted) << "workers=" << workers;
+  }
+}
+
+// Rank 0 stays runnable (yielding) while every other rank parks on a
+// receive from it, then exits without sending: its finish, not a park, is
+// the transition that leaves no runnable rank.
+TEST(SchedulerLanes, LastRunnerFinishingOverOrphanedWaitsFiresOnce) {
+  for (const int workers : kLaneWorkers) {
+    const LaneRun run = run_counting_quiescence(16, workers, [](Ctx& ctx) {
+      Comm comm = ctx.world_comm();
+      if (comm.rank() == 0) {
+        for (int i = 0; i < 200; ++i) ctx.world().executor().yield();
+        return;
+      }
+      std::array<char, 4> buf{};
+      comm.recv(buf.data(), buf.size(), 0, 0);
+    });
+    EXPECT_EQ(run.fires, 1) << "workers=" << workers;
+    EXPECT_TRUE(run.aborted) << "workers=" << workers;
+  }
+}
+
+// All the work in one home block: in a 64-rank world ranks 0-15 (lane 0 at
+// every worker count here) ping-pong 200 rounds in pairs, the rest exit at
+// once. Other workers must steal from lane 0, and virtual time must still
+// equal the thread-per-rank reference.
+TEST(SchedulerLanes, OneLoadedHomeBlockMatchesThreadsBackend) {
+  const auto body = [](Ctx& ctx) {
+    Comm comm = ctx.world_comm();
+    const int r = comm.rank();
+    if (r >= 16) return;
+    std::array<char, 256> buf{};
+    const int peer = r ^ 1;
+    for (int round = 0; round < 200; ++round) {
+      if (r % 2 == 0) {
+        comm.send(buf.data(), buf.size(), peer, round);
+        comm.recv(buf.data(), buf.size(), peer, round);
+      } else {
+        comm.recv(buf.data(), buf.size(), peer, round);
+        comm.send(buf.data(), buf.size(), peer, round);
+      }
+      ctx.compute_exact(1e-6 * (r + 1));
+    }
+  };
+  World reference(64, nehalem_options(ExecBackend::Threads));
+  reference.run(body);
+  for (const int workers : kLaneWorkers) {
+    const LaneRun run = run_counting_quiescence(64, workers, body);
+    EXPECT_EQ(run.fires, 0) << "workers=" << workers;
+    EXPECT_FALSE(run.aborted) << "workers=" << workers;
+    EXPECT_EQ(run.final_times, reference.final_times())
+        << "workers=" << workers;
+  }
+}
+
+// Request::test polling whose partner sits in another lane: each rank
+// delays its send by a rank-dependent number of yields (past the test spin
+// budget, so some pollers park on the completion event meanwhile). A
+// yielding rank stays runnable, so quiescence must never fire.
+TEST(SchedulerLanes, TestPollingAcrossLanesNeverFiresEarly) {
+  for (const int workers : kLaneWorkers) {
+    const LaneRun run = run_counting_quiescence(8, workers, [](Ctx& ctx) {
+      Comm comm = ctx.world_comm();
+      const int r = comm.rank();
+      const int n = comm.size();
+      const int partner = (r + n / 2) % n;  // always in another lane
+      std::array<char, 64> in{};
+      std::array<char, 64> out{};
+      Comm::Request recv = comm.irecv(in.data(), in.size(), partner, 0);
+      for (int i = 0; i < 40 * (r + 1); ++i) ctx.world().executor().yield();
+      Comm::Request send = comm.isend(out.data(), out.size(), partner, 0);
+      bool recv_done = false;
+      bool send_done = false;
+      while (!recv_done || !send_done) {
+        if (!recv_done) recv_done = recv.test();
+        if (!send_done) send_done = send.test();
+      }
+    });
+    EXPECT_EQ(run.fires, 0) << "workers=" << workers;
+    EXPECT_FALSE(run.aborted) << "workers=" << workers;
+  }
 }
 
 // Head-to-head receives with no checker attached: the scheduler itself

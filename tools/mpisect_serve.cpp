@@ -40,10 +40,12 @@
 #include <string>
 #include <vector>
 
+#include "mpisim/scheduler.hpp"
 #include "obs/spans.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "support/cli.hpp"
+#include "support/spec.hpp"
 
 namespace {
 
@@ -56,9 +58,8 @@ void on_signal(int) {
 }
 
 int env_workers() {
-  const char* env = std::getenv("MPISECT_WORKERS");
-  if (env == nullptr) return 1;
-  const int n = std::atoi(env);
+  const int n =
+      support::env_int("MPISECT_WORKERS", mpisim::ExecModel::kMaxWorkers);
   return n >= 1 ? n : 1;
 }
 
@@ -114,6 +115,11 @@ int cmd_serve(int argc, const char* const* argv) {
   args.add_int("cache-mb", 64, "result cache capacity (megabytes)");
   if (!parse_with_self_trace(args, argc, argv)) return 1;
 
+  if (args.get_int("workers") > mpisim::ExecModel::kMaxWorkers) {
+    std::fprintf(stderr, "mpisect-serve: --workers exceeds the bound of %d\n",
+                 mpisim::ExecModel::kMaxWorkers);
+    return 1;
+  }
   int workers = static_cast<int>(args.get_int("workers"));
   if (workers <= 0) workers = env_workers();
 

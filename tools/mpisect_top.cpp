@@ -316,6 +316,12 @@ int main(int argc, char** argv) {
     // --workers (legacy knob) overrides the workers= key of --exec.
     mpisim::ExecModel em = mpisim::ExecModel::parse(args.get_string("exec"));
     if (args.get_int("workers") > 0) {
+      if (args.get_int("workers") > mpisim::ExecModel::kMaxWorkers) {
+        throw mpisim::MpiError(
+            mpisim::Err::Arg,
+            "--workers exceeds the bound of " +
+                std::to_string(mpisim::ExecModel::kMaxWorkers));
+      }
       em.workers = static_cast<int>(args.get_int("workers"));
     }
     const auto world_ptr = mpisim::Session(ranks, opts)
