@@ -13,14 +13,13 @@
 //     rows so the row decomposition stays valid up to 65,536 ranks).
 //     Emits BENCH_scale.json; CI floors the p=256 ranks/s against a
 //     committed baseline.
-//   * init: Session/WorldBuilder construction time vs the deprecated eager
-//     World(nranks, options) constructor, 1k -> 65k ranks. Lazy
-//     construction is O(1) per unstarted rank; the curve proves it.
-//   * matching: hashed vs legacy engine on the adversarial funnel (rank 0
-//     posts p-1 descending-source receives, every other rank sends one
-//     message), where the legacy scan is O(p^2). Virtual times must be
-//     bit-identical between engines; at p >= 16384 the hashed engine must
-//     be >= 2x faster (enforced unless --no-enforce).
+//   * init: World construction time (no run), 1k -> 65k ranks.
+//     Construction is lazy, O(1) per unstarted rank; the curve proves it.
+//   * matching: ranks/s on the adversarial funnel (rank 0 posts p-1
+//     descending-source receives, every other rank sends one message),
+//     where a linear-scan matcher is O(p^2). CI floors the funnel's ranks/s
+//     against a committed baseline at p=1024 (quick) and p=16384 (scale),
+//     and floors ranks/s at p=16384 over p=1024 within the scale run.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -126,9 +125,9 @@ double now_wall_s() {
 /// Adversarial matching funnel: rank 0 posts p-1 explicit-source receives
 /// in DESCENDING source order, then every other rank sends one eager
 /// message. Deposits arrive in ascending source order (cooperative
-/// scheduling), so the legacy engine scans past every not-yet-matched
-/// posted receive on each deposit — Theta(p^2) compares — while the hashed
-/// engine finds the (src,tag) lane head in O(1).
+/// scheduling), so a linear-scan matcher would walk past every
+/// not-yet-matched posted receive on each deposit — Theta(p^2) compares —
+/// while the channel finds the (src,tag) lane head in O(1).
 void funnel_body(mpisim::Ctx& ctx) {
   mpisim::Comm world = ctx.world_comm();
   const int p = world.size();
@@ -148,44 +147,36 @@ void funnel_body(mpisim::Ctx& ctx) {
   }
 }
 
-struct FunnelResult {
-  double wall_s = 0.0;
-  std::vector<double> final_times;
-};
+/// Positive rank counts from a comma list.
+std::vector<int> rank_list(const std::string& csv) {
+  std::vector<int> out;
+  for (const auto& tok : support::split(csv, ',')) {
+    const int p = std::atoi(tok.c_str());
+    if (p > 0) out.push_back(p);
+  }
+  return out;
+}
 
-FunnelResult funnel_once(int p, const std::string& match) {
+/// Wall seconds of one funnel run.
+double funnel_s(int p) {
   const auto world_ptr = mpisim::Session(p)
                              .world_builder()
                              .machine(mpisim::MachineModel::nehalem_cluster())
                              .seed(0xC0FFEE)
-                             .match_spec(match)
                              .build();
-  mpisim::World& world = *world_ptr;
-  FunnelResult r;
   const double t0 = now_wall_s();
-  world.run(funnel_body);
-  r.wall_s = now_wall_s() - t0;
-  r.final_times = world.final_times();
-  return r;
+  world_ptr->run(funnel_body);
+  return now_wall_s() - t0;
 }
 
-/// Construction-only timings (no run): the Sessions-style lazy path vs the
-/// deprecated eager constructor, same options.
-double init_lazy_s(int p) {
+/// Construction-only timing (no run).
+double init_s(int p) {
   const double t0 = now_wall_s();
   const auto world_ptr =
       mpisim::Session(p)
           .world_builder()
           .machine(mpisim::MachineModel::nehalem_cluster())
           .build();
-  return now_wall_s() - t0;
-}
-
-double init_eager_s(int p) {
-  mpisim::WorldOptions opts;
-  opts.machine = mpisim::MachineModel::nehalem_cluster();
-  const double t0 = now_wall_s();
-  mpisim::World world(p, opts);
   return now_wall_s() - t0;
 }
 
@@ -209,9 +200,9 @@ int main(int argc, char** argv) {
   args.add_int("scale-steps", 10, "time-steps per scaling point");
   args.add_string("init-ranks", "1024,4096,16384,65536",
                   "comma list of rank counts for the Session-init curve");
-  args.add_int("funnel-ranks", 16384,
-               "rank count for the hashed-vs-legacy matching funnel "
-               "(0 = skip)");
+  args.add_string("funnel-ranks", "16384",
+                  "comma list of rank counts for the matching funnel "
+                  "('' = skip)");
   args.add_flag("quick", "reduced run for smoke testing");
   args.add_flag("no-enforce",
                 "report the overhead bar without failing on it "
@@ -228,17 +219,9 @@ int main(int argc, char** argv) {
                 true};
   int reps = static_cast<int>(args.get_int("reps"));
   int scale_steps = static_cast<int>(args.get_int("scale-steps"));
-  std::vector<int> scale_ranks;
-  for (const auto& tok : support::split(args.get_string("scale-ranks"), ',')) {
-    const int p = std::atoi(tok.c_str());
-    if (p > 0) scale_ranks.push_back(p);
-  }
-  std::vector<int> init_ranks;
-  for (const auto& tok : support::split(args.get_string("init-ranks"), ',')) {
-    const int p = std::atoi(tok.c_str());
-    if (p > 0) init_ranks.push_back(p);
-  }
-  int funnel_ranks = static_cast<int>(args.get_int("funnel-ranks"));
+  std::vector<int> scale_ranks = rank_list(args.get_string("scale-ranks"));
+  std::vector<int> init_ranks = rank_list(args.get_string("init-ranks"));
+  std::vector<int> funnel_ranks = rank_list(args.get_string("funnel-ranks"));
   if (args.get_flag("quick")) {
     modeled.steps = 20;
     full.steps = 4;
@@ -247,7 +230,7 @@ int main(int argc, char** argv) {
     scale_steps = 2;
     scale_ranks = {64, 256};
     init_ranks = {1024, 4096};
-    funnel_ranks = std::min(funnel_ranks, 1024);
+    funnel_ranks = {1024};
   }
   const std::uint64_t seed = 0xC0FFEE;
 
@@ -328,67 +311,29 @@ int main(int argc, char** argv) {
                     {"spans", static_cast<double>(m.spans)}});
   }
 
-  // ---- Session init: lazy WorldBuilder vs deprecated eager ctor ----------
+  // ---- world construction --------------------------------------------------
   std::printf("\nworld construction (no run — ctor cost only):\n");
-  std::printf("  %6s %14s %14s %8s\n", "p", "lazy ms", "eager ms", "ratio");
+  std::printf("  %6s %14s\n", "p", "ms");
   for (const int p : init_ranks) {
-    const double lazy_s = init_lazy_s(p);
-    const double eager_s = init_eager_s(p);
-    const double ratio = lazy_s > 0.0 ? eager_s / lazy_s : 0.0;
-    std::printf("  %6d %14.3f %14.3f %7.1fx\n", p, lazy_s * 1e3,
-                eager_s * 1e3, ratio);
-    scale_json.add("obs/init/p:" + std::to_string(p), lazy_s,
-                   {{"ranks", static_cast<double>(p)},
-                    {"init_lazy_s", lazy_s},
-                    {"init_eager_s", eager_s},
-                    {"eager_over_lazy", ratio}});
+    const double t = init_s(p);
+    std::printf("  %6d %14.3f\n", p, t * 1e3);
+    scale_json.add("obs/init/p:" + std::to_string(p), t,
+                   {{"ranks", static_cast<double>(p)}, {"init_lazy_s", t}});
   }
 
-  // ---- matching engines: hashed vs legacy on the O(p^2) funnel -----------
-  bool match_ok = true;
-  if (funnel_ranks > 1) {
-    const FunnelResult hashed = funnel_once(funnel_ranks, "hashed");
-    const FunnelResult legacy = funnel_once(funnel_ranks, "legacy");
-    if (hashed.final_times != legacy.final_times) {
-      std::fprintf(stderr,
-                   "FAIL: hashed and legacy matching disagree on virtual "
-                   "time at p=%d\n",
-                   funnel_ranks);
-      return 1;
-    }
-    const double speedup =
-        hashed.wall_s > 0.0 ? legacy.wall_s / hashed.wall_s : 0.0;
-    const double hashed_rps =
-        hashed.wall_s > 0.0 ? funnel_ranks / hashed.wall_s : 0.0;
-    const double legacy_rps =
-        legacy.wall_s > 0.0 ? funnel_ranks / legacy.wall_s : 0.0;
+  // ---- matching on the O(p^2)-for-a-scan funnel ---------------------------
+  for (const int p : funnel_ranks) {
+    if (p < 2) continue;
+    const double wall_s = funnel_s(p);
+    const double rps = wall_s > 0.0 ? p / wall_s : 0.0;
     std::printf("\nmatching funnel (p=%d, %d descending-source receives):\n",
-                funnel_ranks, funnel_ranks - 1);
-    std::printf("  hashed: %9.3f ms (%12.0f ranks/s)\n", hashed.wall_s * 1e3,
-                hashed_rps);
-    std::printf("  legacy: %9.3f ms (%12.0f ranks/s)\n", legacy.wall_s * 1e3,
-                legacy_rps);
-    match_ok = funnel_ranks < 16384 || speedup >= 2.0;
-    std::printf("  hashed speedup: %.1fx%s  %s\n", speedup,
-                funnel_ranks >= 16384 ? " (target >= 2x)" : "",
-                match_ok ? "PASS" : "BELOW TARGET");
-    std::printf("  virtual times bit-identical across engines\n");
-    scale_json.add("obs/funnel/p:" + std::to_string(funnel_ranks),
-                   hashed.wall_s,
-                   {{"ranks", static_cast<double>(funnel_ranks)},
-                    {"legacy_time_s", legacy.wall_s},
-                    {"hashed_ranks_per_s", hashed_rps},
-                    {"legacy_ranks_per_s", legacy_rps},
-                    {"hashed_speedup", speedup}});
+                p, p - 1);
+    std::printf("  %9.3f ms (%12.0f ranks/s)\n", wall_s * 1e3, rps);
+    scale_json.add("obs/funnel/p:" + std::to_string(p), wall_s,
+                   {{"ranks", static_cast<double>(p)}, {"ranks_per_s", rps}});
   }
   if (!scale_json.write(args.get_string("scale_out"))) return 1;
 
-  if (!match_ok && !args.get_flag("no-enforce")) {
-    std::fprintf(stderr,
-                 "FAIL: hashed matching below the 2x funnel bar at p=%d\n",
-                 funnel_ranks);
-    return 1;
-  }
   if (!bar_ok && !args.get_flag("no-enforce")) {
     std::fprintf(stderr,
                  "FAIL: self-trace overhead %.2f%% exceeds the 2%% bar\n",

@@ -24,15 +24,13 @@ void accumulate_run(int nranks, const mpisim::MachineModel& machine,
                     std::map<std::string, support::RunningStats>& mpi_time,
                     support::RunningStats& walltime,
                     const mpisim::faults::FaultPlan& faults = {},
-                    const std::string& exec = "cooperative",
-                    const std::string& match = "hashed") {
+                    const std::string& exec = "cooperative") {
   const auto world_ptr = mpisim::Session(nranks)
                              .world_builder()
                              .machine(machine)
                              .seed(seed)
                              .faults(faults)
                              .exec_spec(exec)
-                             .match_spec(match)
                              .build();
   mpisim::World& world = *world_ptr;
   sections::SectionRuntime::install(world);
@@ -81,7 +79,7 @@ RunPoint run_convolution_point(int nranks, const ConvolutionSweepOptions& o) {
           cfg.full_fidelity = false;
           return std::make_unique<apps::conv::ConvolutionApp>(cfg);
         },
-        pp, tot, mpi, wall, o.faults, o.exec, o.match);
+        pp, tot, mpi, wall, o.faults, o.exec);
   }
   return finalize(pp, tot, mpi, wall);
 }
@@ -107,7 +105,7 @@ RunPoint run_lulesh_point(int nranks, const LuleshRunOptions& o) {
           cfg.full_fidelity = false;
           return std::make_unique<apps::lulesh::LuleshApp>(cfg);
         },
-        pp, tot, mpi, wall, {}, o.exec, o.match);
+        pp, tot, mpi, wall, {}, o.exec);
   }
   return finalize(pp, tot, mpi, wall);
 }

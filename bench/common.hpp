@@ -42,8 +42,6 @@ struct ConvolutionSweepOptions {
   mpisim::faults::FaultPlan faults;
   /// Execution backend spec, e.g. "cooperative:workers=4,stack=128".
   std::string exec = "cooperative";
-  /// Matching engine spec, e.g. "hashed:buckets=64" or "legacy".
-  std::string match = "hashed";
 };
 
 /// Run the Modeled-fidelity convolution benchmark at one rank count,
@@ -58,9 +56,8 @@ struct LuleshRunOptions {
   std::uint64_t seed = 0x10113;
   minomp::Schedule schedule = minomp::Schedule::Static;
   mpisim::MachineModel machine = mpisim::MachineModel::knl();
-  /// Execution backend / matching engine specs (see WorldBuilder).
+  /// Execution backend spec (see WorldBuilder).
   std::string exec = "cooperative";
-  std::string match = "hashed";
 };
 
 /// Run the Modeled-fidelity mini-Lulesh at one (ranks, threads) point.

@@ -2,67 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <stdexcept>
 
 #include "mpisim/error.hpp"
-#include "support/spec.hpp"
 
 namespace mpisect::mpisim {
-
-// ---------------------------------------------------------------------------
-// MatchModel: the --match spec
-// ---------------------------------------------------------------------------
-
-const char* MatchModel::name() const noexcept {
-  return mode == MatchMode::Legacy ? "legacy" : "hashed";
-}
-
-std::string MatchModel::spec() const {
-  std::string s = name();
-  if (mode == MatchMode::Hashed && buckets > 0) {
-    s += ":buckets=" + std::to_string(buckets);
-  }
-  return s;
-}
-
-MatchModel MatchModel::parse(const std::string& spec) {
-  support::SpecParts parts;
-  try {
-    parts = support::parse_spec(spec);
-  } catch (const std::invalid_argument& e) {
-    throw MpiError(Err::Arg, std::string("match ") + e.what());
-  }
-
-  MatchModel m;
-  if (parts.preset == "hashed") {
-    m.mode = MatchMode::Hashed;
-  } else if (parts.preset == "legacy") {
-    m.mode = MatchMode::Legacy;
-  } else {
-    throw MpiError(Err::Arg, "unknown match preset '" + parts.preset +
-                                 "' (expected " + choices() + ")");
-  }
-  require(parts.options.empty() || m.mode == MatchMode::Hashed, Err::Arg,
-          "legacy takes no options");
-
-  for (const auto& [key, raw] : parts.options) {
-    int value = 0;
-    try {
-      value = support::spec_int(raw);
-    } catch (const std::invalid_argument& e) {
-      throw MpiError(Err::Arg, std::string("match ") + e.what());
-    }
-    if (key == "buckets") {
-      m.buckets = static_cast<std::size_t>(value);
-    } else {
-      throw MpiError(Err::Arg,
-                     "unknown match option '" + key + "' for hashed");
-    }
-  }
-  return m;
-}
-
-std::string MatchModel::choices() { return "hashed[:buckets=N]|legacy"; }
 
 // ---------------------------------------------------------------------------
 // Channel
@@ -72,10 +15,6 @@ Channel::~Channel() {
   // Credit back whatever never matched so the world's MemAccount drains to
   // zero when all channels die (a leak here would poison the next world's
   // high-water mark reading).
-  if (mem_ != nullptr && legacy_ != nullptr) {
-    for (const auto& m : legacy_->unexpected) mem_->sub(queued_bytes(*m));
-    mem_->sub(legacy_->posted.size() * sizeof(PostedRecv));
-  }
   for (MsgNode* n = um_all_.head; n != nullptr;) {
     MsgNode* next = n->next[3];
     if (mem_ != nullptr) mem_->sub(queued_bytes(*n->msg));
@@ -106,21 +45,6 @@ Channel::~Channel() {
     delete n;
     n = next;
   }
-}
-
-void Channel::reserve_tables(std::size_t lanes) {
-  um_by_pair_.reserve(lanes);
-  um_by_src_.reserve(lanes);
-  um_by_tag_.reserve(lanes);
-  pr_by_pair_.reserve(lanes);
-  pr_by_src_.reserve(lanes);
-  pr_by_tag_.reserve(lanes);
-}
-
-bool Channel::compatible(const PostedRecv& r, const Message& m) noexcept {
-  const bool src_ok = r.src == kAnySource || r.src == m.src;
-  const bool tag_ok = r.tag == kAnyTag || r.tag == m.tag;
-  return src_ok && tag_ok;
 }
 
 void Channel::complete_match(const MessagePtr& msg,
@@ -185,7 +109,7 @@ void Channel::free_recv_node(RecvNode* n) {
   recv_free_ = n;
 }
 
-// --- hashed engine ---------------------------------------------------------
+// --- index lists -----------------------------------------------------------
 
 void Channel::append(MsgList& list, MsgNode* n, int k) noexcept {
   n->prev[k] = list.tail;
@@ -249,11 +173,31 @@ void Channel::index_wildcards() {
   }
 }
 
-std::size_t Channel::deposit_hashed(const MessagePtr& msg) {
+Channel::MsgList* Channel::probe_lane(int src, int tag) {
+  if (src != kAnySource && tag != kAnyTag) {
+    return um_by_pair_.find(pair_key(src, tag));
+  }
+  if (src == kAnySource && tag == kAnyTag) return &um_all_;
+  if (!wild_index_) index_wildcards();
+  if (src != kAnySource) return um_by_src_.find(one_key(src));
+  return um_by_tag_.find(one_key(tag));
+}
+
+// --- public operations -----------------------------------------------------
+
+std::size_t Channel::deposit(const MessagePtr& msg) {
+  const std::lock_guard lock(mu_);
+  if (msg->fault_lost) {
+    // Injected loss: the retransmit budget was exhausted, so the message
+    // never reaches the matching engine. An eager sender proceeds unaware;
+    // a rendezvous sender blocks in wait_delivered until quiescence, where
+    // the checker attributes the hang to the fault plan.
+    return um_count_;
+  }
   // Candidate receive lanes for this (src,tag): one per wildcard class.
   // Each lane's head is its earliest-posted member, so the global earliest
-  // compatible receive is the min post-ordinal among the four heads —
-  // identical to the legacy scan's "first compatible in post order".
+  // compatible receive is the min post-ordinal among the four heads: the
+  // first compatible receive in post order.
   LaneTable<RecvList>* tables[3] = {&pr_by_pair_, &pr_by_src_, &pr_by_tag_};
   const std::uint64_t keys[3] = {pair_key(msg->src, msg->tag),
                                  one_key(msg->src), one_key(msg->tag)};
@@ -291,7 +235,8 @@ std::size_t Channel::deposit_hashed(const MessagePtr& msg) {
   return um_count_;
 }
 
-std::size_t Channel::post_hashed(const PostedRecvPtr& recv) {
+std::size_t Channel::post(const PostedRecvPtr& recv) {
+  const std::lock_guard lock(mu_);
   // The receive's wildcard class picks the one message index whose head is
   // the earliest-arrival compatible message (every index list preserves
   // arrival order).
@@ -329,63 +274,6 @@ std::size_t Channel::post_hashed(const PostedRecvPtr& recv) {
   ++pr_count_;
   if (mem_ != nullptr) mem_->add(sizeof(PostedRecv));
   return pr_count_;
-}
-
-Channel::MsgList* Channel::probe_lane(int src, int tag) {
-  if (src != kAnySource && tag != kAnyTag) {
-    return um_by_pair_.find(pair_key(src, tag));
-  }
-  if (src == kAnySource && tag == kAnyTag) return &um_all_;
-  if (!wild_index_) index_wildcards();
-  if (src != kAnySource) return um_by_src_.find(one_key(src));
-  return um_by_tag_.find(one_key(tag));
-}
-
-// --- public operations -----------------------------------------------------
-
-std::size_t Channel::deposit(const MessagePtr& msg) {
-  const std::lock_guard lock(mu_);
-  if (msg->fault_lost) {
-    // Injected loss: the retransmit budget was exhausted, so the message
-    // never reaches the matching engine. An eager sender proceeds unaware;
-    // a rendezvous sender blocks in wait_delivered until quiescence, where
-    // the checker attributes the hang to the fault plan.
-    return legacy_ == nullptr ? um_count_ : legacy_->unexpected.size();
-  }
-  if (legacy_ == nullptr) return deposit_hashed(msg);
-  auto& posted = legacy_->posted;
-  for (auto it = posted.begin(); it != posted.end(); ++it) {
-    if (compatible(**it, *msg)) {
-      complete_match(msg, *it);
-      posted.erase(it);
-      if (mem_ != nullptr) mem_->sub(sizeof(PostedRecv));
-      wp_.notify_all();
-      return 0;
-    }
-  }
-  legacy_->unexpected.push_back(msg);
-  if (mem_ != nullptr) mem_->add(queued_bytes(*msg));
-  // Wake probers waiting for a matching envelope.
-  wp_.notify_all();
-  return legacy_->unexpected.size();
-}
-
-std::size_t Channel::post(const PostedRecvPtr& recv) {
-  const std::lock_guard lock(mu_);
-  if (legacy_ == nullptr) return post_hashed(recv);
-  auto& unexpected = legacy_->unexpected;
-  for (auto it = unexpected.begin(); it != unexpected.end(); ++it) {
-    if (compatible(*recv, **it)) {
-      if (mem_ != nullptr) mem_->sub(queued_bytes(**it));
-      complete_match(*it, recv);
-      unexpected.erase(it);
-      wp_.notify_all();
-      return 0;
-    }
-  }
-  legacy_->posted.push_back(recv);
-  if (mem_ != nullptr) mem_->add(sizeof(PostedRecv));
-  return legacy_->posted.size();
 }
 
 Status Channel::wait_recv(const PostedRecvPtr& recv) {
@@ -442,23 +330,9 @@ double Channel::wait_delivered(const MessagePtr& msg) {
 Status Channel::probe(int src, int tag, double t_probe) {
   std::unique_lock lock(mu_);
   for (;;) {
-    const Message* found = nullptr;
-    if (legacy_ == nullptr) {
-      const MsgList* lane = probe_lane(src, tag);
-      if (lane != nullptr && lane->head != nullptr) {
-        found = lane->head->msg.get();
-      }
-    } else {
-      const PostedRecv pattern{src, tag, t_probe, nullptr, 0, false, false,
-                               {}};
-      for (const auto& msg : legacy_->unexpected) {
-        if (compatible(pattern, *msg)) {
-          found = msg.get();
-          break;
-        }
-      }
-    }
-    if (found != nullptr) {
+    const MsgList* lane = probe_lane(src, tag);
+    if (lane != nullptr && lane->head != nullptr) {
+      const Message* found = lane->head->msg.get();
       Status st;
       st.source = found->src;
       st.tag = found->tag;
@@ -483,12 +357,12 @@ Status Channel::probe(int src, int tag, double t_probe) {
 
 std::size_t Channel::pending_messages() {
   const std::lock_guard lock(mu_);
-  return legacy_ == nullptr ? um_count_ : legacy_->unexpected.size();
+  return um_count_;
 }
 
 std::size_t Channel::pending_recvs() {
   const std::lock_guard lock(mu_);
-  return legacy_ == nullptr ? pr_count_ : legacy_->posted.size();
+  return pr_count_;
 }
 
 }  // namespace mpisect::mpisim

@@ -6,24 +6,20 @@
 // (source, tag) is compatible, and messages from one source never overtake
 // each other because a sender deposits in program order.
 //
-// Two interchangeable engines implement those rules:
-//
-//   * Hashed (default): O(1) amortized matching. Posted receives live in
-//     exactly one of four lanes keyed by their wildcard class — (src,tag),
-//     (src,ANY), (ANY,tag), (ANY,ANY) — each lane a FIFO; every receive
-//     carries a global post ordinal, and a deposit takes the minimum-ordinal
-//     head across the four candidate lanes, which is precisely "first
-//     compatible receive in post order". Unexpected messages are one node
-//     linked into four index lists (by pair, by source, by tag, arrival
-//     order), so a posting receive of any wildcard class finds its
-//     earliest-arrival candidate at a list head and a match unlinks in O(1)
-//     with no tombstones. Keyed lanes sit in flat LaneTables
-//     (lane_table.hpp): a short vector scanned linearly, indexed by an
-//     open-addressing hash past a few keys, and a lane is erased as soon as
-//     it drains, so cycling internal collective tags leave no empty lanes.
-//   * Legacy: the original linear scans over two deques, kept as the
-//     differential-testing reference. Virtual times are bit-identical
-//     between the engines by construction; tests enforce it.
+// The engine is O(1) amortized. Posted receives live in exactly one of
+// four lanes keyed by their wildcard class — (src,tag), (src,ANY),
+// (ANY,tag), (ANY,ANY) — each lane a FIFO; every receive carries a global
+// post ordinal, and a deposit takes the minimum-ordinal head across the
+// four candidate lanes, which is precisely "first compatible receive in
+// post order". Unexpected messages are one node linked into four index
+// lists (by pair, by source, by tag, arrival order), so a posting receive
+// of any wildcard class finds its earliest-arrival candidate at a list
+// head and a match unlinks in O(1) with no tombstones. Keyed lanes sit in
+// flat LaneTables (lane_table.hpp): a short vector scanned linearly,
+// indexed by an open-addressing hash past a few keys, and a lane is erased
+// as soon as it drains, so cycling internal collective tags leave no empty
+// lanes. tests/reference_matcher.hpp restates the rules as linear scans
+// over two deques; the channel tests drive both in lockstep.
 //
 // Matching is where virtual time crosses rank boundaries:
 //   eager:       t_deliver = max(t_post, t_avail)
@@ -38,10 +34,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "mpisim/lane_table.hpp"
 #include "mpisim/message.hpp"
@@ -49,33 +43,6 @@
 #include "obs/memory.hpp"
 
 namespace mpisect::mpisim {
-
-/// Which matching engine a Channel uses.
-enum class MatchMode {
-  Hashed,  ///< per-(src,tag) lanes + wildcard lists (default)
-  Legacy,  ///< linear deque scans (differential reference)
-};
-
-/// Matching-engine selection plus its tuning knobs, in the shared
-/// `preset[:key=value,...]` spec vocabulary (the `--match` flag):
-///
-///   hashed                 O(1) engine, lanes sized on demand
-///   hashed:buckets=64      reserve room for 64 lanes per lane table
-///   legacy                 linear-scan reference engine
-struct MatchModel {
-  MatchMode mode = MatchMode::Hashed;
-  std::size_t buckets = 0;  ///< initial lane reservation per lane table
-
-  bool operator==(const MatchModel&) const = default;
-
-  [[nodiscard]] const char* name() const noexcept;
-  /// Canonical spec string; MatchModel::parse(spec()) == *this.
-  [[nodiscard]] std::string spec() const;
-  /// Parse a spec string. Throws MpiError(Err::Arg) on unknown presets,
-  /// unknown options, or options on the legacy engine.
-  static MatchModel parse(const std::string& spec);
-  static std::string choices();
-};
 
 class Channel {
  public:
@@ -89,20 +56,11 @@ class Channel {
   /// byte queued in this channel is charged there and credited back on
   /// match, giving an exact per-rank high-water mark. Accounting observes,
   /// never decides — matching and delivery times are unaffected.
-  ///
-  /// `match` picks the engine; both produce identical matches and times.
   Channel(Executor& exec, const std::atomic<bool>* abort_flag,
           double rendezvous_extra = 0.0,
-          obs::MemAccount::RankMem* mem = nullptr,
-          MatchModel match = {}) noexcept
+          obs::MemAccount::RankMem* mem = nullptr) noexcept
       : abort_(abort_flag), rendezvous_extra_(rendezvous_extra), mem_(mem),
-        wp_(exec, mu_) {
-    if (match.mode == MatchMode::Legacy) {
-      legacy_ = std::make_unique<LegacyQueues>();
-    } else if (match.buckets > 0) {
-      reserve_tables(match.buckets);
-    }
-  }
+        wp_(exec, mu_) {}
 
   ~Channel();
 
@@ -161,7 +119,7 @@ class Channel {
   [[nodiscard]] std::size_t pending_recvs();
 
  private:
-  // --- hashed-engine stores -----------------------------------------------
+  // --- stores ----------------------------------------------------------------
   // One node per unexpected message, linked into four index lists at once.
   // Index 0: (src,tag) pair bucket; 1: per-source; 2: per-tag; 3: arrival
   // order (all messages). Every list preserves arrival order, so each
@@ -192,18 +150,10 @@ class Channel {
     RecvNode* tail = nullptr;
   };
 
-  /// The legacy engine's queues, allocated only in MatchMode::Legacy.
-  struct LegacyQueues {
-    std::deque<MessagePtr> unexpected;
-    std::deque<PostedRecvPtr> posted;
-  };
-
-  static bool compatible(const PostedRecv& r, const Message& m) noexcept;
   /// Pair up msg and recv: compute times, copy payload, flag completion.
   /// Caller holds the mutex.
   void complete_match(const MessagePtr& msg, const PostedRecvPtr& recv) const;
   void check_abort() const;
-  void reserve_tables(std::size_t lanes);
 
   static std::uint64_t pair_key(int src, int tag) noexcept {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
@@ -214,9 +164,7 @@ class Channel {
     return static_cast<std::uint32_t>(v);
   }
 
-  // Hashed-engine helpers (caller holds the mutex).
-  std::size_t deposit_hashed(const MessagePtr& msg);
-  std::size_t post_hashed(const PostedRecvPtr& recv);
+  // Helpers below run with the mutex held.
   /// The message index a (src, tag) receive or probe would match from
   /// (nullptr: no lane, so nothing queued for that key).
   MsgList* probe_lane(int src, int tag);
@@ -240,8 +188,6 @@ class Channel {
   }
 
   std::mutex mu_;
-  std::unique_ptr<LegacyQueues> legacy_;  ///< null unless MatchMode::Legacy
-  // Hashed engine state.
   LaneTable<MsgList> um_by_pair_;
   LaneTable<MsgList> um_by_src_;
   LaneTable<MsgList> um_by_tag_;
@@ -252,8 +198,8 @@ class Channel {
   RecvList pr_any_;                ///< (ANY, ANY)
   MsgNode* msg_free_ = nullptr;   ///< node freelist (allocation reuse)
   RecvNode* recv_free_ = nullptr;
-  std::size_t um_count_ = 0;  ///< unmatched queued messages (hashed)
-  std::size_t pr_count_ = 0;  ///< unmatched posted receives (hashed)
+  std::size_t um_count_ = 0;  ///< unmatched queued messages
+  std::size_t pr_count_ = 0;  ///< unmatched posted receives
   std::uint64_t pr_ord_ = 0;  ///< next post ordinal
   bool wild_index_ = false;   ///< um_by_src_/um_by_tag_ are maintained
 

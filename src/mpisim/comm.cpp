@@ -74,8 +74,7 @@ Channel& CommImpl::channel(int comm_rank) {
     // charged to that rank's world-level memory account.
     ch = new Channel(world_.executor(), world_.abort_flag(),
                      world_.progress().rendezvous_extra(),
-                     &world_.mem_account().rank(group_.world_rank(comm_rank)),
-                     world_.options().match);
+                     &world_.mem_account().rank(group_.world_rank(comm_rank)));
     slot.store(ch, std::memory_order_release);
   }
   return *ch;

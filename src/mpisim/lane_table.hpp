@@ -1,4 +1,4 @@
-// LaneTable — the flat key -> lane map behind the hashed matching engine.
+// LaneTable — the flat key -> lane map behind the matching engine.
 //
 // A Channel keeps six of these (message and receive lanes by (src,tag), by
 // source and by tag). A rank usually has a handful of live keys per table,
@@ -50,7 +50,7 @@ class LaneTable {
     if (!index_.empty() && 2 * lanes_.size() <= index_.size()) {
       index_[slot(key)] = static_cast<std::uint32_t>(lanes_.size());
     } else if (!index_.empty() || lanes_.size() > kLinearMax) {
-      rebuild_index(lanes_.size());
+      rebuild_index();
     }
     return lanes_.back().list;
   }
@@ -89,12 +89,6 @@ class LaneTable {
     lanes_.pop_back();
   }
 
-  /// Room for `n` lanes up front (the hashed:buckets=N knob).
-  void reserve(std::size_t n) {
-    lanes_.reserve(n);
-    if (n > kLinearMax) rebuild_index(n);
-  }
-
   /// fn(key, list) for every lane, in no particular order.
   template <class Fn>
   void for_each(Fn&& fn) {
@@ -127,10 +121,11 @@ class LaneTable {
     return i;
   }
 
-  /// Size the index for `n` lanes (at most half full) and re-insert all.
-  void rebuild_index(std::size_t n) {
+  /// Size the index for the current lanes (at most half full) and
+  /// re-insert all.
+  void rebuild_index() {
     std::size_t cap = 4 * kLinearMax;
-    while (cap < 2 * n) cap *= 2;
+    while (cap < 2 * lanes_.size()) cap *= 2;
     index_.assign(cap, 0);
     for (std::size_t p = 0; p < lanes_.size(); ++p) {
       index_[slot(lanes_[p].key)] = static_cast<std::uint32_t>(p + 1);

@@ -15,37 +15,7 @@
 
 namespace mpisect::mpisim {
 
-namespace {
-/// Warn-once latch for the deprecated eager World constructor. Plain
-/// atomic (not std::once_flag) so tests can reset it and assert the
-/// single-shot behaviour.
-std::atomic<bool> g_eager_ctor_warned{false};
-}  // namespace
-
-void World::reset_eager_ctor_warning_for_test() noexcept {
-  g_eager_ctor_warned.store(false, std::memory_order_relaxed);
-}
-
 World::World(int nranks, WorldOptions options)
-    : World(nranks, std::move(options), Lazy{}) {
-  if (!g_eager_ctor_warned.exchange(true, std::memory_order_relaxed)) {
-    MPISECT_LOG_WARN(
-        "World(nranks, options) is deprecated; use "
-        "mpisim::Session/WorldBuilder (session.hpp) which construct "
-        "per-rank state lazily");
-  }
-  // Preserve the eager API's observable behaviour: the world communicator
-  // (channel slots, per-rank sequence state) exists from construction.
-  // Context id 0 is taken literally rather than drawn from the counter:
-  // run() replaces this comm before anything can record its id, and
-  // consuming a counter slot here would shift every context id embedded
-  // in traces/hooks by one relative to a lazily built world.
-  std::vector<int> all(static_cast<std::size_t>(nranks_));
-  for (int r = 0; r < nranks_; ++r) all[static_cast<std::size_t>(r)] = r;
-  world_comm_ = std::make_shared<CommImpl>(*this, Group(std::move(all)), 0);
-}
-
-World::World(int nranks, WorldOptions options, Lazy)
     : nranks_(nranks), options_(std::move(options)), rng_(options_.seed) {
   require(nranks_ > 0, Err::Arg, "world size must be positive");
   clocks_.resize(static_cast<std::size_t>(nranks_));
@@ -74,8 +44,8 @@ World::World(int nranks, WorldOptions options, Lazy)
         options_.faults, options_.seed, nranks_);
   }
   // No world communicator yet: run() builds one per run, and CommImpl
-  // itself defers per-peer channels to first touch, so an unstarted lazy
-  // world holds no per-rank communication state at all.
+  // itself defers per-peer channels to first touch, so an unstarted world
+  // holds no per-rank communication state at all.
 }
 
 World::~World() = default;

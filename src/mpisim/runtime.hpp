@@ -71,10 +71,6 @@ struct WorldOptions {
   /// Fiber stack size in KiB for the cooperative backend: 0 =
   /// MPISECT_STACK_KB env var, else 1 MiB; values are clamped up to 64.
   std::size_t stack_kb = 0;
-  /// Message-matching engine (see channel.hpp). Hashed is the O(1) default;
-  /// Legacy keeps the linear-scan reference for differential testing. Both
-  /// produce bit-identical virtual times.
-  MatchModel match;
   /// Deterministic fault-injection plan (see faults/plan.hpp). An empty
   /// plan constructs no engine, so fault-free runs are bit-identical to a
   /// build without the fault layer.
@@ -96,18 +92,12 @@ class Extension {
 
 class World {
  public:
-  /// Eager construction — DEPRECATED. Builds the full world communicator
-  /// (one channel slot array plus per-rank state for every member) at
-  /// construction time, exactly as the original API did. Prefer
-  /// `Session`/`WorldBuilder` (session.hpp), which defer all per-rank
-  /// state to the first run() and construct channels on first touch; at
-  /// 65,536 ranks the difference is the bulk of startup time. This shim
-  /// logs a one-time deprecation warning and will be removed.
+  /// A world of `nranks` ranks. Construction is lazy: no world
+  /// communicator and no per-rank channel state exist until the first
+  /// run(), so building a 65,536-rank world costs O(1) per rank. Throws
+  /// MpiError(Err::Arg) if nranks <= 0.
   World(int nranks, WorldOptions options);
   ~World();
-
-  /// Reset the eager-constructor deprecation warn-once latch (tests only).
-  static void reset_eager_ctor_warning_for_test() noexcept;
 
   World(const World&) = delete;
   World& operator=(const World&) = delete;
@@ -217,11 +207,6 @@ class World {
 
  private:
   friend class Ctx;
-  friend class WorldBuilder;
-  /// Lazy construction (WorldBuilder::build()): no world communicator, no
-  /// per-rank channel state until run() — O(1) memory per unstarted rank.
-  struct Lazy {};
-  World(int nranks, WorldOptions options, Lazy);
 
   int nranks_;
   WorldOptions options_;

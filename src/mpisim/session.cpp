@@ -22,16 +22,13 @@ std::string WorldBuilder::describe() const {
   em.stack_kb = opts_.stack_kb;
   std::string s = "ranks=" + std::to_string(nranks_);
   s += " exec=" + em.spec();
-  s += " match=" + opts_.match.spec();
   s += " progress=" + opts_.progress.spec();
   s += " seed=" + std::to_string(opts_.seed);
   return s;
 }
 
 std::unique_ptr<World> WorldBuilder::build() const {
-  require(nranks_ > 0, Err::Arg, "world size must be positive");
-  // std::make_unique cannot reach the private lazy constructor.
-  return std::unique_ptr<World>(new World(nranks_, opts_, World::Lazy{}));
+  return std::make_unique<World>(nranks_, opts_);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,25 +1,21 @@
 // Sessions-style world construction (the MPI-4 Sessions shape, simulated).
 //
-// The original API built everything up front:
+// Every World is built lazily, whichever way it is spelled:
 //
-//   World world(65536, opts);          // eager: 65536 ranks of state, now
+//   World world(65536, opts);                // direct
 //
-// which at extreme scale pays for per-rank communicator state before a
-// single rank has run. The Sessions-style API separates *naming* the
-// process set from *materializing* it:
-//
-//   Session session(65536);
+//   Session session(65536);                  // or through a session
 //   auto world = session.world_builder()     // "mpi://WORLD" by default
 //                    .exec_spec("cooperative:workers=8,stack=128")
-//                    .match_spec("hashed")
-//                    .build();               // lazy: O(1) per unstarted rank
+//                    .progress_spec("blocking-only")
+//                    .build();               // O(1) per unstarted rank
 //   world->run(rank_main);                   // per-rank state appears here
 //
-// A lazy World defers the world communicator to run() (which rebuilt it
-// each run anyway) and CommImpl defers each peer channel to first touch,
-// so construction cost is independent of rank count. The eager
-// `World(nranks, options)` constructor remains as a deprecated warn-once
-// shim with identical observable behaviour.
+// A World defers the world communicator to run() (which rebuilds it each
+// run) and CommImpl defers each peer channel to first touch, so
+// construction cost is independent of rank count. The Session separates
+// *naming* the process set from *materializing* it, and its WorldBuilder
+// takes the shared spec strings, so CLI flags feed it directly.
 //
 // Process sets follow the MPI standard's two built-ins: "mpi://WORLD"
 // (all nranks) and "mpi://SELF" (one rank). Queries mirror
@@ -87,14 +83,6 @@ class WorldBuilder {
   WorldBuilder& exec_spec(const std::string& spec) {
     return exec(ExecModel::parse(spec));
   }
-  WorldBuilder& match(const MatchModel& m) {
-    opts_.match = m;
-    return *this;
-  }
-  /// e.g. "hashed:buckets=64" or "legacy".
-  WorldBuilder& match_spec(const std::string& spec) {
-    return match(MatchModel::parse(spec));
-  }
   WorldBuilder& progress(const ProgressModel& m) {
     opts_.progress = m;
     return *this;
@@ -118,8 +106,8 @@ class WorldBuilder {
   /// setter reproduces this builder).
   [[nodiscard]] std::string describe() const;
 
-  /// Construct the World lazily: per-rank communicator state is deferred
-  /// to run(). Throws MpiError(Err::Arg) if nranks <= 0.
+  /// Construct the World (lazily: per-rank communicator state is deferred
+  /// to run()). Throws MpiError(Err::Arg) if nranks <= 0.
   [[nodiscard]] std::unique_ptr<World> build() const;
 
  private:

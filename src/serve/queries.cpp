@@ -264,6 +264,14 @@ std::string run_timeline(const trace::TraceFile& tf, const TimelineQuery& q) {
   if (dt <= 0) {
     throw trace::TraceError("empty trace, nothing to bin");
   }
+  // Each window is a row per section: a tiny dt, or a what-if that
+  // stretches the makespan to infinity, must not bin without bound. The
+  // negated test also rejects a NaN ratio.
+  if (!(res.makespan / dt <= static_cast<double>(kMaxTimelineWindows))) {
+    throw trace::TraceError("dt bins the makespan into more than " +
+                            std::to_string(kMaxTimelineWindows) +
+                            " windows");
+  }
   const telemetry::Timeline tl = telemetry::timeline_from_replay(res, dt);
 
   support::Provenance prov = support::build_provenance();
@@ -275,6 +283,17 @@ std::string run_timeline(const trace::TraceFile& tf, const TimelineQuery& q) {
   if (q.format == "chrome") return telemetry::chrome_counters(tl, prov);
   throw trace::TraceError("unknown format '" + q.format +
                           "' (csv|json|chrome)");
+}
+
+std::uint64_t sweep_points(const SweepQuery& q) {
+  std::uint64_t n = 1;
+  for (const std::size_t len :
+       {q.models.size(), q.latency_scales.size(), q.bandwidth_scales.size(),
+        q.compute_scales.size(), q.drop_rates.size(), q.progress.size()}) {
+    if (len != 0 && n > kMaxSweepPoints / len) return kMaxSweepPoints + 1;
+    n *= len;
+  }
+  return n;
 }
 
 std::string run_sweep(const trace::TraceFile& tf, const SweepQuery& q) {

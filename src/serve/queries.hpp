@@ -66,6 +66,10 @@ struct TimelineQuery {
   std::string format = "csv";  ///< csv | json | chrome
 };
 
+/// Most windows a timeline query bins the makespan into (the default dt
+/// gives 100).
+inline constexpr std::uint64_t kMaxTimelineWindows = 100000;
+
 struct SweepQuery {
   std::vector<std::string> models{"recorded"};
   std::vector<double> latency_scales{1.0};
@@ -78,6 +82,15 @@ struct SweepQuery {
   std::uint64_t fault_seed = 0;
   double tseq = 0.0;
 };
+
+/// Largest sweep grid the serve daemon evaluates in one request. A sweep's
+/// time, memory and reply bytes grow linearly with its points; the largest
+/// documented grid has 36.
+inline constexpr std::uint64_t kMaxSweepPoints = 1024;
+
+/// Points in q's grid (the product of its six list lengths), saturating at
+/// kMaxSweepPoints + 1 so that no product overflows.
+[[nodiscard]] std::uint64_t sweep_points(const SweepQuery& q);
 
 struct AnalyzeQuery {
   std::string format = "text";  ///< text | csv | json

@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
 
@@ -58,6 +59,32 @@ double num_field(const support::JsonValue* params, const char* key,
                             "' must be a number");
   }
   return v->number;
+}
+
+/// Largest magnitude below which every integer is exactly a double.
+constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 53;
+
+bool is_integer_in(double v, double lo, double hi) {
+  return v >= lo && v <= hi && v == std::floor(v);  // false for NaN
+}
+
+/// An integer param in [lo, hi]. A JSON number outside the integer range
+/// cannot be cast (undefined behaviour), so it is an error naming the
+/// param, as is a fractional one.
+std::int64_t int_field(const support::JsonValue* params, const char* key,
+                       std::int64_t dflt, std::int64_t lo, std::int64_t hi) {
+  const double v = num_field(params, key, static_cast<double>(dflt));
+  if (!is_integer_in(v, static_cast<double>(lo), static_cast<double>(hi))) {
+    throw trace::TraceError(std::string("param '") + key +
+                            "' must be an integer in [" + std::to_string(lo) +
+                            ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<std::int64_t>(v);
+}
+
+std::uint64_t seed_field(const support::JsonValue* params) {
+  return static_cast<std::uint64_t>(
+      int_field(params, "fault_seed", 0, 0, kMaxExactInt));
 }
 
 bool bool_field(const support::JsonValue* params, const char* key,
@@ -152,7 +179,8 @@ ModelParams model_params(const support::JsonValue* params) {
   p.bandwidth_scale = num_field(params, "bandwidth_scale", p.bandwidth_scale);
   p.jitter_scale = num_field(params, "jitter_scale", p.jitter_scale);
   p.no_jitter = bool_field(params, "no_jitter", p.no_jitter);
-  p.eager = static_cast<std::uint64_t>(num_field(params, "eager", 0.0));
+  p.eager = static_cast<std::uint64_t>(
+      int_field(params, "eager", 0, 0, kMaxExactInt));
   p.compute_scale = str_field(params, "compute_scale", p.compute_scale);
   p.progress = str_field(params, "progress", p.progress);
   return p;
@@ -165,9 +193,35 @@ void check_model_keys(const support::JsonValue* params, Extra... extra_keys) {
   check_keys(params, allowed);
 }
 
+SweepQuery sweep_query(const support::JsonValue* params) {
+  SweepQuery q;
+  q.models = str_list_field(params, "models", q.models);
+  q.latency_scales =
+      num_list_field(params, "latency_scales", q.latency_scales);
+  q.bandwidth_scales =
+      num_list_field(params, "bandwidth_scales", q.bandwidth_scales);
+  q.compute_scales =
+      str_list_field(params, "compute_scales", q.compute_scales);
+  q.drop_rates = num_list_field(params, "drop_rates", q.drop_rates);
+  q.progress = str_list_field(params, "progress", q.progress);
+  q.fault_seed = seed_field(params);
+  q.tseq = num_field(params, "tseq", 0.0);
+  if (sweep_points(q) > kMaxSweepPoints) {
+    throw trace::TraceError("sweep grid exceeds " +
+                            std::to_string(kMaxSweepPoints) +
+                            " points (the product of the six list lengths)");
+  }
+  return q;
+}
+
+/// The request id echoed in the reply: an integer within ±2^53, else 0.
 std::string render_id(const support::JsonValue& req) {
   const support::JsonValue* v = req.find("id");
-  if (v == nullptr || !v->is_number()) return "0";
+  if (v == nullptr || !v->is_number() ||
+      !is_integer_in(v->number, -static_cast<double>(kMaxExactInt),
+                     static_cast<double>(kMaxExactInt))) {
+    return "0";
+  }
   char buf[32];
   std::snprintf(buf, sizeof buf, "%lld",
                 static_cast<long long>(v->number));
@@ -283,6 +337,7 @@ std::string Service::handle_line(const std::string& line) {
     const support::JsonValue* params = require_object(req, "params");
 
     std::string canon;
+    SweepQuery sweep;
     if (op == "info") {
       check_keys(params, {});
       canon = "info{}";
@@ -295,6 +350,8 @@ std::string Service::handle_line(const std::string& line) {
                  {"models", "latency_scales", "bandwidth_scales",
                   "compute_scales", "drop_rates", "progress", "fault_seed",
                   "tseq"});
+      // Parsed before the trace loads: an oversized grid costs nothing.
+      sweep = sweep_query(params);
     } else if (op == "analyze") {
       check_keys(params, {"format"});
     } else {
@@ -334,8 +391,7 @@ std::string Service::handle_line(const std::string& line) {
       ReplayQuery q;
       q.model = model_params(params);
       q.faults = str_field(params, "faults", "");
-      q.fault_seed =
-          static_cast<std::uint64_t>(num_field(params, "fault_seed", 0.0));
+      q.fault_seed = seed_field(params);
       q.format = str_field(params, "format", q.format);
       q.tseq = num_field(params, "tseq", 0.0);
       run_cached(canonical(q), [&] { return run_replay(lt->tf, q); });
@@ -343,26 +399,12 @@ std::string Service::handle_line(const std::string& line) {
       TimelineQuery q;
       q.model = model_params(params);
       q.faults = str_field(params, "faults", "");
-      q.fault_seed =
-          static_cast<std::uint64_t>(num_field(params, "fault_seed", 0.0));
+      q.fault_seed = seed_field(params);
       q.dt = num_field(params, "dt", 0.0);
       q.format = str_field(params, "format", q.format);
       run_cached(canonical(q), [&] { return run_timeline(lt->tf, q); });
     } else if (op == "sweep") {
-      SweepQuery q;
-      q.models = str_list_field(params, "models", q.models);
-      q.latency_scales =
-          num_list_field(params, "latency_scales", q.latency_scales);
-      q.bandwidth_scales =
-          num_list_field(params, "bandwidth_scales", q.bandwidth_scales);
-      q.compute_scales =
-          str_list_field(params, "compute_scales", q.compute_scales);
-      q.drop_rates = num_list_field(params, "drop_rates", q.drop_rates);
-      q.progress = str_list_field(params, "progress", q.progress);
-      q.fault_seed =
-          static_cast<std::uint64_t>(num_field(params, "fault_seed", 0.0));
-      q.tseq = num_field(params, "tseq", 0.0);
-      run_cached(canonical(q), [&] { return run_sweep(lt->tf, q); });
+      run_cached(canonical(sweep), [&] { return run_sweep(lt->tf, sweep); });
     } else {  // analyze
       AnalyzeQuery q;
       q.format = str_field(params, "format", q.format);

@@ -36,15 +36,6 @@ void ArgParser::add_flag(const std::string& name, const std::string& help) {
   order_.push_back(name);
 }
 
-void ArgParser::add_alias(const std::string& deprecated,
-                          const std::string& canonical) {
-  if (options_.find(canonical) == options_.end()) {
-    throw std::logic_error("ArgParser: alias '" + deprecated +
-                           "' targets undeclared option '" + canonical + "'");
-  }
-  aliases_[deprecated] = canonical;
-}
-
 void ArgParser::add_positional(const std::string& name,
                                const std::string& help) {
   options_[name] = Option{Kind::String, help, ""};
@@ -90,11 +81,6 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       value = arg.substr(eq + 1);
       arg = arg.substr(0, eq);
       has_value = true;
-    }
-    if (const auto al = aliases_.find(arg); al != aliases_.end()) {
-      MPISECT_LOG_WARN("%s",
-                       deprecation_message(program_, arg, al->second).c_str());
-      arg = al->second;
     }
     auto it = options_.find(arg);
     if (it == options_.end()) {
@@ -176,27 +162,14 @@ std::string ArgParser::usage() const {
     if (opt.kind != Kind::Flag) out += " (default: " + opt.value + ")";
     out += "\n";
   }
-  for (const auto& [dep, canon] : aliases_) {
-    out += pad_right("  --" + dep, 28) + "deprecated alias of --" + canon +
-           "\n";
-  }
   return out;
-}
-
-std::string deprecation_message(const std::string& program,
-                                const std::string& deprecated,
-                                const std::string& canonical) {
-  return program + ": warning: '--" + deprecated + "' is deprecated, use '--" +
-         canonical + "' instead";
 }
 
 void add_unified_flags(ArgParser& args, const std::string& model_default,
                        const std::string& export_default,
                        long long seed_default) {
   args.add_string("model", model_default, "machine model preset");
-  args.add_alias("machine", "model");
   args.add_string("export", export_default, "output format");
-  args.add_alias("format", "export");
   args.add_flag("json", "shorthand for --export json");
   args.add_int("seed", seed_default, "world seed");
   args.add_string("self-trace", "",
@@ -213,8 +186,6 @@ void add_world_flags(ArgParser& args) {
   args.add_string("exec", "cooperative",
                   "rank execution backend: "
                   "cooperative[:workers=N,stack=KB] | threads");
-  args.add_string("match", "hashed",
-                  "message-matching engine: hashed[:buckets=N] | legacy");
 }
 
 }  // namespace mpisect::support

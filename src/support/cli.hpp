@@ -3,18 +3,15 @@
 //   ArgParser args("bench_fig5", "Reproduce Fig. 5");
 //   args.add_int("procs", 64, "number of MPI ranks");
 //   args.add_flag("csv", "emit CSV instead of tables");
-//   args.add_alias("nprocs", "procs");   // deprecated spelling, warns
 //   if (!args.parse(argc, argv)) return 1;   // prints usage on --help/-h
 //   int p = args.get_int("procs");
 //
 // All mpisect-* tools share one flag vocabulary (add_unified_flags):
-//   --model <preset>   machine model   (deprecated alias: --machine)
-//   --export <fmt>     output format   (deprecated alias: --format)
+//   --model <preset>   machine model
+//   --export <fmt>     output format
 //   --json             shorthand for --export json
 //   --seed <n>         world seed
 //   --version          provenance banner
-// Deprecated aliases keep parsing but print a one-line stderr warning, so
-// existing scripts migrate at their own pace.
 #pragma once
 
 #include <map>
@@ -34,9 +31,6 @@ class ArgParser {
   void add_string(const std::string& name, std::string def,
                   const std::string& help);
   void add_flag(const std::string& name, const std::string& help);
-  /// Accept `--deprecated` as a spelling of the already-declared
-  /// `--canonical`, printing a one-line stderr warning when used.
-  void add_alias(const std::string& deprecated, const std::string& canonical);
   /// Declare a required positional argument (filled left to right).
   /// Read back with get_string(name).
   void add_positional(const std::string& name, const std::string& help);
@@ -69,22 +63,12 @@ class ArgParser {
   std::string description_;
   std::map<std::string, Option> options_;
   std::vector<std::string> order_;
-  std::map<std::string, std::string> aliases_;  ///< deprecated -> canonical
-  std::vector<std::string> positionals_;        ///< declaration order
+  std::vector<std::string> positionals_;  ///< declaration order
 };
 
-/// The one-line stderr warning parse() prints when a deprecated alias is
-/// used. Exposed so tests can assert the exact suggestion text: the
-/// message must name the precise replacement flag, not just say the old
-/// spelling is deprecated.
-[[nodiscard]] std::string deprecation_message(const std::string& program,
-                                              const std::string& deprecated,
-                                              const std::string& canonical);
-
-/// Register the flag vocabulary every mpisect-* tool shares: `--model`
-/// (+ deprecated `--machine`), `--export` (+ deprecated `--format`),
-/// `--json`, `--seed` and `--self-trace` (tools pass its value to
-/// obs::enable_self_trace; MPISECT_SELF_TRACE is the env equivalent).
+/// Register the flag vocabulary every mpisect-* tool shares: `--model`,
+/// `--export`, `--json`, `--seed` and `--self-trace` (tools pass its value
+/// to obs::enable_self_trace; MPISECT_SELF_TRACE is the env equivalent).
 /// `--version` is built into parse().
 void add_unified_flags(ArgParser& args, const std::string& model_default,
                        const std::string& export_default,
@@ -93,12 +77,11 @@ void add_unified_flags(ArgParser& args, const std::string& model_default,
 /// Resolve the unified output format: `--json` wins over `--export`.
 [[nodiscard]] std::string unified_export(const ArgParser& args);
 
-/// Register the flags shared by every tool/bench that constructs a
+/// Register the flag shared by every tool/bench that constructs a
 /// simulated world, in the common `preset[:key=value,...]` vocabulary:
 ///   --exec  cooperative[:workers=N,stack=KB] | threads
-///   --match hashed[:buckets=N] | legacy
-/// Feed the values to WorldBuilder::exec_spec()/match_spec(), which parse
-/// and validate them (support is below mpisim, so parsing lives there).
+/// Feed the value to WorldBuilder::exec_spec(), which parses and validates
+/// it (support is below mpisim, so parsing lives there).
 void add_world_flags(ArgParser& args);
 
 }  // namespace mpisect::support

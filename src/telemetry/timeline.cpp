@@ -157,7 +157,7 @@ Timeline timeline_from_replay(const trace::ReplayResult& res, double dt,
     rc.busy.clear();
   };
   auto advance = [&](RankCursor& rc, int rank, double t) {
-    if (t < rc.t_last) t = rc.t_last;
+    if (!(t >= rc.t_last)) t = rc.t_last;  // also drops a NaN time
     while (true) {
       const double wend = static_cast<double>(rc.window + 1) * dt;
       if (t < wend) break;

@@ -34,9 +34,6 @@ namespace mpisect::trace {
 struct RecorderOptions {
   /// Free-form provenance string stored in the trace header.
   std::string app;
-  /// Legacy (ignored): tools now register with the world's ToolStack,
-  /// which chains unconditionally.
-  bool chain_hooks = true;
   /// Telemetry sampling interval hint stamped into the trace header
   /// (seconds of virtual time); 0 = none. Purely metadata — never set by
   /// the sampler itself, so installing telemetry leaves trace bytes

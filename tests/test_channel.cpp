@@ -7,6 +7,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,9 +18,12 @@
 #include "obs/memory.hpp"
 #include "support/rng.hpp"
 
+#include "reference_matcher.hpp"
+
 namespace {
 
 using namespace mpisect::mpisim;
+using mpisect::testutil::ReferenceMatcher;
 
 struct ChannelFixture {
   std::atomic<bool> abort{false};
@@ -238,92 +242,127 @@ TEST(Channel, AbortWakesRendezvousSender) {
 }
 
 // ---------------------------------------------------------------------------
-// Matching engines: hashed vs legacy differential coverage
+// Channel vs the reference matcher (tests/reference_matcher.hpp)
 // ---------------------------------------------------------------------------
 
-struct EngineFixture {
+/// A Channel and the reference matcher fed the same history. deposit() and
+/// post() check that both return the same count; expect_agree() checks
+/// every receive, every message and both queue lengths.
+struct Lockstep {
+  explicit Lockstep(double rendezvous_extra = 0.0,
+                    mpisect::obs::MemAccount::RankMem* mem = nullptr)
+      : ch{*exec, &abort, rendezvous_extra, mem}, ref{rendezvous_extra} {}
+
   std::atomic<bool> abort{false};
   std::unique_ptr<Executor> exec = make_executor(ExecBackend::Threads);
-  Channel hashed{*exec, &abort, 0.0, nullptr,
-                 MatchModel{MatchMode::Hashed}};
-  Channel legacy{*exec, &abort, 0.0, nullptr,
-                 MatchModel{MatchMode::Legacy}};
-};
+  Channel ch;
+  ReferenceMatcher ref;
+  std::vector<MessagePtr> msgs;
+  std::vector<PostedRecvPtr> recvs;
 
-TEST(ChannelEngines, SpecVocabularyRoundTrips) {
-  EXPECT_EQ(MatchModel{}.spec(), "hashed");
-  EXPECT_EQ(MatchModel::parse("hashed:buckets=64").buckets, 64u);
-  EXPECT_EQ(MatchModel::parse("hashed:buckets=64").spec(),
-            "hashed:buckets=64");
-  EXPECT_EQ(MatchModel::parse("legacy").mode, MatchMode::Legacy);
-  EXPECT_THROW(MatchModel::parse("btree"), MpiError);
-  EXPECT_THROW(MatchModel::parse("legacy:buckets=2"), MpiError);
-}
+  void deposit(const MessagePtr& m) {
+    msgs.push_back(m);
+    const std::size_t want = ref.deposit(*m);
+    ASSERT_EQ(ch.deposit(m), want)
+        << "deposit " << msgs.size() - 1 << " (" << m->src << "," << m->tag
+        << ")";
+  }
+  PostedRecvPtr post(const PostedRecvPtr& r) {
+    recvs.push_back(r);
+    const std::size_t want = ref.post(*r);
+    EXPECT_EQ(ch.post(r), want) << "post " << recvs.size() - 1 << " ("
+                                << r->src << "," << r->tag << ")";
+    return r;
+  }
+
+  void expect_agree(const std::string& where = "") {
+    EXPECT_EQ(ch.pending_messages(), ref.pending_messages()) << where;
+    EXPECT_EQ(ch.pending_recvs(), ref.pending_recvs()) << where;
+    for (std::size_t i = 0; i < recvs.size(); ++i) {
+      const auto& want = ref.recv(i);
+      ASSERT_EQ(ch.test_recv(recvs[i]), want.has_value())
+          << where << " recv " << i;
+      if (!want) continue;
+      const PostedRecv& got = *recvs[i];
+      EXPECT_EQ(got.status.source, want->source) << where << " recv " << i;
+      EXPECT_EQ(got.status.tag, want->tag) << where << " recv " << i;
+      EXPECT_EQ(got.status.bytes, want->bytes) << where << " recv " << i;
+      EXPECT_EQ(got.status.t_complete, want->t_complete)
+          << where << " recv " << i;
+      EXPECT_EQ(got.truncated, want->truncated) << where << " recv " << i;
+    }
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      const auto& want = ref.delivered(i);
+      ASSERT_EQ(msgs[i]->delivered, want.has_value()) << where << " msg " << i;
+      if (want) {
+        EXPECT_EQ(msgs[i]->t_deliver, *want) << where << " msg " << i;
+      }
+    }
+  }
+};
 
 // A deposit must take the minimum post ordinal ACROSS wildcard lanes, not
 // just the head of its exact-(src,tag) lane — post order is global.
-TEST(ChannelEngines, WildcardLanesRespectGlobalPostOrder) {
-  EngineFixture f;
-  for (Channel* ch : {&f.hashed, &f.legacy}) {
-    auto any_any = make_recv(kAnySource, kAnyTag, 1.0);   // ordinal 0
-    auto exact = make_recv(2, 5, 1.0);                    // ordinal 1
-    auto any_tag = make_recv(kAnySource, 5, 1.0);         // ordinal 2
-    ch->post(any_any);
-    ch->post(exact);
-    ch->post(any_tag);
-    ch->deposit(make_msg(2, 5, 0.0, 0.1));  // compatible with all three
-    EXPECT_TRUE(ch->test_recv(any_any));    // earliest ordinal wins
-    EXPECT_FALSE(ch->test_recv(exact));
-    EXPECT_FALSE(ch->test_recv(any_tag));
-    ch->deposit(make_msg(2, 5, 0.0, 0.1));
-    EXPECT_TRUE(ch->test_recv(exact));      // then post order again
-    EXPECT_FALSE(ch->test_recv(any_tag));
-    ch->deposit(make_msg(2, 5, 0.0, 0.1));
-    EXPECT_TRUE(ch->test_recv(any_tag));
-  }
+TEST(ChannelReference, WildcardLanesRespectGlobalPostOrder) {
+  Lockstep f;
+  auto any_any = f.post(make_recv(kAnySource, kAnyTag, 1.0));  // ordinal 0
+  auto exact = f.post(make_recv(2, 5, 1.0));                   // ordinal 1
+  auto any_tag = f.post(make_recv(kAnySource, 5, 1.0));        // ordinal 2
+  f.deposit(make_msg(2, 5, 0.0, 0.1));  // compatible with all three
+  EXPECT_TRUE(f.ch.test_recv(any_any));  // earliest ordinal wins
+  EXPECT_FALSE(f.ch.test_recv(exact));
+  EXPECT_FALSE(f.ch.test_recv(any_tag));
+  f.deposit(make_msg(2, 5, 0.0, 0.1));
+  EXPECT_TRUE(f.ch.test_recv(exact));  // then post order again
+  EXPECT_FALSE(f.ch.test_recv(any_tag));
+  f.deposit(make_msg(2, 5, 0.0, 0.1));
+  EXPECT_TRUE(f.ch.test_recv(any_tag));
+  f.expect_agree();
 }
 
 // A (src, ANY) receive must find the earliest-ARRIVAL message from that
 // source even when other sources' messages interleave the queue.
-TEST(ChannelEngines, SourceWildcardFindsEarliestArrivalFromSource) {
-  EngineFixture f;
-  for (Channel* ch : {&f.hashed, &f.legacy}) {
-    ch->deposit(make_msg(1, 10, 1.0, 0.1));
-    ch->deposit(make_msg(2, 20, 1.0, 0.1));
-    ch->deposit(make_msg(1, 30, 1.0, 0.1));
-    auto pr = make_recv(1, kAnyTag, 2.0);
-    ch->post(pr);
-    EXPECT_EQ(ch->wait_recv(pr).tag, 10);  // first arrival from source 1
-    auto pr2 = make_recv(1, kAnyTag, 2.0);
-    ch->post(pr2);
-    EXPECT_EQ(ch->wait_recv(pr2).tag, 30);
-    EXPECT_EQ(ch->pending_messages(), 1u);  // source 2 untouched
-  }
+TEST(ChannelReference, SourceWildcardFindsEarliestArrivalFromSource) {
+  Lockstep f;
+  f.deposit(make_msg(1, 10, 1.0, 0.1));
+  f.deposit(make_msg(2, 20, 1.0, 0.1));
+  f.deposit(make_msg(1, 30, 1.0, 0.1));
+  auto pr = f.post(make_recv(1, kAnyTag, 2.0));
+  EXPECT_EQ(f.ch.wait_recv(pr).tag, 10);  // first arrival from source 1
+  auto pr2 = f.post(make_recv(1, kAnyTag, 2.0));
+  EXPECT_EQ(f.ch.wait_recv(pr2).tag, 30);
+  EXPECT_EQ(f.ch.pending_messages(), 1u);  // source 2 untouched
+  f.expect_agree();
 }
 
-TEST(ChannelEngines, ProbeSeesEarliestCompatibleInBothEngines) {
-  EngineFixture f;
-  for (Channel* ch : {&f.hashed, &f.legacy}) {
-    ch->deposit(make_msg(4, 1, 1.0, 0.1));
-    ch->deposit(make_msg(3, 1, 0.5, 0.1));
-    const Status by_tag = ch->probe(kAnySource, 1, 2.0);
-    EXPECT_EQ(by_tag.source, 4);  // arrival order, not timestamps
-    const Status by_src = ch->probe(3, kAnyTag, 2.0);
-    EXPECT_EQ(by_src.source, 3);
-    EXPECT_EQ(ch->pending_messages(), 2u);
-  }
+TEST(ChannelReference, ProbeSeesEarliestCompatible) {
+  Lockstep f(0.5);
+  f.deposit(make_msg(4, 1, 1.0, 0.1));
+  f.deposit(make_msg(3, 1, 0.5, 0.1, /*rendezvous=*/true));
+  const Status by_tag = f.ch.probe(kAnySource, 1, 2.0);
+  EXPECT_EQ(by_tag.source, 4);  // arrival order, not timestamps
+  const Status by_src = f.ch.probe(3, kAnyTag, 2.0);
+  EXPECT_EQ(by_src.source, 3);
+  EXPECT_EQ(f.ch.pending_messages(), 2u);
+  // Both probes report what the oracle's hypothetical receive would get.
+  const auto want_tag = f.ref.probe(kAnySource, 1, 2.0);
+  const auto want_src = f.ref.probe(3, kAnyTag, 2.0);
+  ASSERT_TRUE(want_tag && want_src);
+  EXPECT_EQ(by_tag.source, want_tag->source);
+  EXPECT_EQ(by_tag.t_complete, want_tag->t_complete);
+  EXPECT_EQ(by_src.source, want_src->source);
+  EXPECT_EQ(by_src.t_complete, want_src->t_complete);  // rendezvous + extra
+  f.expect_agree();
 }
 
-// Randomized differential: any interleaving of deposits and posts across
-// sources, tags, and wildcard classes must produce identical match results
-// (source, tag, completion time, leftover queues) in both engines.
-TEST(ChannelEngines, RandomizedHistoriesAgree) {
+// Randomized: any interleaving of deposits and posts across sources, tags
+// and wildcard classes must match exactly as the oracle does (source, tag,
+// completion time, leftover queues).
+TEST(ChannelReference, RandomizedHistoriesAgree) {
   const mpisect::support::CounterRng rng(0xD1FF);
   std::uint64_t ctr = 0;
   for (int round = 0; round < 50; ++round) {
-    EngineFixture f;
-    std::vector<PostedRecvPtr> hashed_recvs;
-    std::vector<PostedRecvPtr> legacy_recvs;
+    Lockstep f;
     for (int op = 0; op < 40; ++op) {
       const bool is_post = rng.below(0, ctr++, 2) == 1;
       const int src = static_cast<int>(rng.below(1, ctr++, 4));
@@ -332,73 +371,41 @@ TEST(ChannelEngines, RandomizedHistoriesAgree) {
       if (is_post) {
         const bool any_src = rng.below(3, ctr, 3) == 0;
         const bool any_tag = rng.below(4, ctr++, 3) == 0;
-        hashed_recvs.push_back(make_recv(any_src ? kAnySource : src,
-                                         any_tag ? kAnyTag : tag, t));
-        legacy_recvs.push_back(make_recv(any_src ? kAnySource : src,
-                                         any_tag ? kAnyTag : tag, t));
-        f.hashed.post(hashed_recvs.back());
-        f.legacy.post(legacy_recvs.back());
+        f.post(make_recv(any_src ? kAnySource : src, any_tag ? kAnyTag : tag,
+                         t));
       } else {
-        f.hashed.deposit(make_msg(src, tag, t, 0.125));
-        f.legacy.deposit(make_msg(src, tag, t, 0.125));
+        f.deposit(make_msg(src, tag, t, 0.125));
       }
     }
-    EXPECT_EQ(f.hashed.pending_messages(), f.legacy.pending_messages());
-    EXPECT_EQ(f.hashed.pending_recvs(), f.legacy.pending_recvs());
-    for (std::size_t i = 0; i < hashed_recvs.size(); ++i) {
-      const bool done = f.hashed.test_recv(hashed_recvs[i]);
-      ASSERT_EQ(done, f.legacy.test_recv(legacy_recvs[i]))
-          << "round " << round << " recv " << i;
-      if (!done) continue;
-      const Status a = f.hashed.wait_recv(hashed_recvs[i]);
-      const Status b = f.legacy.wait_recv(legacy_recvs[i]);
-      EXPECT_EQ(a.source, b.source) << "round " << round << " recv " << i;
-      EXPECT_EQ(a.tag, b.tag) << "round " << round << " recv " << i;
-      EXPECT_EQ(a.t_complete, b.t_complete)
-          << "round " << round << " recv " << i;
-    }
+    f.expect_agree("round " + std::to_string(round));
   }
 }
 
-// Flat lanes under stress, against the legacy scans: more than
-// LaneTable::kLinearMax (8) distinct (src,tag), source and tag keys (the tables
-// widen to a hash index), the 1024-value internal collective tag cycle,
-// lanes drained and refilled, and receives of all four wildcard classes.
-// Every call's return value, every match and every Status must agree, and
-// each engine's MemAccount slot must drain to zero once its channel dies.
-TEST(ChannelEngines, FlatLanesAgreeWithLegacyAcrossWidenAndTagCycle) {
+// Flat lanes under stress, against the oracle: more than
+// LaneTable::kLinearMax (8) distinct (src,tag), source and tag keys (the
+// tables widen to a hash index), the 1024-value internal collective tag
+// cycle, lanes drained and refilled, and receives of all four wildcard
+// classes. Every call's return value, every match and every Status must
+// agree, the channel's MemAccount slot must track the oracle's charge and
+// high-water mark, and drain to zero once the channel dies.
+TEST(ChannelReference, FlatLanesAgreeWithReferenceAcrossWidenAndTagCycle) {
   constexpr int kSources = 12;
-  mpisect::obs::MemAccount mem(2);
-  std::atomic<bool> abort{false};
-  std::unique_ptr<Executor> exec = make_executor(ExecBackend::Threads);
+  mpisect::obs::MemAccount mem(1);
   const mpisect::support::CounterRng rng(0xF1A7);
   std::uint64_t ctr = 0;
   {
-    Channel hashed{*exec, &abort, 0.25, &mem.rank(0),
-                   MatchModel{MatchMode::Hashed}};
-    Channel legacy{*exec, &abort, 0.25, &mem.rank(1),
-                   MatchModel{MatchMode::Legacy}};
-    std::vector<PostedRecvPtr> hashed_recvs;
-    std::vector<PostedRecvPtr> legacy_recvs;
+    Lockstep f(0.25, &mem.rank(0));
     double t = 0.0;
     auto deposit = [&](int src, int tag) {
       t += 0.125;
       const bool rdv = (ctr++ % 5) == 0;
       const std::size_t bytes = 8 + (ctr % 7) * 16;
-      ASSERT_EQ(hashed.deposit(make_msg(src, tag, t, 0.0625, rdv, bytes)),
-                legacy.deposit(make_msg(src, tag, t, 0.0625, rdv, bytes)))
-          << "deposit " << src << "," << tag;
-    };
-    auto post = [&](int src, int tag) {
-      t += 0.125;
-      hashed_recvs.push_back(make_recv(src, tag, t, 256));
-      legacy_recvs.push_back(make_recv(src, tag, t, 256));
-      ASSERT_EQ(hashed.post(hashed_recvs.back()),
-                legacy.post(legacy_recvs.back()))
-          << "post " << src << "," << tag;
+      f.deposit(make_msg(src, tag, t, 0.0625, rdv, bytes));
     };
     auto wildcard = [&](int src, int tag, std::uint64_t cls) {
-      post(cls & 1 ? kAnySource : src, cls & 2 ? kAnyTag : tag);
+      t += 0.125;
+      f.post(make_recv(cls & 1 ? kAnySource : src, cls & 2 ? kAnyTag : tag, t,
+                       256));
     };
 
     for (int round = 0; round < 3; ++round) {
@@ -424,7 +431,7 @@ TEST(ChannelEngines, FlatLanesAgreeWithLegacyAcrossWidenAndTagCycle) {
       const int tag = kInternalTagBase + seq % 1024;
       const int src = seq % kSources;
       if (seq % 3 == 0) {
-        post(src, tag);
+        wildcard(src, tag, 0);
         deposit(src, tag);
       } else {
         deposit(src, tag);
@@ -443,26 +450,13 @@ TEST(ChannelEngines, FlatLanesAgreeWithLegacyAcrossWidenAndTagCycle) {
       }
     }
 
-    EXPECT_EQ(hashed.pending_messages(), legacy.pending_messages());
-    EXPECT_EQ(hashed.pending_recvs(), legacy.pending_recvs());
-    EXPECT_GT(hashed.pending_messages() + hashed.pending_recvs(), 0u);
-    for (std::size_t i = 0; i < hashed_recvs.size(); ++i) {
-      const bool done = hashed.test_recv(hashed_recvs[i]);
-      ASSERT_EQ(done, legacy.test_recv(legacy_recvs[i])) << "recv " << i;
-      if (!done) continue;
-      const Status a = hashed.wait_recv(hashed_recvs[i]);
-      const Status b = legacy.wait_recv(legacy_recvs[i]);
-      EXPECT_EQ(a.source, b.source) << "recv " << i;
-      EXPECT_EQ(a.tag, b.tag) << "recv " << i;
-      EXPECT_EQ(a.bytes, b.bytes) << "recv " << i;
-      EXPECT_EQ(a.t_complete, b.t_complete) << "recv " << i;
-    }
-    EXPECT_EQ(mem.rank(0).hwm.load(), mem.rank(1).hwm.load());
-    EXPECT_EQ(mem.rank(0).current.load(), mem.rank(1).current.load());
+    EXPECT_GT(f.ch.pending_messages() + f.ch.pending_recvs(), 0u);
+    f.expect_agree();
+    EXPECT_EQ(mem.rank(0).hwm.load(), f.ref.bytes_hwm());
+    EXPECT_EQ(mem.rank(0).current.load(), f.ref.bytes());
     EXPECT_GT(mem.rank(0).current.load(), 0u);
   }
   EXPECT_EQ(mem.rank(0).current.load(), 0u);
-  EXPECT_EQ(mem.rank(1).current.load(), 0u);
 }
 
 // LaneTable against std::map under random inserts and erases, with key

@@ -30,16 +30,9 @@ WorldOptions ideal_options() {
   return opts;
 }
 
-checker::CheckerOptions fast_watchdog() {
-  checker::CheckerOptions opts;
-  opts.deadlock_timeout_ms = 250;
-  opts.poll_interval_ms = 10;
-  return opts;
-}
-
 TEST(CheckerDeadlock, CrossReceiveCycleIsReportedAndAborted) {
   World world(2, ideal_options());
-  auto check = MpiChecker::install(world, fast_watchdog());
+  auto check = MpiChecker::install(world);
 
   bool aborted = false;
   try {
@@ -67,7 +60,7 @@ TEST(CheckerDeadlock, CrossReceiveCycleIsReportedAndAborted) {
 
 TEST(CheckerDeadlock, OrphanedWaitOnFinishedRankIsReported) {
   World world(2, ideal_options());
-  auto check = MpiChecker::install(world, fast_watchdog());
+  auto check = MpiChecker::install(world);
 
   bool aborted = false;
   try {
@@ -97,7 +90,7 @@ TEST(CheckerDeadlock, OrphanedWaitOnFinishedRankIsReported) {
 
 TEST(CheckerDeadlock, CollectiveVsReceiveCycleIsReported) {
   World world(2, ideal_options());
-  auto check = MpiChecker::install(world, fast_watchdog());
+  auto check = MpiChecker::install(world);
 
   try {
     world.run([](Ctx& ctx) {
@@ -117,7 +110,7 @@ TEST(CheckerDeadlock, CollectiveVsReceiveCycleIsReported) {
 
 TEST(CheckerDeadlock, CleanExchangePatternHasNoFindings) {
   World world(4, ideal_options());
-  auto check = MpiChecker::install(world, fast_watchdog());
+  auto check = MpiChecker::install(world);
 
   world.run([](Ctx& ctx) {
     Comm world_comm = ctx.world_comm();

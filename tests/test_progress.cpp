@@ -298,10 +298,7 @@ TEST(ProgressLivelock, CheckerClassifiesTestLoopLivelock) {
     opts.machine = MachineModel::ideal();
     return opts;
   }());
-  checker::CheckerOptions copts;
-  copts.deadlock_timeout_ms = 250;
-  copts.poll_interval_ms = 10;
-  auto check = checker::MpiChecker::install(world, copts);
+  auto check = checker::MpiChecker::install(world);
 
   bool aborted = false;
   try {

@@ -343,6 +343,120 @@ TEST(Service, DeeplyNestedRequestIsAnErrorReply) {
       << v.find("error")->string;
 }
 
+/// The error text of an `ok:false` reply ("" for any other reply).
+std::string error_of(const support::JsonValue& reply) {
+  const support::JsonValue* ok = reply.find("ok");
+  const support::JsonValue* err = reply.find("error");
+  if (ok == nullptr || ok->boolean || err == nullptr) return "";
+  return err->string;
+}
+
+// Integer params are read as integers in range, never cast from an
+// arbitrary double (which is undefined behaviour past the target range).
+TEST(Service, OutOfRangeIntegerParamsAreErrorsNamingTheParam) {
+  const Fixture& fx = fixture();
+  serve::Service svc;
+  const auto reply = [&](const std::string& op, const std::string& params) {
+    return parse_response(svc.handle_line(
+        "{\"id\":1,\"op\":\"" + op + "\",\"trace\":\"" + fx.mpst_path +
+        "\",\"params\":{" + params + "}}"));
+  };
+  for (const char* bad : {"-1", "1e300", "-1e300", "1.5", "9007199254740994"}) {
+    for (const char* op : {"replay", "timeline", "sweep"}) {
+      const support::JsonValue v =
+          reply(op, std::string("\"fault_seed\":") + bad);
+      EXPECT_NE(error_of(v).find("param 'fault_seed'"), std::string::npos)
+          << op << " fault_seed " << bad << ": " << error_of(v);
+    }
+    for (const char* op : {"replay", "timeline"}) {
+      const support::JsonValue v = reply(op, std::string("\"eager\":") + bad);
+      EXPECT_NE(error_of(v).find("param 'eager'"), std::string::npos)
+          << op << " eager " << bad << ": " << error_of(v);
+    }
+  }
+  EXPECT_TRUE(reply("replay", "\"fault_seed\":7,\"eager\":4096")
+                  .find("ok")
+                  ->boolean);
+  EXPECT_TRUE(
+      reply("replay", "\"fault_seed\":9007199254740992").find("ok")->boolean);
+}
+
+TEST(Service, IdOutsideTheExactIntegerRangeEchoesZero) {
+  serve::Service svc;
+  const auto id_of = [&](const std::string& id) {
+    const std::string line =
+        svc.handle_line("{\"id\":" + id + ",\"op\":\"stats\"}");
+    return line.substr(0, line.find(','));
+  };
+  EXPECT_EQ(id_of("42"), "{\"id\":42");
+  EXPECT_EQ(id_of("-42"), "{\"id\":-42");
+  EXPECT_EQ(id_of("9007199254740992"), "{\"id\":9007199254740992");
+  EXPECT_EQ(id_of("-9007199254740992"), "{\"id\":-9007199254740992");
+  for (const char* bad :
+       {"1e300", "-5e19", "9007199254740994", "1.5", "\"7\"", "null"}) {
+    EXPECT_EQ(id_of(bad), "{\"id\":0") << bad;
+  }
+}
+
+// The grid is rejected before the trace loads: the path here does not
+// exist, and the answer names the grid, not the file.
+TEST(Service, OversizedSweepGridIsRejectedBeforeTheTraceLoads) {
+  serve::Service svc;
+  const auto list = [](int n) {
+    std::string s = "[";
+    for (int i = 0; i < n; ++i) s += (i ? "," : "") + std::to_string(i + 1);
+    return s + "]";
+  };
+  const auto sweep = [&](const std::string& params) {
+    return parse_response(svc.handle_line(
+        "{\"id\":1,\"op\":\"sweep\",\"trace\":\"/no/such/file\","
+        "\"params\":{" + params + "}}"));
+  };
+  // 80 x 80 x 10 = 64,000 points.
+  const support::JsonValue big =
+      sweep("\"latency_scales\":" + list(80) + ",\"bandwidth_scales\":" +
+            list(80) + ",\"drop_rates\":" + list(10));
+  EXPECT_NE(error_of(big).find("sweep grid exceeds"), std::string::npos)
+      << error_of(big);
+  // Exactly kMaxSweepPoints passes the grid check (and then fails to open).
+  const support::JsonValue edge = sweep("\"latency_scales\":" + list(32) +
+                                        ",\"bandwidth_scales\":" + list(32));
+  EXPECT_NE(error_of(edge).find("cannot open"), std::string::npos)
+      << error_of(edge);
+  const support::JsonValue over =
+      sweep("\"latency_scales\":" + list(33) + ",\"bandwidth_scales\":" +
+            list(32));
+  EXPECT_NE(error_of(over).find("sweep grid exceeds"), std::string::npos)
+      << error_of(over);
+}
+
+TEST(QueryEngine, SweepPointsSaturateInsteadOfOverflowing) {
+  serve::SweepQuery q;
+  EXPECT_EQ(serve::sweep_points(q), 1u);
+  q.latency_scales.assign(32, 1.0);
+  q.drop_rates.assign(32, 0.0);
+  EXPECT_EQ(serve::sweep_points(q), serve::kMaxSweepPoints);
+  // 2000^6 overflows 64 bits; the product saturates one past the bound.
+  q.models.assign(2000, "recorded");
+  q.latency_scales.assign(2000, 1.0);
+  q.bandwidth_scales.assign(2000, 1.0);
+  q.compute_scales.assign(2000, "1");
+  q.drop_rates.assign(2000, 0.0);
+  q.progress.assign(2000, "recorded");
+  EXPECT_EQ(serve::sweep_points(q), serve::kMaxSweepPoints + 1);
+}
+
+// A dt that bins the makespan into too many windows is an error, not an
+// unbounded loop.
+TEST(Service, TimelineWindowCountIsBounded) {
+  const Fixture& fx = fixture();
+  serve::Service svc;
+  const support::JsonValue v = parse_response(svc.handle_line(
+      "{\"id\":1,\"op\":\"timeline\",\"trace\":\"" + fx.mpst_path +
+      "\",\"params\":{\"dt\":1e-300}}"));
+  EXPECT_NE(error_of(v).find("windows"), std::string::npos) << error_of(v);
+}
+
 TEST(Service, StatsReportsCounters) {
   const Fixture& fx = fixture();
   serve::Service svc;

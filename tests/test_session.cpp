@@ -4,11 +4,10 @@
 //     friends (two built-ins: mpi://WORLD, mpi://SELF);
 //   * WorldBuilder specs round-trip (describe() strings feed back through
 //     the matching setters) and reject unknown presets/options;
-//   * the deprecated eager World(nranks, options) constructor warns exactly
-//     once per process and stays observably identical to the lazy path:
-//     same final virtual times, same .mpst bytes, same telemetry CSVs;
-//   * both matching engines and all execution backends produce bit-identical
-//     artifacts — the differential matrix behind the hashed engine;
+//   * World(nranks, options) and WorldBuilder::build() are the same lazy
+//     constructor: same final virtual times, same .mpst bytes, same
+//     telemetry CSVs;
+//   * all execution backends produce bit-identical artifacts;
 //   * streaming trace writes (TraceRecorder::save, codec::compress_stream)
 //     are byte-identical to the monolithic finish().encode()/compress();
 //   * the v5 trace format round-trips the hierarchical-NBC machine flag;
@@ -29,7 +28,6 @@
 #include "mpisim/error.hpp"
 #include "mpisim/progress.hpp"
 #include "mpisim/session.hpp"
-#include "support/log.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/timeline.hpp"
@@ -76,12 +74,11 @@ TEST(WorldBuilder, DescribeUsesCanonicalRoundTripSpecs) {
   Session s(8);
   auto b = s.world_builder()
                .exec_spec("cooperative:workers=4,stack=256")
-               .match_spec("hashed:buckets=64")
                .progress_spec("blocking-only")
                .seed(7);
   EXPECT_EQ(b.describe(),
             "ranks=8 exec=cooperative:workers=4,stack=256 "
-            "match=hashed:buckets=64 progress=blocking-only seed=7");
+            "progress=blocking-only seed=7");
   // Feed every spec back through its setter: a fixed point.
   const auto& o = b.peek_options();
   mpisim::ExecModel em;
@@ -89,7 +86,6 @@ TEST(WorldBuilder, DescribeUsesCanonicalRoundTripSpecs) {
   em.workers = o.workers;
   em.stack_kb = o.stack_kb;
   EXPECT_EQ(mpisim::ExecModel::parse(em.spec()), em);
-  EXPECT_EQ(mpisim::MatchModel::parse(o.match.spec()), o.match);
   EXPECT_EQ(mpisim::ProgressModel::parse(o.progress.spec()), o.progress);
 }
 
@@ -100,41 +96,12 @@ TEST(WorldBuilder, SpecsRejectUnknownPresetsAndOptions) {
                mpisim::MpiError);
   EXPECT_THROW(s.world_builder().exec_spec("cooperative:bogus=1"),
                mpisim::MpiError);
-  EXPECT_THROW(s.world_builder().match_spec("btree"), mpisim::MpiError);
-  EXPECT_THROW(s.world_builder().match_spec("legacy:buckets=8"),
+  EXPECT_THROW(s.world_builder().progress_spec("interrupts"),
                mpisim::MpiError);
 }
 
 // ---------------------------------------------------------------------------
-// Deprecated eager constructor: warn-once shim
-// ---------------------------------------------------------------------------
-
-TEST(Session, EagerCtorWarnsExactlyOncePerProcess) {
-  World::reset_eager_ctor_warning_for_test();
-  std::string log;
-  support::set_log_capture(&log);
-  {
-    WorldOptions opts;
-    World first(2, opts);
-    World second(2, opts);
-  }
-  support::set_log_capture(nullptr);
-  EXPECT_NE(log.find("deprecated"), std::string::npos) << log;
-  EXPECT_NE(log.find("Session"), std::string::npos) << log;
-  // One warning for two constructions.
-  EXPECT_EQ(log.find("deprecated"), log.rfind("deprecated")) << log;
-
-  // The lazy path never warns.
-  World::reset_eager_ctor_warning_for_test();
-  log.clear();
-  support::set_log_capture(&log);
-  { const auto w = Session(2).world_builder().build(); }
-  support::set_log_capture(nullptr);
-  EXPECT_EQ(log.find("deprecated"), std::string::npos) << log;
-}
-
-// ---------------------------------------------------------------------------
-// Differential bit-identity: eager/lazy x backends x matching engines
+// Differential bit-identity: constructor spellings x backends
 // ---------------------------------------------------------------------------
 
 struct RunArtifacts {
@@ -166,14 +133,13 @@ RunArtifacts run_convolution(World& world) {
   return a;
 }
 
-RunArtifacts run_spec(const std::string& exec, const std::string& match) {
+RunArtifacts run_spec(const std::string& exec) {
   WorldOptions opts;
   opts.machine = mpisim::MachineModel::nehalem_cluster();
   opts.seed = 0xBEEF;
   const auto world = Session(8, opts)
                          .world_builder()
                          .exec_spec(exec)
-                         .match_spec(match)
                          .build();
   return run_convolution(*world);
 }
@@ -186,29 +152,24 @@ void expect_identical(const RunArtifacts& a, const RunArtifacts& b,
   EXPECT_EQ(a.counters_csv, b.counters_csv) << what;
 }
 
+// A world built directly and one built through a Session are the same.
 TEST(SessionDifferential, EagerShimMatchesLazyBuild) {
   WorldOptions opts;
   opts.machine = mpisim::MachineModel::nehalem_cluster();
   opts.seed = 0xBEEF;
-  World eager(8, opts);
-  const RunArtifacts a = run_convolution(eager);
-  const auto lazy = Session(8, opts).world_builder().build();
-  const RunArtifacts b = run_convolution(*lazy);
-  expect_identical(a, b, "eager vs lazy");
+  World direct(8, opts);
+  const RunArtifacts a = run_convolution(direct);
+  const auto built = Session(8, opts).world_builder().build();
+  const RunArtifacts b = run_convolution(*built);
+  expect_identical(a, b, "World(n, opts) vs WorldBuilder::build()");
 }
 
 TEST(SessionDifferential, BackendsAndEnginesAreBitIdentical) {
-  const RunArtifacts ref = run_spec("cooperative:workers=1", "hashed");
+  const RunArtifacts ref = run_spec("cooperative:workers=1");
   ASSERT_EQ(ref.final_times.size(), 8u);
-  const char* execs[] = {"cooperative:workers=1", "cooperative:workers=4",
-                         "threads"};
-  const char* matches[] = {"hashed", "legacy"};
-  for (const char* e : execs) {
-    for (const char* m : matches) {
-      const RunArtifacts cur = run_spec(e, m);
-      expect_identical(ref, cur,
-                       std::string("exec=") + e + " match=" + m);
-    }
+  for (const char* e :
+       {"cooperative:workers=1", "cooperative:workers=4", "threads"}) {
+    expect_identical(ref, run_spec(e), std::string("exec=") + e);
   }
 }
 
@@ -328,7 +289,6 @@ TEST(SessionScale, SixtyFiveKConvolutionStepCompletes) {
                          .world_builder()
                          .machine(mpisim::MachineModel::nehalem_cluster())
                          .seed(1)
-                         .match_spec("hashed")
                          .build();
   sections::SectionRuntime::install(*world);
   apps::conv::ConvolutionConfig cfg;

@@ -45,7 +45,7 @@ execute_process(
           ${ANALYZE} --scenario race --json --out an_race_w4.json
   RESULT_VARIABLE rc6)
 execute_process(
-  COMMAND ${ANALYZE} --scenario race --backend threads --json
+  COMMAND ${ANALYZE} --scenario race --exec threads --json
           --out an_race_threads.json
   RESULT_VARIABLE rc7)
 if(NOT rc5 EQUAL 2 OR NOT rc6 EQUAL 2 OR NOT rc7 EQUAL 2)
@@ -69,7 +69,7 @@ execute_process(
   COMMAND ${ANALYZE} --scenario latent-deadlock --json --out an_ld_coop.json
   RESULT_VARIABLE rc8)
 execute_process(
-  COMMAND ${ANALYZE} --scenario latent-deadlock --backend threads --json
+  COMMAND ${ANALYZE} --scenario latent-deadlock --exec threads --json
           --out an_ld_threads.json
   RESULT_VARIABLE rc9)
 if(NOT rc8 EQUAL 2 OR NOT rc9 EQUAL 2)

@@ -2,11 +2,11 @@
 # cleanly and the compute kernels show up as movers.
 execute_process(
   COMMAND ${REPORT} --app lulesh --ranks 1 --threads 1 --steps 3 --size 6
-          --machine knl --format snapshot --out t1.csv
+          --model knl --export snapshot --out t1.csv
   RESULT_VARIABLE rc1)
 execute_process(
   COMMAND ${REPORT} --app lulesh --ranks 1 --threads 16 --steps 3 --size 6
-          --machine knl --format snapshot --out t16.csv
+          --model knl --export snapshot --out t16.csv
   RESULT_VARIABLE rc2)
 if(NOT rc1 EQUAL 0 OR NOT rc2 EQUAL 0)
   message(FATAL_ERROR "mpisect-report failed (${rc1}/${rc2})")

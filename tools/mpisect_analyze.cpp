@@ -178,7 +178,6 @@ trace::TraceFile record_trace(const support::ArgParser& args) {
   const auto world_ptr = mpisim::Session(ranks, opts)
                              .world_builder()
                              .exec_spec(args.get_string("exec"))
-                             .match_spec(args.get_string("match"))
                              .build();
   mpisim::World& world = *world_ptr;
   sections::SectionRuntime::install(world);
@@ -223,7 +222,6 @@ int run(int argc, char** argv) {
   args.add_int("ranks", 8, "MPI processes (scenarios use 3)");
   args.add_int("steps", 10, "time-steps (app recording)");
   support::add_world_flags(args);
-  args.add_alias("backend", "exec");
   args.add_string("out", "", "report file ('' = stdout)");
   args.add_string("save-trace", "", "also save the recorded trace here");
   args.add_string("telemetry", "",

@@ -121,7 +121,6 @@ std::vector<double> parse_grid(const std::string& csv) {
 void add_whatif_options(support::ArgParser& args) {
   args.add_string("trace", "trace.mpst", "input trace file (.mpst | .mpstz)");
   args.add_string("model", "recorded", serve::model_choices());
-  args.add_alias("machine", "model");
   args.add_string("faults", "",
                   "fault plan re-costed onto the what-if frame, e.g. "
                   "'drop:p=0.05' ('' = none; kill rules not replayable)");
@@ -177,7 +176,6 @@ int cmd_record(int argc, const char* const* argv) {
                           "Run an instrumented app and capture a .mpst trace");
   args.add_string("app", "convolution", "convolution | lulesh");
   args.add_string("model", "nehalem-cluster", preset_list());
-  args.add_alias("machine", "model");
   args.add_int("ranks", 8, "MPI processes (lulesh: perfect cube)");
   args.add_int("threads", 1, "MiniOMP threads per rank (lulesh)");
   args.add_int("steps", 100, "time-steps");
@@ -209,7 +207,6 @@ int cmd_record(int argc, const char* const* argv) {
   const auto world_ptr = mpisim::Session(ranks, opts)
                              .world_builder()
                              .exec_spec(args.get_string("exec"))
-                             .match_spec(args.get_string("match"))
                              .build();
   mpisim::World& world = *world_ptr;
   sections::SectionRuntime::install(world);
@@ -275,7 +272,6 @@ int cmd_replay(int argc, const char* const* argv) {
                           "Replay a trace under a what-if machine model");
   add_whatif_options(args);
   args.add_string("export", "text", "text | csv | json | chrome");
-  args.add_alias("format", "export");
   args.add_flag("json", "shorthand for --export json");
   args.add_string("out", "", "output file ('' = stdout)");
   args.add_flag("verify",
@@ -314,7 +310,6 @@ int cmd_timeline(int argc, const char* const* argv) {
                   "window width in virtual seconds (0 = the trace header's "
                   "telemetry-dt, else makespan/100)");
   args.add_string("export", "csv", "csv | json | chrome");
-  args.add_alias("format", "export");
   args.add_flag("json", "shorthand for --export json");
   args.add_string("out", "", "output file ('' = stdout)");
   if (!parse_with_self_trace(args, argc, argv)) return 1;
@@ -354,7 +349,6 @@ int cmd_sweep(int argc, const char* const* argv) {
   args.add_string("trace", "trace.mpst", "input trace file (.mpst | .mpstz)");
   args.add_string("models", "recorded",
                   "comma list: " + serve::model_choices());
-  args.add_alias("machines", "models");
   args.add_string("latency-scales", "1", "comma list of latency multipliers");
   args.add_string("bandwidth-scales", "1",
                   "comma list of bandwidth multipliers");

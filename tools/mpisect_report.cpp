@@ -98,7 +98,6 @@ int run(int argc, char** argv) {
   const auto world_ptr = mpisim::Session(ranks, opts)
                              .world_builder()
                              .exec_spec(args.get_string("exec"))
-                             .match_spec(args.get_string("match"))
                              .build();
   mpisim::World& world = *world_ptr;
   sections::SectionRuntime::install(world);
@@ -156,7 +155,7 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  // Usage errors (bad --exec/--match specs and friends) must surface as a
+  // Usage errors (bad --exec specs and friends) must surface as a
   // one-line diagnostic with exit 1, never an uncaught-exception abort.
   try {
     return run(argc, argv);

@@ -6,7 +6,7 @@
 // with a sparkline of each section's recent per-window imbalance and a
 // counter footer (messages, bytes, eager share, MiniOMP charges).
 //
-//   mpisect-top --app lulesh --ranks 8 --threads 4 --steps 50 --machine knl
+//   mpisect-top --app lulesh --ranks 8 --threads 4 --steps 50 --model knl
 //   mpisect-top --app convolution --ranks 16 --steps 200 --dt 0.005
 //   mpisect-top --post telemetry.csv          # re-render a saved series
 //   mpisect-top --app lulesh --no-live --export csv --out telemetry.csv
@@ -263,7 +263,6 @@ int main(int argc, char** argv) {
   args.add_int("threads", 2, "MiniOMP threads per rank (lulesh)");
   args.add_int("steps", 30, "time-steps");
   args.add_int("size", 0, "problem size (0 = default)");
-  args.add_int("workers", 0, "cooperative workers (0 = MPISECT_WORKERS)");
   support::add_world_flags(args);
   args.add_double("dt", 0.05, "sampling interval, virtual seconds");
   args.add_int("depth", 0,
@@ -313,21 +312,9 @@ int main(int argc, char** argv) {
       opts.faults =
           mpisim::faults::FaultPlan::parse(args.get_string("faults"));
     }
-    // --workers (legacy knob) overrides the workers= key of --exec.
-    mpisim::ExecModel em = mpisim::ExecModel::parse(args.get_string("exec"));
-    if (args.get_int("workers") > 0) {
-      if (args.get_int("workers") > mpisim::ExecModel::kMaxWorkers) {
-        throw mpisim::MpiError(
-            mpisim::Err::Arg,
-            "--workers exceeds the bound of " +
-                std::to_string(mpisim::ExecModel::kMaxWorkers));
-      }
-      em.workers = static_cast<int>(args.get_int("workers"));
-    }
     const auto world_ptr = mpisim::Session(ranks, opts)
                                .world_builder()
-                               .exec(em)
-                               .match_spec(args.get_string("match"))
+                               .exec_spec(args.get_string("exec"))
                                .build();
     mpisim::World& world = *world_ptr;
     sections::SectionRuntime::install(world);

@@ -8,12 +8,12 @@
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env MPISECT_WORKERS=1
           ${TOP} --app convolution --ranks 8 --steps 40 --seed 99
-          --machine nehalem-cluster --no-live --export csv --out telem_w1.csv
+          --model nehalem-cluster --no-live --export csv --out telem_w1.csv
   RESULT_VARIABLE rc1)
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env MPISECT_WORKERS=4
           ${TOP} --app convolution --ranks 8 --steps 40 --seed 99
-          --machine nehalem-cluster --no-live --export csv --out telem_w4.csv
+          --model nehalem-cluster --no-live --export csv --out telem_w4.csv
   RESULT_VARIABLE rc2)
 if(NOT rc1 EQUAL 0 OR NOT rc2 EQUAL 0)
   message(FATAL_ERROR "mpisect-top export runs failed (${rc1}/${rc2})")
@@ -28,13 +28,13 @@ endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env MPISECT_WORKERS=1
           ${TOP} --app convolution --ranks 8 --steps 40 --seed 99
-          --machine nehalem-cluster --no-live --export counters
+          --model nehalem-cluster --no-live --export counters
           --out counters_w1.csv
   RESULT_VARIABLE rc3)
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env MPISECT_WORKERS=4
           ${TOP} --app convolution --ranks 8 --steps 40 --seed 99
-          --machine nehalem-cluster --no-live --export counters
+          --model nehalem-cluster --no-live --export counters
           --out counters_w4.csv
   RESULT_VARIABLE rc4)
 if(NOT rc3 EQUAL 0 OR NOT rc4 EQUAL 0)
@@ -61,7 +61,7 @@ endif()
 foreach(fmt json chrome prom)
   execute_process(
     COMMAND ${TOP} --app convolution --ranks 8 --steps 40 --seed 99
-            --machine nehalem-cluster --no-live --export ${fmt}
+            --model nehalem-cluster --no-live --export ${fmt}
             --out telem.${fmt}
     RESULT_VARIABLE rc_fmt)
   if(NOT rc_fmt EQUAL 0)

@@ -6,11 +6,11 @@
 #      diagnostic, never an abort
 execute_process(
   COMMAND ${REPLAY} record --app convolution --ranks 8 --steps 20
-          --machine nehalem-cluster --seed 77 --out det_a.mpst
+          --model nehalem-cluster --seed 77 --out det_a.mpst
   RESULT_VARIABLE rc1)
 execute_process(
   COMMAND ${REPLAY} record --app convolution --ranks 8 --steps 20
-          --machine nehalem-cluster --seed 77 --out det_b.mpst
+          --model nehalem-cluster --seed 77 --out det_b.mpst
   RESULT_VARIABLE rc2)
 if(NOT rc1 EQUAL 0 OR NOT rc2 EQUAL 0)
   message(FATAL_ERROR "mpisect-replay record failed (${rc1}/${rc2})")
@@ -34,8 +34,8 @@ if(NOT verify_out MATCHES "verify OK")
 endif()
 
 execute_process(
-  COMMAND ${REPLAY} replay --trace det_a.mpst --machine knl
-          --compute-scale auto --format csv
+  COMMAND ${REPLAY} replay --trace det_a.mpst --model knl
+          --compute-scale auto --export csv
   OUTPUT_VARIABLE whatif_out
   RESULT_VARIABLE rc4)
 if(NOT rc4 EQUAL 0)
