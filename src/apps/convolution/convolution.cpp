@@ -128,10 +128,11 @@ void ConvolutionApp::run_1d(mpisim::Ctx& ctx) {
   }
 
   // --- Time-step loop: HALO then CONVOLVE, config_.steps times.
+  std::vector<Comm::Request> sends;  // reused by every step's halo
   for (int step = 0; step < config_.steps; ++step) {
     {
       const Phase phase(comm, labels::kHalo, pc);
-      std::vector<Comm::Request> sends;
+      sends.clear();
       if (up >= 0) {
         sends.push_back(comm.isend(full ? local.row(1) : nullptr, row_bytes,
                                    up, kTagUp));
@@ -332,10 +333,11 @@ void ConvolutionApp::run_2d(mpisim::Ctx& ctx) {
   const bool has_down = grid.neighbor(rank, 0, 1) >= 0;
 
   // --- time-step loop: HALO (8-neighbour ring) then CONVOLVE.
+  std::vector<Comm::Request> sends;  // reused by every step's halo
   for (int step = 0; step < config_.steps; ++step) {
     {
       const Phase phase(comm, labels::kHalo, pc);
-      std::vector<Comm::Request> sends;
+      sends.clear();
       for (auto& e : edges) {
         const std::size_t bytes =
             static_cast<std::size_t>(e.w) * e.h * pixel_bytes;

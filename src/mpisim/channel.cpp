@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "mpisim/comm.hpp"
 #include "mpisim/error.hpp"
 
 namespace mpisect::mpisim {
@@ -18,15 +19,17 @@ Channel::~Channel() {
   for (MsgNode* n = um_all_.head; n != nullptr;) {
     MsgNode* next = n->next[3];
     if (mem_ != nullptr) mem_->sub(queued_bytes(*n->msg));
+    party_done(n->msg);
     delete n;
     n = next;
   }
   if (mem_ != nullptr && pr_count_ > 0) {
     mem_->sub(pr_count_ * sizeof(PostedRecv));
   }
-  const auto drop_lane = [](std::uint64_t /*key*/, RecvList& lane) {
+  const auto drop_lane = [this](std::uint64_t /*key*/, RecvList& lane) {
     for (RecvNode* n = lane.head; n != nullptr;) {
       RecvNode* next = n->next;
+      party_done(n->recv);
       delete n;
       n = next;
     }
@@ -47,8 +50,7 @@ Channel::~Channel() {
   }
 }
 
-void Channel::complete_match(const MessagePtr& msg,
-                             const PostedRecvPtr& recv) const {
+void Channel::complete_match(Message* msg, PostedRecv* recv) {
   double t_deliver = 0.0;
   if (msg->rendezvous) {
     t_deliver = std::max(msg->t_send_start, recv->t_post) + msg->wire_cost +
@@ -71,6 +73,38 @@ void Channel::complete_match(const MessagePtr& msg,
 
   msg->t_deliver = t_deliver;
   msg->delivered = true;
+  party_done(msg);
+  party_done(recv);
+}
+
+void Channel::party_done(Message* msg) {
+  if (++msg->parties_done == 2 && pools_ != nullptr) {
+    pools_->messages.release(msg);
+  }
+}
+
+void Channel::party_done(PostedRecv* recv) {
+  if (++recv->parties_done == 2 && pools_ != nullptr) {
+    pools_->recvs.release(recv);
+  }
+}
+
+void Channel::release(Message* msg, bool channel_done) {
+  if (channel_done) {
+    if (pools_ != nullptr) pools_->messages.release(msg);
+    return;
+  }
+  const std::lock_guard lock(mu_);
+  party_done(msg);
+}
+
+void Channel::release(PostedRecv* recv, bool channel_done) {
+  if (channel_done) {
+    if (pools_ != nullptr) pools_->recvs.release(recv);
+    return;
+  }
+  const std::lock_guard lock(mu_);
+  party_done(recv);
 }
 
 void Channel::check_abort() const {
@@ -90,7 +124,7 @@ Channel::MsgNode* Channel::alloc_msg_node() {
 }
 
 void Channel::free_msg_node(MsgNode* n) {
-  n->msg.reset();
+  n->msg = nullptr;
   n->next[0] = msg_free_;
   msg_free_ = n;
 }
@@ -104,7 +138,7 @@ Channel::RecvNode* Channel::alloc_recv_node() {
 }
 
 void Channel::free_recv_node(RecvNode* n) {
-  n->recv.reset();
+  n->recv = nullptr;
   n->next = recv_free_;
   recv_free_ = n;
 }
@@ -142,7 +176,7 @@ void Channel::remove_keyed(LaneTable<MsgList>& table, std::uint64_t key,
   if (list->head == nullptr) table.erase(key);
 }
 
-void Channel::link_msg(const MessagePtr& msg) {
+void Channel::link_msg(Message* msg) {
   MsgNode* n = alloc_msg_node();
   n->msg = msg;
   append(um_by_pair_[pair_key(msg->src, msg->tag)], n, 0);
@@ -185,13 +219,14 @@ Channel::MsgList* Channel::probe_lane(int src, int tag) {
 
 // --- public operations -----------------------------------------------------
 
-std::size_t Channel::deposit(const MessagePtr& msg) {
+std::size_t Channel::deposit(Message* msg) {
   const std::lock_guard lock(mu_);
   if (msg->fault_lost) {
     // Injected loss: the retransmit budget was exhausted, so the message
     // never reaches the matching engine. An eager sender proceeds unaware;
     // a rendezvous sender blocks in wait_delivered until quiescence, where
     // the checker attributes the hang to the fault plan.
+    party_done(msg);
     return um_count_;
   }
   // Candidate receive lanes for this (src,tag): one per wildcard class.
@@ -235,7 +270,7 @@ std::size_t Channel::deposit(const MessagePtr& msg) {
   return um_count_;
 }
 
-std::size_t Channel::post(const PostedRecvPtr& recv) {
+std::size_t Channel::post(PostedRecv* recv) {
   const std::lock_guard lock(mu_);
   // The receive's wildcard class picks the one message index whose head is
   // the earliest-arrival compatible message (every index list preserves
@@ -244,11 +279,13 @@ std::size_t Channel::post(const PostedRecvPtr& recv) {
       um_count_ > 0 ? probe_lane(recv->src, recv->tag) : nullptr;
   if (lane != nullptr && lane->head != nullptr) {
     MsgNode* n = lane->head;
-    if (mem_ != nullptr) mem_->sub(queued_bytes(*n->msg));
-    complete_match(n->msg, recv);
+    Message* msg = n->msg;
+    if (mem_ != nullptr) mem_->sub(queued_bytes(*msg));
+    // Unlink first: the match may return the message to the pools.
     unlink_msg(n);
     free_msg_node(n);
     --um_count_;
+    complete_match(msg, recv);
     wp_.notify_all();
     return 0;
   }
@@ -276,7 +313,7 @@ std::size_t Channel::post(const PostedRecvPtr& recv) {
   return pr_count_;
 }
 
-Status Channel::wait_recv(const PostedRecvPtr& recv) {
+Status Channel::wait_recv(const PostedRecv* recv) {
   std::unique_lock lock(mu_);
   while (!recv->completed) {
     check_abort();
@@ -288,17 +325,17 @@ Status Channel::wait_recv(const PostedRecvPtr& recv) {
   return recv->status;
 }
 
-bool Channel::test_recv(const PostedRecvPtr& recv) {
+bool Channel::test_recv(const PostedRecv* recv) {
   const std::lock_guard lock(mu_);
   return recv->completed;
 }
 
-bool Channel::test_send(const MessagePtr& msg) {
+bool Channel::test_send(const Message* msg) {
   const std::lock_guard lock(mu_);
   return !msg->rendezvous || msg->delivered;
 }
 
-void Channel::park_recv_incomplete(const PostedRecvPtr& recv) {
+void Channel::park_recv_incomplete(const PostedRecv* recv) {
   std::unique_lock lock(mu_);
   // Predicate checked under the same lock the park registers under, so a
   // completion between the caller's failed test and this park cannot be a
@@ -310,7 +347,7 @@ void Channel::park_recv_incomplete(const PostedRecvPtr& recv) {
   check_abort();
 }
 
-void Channel::park_send_incomplete(const MessagePtr& msg) {
+void Channel::park_send_incomplete(const Message* msg) {
   std::unique_lock lock(mu_);
   if (!msg->rendezvous || msg->delivered) return;
   check_abort();
@@ -318,7 +355,7 @@ void Channel::park_send_incomplete(const MessagePtr& msg) {
   check_abort();
 }
 
-double Channel::wait_delivered(const MessagePtr& msg) {
+double Channel::wait_delivered(const Message* msg) {
   std::unique_lock lock(mu_);
   while (!msg->delivered) {
     check_abort();
@@ -332,7 +369,7 @@ Status Channel::probe(int src, int tag, double t_probe) {
   for (;;) {
     const MsgList* lane = probe_lane(src, tag);
     if (lane != nullptr && lane->head != nullptr) {
-      const Message* found = lane->head->msg.get();
+      const Message* found = lane->head->msg;
       Status st;
       st.source = found->src;
       st.tag = found->tag;

@@ -44,6 +44,8 @@
 
 namespace mpisect::mpisim {
 
+struct RecordPools;
+
 class Channel {
  public:
   /// `rendezvous_extra` is added to every rendezvous delivery time — the
@@ -56,11 +58,15 @@ class Channel {
   /// byte queued in this channel is charged there and credited back on
   /// match, giving an exact per-rank high-water mark. Accounting observes,
   /// never decides — matching and delivery times are unaffected.
+  ///
+  /// `pools` receives every record whose two parties are done (see
+  /// message.hpp). nullptr (unit tests) leaves records to their creator.
   Channel(Executor& exec, const std::atomic<bool>* abort_flag,
           double rendezvous_extra = 0.0,
-          obs::MemAccount::RankMem* mem = nullptr) noexcept
+          obs::MemAccount::RankMem* mem = nullptr,
+          RecordPools* pools = nullptr) noexcept
       : abort_(abort_flag), rendezvous_extra_(rendezvous_extra), mem_(mem),
-        wp_(exec, mu_) {}
+        pools_(pools), wp_(exec, mu_) {}
 
   ~Channel();
 
@@ -72,25 +78,25 @@ class Channel {
   /// after the call (0 = matched immediately) — a telemetry gauge, computed
   /// under the mutex the call already holds. Messages flagged fault_lost by
   /// the fault engine are black-holed: never queued, never matched.
-  std::size_t deposit(const MessagePtr& msg);
+  std::size_t deposit(Message* msg);
 
   /// Receiver side: register a receive; matches immediately against queued
   /// messages when possible. Returns the number of unmatched posted
   /// receives after the call (0 = matched immediately).
-  std::size_t post(const PostedRecvPtr& recv);
+  std::size_t post(PostedRecv* recv);
 
   /// Block until the posted receive completes. Throws Err::Aborted if the
   /// world aborts and Err::Truncate if the matched message was larger than
   /// the receive buffer's declared size.
-  Status wait_recv(const PostedRecvPtr& recv);
+  Status wait_recv(const PostedRecv* recv);
 
   /// Non-blocking completion test (finalizes nothing; pair with
   /// wait_recv once true to collect the status).
-  [[nodiscard]] bool test_recv(const PostedRecvPtr& recv);
+  [[nodiscard]] bool test_recv(const PostedRecv* recv);
 
   /// Non-blocking completion test, sender side: true once the message needs
   /// no further progress (eager always; rendezvous once delivered).
-  [[nodiscard]] bool test_send(const MessagePtr& msg);
+  [[nodiscard]] bool test_send(const Message* msg);
 
   /// Park the caller until the channel sees traffic that may have completed
   /// `recv` (returns immediately if it already has). One blocking wait, no
@@ -98,13 +104,21 @@ class Channel {
   /// loop re-polls. Throws Err::Aborted on an abort wake. Request::test()
   /// parks here after its spin budget so a pure test loop reaches exact
   /// quiescence instead of spinning forever.
-  void park_recv_incomplete(const PostedRecvPtr& recv);
+  void park_recv_incomplete(const PostedRecv* recv);
   /// Sender-side twin of park_recv_incomplete.
-  void park_send_incomplete(const MessagePtr& msg);
+  void park_send_incomplete(const Message* msg);
 
   /// Block until a rendezvous message has been delivered (sender side).
   /// Returns the delivery time to sync the sender clock to.
-  double wait_delivered(const MessagePtr& msg);
+  double wait_delivered(const Message* msg);
+
+  /// The creating party (sender or receiver) is done with its record: the
+  /// record returns to the pools once the channel is done with it too.
+  /// `channel_done` says the creator saw the channel finish with it under
+  /// the mutex (deposit() returned 0, or a wait completed): the creator is
+  /// then the last party and returns it without taking the mutex again.
+  void release(Message* msg, bool channel_done);
+  void release(PostedRecv* recv, bool channel_done);
 
   /// Blocking probe: wait until a message matching (src, tag) is queued and
   /// return its envelope without consuming it. t_probe is the prober's
@@ -129,7 +143,7 @@ class Channel {
   // kept from then on; a channel that only sees exact receives never pays
   // for them.
   struct MsgNode {
-    MessagePtr msg;
+    Message* msg = nullptr;
     MsgNode* prev[4] = {nullptr, nullptr, nullptr, nullptr};
     MsgNode* next[4] = {nullptr, nullptr, nullptr, nullptr};
   };
@@ -141,7 +155,7 @@ class Channel {
   /// is the channel-global post ordinal that totally orders receives across
   /// lanes.
   struct RecvNode {
-    PostedRecvPtr recv;
+    PostedRecv* recv = nullptr;
     std::uint64_t ord = 0;
     RecvNode* next = nullptr;
   };
@@ -150,9 +164,13 @@ class Channel {
     RecvNode* tail = nullptr;
   };
 
-  /// Pair up msg and recv: compute times, copy payload, flag completion.
+  /// Pair up msg and recv: compute times, copy payload, flag completion,
+  /// and end the channel's part in both records. Caller holds the mutex.
+  void complete_match(Message* msg, PostedRecv* recv);
+  /// One party is done with the record; the second returns it to pools_.
   /// Caller holds the mutex.
-  void complete_match(const MessagePtr& msg, const PostedRecvPtr& recv) const;
+  void party_done(Message* msg);
+  void party_done(PostedRecv* recv);
   void check_abort() const;
 
   static std::uint64_t pair_key(int src, int tag) noexcept {
@@ -168,7 +186,7 @@ class Channel {
   /// The message index a (src, tag) receive or probe would match from
   /// (nullptr: no lane, so nothing queued for that key).
   MsgList* probe_lane(int src, int tag);
-  void link_msg(const MessagePtr& msg);
+  void link_msg(Message* msg);
   void unlink_msg(MsgNode* n);
   /// Build the per-source and per-tag indices over the queued messages.
   void index_wildcards();
@@ -206,6 +224,7 @@ class Channel {
   const std::atomic<bool>* abort_;
   double rendezvous_extra_;
   obs::MemAccount::RankMem* mem_;
+  RecordPools* pools_;
   WaitPoint wp_;
 };
 

@@ -74,7 +74,8 @@ Channel& CommImpl::channel(int comm_rank) {
     // charged to that rank's world-level memory account.
     ch = new Channel(world_.executor(), world_.abort_flag(),
                      world_.progress().rendezvous_extra(),
-                     &world_.mem_account().rank(group_.world_rank(comm_rank)));
+                     &world_.mem_account().rank(group_.world_rank(comm_rank)),
+                     &world_.records());
     slot.store(ch, std::memory_order_release);
   }
   return *ch;
@@ -100,11 +101,18 @@ std::uint64_t& CommImpl::SendSeq::widen(int dst) {
 
 namespace {
 
+// Records come from the world's pools. The sender (receiver) holds its
+// party in the message (posted receive) from raw_start_send (raw_post_recv)
+// until the matching finish, which releases it; a send or receive unwound
+// by an abort keeps its record out of circulation until the world dies.
+
 /// Begin a send: charge sender CPU overhead, stamp virtual times, deposit
-/// into the destination channel. Returns the message for completion.
-MessagePtr raw_start_send(Ctx& ctx, CommImpl& impl, int my_rank,
-                          const void* buf, std::size_t bytes, int dst,
-                          int tag) {
+/// into the destination channel. Returns the message for completion;
+/// `channel_done` is set when the deposit already ended the channel's part
+/// (matched a posted receive, or black-holed the message).
+Message* raw_start_send(Ctx& ctx, CommImpl& impl, int my_rank,
+                        const void* buf, std::size_t bytes, int dst, int tag,
+                        bool& channel_done) {
   require(dst >= 0 && dst < impl.size(), Err::Rank, "send: bad destination");
   const NetworkModel& net = ctx.machine().net;
   auto& rs = impl.rank_state(my_rank);
@@ -116,7 +124,7 @@ MessagePtr raw_start_send(Ctx& ctx, CommImpl& impl, int my_rank,
   const double t_before = ctx.now();
   ctx.clock().advance(net.cpu_overhead(gsrc, net.send_overhead, op, 0));
 
-  auto msg = std::make_shared<Message>();
+  Message* msg = ctx.world().records().messages.acquire();
   msg->src = my_rank;
   msg->tag = tag;
   msg->seq = seq;
@@ -145,9 +153,10 @@ MessagePtr raw_start_send(Ctx& ctx, CommImpl& impl, int my_rank,
   msg->t_avail = msg->t_send_start + msg->wire_cost;
 
   const std::size_t depth = impl.channel(dst).deposit(msg);
+  channel_done = depth == 0;
   if (auto& tap = ctx.world().trace_tap().on_send_post) {
-    tap(ctx, TapSend{msg.get(), impl.context_id(), gsrc, gdst, tag, bytes,
-                     seq, op, t_before, depth});
+    tap(ctx, TapSend{msg, impl.context_id(), gsrc, gdst, tag, bytes, seq, op,
+                     t_before, depth});
   }
 
   if (fe != nullptr && (fate.lost || fate.attempts > 1 || fate.duplicate)) {
@@ -155,7 +164,9 @@ MessagePtr raw_start_send(Ctx& ctx, CommImpl& impl, int my_rank,
       // Resilience off: the duplicate copy reaches the matching engine one
       // retransmit timeout behind the original, where it can corrupt
       // wildcard receives — exactly the hazard dedup exists to remove.
-      auto copy = std::make_shared<Message>(*msg);
+      Message* copy = ctx.world().records().messages.acquire();
+      *copy = *msg;
+      copy->parties_done = 1;  // no sender ever waits on the copy
       copy->fault_duplicate = true;
       copy->wire_cost += fe->plan().retransmit.rto;
       copy->t_avail = copy->t_send_start + copy->wire_cost;
@@ -180,23 +191,26 @@ MessagePtr raw_start_send(Ctx& ctx, CommImpl& impl, int my_rank,
 }
 
 /// Complete a send: a rendezvous sender blocks until the transfer finishes.
-void raw_finish_send(Ctx& ctx, CommImpl& impl, int dst,
-                     const MessagePtr& msg) {
+void raw_finish_send(Ctx& ctx, CommImpl& impl, int dst, Message* msg,
+                     bool channel_done) {
   const double t_before = ctx.now();
+  Channel& ch = impl.channel(dst);
   if (msg->rendezvous) {
-    const double t = impl.channel(dst).wait_delivered(msg);
+    const double t = ch.wait_delivered(msg);
     ctx.clock().sync_to(t);
+    channel_done = true;
   }
   if (auto& tap = ctx.world().trace_tap().on_send_wait) {
-    tap(ctx, TapSendWait{msg.get(), t_before});
+    tap(ctx, TapSendWait{msg, t_before});
   }
+  ch.release(msg, channel_done);
 }
 
-PostedRecvPtr raw_post_recv(Ctx& ctx, CommImpl& impl, int my_rank, void* buf,
-                            std::size_t max_bytes, int src, int tag) {
+PostedRecv* raw_post_recv(Ctx& ctx, CommImpl& impl, int my_rank, void* buf,
+                          std::size_t max_bytes, int src, int tag) {
   require(src == kAnySource || (src >= 0 && src < impl.size()), Err::Rank,
           "recv: bad source");
-  auto pr = std::make_shared<PostedRecv>();
+  PostedRecv* pr = ctx.world().records().recvs.acquire();
   pr->src = src;
   pr->tag = tag;
   pr->t_post = ctx.now();
@@ -206,15 +220,16 @@ PostedRecvPtr raw_post_recv(Ctx& ctx, CommImpl& impl, int my_rank, void* buf,
   if (auto& tap = ctx.world().trace_tap().on_recv_post) {
     const int src_posted =
         src == kAnySource ? kAnySource : impl.group().world_rank(src);
-    tap(ctx, TapRecvPost{pr.get(), impl.context_id(), depth, src_posted, tag});
+    tap(ctx, TapRecvPost{pr, impl.context_id(), depth, src_posted, tag});
   }
   return pr;
 }
 
 Status raw_finish_recv(Ctx& ctx, CommImpl& impl, int my_rank,
-                       const PostedRecvPtr& pr) {
+                       PostedRecv* pr) {
   const double t_before = ctx.now();
-  Status st = impl.channel(my_rank).wait_recv(pr);
+  Channel& ch = impl.channel(my_rank);
+  Status st = ch.wait_recv(pr);
   ctx.clock().sync_to(st.t_complete);
   const NetworkModel& net = ctx.machine().net;
   const int grank = impl.group().world_rank(my_rank);
@@ -222,10 +237,11 @@ Status raw_finish_recv(Ctx& ctx, CommImpl& impl, int my_rank,
   ctx.clock().advance(net.cpu_overhead(grank, net.recv_overhead, op, 1));
   st.t_complete = ctx.now();
   if (auto& tap = ctx.world().trace_tap().on_recv_wait) {
-    tap(ctx, TapRecvWait{pr.get(), impl.context_id(),
+    tap(ctx, TapRecvWait{pr, impl.context_id(),
                          impl.group().world_rank(st.source), st.seq, st.bytes,
                          op, t_before});
   }
+  ch.release(pr, /*channel_done=*/true);
   return st;
 }
 
@@ -342,8 +358,10 @@ void Comm::send(const void* buf, std::size_t bytes, int dst, int tag) {
   require(valid(), Err::Comm, "null communicator");
   require(tag >= 0 && tag < kTagUb, Err::Tag, "user tag out of range");
   const HookScope hook(*ctx_, make_info(*this, MpiCall::Send, dst, bytes, tag));
-  const MessagePtr msg = raw_start_send(*ctx_, *impl_, rank_, buf, bytes, dst, tag);
-  raw_finish_send(*ctx_, *impl_, dst, msg);
+  bool done = false;
+  Message* msg =
+      raw_start_send(*ctx_, *impl_, rank_, buf, bytes, dst, tag, done);
+  raw_finish_send(*ctx_, *impl_, dst, msg, done);
 }
 
 Status Comm::recv(void* buf, std::size_t max_bytes, int src, int tag) {
@@ -351,20 +369,22 @@ Status Comm::recv(void* buf, std::size_t max_bytes, int src, int tag) {
   require(tag == kAnyTag || (tag >= 0 && tag < kTagUb), Err::Tag,
           "user tag out of range");
   const HookScope hook(*ctx_, make_info(*this, MpiCall::Recv, src, max_bytes, tag));
-  const PostedRecvPtr pr =
+  PostedRecv* pr =
       raw_post_recv(*ctx_, *impl_, rank_, buf, max_bytes, src, tag);
   return raw_finish_recv(*ctx_, *impl_, rank_, pr);
 }
 
 void Comm::send_internal(const void* buf, std::size_t bytes, int dst,
                          int tag) {
-  const MessagePtr msg = raw_start_send(*ctx_, *impl_, rank_, buf, bytes, dst, tag);
-  raw_finish_send(*ctx_, *impl_, dst, msg);
+  bool done = false;
+  Message* msg =
+      raw_start_send(*ctx_, *impl_, rank_, buf, bytes, dst, tag, done);
+  raw_finish_send(*ctx_, *impl_, dst, msg, done);
 }
 
 Status Comm::recv_internal(void* buf, std::size_t max_bytes, int src,
                            int tag) {
-  const PostedRecvPtr pr =
+  PostedRecv* pr =
       raw_post_recv(*ctx_, *impl_, rank_, buf, max_bytes, src, tag);
   return raw_finish_recv(*ctx_, *impl_, rank_, pr);
 }
@@ -372,12 +392,13 @@ Status Comm::recv_internal(void* buf, std::size_t max_bytes, int src,
 void Comm::sendrecv_internal(const void* sendbuf, std::size_t send_bytes,
                              int dst, void* recvbuf, std::size_t recv_bytes,
                              int src, int tag) {
-  const MessagePtr msg =
-      raw_start_send(*ctx_, *impl_, rank_, sendbuf, send_bytes, dst, tag);
-  const PostedRecvPtr pr =
+  bool done = false;
+  Message* msg = raw_start_send(*ctx_, *impl_, rank_, sendbuf, send_bytes,
+                                dst, tag, done);
+  PostedRecv* pr =
       raw_post_recv(*ctx_, *impl_, rank_, recvbuf, recv_bytes, src, tag);
   raw_finish_recv(*ctx_, *impl_, rank_, pr);
-  raw_finish_send(*ctx_, *impl_, dst, msg);
+  raw_finish_send(*ctx_, *impl_, dst, msg, done);
 }
 
 Status Comm::sendrecv(const void* sendbuf, std::size_t send_bytes, int dst,
@@ -386,12 +407,13 @@ Status Comm::sendrecv(const void* sendbuf, std::size_t send_bytes, int dst,
   require(valid(), Err::Comm, "null communicator");
   const HookScope hook(
       *ctx_, make_info(*this, MpiCall::Sendrecv, dst, send_bytes, send_tag));
-  const MessagePtr msg =
-      raw_start_send(*ctx_, *impl_, rank_, sendbuf, send_bytes, dst, send_tag);
-  const PostedRecvPtr pr =
+  bool done = false;
+  Message* msg = raw_start_send(*ctx_, *impl_, rank_, sendbuf, send_bytes,
+                                dst, send_tag, done);
+  PostedRecv* pr =
       raw_post_recv(*ctx_, *impl_, rank_, recvbuf, recv_bytes, src, recv_tag);
   const Status st = raw_finish_recv(*ctx_, *impl_, rank_, pr);
-  raw_finish_send(*ctx_, *impl_, dst, msg);
+  raw_finish_send(*ctx_, *impl_, dst, msg, done);
   return st;
 }
 
@@ -422,18 +444,20 @@ Comm::Request Comm::isend(const void* buf, std::size_t bytes, int dst,
     fire_begin(*ctx_, ci);
     fire_end(*ctx_, ci);
   }
-  auto st = std::make_shared<Request::State>();
+  Request::State* st = ctx_->world().records().requests.acquire();
   st->kind = Request::Kind::Send;
-  st->msg = raw_start_send(*ctx_, *impl_, rank_, buf, bytes, dst, tag);
+  st->msg = raw_start_send(*ctx_, *impl_, rank_, buf, bytes, dst, tag,
+                           st->channel_done);
   st->channel = &impl_->channel(dst);
   st->impl = impl_;
+  st->pools = &ctx_->world().records();
   st->ctx = ctx_;
   st->peer = dst;
   st->comm_context = impl_->context_id();
   st->comm_rank = rank_;
   st->comm_size = impl_->size();
   st->id = req_id;
-  return Request(std::move(st));
+  return Request(st);
 }
 
 Comm::Request Comm::irecv(void* buf, std::size_t max_bytes, int src, int tag) {
@@ -445,18 +469,19 @@ Comm::Request Comm::irecv(void* buf, std::size_t max_bytes, int src, int tag) {
     fire_begin(*ctx_, ci);
     fire_end(*ctx_, ci);
   }
-  auto st = std::make_shared<Request::State>();
+  Request::State* st = ctx_->world().records().requests.acquire();
   st->kind = Request::Kind::Recv;
   st->recv = raw_post_recv(*ctx_, *impl_, rank_, buf, max_bytes, src, tag);
   st->channel = &impl_->channel(rank_);
   st->impl = impl_;
+  st->pools = &ctx_->world().records();
   st->ctx = ctx_;
   st->peer = src;
   st->comm_context = impl_->context_id();
   st->comm_rank = rank_;
   st->comm_size = impl_->size();
   st->id = req_id;
-  return Request(std::move(st));
+  return Request(st);
 }
 
 Comm::Request Comm::nbc_post(MpiCall call, const void* sendbuf, void* recvbuf,
@@ -493,9 +518,10 @@ Comm::Request Comm::nbc_post(MpiCall call, const void* sendbuf, void* recvbuf,
                           op_id, t_before});
   }
 
-  auto st = std::make_shared<Request::State>();
+  Request::State* st = ctx_->world().records().requests.acquire();
   st->kind = Request::Kind::Coll;
   st->impl = impl_;
+  st->pools = &ctx_->world().records();
   st->ctx = ctx_;
   st->comm_context = impl_->context_id();
   st->comm_rank = rank_;
@@ -509,7 +535,7 @@ Comm::Request Comm::nbc_post(MpiCall call, const void* sendbuf, void* recvbuf,
   st->nbc->type = type;
   st->nbc->op = op;
   st->nbc->recvbuf = recvbuf;
-  return Request(std::move(st));
+  return Request(st);
 }
 
 Comm::Request Comm::iallreduce(const void* sendbuf, void* recvbuf, int count,
@@ -547,6 +573,7 @@ Status Comm::Request::wait() {
   if (s_->kind == Kind::Recv) {
     const double t_before = ctx.now();
     Status st = s_->channel->wait_recv(s_->recv);
+    s_->channel_done = true;
     ctx.clock().sync_to(st.t_complete);
     const NetworkModel& net = ctx.machine().net;
     const std::uint64_t op = ctx.next_op_id();
@@ -555,7 +582,7 @@ Status Comm::Request::wait() {
     st.t_complete = ctx.now();
     s_->status = st;
     if (auto& tap = ctx.world().trace_tap().on_recv_wait) {
-      tap(ctx, TapRecvWait{s_->recv.get(), s_->comm_context,
+      tap(ctx, TapRecvWait{s_->recv, s_->comm_context,
                            s_->impl->group().world_rank(st.source), st.seq,
                            st.bytes, op, t_before});
     }
@@ -588,14 +615,16 @@ Status Comm::Request::wait() {
     if (s_->msg->rendezvous) {
       const double t = s_->channel->wait_delivered(s_->msg);
       ctx.clock().sync_to(t);
+      s_->channel_done = true;
     }
     s_->status =
         Status{kAnySource, s_->msg->tag, s_->msg->bytes, ctx.now()};
     if (auto& tap = ctx.world().trace_tap().on_send_wait) {
-      tap(ctx, TapSendWait{s_->msg.get(), t_before});
+      tap(ctx, TapSendWait{s_->msg, t_before});
     }
   }
   s_->done = true;
+  release_record();
   {
     CallInfo ci;
     ci.call = MpiCall::Wait;
@@ -609,6 +638,22 @@ Status Comm::Request::wait() {
     if (end) end(ctx, ci);
   }
   return s_->status;
+}
+
+void Comm::Request::release_record() noexcept {
+  if (s_->msg != nullptr) {
+    s_->channel->release(s_->msg, s_->channel_done);
+    s_->msg = nullptr;
+  }
+  if (s_->recv != nullptr) {
+    s_->channel->release(s_->recv, s_->channel_done);
+    s_->recv = nullptr;
+  }
+}
+
+void Comm::Request::retire() noexcept {
+  release_record();
+  s_->pools->requests.release(s_);
 }
 
 namespace {

@@ -30,6 +30,7 @@
 #include "mpisim/message.hpp"
 #include "mpisim/nbcsync.hpp"
 #include "mpisim/op.hpp"
+#include "mpisim/record_pool.hpp"
 
 namespace mpisect::mpisim {
 
@@ -204,10 +205,24 @@ class Comm {
   int rank_ = -1;
 };
 
-/// Nonblocking-operation handle (shared state, copyable).
+/// Nonblocking-operation handle (shared state, copyable). Copies count
+/// their state without atomics: a request belongs to one rank, which runs
+/// on one fiber at a time. The state returns to the world's record pools
+/// when the last copy dies.
 class Comm::Request {
  public:
   Request() = default;
+  Request(const Request& o) noexcept : s_(o.s_) {
+    if (s_ != nullptr) ++s_->handles;
+  }
+  Request(Request&& o) noexcept : s_(o.s_) { o.s_ = nullptr; }
+  Request& operator=(Request o) noexcept {
+    std::swap(s_, o.s_);
+    return *this;
+  }
+  ~Request() {
+    if (s_ != nullptr && --s_->handles == 0) retire();
+  }
   [[nodiscard]] bool valid() const noexcept { return s_ != nullptr; }
   /// Complete the operation; syncs the caller's clock. Idempotent.
   Status wait();
@@ -216,6 +231,7 @@ class Comm::Request {
 
  private:
   friend class Comm;
+  friend struct RecordPools;
   friend void waitall(std::span<Comm::Request>);
   enum class Kind { Send, Recv, Coll };
   /// Extra state for a nonblocking-collective request (Kind::Coll).
@@ -230,10 +246,20 @@ class Comm::Request {
   };
   struct State {
     Kind kind = Kind::Send;
-    MessagePtr msg;
-    PostedRecvPtr recv;
+    /// The request's record while it holds its party in it (until wait
+    /// completes or the last handle dies).
+    Message* msg = nullptr;
+    PostedRecv* recv = nullptr;
+    /// This request saw the channel finish with its record under the
+    /// channel mutex (see Channel::release).
+    bool channel_done = false;
     Channel* channel = nullptr;  ///< null for Kind::Coll
-    std::shared_ptr<CommImpl> impl;  ///< keeps group mapping alive for wait
+    /// Keeps the group mapping and the channel alive for wait: a derived
+    /// communicator may be freed by every member while requests on it
+    /// are pending.
+    std::shared_ptr<CommImpl> impl;
+    RecordPools* pools = nullptr;
+    int handles = 1;  ///< Request copies referring to this state
     Ctx* ctx = nullptr;
     int peer = -1;
     int comm_context = -1;
@@ -247,8 +273,22 @@ class Comm::Request {
     std::unique_ptr<NbcState> nbc;
     Status status;
   };
-  explicit Request(std::shared_ptr<State> s) noexcept : s_(std::move(s)) {}
-  std::shared_ptr<State> s_;
+  explicit Request(State* s) noexcept : s_(s) {}
+  /// End this request's party in its record and return the state.
+  void retire() noexcept;
+  /// Wait completed: the record is no longer needed.
+  void release_record() noexcept;
+  State* s_ = nullptr;
+};
+
+/// The free lists one World keeps for its per-message records (see
+/// record_pool.hpp and message.hpp).
+struct RecordPools {
+  explicit RecordPools(const Executor& exec)
+      : messages(exec), recvs(exec), requests(exec) {}
+  RecordPool<Message> messages;
+  RecordPool<PostedRecv> recvs;
+  RecordPool<Comm::Request::State> requests;
 };
 
 /// Complete all requests. Under the blocking-only progress model this waits

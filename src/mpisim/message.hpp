@@ -5,12 +5,19 @@
 // DESIGN.md. Virtual-time fields record when the send started, when an eager
 // message becomes available at the receiver, and (once matched) when the
 // transfer completes.
+//
+// Both records have two parties: the rank that created it (sender or
+// receiver) and the channel that matches it. In a World they come from the
+// world's record pools (record_pool.hpp) and go back when both parties are
+// done: each party bumps `parties_done` under the matching channel's mutex,
+// the one that sets it to 2 returns the record. A creator that saw the
+// channel's part end under that mutex (a match reported by deposit, a
+// completed wait) is the second party by construction and returns the
+// record without the count (Channel::release).
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace mpisect::mpisim {
@@ -55,6 +62,8 @@ struct Message {
 
   // Set at match time:
   bool delivered = false;
+  /// Sender and channel done with the record (guarded by the channel).
+  std::uint8_t parties_done = 0;
   double t_deliver = 0.0;
 };
 
@@ -68,10 +77,9 @@ struct PostedRecv {
   // Set at match time:
   bool completed = false;
   bool truncated = false;
+  /// Receiver and channel done with the record (guarded by the channel).
+  std::uint8_t parties_done = 0;
   Status status;
 };
-
-using MessagePtr = std::shared_ptr<Message>;
-using PostedRecvPtr = std::shared_ptr<PostedRecv>;
 
 }  // namespace mpisect::mpisim

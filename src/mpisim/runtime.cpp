@@ -33,6 +33,7 @@ World::World(int nranks, WorldOptions options)
   executor_ =
       make_executor(options_.exec, options_.workers, options_.stack_kb);
   executor_->set_mem_account(&stack_account_);
+  records_ = std::make_unique<RecordPools>(*executor_);
   // Exact deadlock signal: every live rank parked, no wake pending. Give
   // the checker first look at the wait graph, then tear the world down.
   executor_->set_quiescence_handler([this] {

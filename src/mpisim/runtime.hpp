@@ -131,6 +131,9 @@ class World {
   }
   /// The rank execution backend (channels and collectives block through it).
   [[nodiscard]] Executor& executor() noexcept { return *executor_; }
+  /// Free lists for this world's messages, posted receives and request
+  /// states (see record_pool.hpp).
+  [[nodiscard]] RecordPools& records() noexcept { return *records_; }
   /// Callback fired when the executor proves every live rank is parked with
   /// no wake pending — an exact deadlock. The checker installs its analysis
   /// here; the world aborts right after the handler returns.
@@ -224,6 +227,9 @@ class World {
   // Declared before world_comm_: channel/collsync WaitPoints deregister
   // from the executor on destruction, so it must outlive the communicator.
   std::unique_ptr<Executor> executor_;
+  // After executor_ (one cache per worker), before world_comm_: channels
+  // return their unmatched records on destruction.
+  std::unique_ptr<RecordPools> records_;
   std::function<void()> deadlock_handler_;
   std::shared_ptr<CommImpl> world_comm_;
   /// Whether on_comm_create fired for the current world communicator (so a

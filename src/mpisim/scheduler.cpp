@@ -1,10 +1,10 @@
 #include "mpisim/scheduler.hpp"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <deque>
 #include <stdexcept>
@@ -17,7 +17,18 @@
 #include "support/log.hpp"
 #include "support/spec.hpp"
 
-// Sanitizer fiber annotations: without these, swapcontext looks like a wild
+// glibc's swapcontext saves and restores the signal mask, an rt_sigprocmask
+// syscall on every switch. The simulator never changes the mask, so on
+// x86-64 a fiber switch is a plain register swap in user space. Other
+// architectures, and a build that asks for CET (-fcf-protection), keep
+// ucontext: glibc's switch maintains the shadow stack, this one does not.
+#if defined(__x86_64__) && !defined(__CET__)
+#define MPISECT_ASM_FIBERS 1
+#else
+#include <ucontext.h>
+#endif
+
+// Sanitizer fiber annotations: without these, a fiber switch looks like a wild
 // stack change to ASan and a missing happens-before to TSan.
 #if defined(__SANITIZE_ADDRESS__)
 #define MPISECT_ASAN_FIBERS 1
@@ -34,6 +45,7 @@
 #endif
 #endif
 #if defined(MPISECT_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(MPISECT_TSAN_FIBERS)
@@ -88,6 +100,19 @@ void Executor::fire_quiescence() {
 void Executor::wake_all() noexcept {
   const std::lock_guard lock(reg_mu_);
   for (WaitPoint* wp : waitpoints_) do_wake(*wp);
+}
+
+namespace {
+
+/// The executor whose worker pool this thread belongs to, and its index
+/// there (set by FiberExecutor's workers for their lifetime).
+thread_local const Executor* tl_worker_exec = nullptr;
+thread_local int tl_worker_index = -1;
+
+}  // namespace
+
+int Executor::current_worker() const noexcept {
+  return tl_worker_exec == this ? tl_worker_index : -1;
 }
 
 void Executor::yield() noexcept {
@@ -236,17 +261,267 @@ class ThreadExecutor final : public Executor {
 };
 
 // ---------------------------------------------------------------------------
-// Cooperative backend: stackful ucontext fibers on a fixed worker pool
+// Fiber contexts: a user-space register switch on x86-64, ucontext elsewhere
+// ---------------------------------------------------------------------------
+
+#if defined(MPISECT_ASM_FIBERS)
+// mpisect_fiber_jump(void** save_sp, void* load_sp), in the style of
+// boost.context's fcontext: push the SysV callee-saved registers (rbp, rbx,
+// r12-r15), MXCSR and the x87 control word on the running stack, store the
+// stack pointer to *save_sp, load load_sp, pop the other context's words
+// and return into it. Caller-saved registers are the caller's business, as
+// for any call. Frame, low to high: [mxcsr | x87 cw] r12 r13 r14 r15 rbx
+// rbp return-address.
+asm(R"(
+	.pushsection .text
+	.p2align 4
+	.globl	mpisect_fiber_jump
+	.hidden	mpisect_fiber_jump
+	.type	mpisect_fiber_jump, @function
+mpisect_fiber_jump:
+	pushq	%rbp
+	pushq	%rbx
+	pushq	%r15
+	pushq	%r14
+	pushq	%r13
+	pushq	%r12
+	subq	$8, %rsp
+	stmxcsr	(%rsp)
+	fnstcw	4(%rsp)
+	movq	%rsp, (%rdi)
+	movq	%rsi, %rsp
+	ldmxcsr	(%rsp)
+	fldcw	4(%rsp)
+	addq	$8, %rsp
+	popq	%r12
+	popq	%r13
+	popq	%r14
+	popq	%r15
+	popq	%rbx
+	popq	%rbp
+	ret
+	.size	mpisect_fiber_jump, .-mpisect_fiber_jump
+	.popsection
+)");
+extern "C" void mpisect_fiber_jump(void** save_sp, void* load_sp);
+#endif
+
+namespace {
+
+/// A suspended execution context: a saved stack pointer, or a ucontext.
+struct FiberContext {
+#if defined(MPISECT_ASM_FIBERS)
+  void* sp = nullptr;
+#else
+  ucontext_t uc{};
+#endif
+};
+
+/// Save the running context into `from` and resume `to`.
+inline void switch_context(FiberContext& from, FiberContext& to) {
+#if defined(MPISECT_ASM_FIBERS)
+  mpisect_fiber_jump(&from.sp, to.sp);
+#else
+  swapcontext(&from.uc, &to.uc);
+#endif
+}
+
+/// Prepare `c` so that the first switch to it calls entry() on the stack
+/// [bottom, bottom + bytes). entry must never return.
+void make_context(FiberContext& c, void* bottom, std::size_t bytes,
+                  void (*entry)()) {
+#if defined(MPISECT_ASM_FIBERS)
+  // The first frame mpisect_fiber_jump pops: the creating thread's MXCSR
+  // and x87 control word (what getcontext would have captured), zeroed
+  // callee-saved registers, entry as the return address, and a null
+  // return address above it that ends unwinding. The stack top is page
+  // aligned; entry starts with rsp = top - 8, the ABI's alignment at a
+  // function's first instruction.
+  std::uint32_t csr = 0;
+  std::uint16_t cw = 0;
+  asm volatile("stmxcsr %0" : "=m"(csr));
+  asm volatile("fnstcw %0" : "=m"(cw));
+  auto* top = reinterpret_cast<std::uintptr_t*>(static_cast<char*>(bottom) +
+                                                bytes);
+  std::uintptr_t* sp = top - 9;
+  sp[0] = csr | (static_cast<std::uintptr_t>(cw) << 32);
+  for (int i = 1; i <= 6; ++i) sp[i] = 0;
+  sp[7] = reinterpret_cast<std::uintptr_t>(entry);
+  sp[8] = 0;
+  c.sp = sp;
+#else
+  (void)getcontext(&c.uc);
+  c.uc.uc_stack.ss_sp = bottom;
+  c.uc.uc_stack.ss_size = bytes;
+  c.uc.uc_link = nullptr;
+  makecontext(&c.uc, entry, 0);
+#endif
+}
+
+// ---------------------------------------------------------------------------
+// Process-wide fiber stack pool
+// ---------------------------------------------------------------------------
+
+/// Guard-paged slabs of kStacksPerSlab stacks, one set per stack size,
+/// shared by every executor in the process. A World's fibers take stacks
+/// here and give them back as they finish, so the next World of the same
+/// stack size reuses mapped, already-faulted stacks instead of paying
+/// mmap + first-touch faults + munmap again. Slabs with no stack in use
+/// are idle; past kMaxIdleStackBytes of them, a slab is unmapped the moment
+/// it goes idle. The pool is never destroyed (an executor may outlive any
+/// static destructor's turn); the process exit returns its mappings.
+class StackPool {
+  struct Slab;
+
+ public:
+  struct Stack {
+    char* bottom = nullptr;  ///< usable stack low address
+    std::size_t bytes = 0;
+    Slab* slab = nullptr;
+  };
+
+  static StackPool& instance() {
+    static StackPool* const pool = new StackPool;
+    return *pool;
+  }
+
+  /// A stack of `bytes` (page multiple). Sets `mapped` if a slab had to be
+  /// mapped for it.
+  Stack take(std::size_t bytes, bool& mapped) {
+    mapped = false;
+    std::unique_lock lock(mu_);
+    SizeClass& cls = size_class(bytes);
+    if (cls.avail.empty()) {
+      // mmap outside the lock: a syscall under it would stall every
+      // worker's stack take and give behind this one.
+      lock.unlock();
+      Slab* slab = map_slab(cls);
+      mapped = true;
+      lock.lock();
+      slab->avail_pos = cls.avail.size();
+      cls.avail.push_back(slab);
+      mapped_bytes_ += slab->map_bytes;
+      idle_bytes_ += slab->map_bytes;
+      ++maps_;
+    }
+    Slab* slab = cls.avail.back();
+    if (slab->free_mask == kAllFree) idle_bytes_ -= slab->map_bytes;
+    const int i = std::countr_zero(slab->free_mask);
+    slab->free_mask &= ~(1u << i);
+    if (slab->free_mask == 0) cls.avail.pop_back();
+    return {slab->base + slab->guard + static_cast<std::size_t>(i) * bytes,
+            bytes, slab};
+  }
+
+  void give(const Stack& s) {
+    Slab* slab = s.slab;
+    const int i = static_cast<int>(
+        static_cast<std::size_t>(s.bottom - slab->base - slab->guard) /
+        s.bytes);
+    std::unique_lock lock(mu_);
+    SizeClass& cls = *slab->cls;
+    if (slab->free_mask == 0) {
+      slab->avail_pos = cls.avail.size();
+      cls.avail.push_back(slab);
+    }
+    slab->free_mask |= 1u << i;
+    if (slab->free_mask != kAllFree) return;
+    if (idle_bytes_ + slab->map_bytes <= kMaxIdleStackBytes) {
+      idle_bytes_ += slab->map_bytes;
+      return;
+    }
+    // Over the idle bound: this slab goes back to the kernel.
+    Slab* last = cls.avail.back();
+    last->avail_pos = slab->avail_pos;
+    cls.avail[slab->avail_pos] = last;
+    cls.avail.pop_back();
+    mapped_bytes_ -= slab->map_bytes;
+    ++unmaps_;
+    lock.unlock();
+    munmap(slab->base, slab->map_bytes);
+    delete slab;
+  }
+
+  StackPoolStats stats() {
+    const std::lock_guard lock(mu_);
+    return {maps_, unmaps_, idle_bytes_, mapped_bytes_};
+  }
+
+ private:
+  struct SizeClass;
+  struct Slab {
+    char* base = nullptr;
+    std::size_t map_bytes = 0;
+    std::size_t guard = 0;
+    SizeClass* cls = nullptr;
+    std::uint32_t free_mask = 0;  ///< bit i set: stack i is idle
+    std::size_t avail_pos = 0;    ///< index in cls->avail while listed
+  };
+  /// Slabs of one stack size; `avail` lists those with an idle stack.
+  struct SizeClass {
+    std::size_t stack_bytes = 0;
+    std::vector<Slab*> avail;
+  };
+
+  static_assert(kStacksPerSlab <= 32, "free_mask holds one bit per stack");
+  static constexpr std::uint32_t kAllFree =
+      static_cast<std::uint32_t>((std::uint64_t{1} << kStacksPerSlab) - 1);
+
+  StackPool() = default;
+
+  /// Caller holds mu_. Classes never move (unique_ptr), so the reference
+  /// stays valid after the lock is released.
+  SizeClass& size_class(std::size_t bytes) {
+    for (auto& c : classes_) {
+      if (c->stack_bytes == bytes) return *c;
+    }
+    classes_.push_back(std::make_unique<SizeClass>());
+    classes_.back()->stack_bytes = bytes;
+    return *classes_.back();
+  }
+
+  /// Map one slab of cls's stacks: a guard page at the low end (stacks
+  /// grow down, so an overflow off the slab faults instead of silently
+  /// corrupting a neighbouring mapping), then kStacksPerSlab stacks.
+  static Slab* map_slab(SizeClass& cls) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t map_bytes = page + kStacksPerSlab * cls.stack_bytes;
+    void* base = mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    require(base != MAP_FAILED, Err::Internal, "fiber stack mmap failed");
+    mprotect(base, page, PROT_NONE);
+    auto* slab = new Slab;
+    slab->base = static_cast<char*>(base);
+    slab->map_bytes = map_bytes;
+    slab->guard = page;
+    slab->free_mask = kAllFree;
+    slab->cls = &cls;
+    return slab;
+  }
+
+  std::mutex mu_;
+  std::vector<std::unique_ptr<SizeClass>> classes_;  ///< a few sizes at most
+  std::size_t idle_bytes_ = 0;
+  std::size_t mapped_bytes_ = 0;
+  std::uint64_t maps_ = 0;
+  std::uint64_t unmaps_ = 0;
+};
+
+}  // namespace
+
+StackPoolStats stack_pool_stats() { return StackPool::instance().stats(); }
+
+// ---------------------------------------------------------------------------
+// Cooperative backend: stackful fibers on a fixed worker pool
 // ---------------------------------------------------------------------------
 
 class FiberExecutor;
 
 /// One rank of the current run: its fiber context, its stack, and the
-/// handoff slots the worker and the fiber use to talk across swapcontext.
+/// handoff slots the worker and the fiber use to talk across a switch.
 struct FiberTask {
-  ucontext_t uc{};
-  void* stack_bottom = nullptr;  ///< usable stack low address (slab chunk)
-  std::size_t stack_size = 0;
+  FiberContext ctx;
+  StackPool::Stack stack;  ///< from the process-wide pool while started
   int rank = -1;
   FiberExecutor* exec = nullptr;
   const std::function<void(int)>* body = nullptr;
@@ -262,14 +537,14 @@ struct FiberTask {
   bool started = false;
   /// Where to switch back to; re-set by whichever worker resumes us, so a
   /// task migrating between workers always returns to the right one.
-  ucontext_t* ret_uc = nullptr;
+  FiberContext* ret = nullptr;
   /// Park handshake. A parking fiber registers itself on the waitpoint and
   /// releases the owner mutex BEFORE switching out (so lock ownership stays
   /// with the fiber), which means a notifier can move it to a ready lane
   /// while its context is still being saved. `resumable` closes that race:
-  /// cleared by the fiber before registering, set by its worker once
-  /// swapcontext has returned (context fully saved); a resuming worker
-  /// spins until it is set.
+  /// cleared by the fiber before registering, set by its worker once the
+  /// switch has returned (context fully saved); a resuming worker spins
+  /// until it is set.
   std::atomic<bool> resumable{true};
   /// Steady-clock stamp of the wake that made this task ready; consumed by
   /// the resuming worker for the switch-latency stat. 0 = not timing.
@@ -299,13 +574,14 @@ std::size_t fiber_stack_bytes(std::size_t stack_kb) noexcept {
              env > 0) {
     kb = std::max(kMinStackKb, static_cast<std::size_t>(env));
   }
-  return kb * 1024;
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return ((kb * 1024 + page - 1) / page) * page;
 }
 
 /// The fiber currently executing on this worker thread. Accessed only
 /// through the noinline accessors below: a fiber can migrate between worker
 /// threads across a park, and routing every access through an opaque call
-/// keeps the compiler from caching the TLS address across a swapcontext.
+/// keeps the compiler from caching the TLS address across a switch.
 thread_local FiberTask* tl_current_fiber = nullptr;
 
 __attribute__((noinline)) FiberTask* current_fiber() {
@@ -328,7 +604,7 @@ void fiber_switch_out(FiberTask& t, bool final_exit) {
 #if defined(MPISECT_TSAN_FIBERS)
   __tsan_switch_to_fiber(t.ret_tsan, 0);
 #endif
-  swapcontext(&t.uc, t.ret_uc);
+  switch_context(t.ctx, *t.ret);
   // Only a parked fiber comes back here (a finished one never resumes).
 #if defined(MPISECT_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(t.asan_save, &t.ret_stack_bottom,
@@ -357,11 +633,6 @@ class FiberExecutor final : public Executor {
   explicit FiberExecutor(int workers, std::size_t stack_kb = 0)
       : workers_(std::max(1, workers)),
         stack_bytes_(fiber_stack_bytes(stack_kb)) {}
-
-  ~FiberExecutor() override {
-    const std::lock_guard lock(pool_mu_);
-    for (const Slab& s : slabs_) munmap(s.base, s.bytes);
-  }
 
   void run(int n, const std::function<void(int)>& body) override {
     stats_.reset();
@@ -420,7 +691,7 @@ class FiberExecutor final : public Executor {
       std::this_thread::yield();
       return;
     }
-    // The worker puts us at the back of our home lane once swapcontext has
+    // The worker puts us at the back of our home lane once the switch has
     // saved this context, so every runnable rank of the lane gets CPU time
     // before we spin again. The task stays counted runnable, so quiescence
     // correctly stays off while a yielding rank exists.
@@ -479,89 +750,36 @@ class FiberExecutor final : public Executor {
   }
 
  private:
-  struct Stack {
-    void* bottom;
-    std::size_t bytes;
-  };
-  struct Slab {
-    void* base;
-    std::size_t bytes;
-  };
-  /// Stacks per mmap slab. A guard-paged mapping costs two kernel VMAs
-  /// (PROT_NONE page + stack), and vm.max_map_count defaults to 65530 — so
-  /// one mapping per fiber caps the simulator near 32k concurrent ranks.
-  /// Carving 16 stacks out of each slab keeps the VMA count ~16x below
-  /// that wall (65536 ranks ~= 8192 VMAs). The slab's low guard page still
-  /// faults runaway recursion; within a slab an overflow must first cross
-  /// an entire neighbouring stack, which the default 1 MiB size makes a
-  /// diagnosed-in-practice non-event.
-  static constexpr std::size_t kStacksPerSlab = 16;
-
   void allocate_stack(FiberTask& t) {
-    bool reused = false;
-    {
-      const std::lock_guard lock(pool_mu_);
-      if (!stack_pool_.empty()) {
-        const Stack s = stack_pool_.back();
-        stack_pool_.pop_back();
-        t.stack_bottom = s.bottom;
-        t.stack_size = s.bytes;
-        reused = true;
-      }
-    }
-    if (!reused) {
-      const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-      const std::size_t stack_bytes =
-          ((stack_bytes_ + page - 1) / page) * page;
-      const std::size_t bytes = page + kStacksPerSlab * stack_bytes;
-      void* base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-      require(base != MAP_FAILED, Err::Internal, "fiber stack mmap failed");
-      // Guard page at the low end: stacks grow down, so an overflow off
-      // the slab faults instead of silently corrupting a neighbouring
-      // mapping.
-      mprotect(base, page, PROT_NONE);
-      char* cursor = static_cast<char*>(base) + page;
-      {
-        const std::lock_guard lock(pool_mu_);
-        slabs_.push_back({base, bytes});
-        // Hand the caller the lowest chunk; pool the rest.
-        for (std::size_t i = 1; i < kStacksPerSlab; ++i) {
-          stack_pool_.push_back({cursor + i * stack_bytes, stack_bytes});
-        }
-      }
-      t.stack_bottom = cursor;
-      t.stack_size = stack_bytes;
-    }
-    stats_.stack_bytes.fetch_add(t.stack_size, std::memory_order_relaxed);
+    bool mapped = false;
+    t.stack = StackPool::instance().take(stack_bytes_, mapped);
+    if (mapped) stats_.slab_maps.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t bytes = t.stack.bytes;
+    stats_.stack_bytes.fetch_add(bytes, std::memory_order_relaxed);
     const std::uint64_t live =
-        live_stack_bytes_.fetch_add(t.stack_size,
-                                    std::memory_order_relaxed) +
-        t.stack_size;
+        live_stack_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
     obs::update_max(stats_.stack_bytes_hwm, live);
-    if (mem_ != nullptr) mem_->rank(t.rank).add(t.stack_size);
+    if (mem_ != nullptr) mem_->rank(t.rank).add(bytes);
   }
 
   void release_stack(FiberTask& t) {
-    // Stacks are reused across ranks within a run and across run() calls;
-    // the slabs die with the executor.
-    live_stack_bytes_.fetch_sub(t.stack_size, std::memory_order_relaxed);
-    if (mem_ != nullptr) mem_->rank(t.rank).sub(t.stack_size);
-    const std::lock_guard lock(pool_mu_);
-    stack_pool_.push_back({t.stack_bottom, t.stack_size});
-    t.stack_bottom = nullptr;
+    live_stack_bytes_.fetch_sub(t.stack.bytes, std::memory_order_relaxed);
+    if (mem_ != nullptr) mem_->rank(t.rank).sub(t.stack.bytes);
+    StackPool::instance().give(t.stack);
+    t.stack = {};
   }
 
   /// First resume of a task: give it a stack and a context. Runs on the
-  /// resuming worker, outside every lane lock (mmap under one would
+  /// resuming worker, outside every lane lock (a slab mmap under one would
   /// serialize that lane's workers behind a syscall).
   void start_task(FiberTask& t) {
     allocate_stack(t);
-    (void)getcontext(&t.uc);
-    t.uc.uc_stack.ss_sp = t.stack_bottom;
-    t.uc.uc_stack.ss_size = t.stack_size;
-    t.uc.uc_link = nullptr;
-    makecontext(&t.uc, fiber_trampoline, 0);
+#if defined(MPISECT_ASAN_FIBERS)
+    // A pooled stack still carries the poisoned redzones of the frames its
+    // last fiber abandoned at exit; clear them before building a new frame.
+    __asan_unpoison_memory_region(t.stack.bottom, t.stack.bytes);
+#endif
+    make_context(t.ctx, t.stack.bottom, t.stack.bytes, fiber_trampoline);
 #if defined(MPISECT_TSAN_FIBERS)
     t.tsan_fiber = __tsan_create_fiber(0);
 #endif
@@ -655,7 +873,9 @@ class FiberExecutor final : public Executor {
   }
 
   void worker_main(int self) {
-    ucontext_t worker_uc;
+    tl_worker_exec = this;
+    tl_worker_index = self;
+    FiberContext worker_ctx;
 #if defined(MPISECT_TSAN_FIBERS)
     void* const worker_tsan = __tsan_get_current_fiber();
 #endif
@@ -671,13 +891,13 @@ class FiberExecutor final : public Executor {
           stats_.idle_ns.fetch_add(obs::now_ns() - t_idle0,
                                    std::memory_order_relaxed);
         }
-        if (!more) return;
+        if (!more) break;
         continue;
       }
       stats_.switches.fetch_add(1, std::memory_order_relaxed);
       // A freshly notified task may still be mid-park on another worker
       // (its context not yet saved); wait for the handshake. The window is
-      // one swapcontext, so spinning beats blocking.
+      // one context switch, so spinning beats blocking.
       while (!t->resumable.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
@@ -698,19 +918,19 @@ class FiberExecutor final : public Executor {
         }
       }
 
-      t->ret_uc = &worker_uc;
+      t->ret = &worker_ctx;
 #if defined(MPISECT_TSAN_FIBERS)
       t->ret_tsan = worker_tsan;
 #endif
       set_current_fiber(t);
 #if defined(MPISECT_ASAN_FIBERS)
-      __sanitizer_start_switch_fiber(&asan_save, t->stack_bottom,
-                                     t->stack_size);
+      __sanitizer_start_switch_fiber(&asan_save, t->stack.bottom,
+                                     t->stack.bytes);
 #endif
 #if defined(MPISECT_TSAN_FIBERS)
       __tsan_switch_to_fiber(t->tsan_fiber, 0);
 #endif
-      swapcontext(&worker_uc, &t->uc);
+      switch_context(worker_ctx, t->ctx);
 #if defined(MPISECT_ASAN_FIBERS)
       __sanitizer_finish_switch_fiber(asan_save, nullptr, nullptr);
 #endif
@@ -752,6 +972,8 @@ class FiberExecutor final : public Executor {
         if (none) on_no_runnable();
       }
     }
+    tl_worker_exec = nullptr;
+    tl_worker_index = -1;
   }
 
   struct alignas(64) Lane {
@@ -768,9 +990,6 @@ class FiberExecutor final : public Executor {
   int total_ = 0;
   std::unique_ptr<Lane[]> lanes_;
   std::vector<std::unique_ptr<FiberTask>> tasks_;
-  std::mutex pool_mu_;
-  std::vector<Stack> stack_pool_;
-  std::vector<Slab> slabs_;
   std::atomic<std::uint64_t> live_stack_bytes_{0};
   /// Tasks ready or running. Its own cache line: every park and wake
   /// updates it from every worker.

@@ -5,7 +5,9 @@
 // to the World's Executor, which comes in two flavours:
 //
 //   * Cooperative (default): a run-to-block fiber scheduler. Every rank is
-//     a stackful fiber (ucontext); a fixed pool of worker threads (default
+//     a stackful fiber (a user-space register switch on x86-64, ucontext
+//     elsewhere) whose stack comes from one process-wide pool of guard-paged
+//     slabs that later Worlds reuse; a fixed pool of worker threads (default
 //     hardware_concurrency, override with MPISECT_WORKERS) runs fibers
 //     until they block, then parks them on the WaitPoint and picks up the
 //     next runnable fiber. Parking costs one user-space context switch, so
@@ -113,8 +115,12 @@ struct ExecStats {
   /// Gated on obs::timing_enabled() like switch latency.
   std::atomic<std::uint64_t> busy_ns{0};
   std::atomic<std::uint64_t> idle_ns{0};
-  /// Bytes mmap'ed for fiber stacks this run (guard pages included).
+  /// Bytes of fiber stacks handed to fibers this run (one stack per
+  /// started rank; stacks come from the process-wide pool).
   std::atomic<std::uint64_t> stack_bytes{0};
+  /// Stack slabs this run had to mmap because the process-wide pool held
+  /// no idle stack of its size (0 when an earlier World left enough).
+  std::atomic<std::uint64_t> slab_maps{0};
   /// Peak bytes of fiber stacks held concurrently (stacks are allocated on
   /// first resume and returned to the pool when the fiber finishes, so this
   /// tracks live demand, not cumulative churn).
@@ -132,6 +138,7 @@ struct ExecStats {
     busy_ns.store(0, std::memory_order_relaxed);
     idle_ns.store(0, std::memory_order_relaxed);
     stack_bytes.store(0, std::memory_order_relaxed);
+    slab_maps.store(0, std::memory_order_relaxed);
     stack_bytes_hwm.store(0, std::memory_order_relaxed);
   }
 };
@@ -165,6 +172,12 @@ class Executor {
   /// is parked with no wake pending — an exact deadlock signal. Set before
   /// run(); the World chains the checker's handler and its own abort here.
   void set_quiescence_handler(std::function<void()> handler);
+
+  /// Index of the calling thread in this executor's worker pool, or -1
+  /// when the caller is none of its workers (thread backend, main thread).
+  /// A worker runs one fiber at a time, so state kept per worker index
+  /// (the record caches of record_pool.hpp) needs no lock.
+  [[nodiscard]] int current_worker() const noexcept;
 
   [[nodiscard]] virtual const char* backend_name() const noexcept = 0;
   /// Worker threads used to execute ranks (== nranks for Threads backend).
@@ -256,6 +269,31 @@ class WaitPoint {
   /// a 65k-rank teardown cannot afford a linear registry scan each).
   std::size_t reg_index_ = 0;
 };
+
+/// Fiber stacks per mmap slab. A guard-paged mapping costs two kernel VMAs
+/// (PROT_NONE page + stack), and vm.max_map_count defaults to 65530 — so
+/// one mapping per fiber caps the simulator near 32k concurrent ranks.
+/// Carving 16 stacks out of each slab keeps the VMA count ~16x below that
+/// wall (65536 ranks ~= 8192 VMAs). The slab's low guard page still faults
+/// runaway recursion; within a slab an overflow must first cross an entire
+/// neighbouring stack, which the default 1 MiB size makes a
+/// diagnosed-in-practice non-event.
+inline constexpr std::size_t kStacksPerSlab = 16;
+/// Bytes of idle slabs (no stack in use) the process-wide stack pool keeps
+/// mapped for the next World; a slab that goes idle above this is unmapped.
+/// 8 GiB of address space holds the 4096 concurrent 1 MiB stacks of a
+/// 16384-rank convolution twice over. Only pages a fiber touched are
+/// resident.
+inline constexpr std::size_t kMaxIdleStackBytes = std::size_t{8} << 30;
+
+/// The process-wide fiber stack pool's counters (cumulative since start).
+struct StackPoolStats {
+  std::uint64_t slab_maps = 0;
+  std::uint64_t slab_unmaps = 0;
+  std::size_t idle_bytes = 0;    ///< slabs with no stack in use
+  std::size_t mapped_bytes = 0;  ///< every slab, guard pages included
+};
+[[nodiscard]] StackPoolStats stack_pool_stats();
 
 /// Number of worker threads `workers` resolves to: the value itself if > 0,
 /// else the MPISECT_WORKERS environment variable (read by support::env_int,

@@ -1,5 +1,6 @@
 #include "serve/queries.hpp"
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -170,6 +171,24 @@ std::string model_choices() {
   return out;
 }
 
+double check_num(const char* name, double v, NumRange range) {
+  const bool positive = range == NumRange::Positive;
+  if (!std::isfinite(v) || (positive ? v <= 0.0 : v < 0.0)) {
+    throw trace::TraceError(std::string("param '") + name +
+                            "' must be a finite number " +
+                            (positive ? "> 0" : ">= 0"));
+  }
+  return v;
+}
+
+void check_model_params(const ModelParams& p) {
+  (void)check_num("latency", p.latency, NumRange::NonNegative);
+  (void)check_num("bandwidth", p.bandwidth, NumRange::NonNegative);
+  (void)check_num("latency_scale", p.latency_scale, NumRange::Positive);
+  (void)check_num("bandwidth_scale", p.bandwidth_scale, NumRange::Positive);
+  (void)check_num("jitter_scale", p.jitter_scale, NumRange::Positive);
+}
+
 ResolvedModel resolve_model(const trace::TraceFile& tf,
                             const ModelParams& p) {
   ResolvedModel r;
@@ -296,7 +315,16 @@ std::uint64_t sweep_points(const SweepQuery& q) {
   return n;
 }
 
+void check_sweep_grid(const SweepQuery& q) {
+  if (sweep_points(q) > kMaxSweepPoints) {
+    throw trace::TraceError("sweep grid exceeds " +
+                            std::to_string(kMaxSweepPoints) +
+                            " points (the product of the six list lengths)");
+  }
+}
+
 std::string run_sweep(const trace::TraceFile& tf, const SweepQuery& q) {
+  check_sweep_grid(q);
   std::optional<double> t_seq;
   if (q.tseq > 0) t_seq = q.tseq;
   const auto rows = [&](const trace::ReplayResult& res, const SweepKey& k) {

@@ -40,6 +40,17 @@ struct ModelParams {
   std::string progress = "recorded";
 };
 
+/// Lower end of a double-valued param's range; every one must be finite.
+enum class NumRange {
+  Positive,     ///< > 0: latency_scale, bandwidth_scale, jitter_scale
+  NonNegative,  ///< >= 0: latency, bandwidth (0 = no override), tseq, dt
+};
+/// `v` if it is finite and in `range`, else a TraceError naming `name`.
+double check_num(const char* name, double v, NumRange range);
+/// check_num every double of p. The daemon's request params and the CLI
+/// flags fill ModelParams alike; both reject the same values.
+void check_model_params(const ModelParams& p);
+
 struct ResolvedModel {
   mpisim::MachineModel machine;  ///< overheads already folded for progress
   double compute_scale = 1.0;
@@ -83,14 +94,16 @@ struct SweepQuery {
   double tseq = 0.0;
 };
 
-/// Largest sweep grid the serve daemon evaluates in one request. A sweep's
-/// time, memory and reply bytes grow linearly with its points; the largest
-/// documented grid has 36.
+/// Largest sweep grid run_sweep evaluates (daemon request or CLI). A
+/// sweep's time, memory and output bytes grow linearly with its points;
+/// the largest documented grid has 36.
 inline constexpr std::uint64_t kMaxSweepPoints = 1024;
 
 /// Points in q's grid (the product of its six list lengths), saturating at
 /// kMaxSweepPoints + 1 so that no product overflows.
 [[nodiscard]] std::uint64_t sweep_points(const SweepQuery& q);
+/// Throws TraceError when q's grid has more than kMaxSweepPoints points.
+void check_sweep_grid(const SweepQuery& q);
 
 struct AnalyzeQuery {
   std::string format = "text";  ///< text | csv | json

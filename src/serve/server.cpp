@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -56,8 +57,8 @@ Server::Server(Service& service, int workers) : service_(service) {
 
 Server::~Server() {
   stop();
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) t.join();
+  for (Conn& c : conns_) {
+    if (c.thread.joinable()) c.thread.join();
   }
   for (auto& t : pool_) {
     if (t.joinable()) t.join();
@@ -100,14 +101,31 @@ void Server::run() {
       if (errno == EINTR) continue;
       break;  // listen socket closed by stop()
     }
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
+    std::list<Conn> finished;
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      if (stopping_.load(std::memory_order_acquire)) {
+        ::close(fd);
+        break;
+      }
+      for (auto it = conns_.begin(); it != conns_.end();) {
+        const auto next = std::next(it);
+        if (it->done) finished.splice(finished.end(), conns_, it);
+        it = next;
+      }
+      conn_fds_.push_back(fd);
+      Conn& conn = conns_.emplace_back();
+      conn.thread =
+          std::thread([this, fd, &conn] { connection_loop(fd, conn); });
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
+    // Reap the connections that ended since the last accept.
+    for (Conn& c : finished) c.thread.join();
   }
+}
+
+std::size_t Server::connection_threads() {
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  return conns_.size();
 }
 
 void Server::stop() {
@@ -162,7 +180,7 @@ std::string Server::dispatch(const std::string& line) {
   return done.get();
 }
 
-void Server::connection_loop(int fd) {
+void Server::connection_loop(int fd, Conn& conn) {
   std::string buffer;
   char chunk[4096];
   for (;;) {
@@ -192,7 +210,10 @@ void Server::connection_loop(int fd) {
       break;
     }
   }
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
   ::close(fd);
+  conn.done = true;
 }
 
 void Server::refuse_overlong_line(int fd) {

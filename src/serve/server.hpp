@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,6 +54,9 @@ class Server {
   [[nodiscard]] int workers() const noexcept {
     return static_cast<int>(pool_.size());
   }
+  /// Connection threads not yet joined. A finished connection's thread is
+  /// joined at the next accept, so sequential clients keep this small.
+  [[nodiscard]] std::size_t connection_threads();
 
  private:
   struct Shard {
@@ -62,7 +66,14 @@ class Server {
   };
 
   void worker_loop(Shard& shard);
-  void connection_loop(int fd);
+  /// One client connection's thread; `done` is set (under conns_mu_) once
+  /// the thread has closed its fd and touches nothing more.
+  struct Conn {
+    std::thread thread;
+    bool done = false;
+  };
+
+  void connection_loop(int fd, Conn& conn);
   /// Answer a line over kMaxLineBytes with an error, then end the session.
   void refuse_overlong_line(int fd);
   /// Route one request line through its trace's shard and return the
@@ -76,8 +87,10 @@ class Server {
 
   int listen_fd_ = -1;
   std::mutex conns_mu_;
+  /// Open connection fds; a connection removes its own before closing it,
+  /// so stop() never shuts down a number the kernel has since reused.
   std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::list<Conn> conns_;  ///< stable addresses: each thread holds its own
 };
 
 }  // namespace mpisect::serve

@@ -82,6 +82,13 @@ std::int64_t int_field(const support::JsonValue* params, const char* key,
   return static_cast<std::int64_t>(v);
 }
 
+/// A finite number param in `range` (see serve::check_num): the error
+/// names the param.
+double num_field(const support::JsonValue* params, const char* key,
+                 double dflt, NumRange range) {
+  return check_num(key, num_field(params, key, dflt), range);
+}
+
 std::uint64_t seed_field(const support::JsonValue* params) {
   return static_cast<std::uint64_t>(
       int_field(params, "fault_seed", 0, 0, kMaxExactInt));
@@ -173,11 +180,16 @@ const std::vector<const char*> kModelKeys = {
 ModelParams model_params(const support::JsonValue* params) {
   ModelParams p;
   p.model = str_field(params, "model", p.model);
-  p.latency = num_field(params, "latency", p.latency);
-  p.bandwidth = num_field(params, "bandwidth", p.bandwidth);
-  p.latency_scale = num_field(params, "latency_scale", p.latency_scale);
-  p.bandwidth_scale = num_field(params, "bandwidth_scale", p.bandwidth_scale);
-  p.jitter_scale = num_field(params, "jitter_scale", p.jitter_scale);
+  p.latency =
+      num_field(params, "latency", p.latency, NumRange::NonNegative);
+  p.bandwidth =
+      num_field(params, "bandwidth", p.bandwidth, NumRange::NonNegative);
+  p.latency_scale = num_field(params, "latency_scale", p.latency_scale,
+                              NumRange::Positive);
+  p.bandwidth_scale = num_field(params, "bandwidth_scale", p.bandwidth_scale,
+                                NumRange::Positive);
+  p.jitter_scale =
+      num_field(params, "jitter_scale", p.jitter_scale, NumRange::Positive);
   p.no_jitter = bool_field(params, "no_jitter", p.no_jitter);
   p.eager = static_cast<std::uint64_t>(
       int_field(params, "eager", 0, 0, kMaxExactInt));
@@ -205,12 +217,8 @@ SweepQuery sweep_query(const support::JsonValue* params) {
   q.drop_rates = num_list_field(params, "drop_rates", q.drop_rates);
   q.progress = str_list_field(params, "progress", q.progress);
   q.fault_seed = seed_field(params);
-  q.tseq = num_field(params, "tseq", 0.0);
-  if (sweep_points(q) > kMaxSweepPoints) {
-    throw trace::TraceError("sweep grid exceeds " +
-                            std::to_string(kMaxSweepPoints) +
-                            " points (the product of the six list lengths)");
-  }
+  q.tseq = num_field(params, "tseq", 0.0, NumRange::NonNegative);
+  check_sweep_grid(q);
   return q;
 }
 
@@ -393,14 +401,14 @@ std::string Service::handle_line(const std::string& line) {
       q.faults = str_field(params, "faults", "");
       q.fault_seed = seed_field(params);
       q.format = str_field(params, "format", q.format);
-      q.tseq = num_field(params, "tseq", 0.0);
+      q.tseq = num_field(params, "tseq", 0.0, NumRange::NonNegative);
       run_cached(canonical(q), [&] { return run_replay(lt->tf, q); });
     } else if (op == "timeline") {
       TimelineQuery q;
       q.model = model_params(params);
       q.faults = str_field(params, "faults", "");
       q.fault_seed = seed_field(params);
-      q.dt = num_field(params, "dt", 0.0);
+      q.dt = num_field(params, "dt", 0.0, NumRange::NonNegative);
       q.format = str_field(params, "format", q.format);
       run_cached(canonical(q), [&] { return run_timeline(lt->tf, q); });
     } else if (op == "sweep") {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,9 +33,20 @@ struct ChannelFixture {
   Channel ch{*exec, &abort};
 };
 
-MessagePtr make_msg(int src, int tag, double t_send, double cost,
-                    bool rendezvous = false, std::size_t bytes = 8) {
-  auto msg = std::make_shared<Message>();
+/// A record that lives until the test process exits: a Channel refers to
+/// records by plain pointer, and one built without record pools never
+/// frees them.
+template <typename T>
+T* keep() {
+  static std::mutex mu;
+  static std::deque<T> records;
+  const std::lock_guard lock(mu);
+  return &records.emplace_back();
+}
+
+Message* make_msg(int src, int tag, double t_send, double cost,
+                  bool rendezvous = false, std::size_t bytes = 8) {
+  Message* msg = keep<Message>();
   msg->src = src;
   msg->tag = tag;
   msg->bytes = bytes;
@@ -44,9 +57,9 @@ MessagePtr make_msg(int src, int tag, double t_send, double cost,
   return msg;
 }
 
-PostedRecvPtr make_recv(int src, int tag, double t_post,
-                        std::size_t max_bytes = 64) {
-  auto pr = std::make_shared<PostedRecv>();
+PostedRecv* make_recv(int src, int tag, double t_post,
+                      std::size_t max_bytes = 64) {
+  PostedRecv* pr = keep<PostedRecv>();
   pr->src = src;
   pr->tag = tag;
   pr->t_post = t_post;
@@ -257,17 +270,17 @@ struct Lockstep {
   std::unique_ptr<Executor> exec = make_executor(ExecBackend::Threads);
   Channel ch;
   ReferenceMatcher ref;
-  std::vector<MessagePtr> msgs;
-  std::vector<PostedRecvPtr> recvs;
+  std::vector<Message*> msgs;
+  std::vector<PostedRecv*> recvs;
 
-  void deposit(const MessagePtr& m) {
+  void deposit(Message* m) {
     msgs.push_back(m);
     const std::size_t want = ref.deposit(*m);
     ASSERT_EQ(ch.deposit(m), want)
         << "deposit " << msgs.size() - 1 << " (" << m->src << "," << m->tag
         << ")";
   }
-  PostedRecvPtr post(const PostedRecvPtr& r) {
+  PostedRecv* post(PostedRecv* r) {
     recvs.push_back(r);
     const std::size_t want = ref.post(*r);
     EXPECT_EQ(ch.post(r), want) << "post " << recvs.size() - 1 << " ("

@@ -3,13 +3,17 @@
 // order + seeded draws, never of scheduling), worker-count independence,
 // scale (256 ranks on a fixed worker pool), exact deadlock quiescence,
 // the per-worker home lanes (quiescence across lanes, stealing from one
-// loaded lane), the bounds on the --exec knobs, and the max-accumulator /
-// multi-run lifecycle fixes that rode along.
+// loaded lane), the bounds on the --exec knobs, the max-accumulator /
+// multi-run lifecycle fixes that rode along, what a fiber switch must
+// preserve (floating-point control state, callee-saved registers), and the
+// process-wide stack pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cfenv>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -455,6 +459,114 @@ TEST(Scheduler, FailedRunClearsFinalTimes) {
   }),
                std::runtime_error);
   for (const double t : world.final_times()) EXPECT_DOUBLE_EQ(t, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Fiber switch and stack pool
+// ---------------------------------------------------------------------------
+
+/// Values a fiber holds in callee-saved registers across `park`. On x86-64
+/// each value is pinned to its register around the park, so a switch that
+/// failed to save one would hand the fiber another fiber's (or the
+/// worker's) register contents.
+template <typename Park>
+bool registers_survive(std::uint64_t seed, Park&& park) {
+#if defined(__x86_64__)
+  register std::uint64_t rbx asm("rbx") = seed ^ 0x1111;
+  register std::uint64_t r12 asm("r12") = seed ^ 0x2222;
+  register std::uint64_t r13 asm("r13") = seed ^ 0x3333;
+  register std::uint64_t r14 asm("r14") = seed ^ 0x4444;
+  register std::uint64_t r15 asm("r15") = seed ^ 0x5555;
+  asm volatile("" : "+r"(rbx), "+r"(r12), "+r"(r13), "+r"(r14), "+r"(r15));
+  park();
+  asm volatile("" : "+r"(rbx), "+r"(r12), "+r"(r13), "+r"(r14), "+r"(r15));
+  return rbx == (seed ^ 0x1111) && r12 == (seed ^ 0x2222) &&
+         r13 == (seed ^ 0x3333) && r14 == (seed ^ 0x4444) &&
+         r15 == (seed ^ 0x5555);
+#else
+  const std::uint64_t kept = seed ^ 0x1111;
+  park();
+  return kept == (seed ^ 0x1111);
+#endif
+}
+
+// Rank 0 rounds upward, every other rank to nearest; the rounding mode is
+// per fiber, so it must survive every park and never leak to the ranks
+// that share rank 0's worker. Dividing 1 by 3 tells the modes apart.
+TEST(FiberContext, RoundingModeAndCalleeSavedRegistersSurviveParks) {
+  for (const int workers : {1, 4}) {
+    World world(8, nehalem_options(ExecBackend::Cooperative, workers));
+    std::atomic<int> bad_mode{0};
+    std::atomic<int> bad_regs{0};
+    world.run([&](Ctx& ctx) {
+      Comm comm = ctx.world_comm();
+      const int want = comm.rank() == 0 ? FE_UPWARD : FE_TONEAREST;
+      if (comm.rank() == 0) std::fesetround(FE_UPWARD);
+      volatile double one = 1.0;
+      const double third_before = one / 3.0;
+      for (int round = 0; round < 20; ++round) {
+        const auto seed = static_cast<std::uint64_t>(comm.rank()) << 32 |
+                          static_cast<std::uint64_t>(round);
+        const bool kept = registers_survive(seed, [&] {
+          // A ring exchange parks every rank at least once per round.
+          const int n = comm.size();
+          comm.sendrecv(nullptr, 8, (comm.rank() + 1) % n, round, nullptr, 8,
+                        (comm.rank() + n - 1) % n, round);
+          comm.barrier();
+        });
+        if (!kept) bad_regs.fetch_add(1);
+        if (std::fegetround() != want || one / 3.0 != third_before) {
+          bad_mode.fetch_add(1);
+        }
+      }
+      std::fesetround(FE_TONEAREST);
+    });
+    EXPECT_EQ(bad_mode.load(), 0) << "workers=" << workers;
+    EXPECT_EQ(bad_regs.load(), 0) << "workers=" << workers;
+  }
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+/// n ranks that are all alive at once: each holds its stack through the
+/// barrier, so a world of n ranks needs n stacks concurrently.
+void run_barrier_world(int n, std::size_t stack_kb, std::uint64_t* slab_maps) {
+  WorldOptions opts = nehalem_options(ExecBackend::Cooperative, 2);
+  opts.stack_kb = stack_kb;
+  World world(n, opts);
+  world.run([](Ctx& ctx) { ctx.world_comm().barrier(); });
+  *slab_maps = world.executor().stats().slab_maps.load();
+}
+
+// Worlds of one stack size share the process-wide pool: the second one
+// finds every stack it needs already mapped (and already faulted in).
+TEST(FiberStackPool, SecondWorldOfTheSameStackSizeMapsNoSlab) {
+  constexpr std::size_t kStackKb = 192;  // a size no other test uses
+  const std::uint64_t maps_before = mpisim::stack_pool_stats().slab_maps;
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
+  run_barrier_world(64, kStackKb, &first);
+  run_barrier_world(64, kStackKb, &second);
+  // Two workers that find the pool empty at once may each map a slab.
+  EXPECT_GE(first, 64 / mpisim::kStacksPerSlab);
+  EXPECT_EQ(second, 0u);
+  EXPECT_EQ(mpisim::stack_pool_stats().slab_maps - maps_before, first);
+}
+
+// Idle slabs past kMaxIdleStackBytes go back to the kernel. 256 MiB stacks
+// make one slab 4 GiB of address space (only the pages fibers touch are
+// resident), so the second idle slab of 32 concurrent ranks is over the
+// 8 GiB bound.
+TEST(FiberStackPool, IdleSlabsAboveTheBoundAreUnmapped) {
+  constexpr std::size_t kStackKb = 256 * 1024;
+  const mpisim::StackPoolStats before = mpisim::stack_pool_stats();
+  std::uint64_t maps = 0;
+  run_barrier_world(2 * mpisim::kStacksPerSlab, kStackKb, &maps);
+  const mpisim::StackPoolStats after = mpisim::stack_pool_stats();
+  EXPECT_LE(after.idle_bytes, mpisim::kMaxIdleStackBytes);
+  EXPECT_GE(after.slab_unmaps - before.slab_unmaps, 1u);
+  EXPECT_EQ(after.slab_maps - before.slab_maps, maps);
+  const std::size_t slab_bytes = (kStackKb << 10) * mpisim::kStacksPerSlab;
+  EXPECT_LT(after.mapped_bytes, before.mapped_bytes + 2 * slab_bytes);
 }
 
 }  // namespace

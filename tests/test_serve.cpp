@@ -12,8 +12,11 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -381,6 +384,66 @@ TEST(Service, OutOfRangeIntegerParamsAreErrorsNamingTheParam) {
       reply("replay", "\"fault_seed\":9007199254740992").find("ok")->boolean);
 }
 
+TEST(Service, OutOfRangeDoubleParamsAreErrorsNamingTheParam) {
+  const Fixture& fx = fixture();
+  serve::Service svc;
+  const auto reply = [&](const std::string& op, const std::string& params) {
+    return parse_response(svc.handle_line(
+        "{\"id\":1,\"op\":\"" + op + "\",\"trace\":\"" + fx.mpst_path +
+        "\",\"params\":{" + params + "}}"));
+  };
+  const auto expect_named = [&](const std::string& op, const std::string& key,
+                                const char* value) {
+    const support::JsonValue v =
+        reply(op, "\"" + key + "\":" + std::string(value));
+    EXPECT_NE(error_of(v).find("param '" + key + "'"), std::string::npos)
+        << op << " " << key << "=" << value << ": " << error_of(v);
+  };
+  for (const char* op : {"replay", "timeline"}) {
+    for (const char* key : {"latency_scale", "bandwidth_scale",
+                            "jitter_scale"}) {
+      for (const char* bad : {"0", "-1", "-1e300"}) expect_named(op, key, bad);
+    }
+    for (const char* key : {"latency", "bandwidth"}) {
+      for (const char* bad : {"-1e-6", "-1e300"}) expect_named(op, key, bad);
+    }
+  }
+  for (const char* bad : {"-1", "-1e300"}) {
+    expect_named("replay", "tseq", bad);
+    expect_named("sweep", "tseq", bad);
+    expect_named("timeline", "dt", bad);
+  }
+  // In range (0 = no override for latency and bandwidth) is still fine.
+  EXPECT_TRUE(reply("replay",
+                    "\"latency_scale\":2,\"bandwidth_scale\":0.5,"
+                    "\"jitter_scale\":1e-3,\"latency\":0,\"bandwidth\":1e9,"
+                    "\"tseq\":0")
+                  .find("ok")
+                  ->boolean);
+}
+
+// The CLI flags fill the same ModelParams; they get the same check.
+TEST(QueryEngine, ModelParamCheckNamesTheParam) {
+  serve::ModelParams ok;
+  EXPECT_NO_THROW(serve::check_model_params(ok));
+  serve::ModelParams bad = ok;
+  bad.latency_scale = -1e300;
+  try {
+    serve::check_model_params(bad);
+    ADD_FAILURE() << "latency_scale=-1e300 accepted";
+  } catch (const trace::TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find("param 'latency_scale'"),
+              std::string::npos)
+        << e.what();
+  }
+  bad = ok;
+  bad.bandwidth = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(serve::check_model_params(bad), trace::TraceError);
+  EXPECT_THROW((void)serve::check_num("dt", std::nan(""),
+                                      serve::NumRange::NonNegative),
+               trace::TraceError);
+}
+
 TEST(Service, IdOutsideTheExactIntegerRangeEchoesZero) {
   serve::Service svc;
   const auto id_of = [&](const std::string& id) {
@@ -428,6 +491,22 @@ TEST(Service, OversizedSweepGridIsRejectedBeforeTheTraceLoads) {
             list(32));
   EXPECT_NE(error_of(over).find("sweep grid exceeds"), std::string::npos)
       << error_of(over);
+}
+
+// The offline sweep (mpisect-replay sweep) runs the same run_sweep as the
+// daemon, so the grid bound holds for every caller.
+TEST(QueryEngine, RunSweepRejectsAGridAboveTheBound) {
+  const Fixture& fx = fixture();
+  serve::SweepQuery q;
+  q.latency_scales.assign(serve::kMaxSweepPoints + 1, 1.0);
+  try {
+    (void)serve::run_sweep(fx.tf, q);
+    ADD_FAILURE() << "an over-bound grid was evaluated";
+  } catch (const trace::TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find("sweep grid exceeds"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(QueryEngine, SweepPointsSaturateInsteadOfOverflowing) {
@@ -707,6 +786,28 @@ TEST(Server, ConcurrentClientsGetConsistentAnswers) {
     EXPECT_EQ(v.find("result")->string,
               parse_response(results[0][0]).find("result")->string);
   }
+}
+
+// Each finished connection's thread is joined at the next accept, and its
+// fd leaves the list stop() shuts down before it is closed.
+TEST(Server, SequentialConnectionsAreReaped) {
+  const Fixture& fx = fixture();
+  serve::Service svc;
+  serve::Server server(svc, 1);
+  const int port = server.listen(0);
+  std::thread runner([&] { server.run(); });
+  const std::string info =
+      "{\"id\":1,\"op\":\"info\",\"trace\":\"" + fx.mpstz_path + "\"}";
+  std::size_t most = 0;
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_EQ(tcp_session(port, {info}).size(), 1u) << "connection " << i;
+    most = std::max(most, server.connection_threads());
+  }
+  server.stop();
+  runner.join();
+  // A connection's thread may still be closing when the next one is
+  // accepted, so a few can be live at once; without reaping all 40 are.
+  EXPECT_LE(most, 8u);
 }
 
 }  // namespace

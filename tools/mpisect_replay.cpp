@@ -153,6 +153,7 @@ serve::ModelParams model_params(const support::ArgParser& args) {
   p.eager = static_cast<std::uint64_t>(args.get_int("eager"));
   p.compute_scale = args.get_string("compute-scale");
   p.progress = args.get_string("progress");
+  serve::check_model_params(p);
   return p;
 }
 
@@ -296,7 +297,8 @@ int cmd_replay(int argc, const char* const* argv) {
   q.faults = args.get_string("faults");
   q.fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
   q.format = support::unified_export(args);
-  q.tseq = args.get_double("tseq");
+  q.tseq = serve::check_num("tseq", args.get_double("tseq"),
+                            serve::NumRange::NonNegative);
   return emit(serve::run_replay(tf, q), args.get_string("out")) ? 0 : 1;
 }
 
@@ -319,7 +321,8 @@ int cmd_timeline(int argc, const char* const* argv) {
   q.model = model_params(args);
   q.faults = args.get_string("faults");
   q.fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
-  q.dt = args.get_double("dt");
+  q.dt = serve::check_num("dt", args.get_double("dt"),
+                          serve::NumRange::NonNegative);
   q.format = support::unified_export(args);
   return emit(serve::run_timeline(tf, q), args.get_string("out")) ? 0 : 1;
 }
@@ -367,7 +370,6 @@ int cmd_sweep(int argc, const char* const* argv) {
   args.add_string("out", "", "output CSV ('' = stdout)");
   if (!parse_with_self_trace(args, argc, argv)) return 1;
 
-  const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
   serve::SweepQuery q;
   q.models = split_csv(args.get_string("models"));
   q.latency_scales = parse_grid(args.get_string("latency-scales"));
@@ -376,7 +378,11 @@ int cmd_sweep(int argc, const char* const* argv) {
   q.drop_rates = parse_grid(args.get_string("drop-rates"));
   q.progress = split_csv(args.get_string("progress"));
   q.fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
-  q.tseq = args.get_double("tseq");
+  q.tseq = serve::check_num("tseq", args.get_double("tseq"),
+                            serve::NumRange::NonNegative);
+  // run_sweep checks the grid too; checking first skips loading the trace.
+  serve::check_sweep_grid(q);
+  const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
   return emit(serve::run_sweep(tf, q), args.get_string("out")) ? 0 : 1;
 }
 
