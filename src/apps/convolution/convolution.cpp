@@ -1,13 +1,13 @@
 #include "apps/convolution/convolution.hpp"
 
 #include <cstring>
-#include <fstream>
 #include <utility>
 #include <vector>
 
 #include "core/sections/api.hpp"
 #include "mpisim/comm.hpp"
 #include "mpisim/error.hpp"
+#include "support/file.hpp"
 
 namespace mpisect::apps::conv {
 namespace {
@@ -64,9 +64,9 @@ void ConvolutionApp::run_rank0_io(mpisim::Ctx& ctx, bool load,
     *io_image = decode_ppm(encode_ppm(original));
   } else if (!config_.store_path.empty()) {
     const auto bytes = encode_ppm(*io_image);
-    std::ofstream out(config_.store_path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    (void)support::write_file_atomic(
+        config_.store_path,
+        {reinterpret_cast<const char*>(bytes.data()), bytes.size()});
   }
 }
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+
+#include "support/strings.hpp"
 
 namespace mpisect::mpisim {
 
@@ -157,9 +158,7 @@ const char* jitter_kind_name(JitterModel::Kind k) noexcept {
 }  // namespace
 
 std::string MachineModel::describe() const {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
+  return support::format(
       "machine %s: %d node(s) x %d core(s) x %d hw thread(s)\n"
       "  compute: %.3g flops/core, noise sigma %.3g\n"
       "  net: intra %.3g s + B/%.3g B/s, inter %.3g s + B/%.3g B/s\n"
@@ -177,7 +176,6 @@ std::string MachineModel::describe() const {
       net.jitter.rel_sigma, net.jitter.add_sigma, net.jitter.spike_prob,
       net.jitter.spike_mean, omp.fork_join_base, omp.fork_join_per_thread,
       omp.barrier_log_cost, omp.static_imbalance);
-  return buf;
 }
 
 }  // namespace mpisect::mpisim

@@ -174,8 +174,8 @@ void World::run(const RankMain& rank_main) {
   }
 
   // Fold this run's wall-clock scheduling totals and memory high-water
-  // marks into the process-wide obs counters (scraped by the serve
-  // daemon's metrics op and mpisect-top --self). Observation only — the
+  // marks into the process-wide obs counters (the obs_* series of serve's
+  // stats page and mpisect-top --export prom). Observation only — the
   // virtual-time results above are already final.
   {
     auto& oc = obs::counters();
@@ -183,11 +183,19 @@ void World::run(const RankMain& rank_main) {
     const auto ld = [](const std::atomic<std::uint64_t>& a) {
       return a.load(std::memory_order_relaxed);
     };
-    oc.sched_parks.fetch_add(ld(st.parks), std::memory_order_relaxed);
-    oc.sched_wakes.fetch_add(ld(st.wakes), std::memory_order_relaxed);
-    oc.sched_switches.fetch_add(ld(st.switches), std::memory_order_relaxed);
-    oc.sched_busy_ns.fetch_add(ld(st.busy_ns), std::memory_order_relaxed);
-    oc.sched_idle_ns.fetch_add(ld(st.idle_ns), std::memory_order_relaxed);
+    const auto add = [&ld](std::atomic<std::uint64_t>& to,
+                           const std::atomic<std::uint64_t>& from) {
+      to.fetch_add(ld(from), std::memory_order_relaxed);
+    };
+    add(oc.sched_parks, st.parks);
+    add(oc.sched_wakes, st.wakes);
+    add(oc.sched_switches, st.switches);
+    add(oc.sched_busy_ns, st.busy_ns);
+    add(oc.sched_idle_ns, st.idle_ns);
+    add(oc.sched_ready_depth_sum, st.ready_depth_sum);
+    add(oc.sched_ready_depth_samples, st.ready_depth_samples);
+    add(oc.sched_switch_latency_ns, st.switch_latency_ns);
+    add(oc.sched_switch_latency_samples, st.switch_latency_samples);
     obs::update_max(oc.mem_channel_bytes_hwm, mem_account_.total_hwm());
     // Live peak, not cumulative mmap churn: stacks are pooled and reused
     // across ranks, so the high-water mark is what the run actually held.

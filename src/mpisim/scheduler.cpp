@@ -391,13 +391,21 @@ class StackPool {
     mapped = false;
     std::unique_lock lock(mu_);
     SizeClass& cls = size_class(bytes);
-    if (cls.avail.empty()) {
+    while (cls.avail.empty()) {
+      if (cls.mapping) {  // one worker maps; the others wait for its slab
+        slab_mapped_.wait(lock, [&cls] { return !cls.mapping; });
+        continue;
+      }
       // mmap outside the lock: a syscall under it would stall every
       // worker's stack take and give behind this one.
+      cls.mapping = true;
       lock.unlock();
       Slab* slab = map_slab(cls);
-      mapped = true;
       lock.lock();
+      cls.mapping = false;
+      slab_mapped_.notify_all();
+      require(slab != nullptr, Err::Internal, "fiber stack mmap failed");
+      mapped = true;
       slab->avail_pos = cls.avail.size();
       cls.avail.push_back(slab);
       mapped_bytes_ += slab->map_bytes;
@@ -461,6 +469,7 @@ class StackPool {
   struct SizeClass {
     std::size_t stack_bytes = 0;
     std::vector<Slab*> avail;
+    bool mapping = false;  ///< a worker is mapping a slab of this size
   };
 
   static_assert(kStacksPerSlab <= 32, "free_mask holds one bit per stack");
@@ -483,12 +492,13 @@ class StackPool {
   /// Map one slab of cls's stacks: a guard page at the low end (stacks
   /// grow down, so an overflow off the slab faults instead of silently
   /// corrupting a neighbouring mapping), then kStacksPerSlab stacks.
+  /// nullptr if the mapping fails.
   static Slab* map_slab(SizeClass& cls) {
     const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
     const std::size_t map_bytes = page + kStacksPerSlab * cls.stack_bytes;
     void* base = mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-    require(base != MAP_FAILED, Err::Internal, "fiber stack mmap failed");
+    if (base == MAP_FAILED) return nullptr;
     mprotect(base, page, PROT_NONE);
     auto* slab = new Slab;
     slab->base = static_cast<char*>(base);
@@ -500,6 +510,7 @@ class StackPool {
   }
 
   std::mutex mu_;
+  std::condition_variable slab_mapped_;  ///< a SizeClass::mapping ended
   std::vector<std::unique_ptr<SizeClass>> classes_;  ///< a few sizes at most
   std::size_t idle_bytes_ = 0;
   std::size_t mapped_bytes_ = 0;
@@ -806,7 +817,6 @@ class FiberExecutor final : public Executor {
     push(wp.parked_.data(), k);
     wp.parked_.clear();
     stats_.wakes.fetch_add(k, std::memory_order_relaxed);
-    obs::update_max(stats_.max_ready, depth);
     stats_.ready_depth_sum.fetch_add(depth, std::memory_order_relaxed);
     stats_.ready_depth_samples.fetch_add(1, std::memory_order_relaxed);
   }

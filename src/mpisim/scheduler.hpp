@@ -101,8 +101,6 @@ struct ExecStats {
   std::atomic<std::uint64_t> parks{0};      ///< rank blocked on a WaitPoint
   std::atomic<std::uint64_t> wakes{0};      ///< tasks moved back to ready
   std::atomic<std::uint64_t> switches{0};   ///< fiber resumes (coop backend)
-  /// Peak runnable ranks (ready or running), sampled at every wake batch.
-  std::atomic<std::uint64_t> max_ready{0};
   /// Runnable ranks sampled at every wake batch (sum / samples = mean).
   std::atomic<std::uint64_t> ready_depth_sum{0};
   std::atomic<std::uint64_t> ready_depth_samples{0};
@@ -130,7 +128,6 @@ struct ExecStats {
     parks.store(0, std::memory_order_relaxed);
     wakes.store(0, std::memory_order_relaxed);
     switches.store(0, std::memory_order_relaxed);
-    max_ready.store(0, std::memory_order_relaxed);
     ready_depth_sum.store(0, std::memory_order_relaxed);
     ready_depth_samples.store(0, std::memory_order_relaxed);
     switch_latency_ns.store(0, std::memory_order_relaxed);

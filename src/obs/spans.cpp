@@ -3,10 +3,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <mutex>
 
+#include "support/file.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
 
@@ -209,18 +209,15 @@ std::string render_chrome_json(const std::vector<SpanRecord>& spans) {
   // chrome://tracing "complete" events; ts/dur in microseconds.
   std::string out = "{\"traceEvents\":[";
   bool first = true;
-  char buf[256];
   for (const SpanRecord& s : spans) {
     if (!first) out += ",";
     first = false;
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
-                  "\"ts\":%.3f,\"dur\":%.3f}",
-                  support::json_escape(s.name != nullptr ? s.name : "?")
-                      .c_str(),
-                  s.tid, static_cast<double>(s.t0_ns) / 1e3,
-                  static_cast<double>(s.dur_ns) / 1e3);
-    out += buf;
+    out += support::format(
+        "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
+        "\"ts\":%.3f,\"dur\":%.3f}",
+        support::json_escape(s.name != nullptr ? s.name : "?").c_str(), s.tid,
+        static_cast<double>(s.t0_ns) / 1e3,
+        static_cast<double>(s.dur_ns) / 1e3);
   }
   out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"spans_dropped\":\"";
   out += std::to_string(spans_dropped());
@@ -230,13 +227,11 @@ std::string render_chrome_json(const std::vector<SpanRecord>& spans) {
 
 std::string render_csv(const std::vector<SpanRecord>& spans) {
   std::string out = "name,tid,t0_ns,dur_ns\n";
-  char buf[192];
   for (const SpanRecord& s : spans) {
-    std::snprintf(buf, sizeof buf, "%s,%u,%llu,%llu\n",
-                  s.name != nullptr ? s.name : "?", s.tid,
-                  static_cast<unsigned long long>(s.t0_ns),
-                  static_cast<unsigned long long>(s.dur_ns));
-    out += buf;
+    out += support::format("%s,%u,%llu,%llu\n",
+                           s.name != nullptr ? s.name : "?", s.tid,
+                           static_cast<unsigned long long>(s.t0_ns),
+                           static_cast<unsigned long long>(s.dur_ns));
   }
   return out;
 }
@@ -246,9 +241,7 @@ bool write_self_trace(const std::string& path) {
   const std::string body = support::ends_with(path, ".json")
                                ? render_chrome_json(spans)
                                : render_csv(spans);
-  std::ofstream out(path, std::ios::binary);
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  if (!out) {
+  if (!support::write_file_atomic(path, body)) {
     MPISECT_LOG_ERROR("self-trace: short write to %s", path.c_str());
     return false;
   }

@@ -1,7 +1,6 @@
 #include "serve/queries.hpp"
 
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -10,6 +9,7 @@
 #include "analysis/analyzer.hpp"
 #include "analysis/report.hpp"
 #include "support/provenance.hpp"
+#include "support/strings.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/timeline.hpp"
 #include "trace/replay.hpp"
@@ -19,14 +19,7 @@ namespace mpisect::serve {
 
 namespace {
 
-std::string fmt(const char* format, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, format);
-  std::vsnprintf(buf, sizeof buf, format, ap);
-  va_end(ap);
-  return buf;
-}
+using support::format;
 
 /// Shortest decimal rendering that round-trips a double — canonical forms
 /// must not depend on printf defaults.
@@ -227,22 +220,22 @@ ResolvedModel resolve_model(const trace::TraceFile& tf,
 
 std::string run_info(const trace::TraceFile& tf) {
   std::string out;
-  out += fmt("app:    %s\n", tf.header.app.c_str());
-  out += fmt("seed:   0x%llx  start-skew sigma %.3g\n",
-             static_cast<unsigned long long>(tf.header.seed),
-             tf.header.start_skew_sigma);
-  out += fmt("ranks:  %d   events: %llu\n", tf.header.nranks,
-             static_cast<unsigned long long>(tf.total_events()));
+  out += format("app:    %s\n", tf.header.app.c_str());
+  out += format("seed:   0x%llx  start-skew sigma %.3g\n",
+                static_cast<unsigned long long>(tf.header.seed),
+                tf.header.start_skew_sigma);
+  out += format("ranks:  %d   events: %llu\n", tf.header.nranks,
+                static_cast<unsigned long long>(tf.total_events()));
   out += tf.header.machine.describe();
-  out += fmt("labels: %zu\n", tf.labels.size());
+  out += format("labels: %zu\n", tf.labels.size());
   for (std::size_t i = 0; i < tf.labels.size(); ++i) {
-    out += fmt("  [%zu] %s\n", i, tf.labels[i].c_str());
+    out += format("  [%zu] %s\n", i, tf.labels[i].c_str());
   }
   for (const auto& r : tf.ranks) {
-    out += fmt("rank %3d: %zu events, t0 %.6f, t_final %.6f\n", r.rank,
-               r.events.size(), r.t0, r.t_final);
+    out += format("rank %3d: %zu events, t0 %.6f, t_final %.6f\n", r.rank,
+                  r.events.size(), r.t0, r.t_final);
     if (tf.ranks.size() > 8 && r.rank == 3) {
-      out += fmt("  ... (%zu more ranks)\n", tf.ranks.size() - 4);
+      out += format("  ... (%zu more ranks)\n", tf.ranks.size() - 4);
       break;
     }
   }

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "codec/mpstz.hpp"
-#include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 #include "support/digest.hpp"
 #include "support/json.hpp"
@@ -266,10 +265,10 @@ Service::Service(std::size_t cache_entries, std::size_t cache_bytes)
       reg_.add_counter("serve.bytes_decoded", Scope::Process,
                        "container bytes read while loading traces", "bytes");
   id_lat_cold_ = reg_.add_distribution(
-      "serve.latency_cold", Scope::Process, 0.0, 10.0, 50,
+      "serve.latency_cold", 0.0, 10.0, 50,
       "wall seconds per cache-missing request", "seconds");
   id_lat_warm_ = reg_.add_distribution(
-      "serve.latency_warm", Scope::Process, 0.0, 10.0, 50,
+      "serve.latency_warm", 0.0, 10.0, 50,
       "wall seconds per cache-hit request", "seconds");
 }
 
@@ -331,17 +330,9 @@ std::string Service::handle_line(const std::string& line) {
 
     if (op == "stats") {
       return "{\"id\":" + id + ",\"ok\":true,\"result\":\"" +
-             support::json_escape(stats_text()) + "\"}";
-    }
-    if (op == "metrics") {
-      // Scrape surface for a long-lived daemon: serve.* request metrics
-      // plus the obs.* self-observability counters in one Prometheus page.
-      return "{\"id\":" + id + ",\"ok\":true,\"result\":\"" +
-             support::json_escape(metrics_text()) + "\"}";
+             support::json_escape(telemetry::metrics_page(reg_)) + "\"}";
     }
 
-    const std::string path = str_field(&req, "trace", "");
-    if (path.empty()) throw trace::TraceError("missing 'trace'");
     const support::JsonValue* params = require_object(req, "params");
 
     std::string canon;
@@ -365,8 +356,10 @@ std::string Service::handle_line(const std::string& line) {
     } else {
       throw trace::TraceError(
           "unknown op '" + op +
-          "' (info|replay|sweep|timeline|analyze|stats|metrics)");
+          "' (info|replay|sweep|timeline|analyze|stats)");
     }
+    const std::string path = str_field(&req, "trace", "");
+    if (path.empty()) throw trace::TraceError("missing 'trace'");
 
     const auto t_start = std::chrono::steady_clock::now();
     const std::shared_ptr<const LoadedTrace> lt = [&] {
@@ -423,7 +416,7 @@ std::string Service::handle_line(const std::string& line) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t_start)
             .count();
-    reg_.observe(cached ? id_lat_warm_ : id_lat_cold_, 0, secs);
+    reg_.observe(cached ? id_lat_warm_ : id_lat_cold_, secs);
 
     return "{\"id\":" + id + ",\"ok\":true,\"digest\":\"" + lt->digest_str +
            "\",\"cached\":" + (cached ? "true" : "false") + ",\"result\":\"" +
@@ -438,14 +431,6 @@ std::string Service::error_reply(const std::string& id,
   reg_.inc(id_errors_, 0);
   return "{\"id\":" + id + ",\"ok\":false,\"error\":\"" +
          support::json_escape(what) + "\"}";
-}
-
-std::string Service::stats_text() const {
-  return telemetry::prometheus_text(reg_);
-}
-
-std::string Service::metrics_text() const {
-  return stats_text() + obs::prometheus_text();
 }
 
 }  // namespace mpisect::serve

@@ -67,14 +67,6 @@ class Service {
   [[nodiscard]] telemetry::Registry& registry() noexcept { return reg_; }
   [[nodiscard]] LruCache& cache() noexcept { return cache_; }
 
-  /// Prometheus text dump of the serve.* instruments.
-  [[nodiscard]] std::string stats_text() const;
-
-  /// stats_text() plus the process-wide obs.* self-observability counters
-  /// (span tracer health, codec throughput, scheduler/memory gauges) — the
-  /// {"op":"metrics"} scrape surface.
-  [[nodiscard]] std::string metrics_text() const;
-
  private:
   LruCache cache_;
   /// What identifies one version of the file at a path.

@@ -1,8 +1,8 @@
 #include "support/csv.hpp"
 
-#include <fstream>
 #include <stdexcept>
 
+#include "support/file.hpp"
 #include "support/strings.hpp"
 
 namespace mpisect::support {
@@ -27,10 +27,7 @@ void CsvWriter::add_row(const std::vector<double>& values) {
 std::string CsvWriter::str() const { return body_; }
 
 bool CsvWriter::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << body_;
-  return static_cast<bool>(out);
+  return write_file_atomic(path, body_);
 }
 
 std::vector<std::vector<std::string>> parse_csv(std::string_view text) {

@@ -1,7 +1,9 @@
 #include "support/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 
 namespace mpisect::support {
@@ -39,6 +41,23 @@ bool starts_with(std::string_view s, std::string_view prefix) noexcept {
 bool ends_with(std::string_view s, std::string_view suffix) noexcept {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
+}
+
+std::string format(const char* f, ...) {
+  va_list ap;
+  va_start(ap, f);
+  va_list again;
+  va_copy(again, ap);
+  char buf[256];  // the common case: one pass
+  const int n = std::vsnprintf(buf, sizeof buf, f, ap);
+  va_end(ap);
+  std::string out(buf, static_cast<std::size_t>(std::clamp(n, 0, 255)));
+  if (n > 255) {
+    out.resize(static_cast<std::size_t>(n));
+    std::vsnprintf(out.data(), out.size() + 1, f, again);
+  }
+  va_end(again);
+  return out;
 }
 
 std::string fmt_double(double v, int precision) {

@@ -15,6 +15,11 @@ namespace mpisect::support {
 [[nodiscard]] bool ends_with(std::string_view s,
                              std::string_view suffix) noexcept;
 
+/// printf into a string sized to the result: never truncates, so outside
+/// input (trace labels) of any length comes through whole.
+[[nodiscard]] __attribute__((format(printf, 1, 2))) std::string format(
+    const char* f, ...);
+
 /// printf-like float formatting with fixed precision.
 [[nodiscard]] std::string fmt_double(double v, int precision = 2);
 /// Humanized formatting: picks precision by magnitude (1234.5 -> "1234.50",

@@ -3,31 +3,24 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
 
+#include "obs/counters.hpp"
+#include "obs/spans.hpp"
 #include "support/strings.hpp"
 
 namespace mpisect::telemetry {
 namespace {
 
-__attribute__((format(printf, 1, 2))) std::string fmt(const char* f, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, f);
-  std::vsnprintf(buf, sizeof buf, f, ap);
-  va_end(ap);
-  return buf;
-}
+using support::format;
 
 /// Shortest exact double rendering ("%.17g" round-trips; prefer the
 /// shorter "%.15g" when it already does).
 std::string num(double v) {
-  std::string s = fmt("%.15g", v);
-  if (std::strtod(s.c_str(), nullptr) != v) s = fmt("%.17g", v);
+  std::string s = format("%.15g", v);
+  if (std::strtod(s.c_str(), nullptr) != v) s = format("%.17g", v);
   return s;
 }
 
@@ -37,95 +30,105 @@ std::string prom_name(std::string_view name) {
   return out;
 }
 
+/// The one writer of Prometheus exposition lines: a family's `# HELP`
+/// (with the unit, if any, in parentheses) and `# TYPE` lines, then one
+/// `<name><suffix> <value>` line per call `samples` makes to the callback
+/// it is given. The suffix carries labels or a `_bucket`/`_count` tail.
+template <class Samples>
+void prom_family(std::string& out, std::string_view name,
+                 std::string_view help, std::string_view unit,
+                 std::string_view type, Samples&& samples) {
+  out.append("# HELP ").append(name).append(" ").append(help);
+  if (!unit.empty()) out.append(" (").append(unit).append(")");
+  out.append("\n# TYPE ").append(name).append(" ").append(type);
+  out += '\n';
+  samples([&out, name](std::string_view suffix, std::string_view value) {
+    out.append(name).append(suffix).append(" ").append(value);
+    out += '\n';
+  });
+}
+
 }  // namespace
 
 std::string timeline_csv(const Timeline& tl, const support::Provenance& p) {
   std::string out = support::provenance_csv_comment(p);
-  out += fmt("# dt=%s nranks=%d dropped=%" PRIu64 "\n", num(tl.dt).c_str(),
-             tl.nranks, tl.dropped);
+  out += format("# dt=%s nranks=%d dropped=%" PRIu64 "\n", num(tl.dt).c_str(),
+                tl.nranks, tl.dropped);
   out +=
       "interval,t_start,t_end,section,ranks,total,per_process,max_rank,"
       "min_rank,imbalance,binding,bound\n";
   for (const Window& w : tl.windows) {
     for (const SectionWindow& s : w.sections) {
-      out += fmt("%" PRIu64 ",%s,%s,%s,%d,%s,%s,%s,%s,%s,%s,%s\n",
-                 w.interval, num(w.t_start).c_str(), num(w.t_end).c_str(),
-                 s.label.c_str(), s.ranks, num(s.total).c_str(),
-                 num(s.per_process).c_str(), num(s.max_rank).c_str(),
-                 num(s.min_rank).c_str(), num(s.imbalance).c_str(),
-                 w.binding.c_str(), num(w.bound).c_str());
+      out += format("%" PRIu64 ",%s,%s,%s,%d,%s,%s,%s,%s,%s,%s,%s\n",
+                    w.interval, num(w.t_start).c_str(), num(w.t_end).c_str(),
+                    s.label.c_str(), s.ranks, num(s.total).c_str(),
+                    num(s.per_process).c_str(), num(s.max_rank).c_str(),
+                    num(s.min_rank).c_str(), num(s.imbalance).c_str(),
+                    w.binding.c_str(), num(w.bound).c_str());
     }
   }
   return out;
-}
-
-std::string timeline_csv(const Timeline& tl) {
-  return timeline_csv(tl, support::build_provenance());
 }
 
 std::string counters_csv(const Timeline& tl, const support::Provenance& p) {
   std::string out = support::provenance_csv_comment(p);
-  out += fmt("# dt=%s nranks=%d\n", num(tl.dt).c_str(), tl.nranks);
+  out += format("# dt=%s nranks=%d\n", num(tl.dt).c_str(), tl.nranks);
   out += "interval,t_start,counter,value\n";
   for (const Window& w : tl.windows) {
-    out += fmt("%" PRIu64 ",%s,mpi.seconds,%s\n", w.interval,
-               num(w.t_start).c_str(), num(w.mpi_total).c_str());
+    out += format("%" PRIu64 ",%s,mpi.seconds,%s\n", w.interval,
+                  num(w.t_start).c_str(), num(w.mpi_total).c_str());
     for (std::size_t i = 0; i < w.counters.size(); ++i) {
       if (w.counters[i] == 0.0) continue;
-      out += fmt("%" PRIu64 ",%s,%s,%s\n", w.interval,
-                 num(w.t_start).c_str(), tl.counter_names[i].c_str(),
-                 num(w.counters[i]).c_str());
+      out += format("%" PRIu64 ",%s,%s,%s\n", w.interval,
+                    num(w.t_start).c_str(), tl.counter_names[i].c_str(),
+                    num(w.counters[i]).c_str());
     }
   }
   return out;
 }
 
-std::string counters_csv(const Timeline& tl) {
-  return counters_csv(tl, support::build_provenance());
-}
-
 std::string timeline_json(const Timeline& tl, const support::Provenance& p) {
   std::string out = "{\n  \"provenance\": " + support::provenance_json(p);
-  out += fmt(",\n  \"dt\": %s, \"nranks\": %d, \"dropped\": %" PRIu64,
-             num(tl.dt).c_str(), tl.nranks, tl.dropped);
+  out += format(",\n  \"dt\": %s, \"nranks\": %d, \"dropped\": %" PRIu64,
+                num(tl.dt).c_str(), tl.nranks, tl.dropped);
   out += ",\n  \"binding\": \"" + support::json_escape(tl.binding) + "\"";
   out += ",\n  \"bound\": " +
          (std::isfinite(tl.bound) ? num(tl.bound) : std::string("null"));
   out += ",\n  \"section_totals\": [";
   for (std::size_t i = 0; i < tl.section_totals.size(); ++i) {
     const auto& t = tl.section_totals[i];
-    out += fmt("%s\n    {\"section\": \"%s\", \"total\": %s, "
-               "\"per_process\": %s, \"max_window_imbalance\": %s}",
-               i ? "," : "", support::json_escape(t.label).c_str(),
-               num(t.total).c_str(), num(t.per_process).c_str(),
-               num(t.max_window_imbalance).c_str());
+    out += format("%s\n    {\"section\": \"%s\", \"total\": %s, "
+                  "\"per_process\": %s, \"max_window_imbalance\": %s}",
+                  i ? "," : "", support::json_escape(t.label).c_str(),
+                  num(t.total).c_str(), num(t.per_process).c_str(),
+                  num(t.max_window_imbalance).c_str());
   }
   out += "\n  ],\n  \"windows\": [";
   for (std::size_t wi = 0; wi < tl.windows.size(); ++wi) {
     const Window& w = tl.windows[wi];
-    out += fmt("%s\n    {\"interval\": %" PRIu64
-               ", \"t_start\": %s, \"t_end\": %s, \"mpi\": %s, "
-               "\"binding\": \"%s\", \"bound\": %s, \"sections\": [",
-               wi ? "," : "", w.interval, num(w.t_start).c_str(),
-               num(w.t_end).c_str(), num(w.mpi_total).c_str(),
-               support::json_escape(w.binding).c_str(),
-               std::isfinite(w.bound) ? num(w.bound).c_str() : "null");
+    out += format("%s\n    {\"interval\": %" PRIu64
+                  ", \"t_start\": %s, \"t_end\": %s, \"mpi\": %s, "
+                  "\"binding\": \"%s\", \"bound\": %s, \"sections\": [",
+                  wi ? "," : "", w.interval, num(w.t_start).c_str(),
+                  num(w.t_end).c_str(), num(w.mpi_total).c_str(),
+                  support::json_escape(w.binding).c_str(),
+                  std::isfinite(w.bound) ? num(w.bound).c_str() : "null");
     for (std::size_t si = 0; si < w.sections.size(); ++si) {
       const SectionWindow& s = w.sections[si];
-      out += fmt("%s{\"section\": \"%s\", \"ranks\": %d, \"total\": %s, "
-                 "\"per_process\": %s, \"max\": %s, \"min\": %s, "
-                 "\"imbalance\": %s}",
-                 si ? ", " : "", support::json_escape(s.label).c_str(),
-                 s.ranks, num(s.total).c_str(), num(s.per_process).c_str(),
-                 num(s.max_rank).c_str(), num(s.min_rank).c_str(),
-                 num(s.imbalance).c_str());
+      out += format("%s{\"section\": \"%s\", \"ranks\": %d, \"total\": %s, "
+                    "\"per_process\": %s, \"max\": %s, \"min\": %s, "
+                    "\"imbalance\": %s}",
+                    si ? ", " : "", support::json_escape(s.label).c_str(),
+                    s.ranks, num(s.total).c_str(), num(s.per_process).c_str(),
+                    num(s.max_rank).c_str(), num(s.min_rank).c_str(),
+                    num(s.imbalance).c_str());
     }
     out += "], \"counters\": {";
     bool first = true;
     for (std::size_t i = 0; i < w.counters.size(); ++i) {
       if (w.counters[i] == 0.0) continue;
-      out += fmt("%s\"%s\": %s", first ? "" : ", ",
-                 tl.counter_names[i].c_str(), num(w.counters[i]).c_str());
+      out += format("%s\"%s\": %s", first ? "" : ", ",
+                    tl.counter_names[i].c_str(), num(w.counters[i]).c_str());
       first = false;
     }
     out += "}}";
@@ -134,18 +137,14 @@ std::string timeline_json(const Timeline& tl, const support::Provenance& p) {
   return out;
 }
 
-std::string timeline_json(const Timeline& tl) {
-  return timeline_json(tl, support::build_provenance());
-}
-
 std::string chrome_counters(const Timeline& tl,
                             const support::Provenance& p) {
   std::string out = "{\"traceEvents\": [\n";
   bool first = true;
   auto emit = [&](const char* name, double ts, const std::string& args) {
-    out += fmt("%s{\"name\": \"%s\", \"ph\": \"C\", \"ts\": %.3f, "
-               "\"pid\": 0, \"args\": {%s}}",
-               first ? "" : ",\n", name, ts * 1e6, args.c_str());
+    out += format("%s{\"name\": \"%s\", \"ph\": \"C\", \"ts\": %.3f, "
+                  "\"pid\": 0, \"args\": {%s}}",
+                  first ? "" : ",\n", name, ts * 1e6, args.c_str());
     first = false;
   };
   for (const Window& w : tl.windows) {
@@ -163,112 +162,78 @@ std::string chrome_counters(const Timeline& tl,
   return out;
 }
 
-std::string chrome_counters(const Timeline& tl) {
-  return chrome_counters(tl, support::build_provenance());
-}
-
 std::string prometheus_text(const Registry& reg,
-                            const mpisim::ExecStats* sched,
                             const support::Provenance& p) {
   std::string out = support::provenance_csv_comment(p);
   for (InstrumentId id = 0; id < reg.size(); ++id) {
     const InstrumentDesc& d = reg.desc(id);
-    const std::string name = prom_name(d.name);
-    out += "# HELP " + name + " " + d.help;
-    if (!d.unit.empty()) out += " (" + d.unit + ")";
-    out += "\n# TYPE " + name + " ";
-    switch (d.kind) {
-      case Kind::Counter: out += "counter\n"; break;
-      case Kind::Gauge: out += "gauge\n"; break;
-      case Kind::Distribution: out += "histogram\n"; break;
-    }
     if (d.kind == Kind::Distribution) {
-      const support::Histogram* h =
-          reg.histogram(id, d.scope == Scope::Rank ? 0 : -1);
-      if (d.scope == Scope::Rank) {
-        // Merge rank histograms bin-wise (identical layout by creation).
-        for (int b = 0, n = h->bins(); b < n; ++b) {
-          long cum = 0;
-          for (int r = 0; r < reg.nranks(); ++r) {
-            const support::Histogram* hr = reg.histogram(id, r);
-            for (int bb = 0; bb <= b; ++bb) cum += hr->bin_count(bb);
-          }
-          out += fmt("%s_bucket{le=\"%s\"} %ld\n", name.c_str(),
-                     num(h->bin_hi(b)).c_str(), cum);
-        }
-        long count = 0;
-        for (int r = 0; r < reg.nranks(); ++r) {
-          count += reg.histogram(id, r)->count();
-        }
-        out += fmt("%s_count %ld\n", name.c_str(), count);
-      } else {
-        long cum = 0;
-        for (int b = 0, n = h->bins(); b < n; ++b) {
-          cum += h->bin_count(b);
-          out += fmt("%s_bucket{le=\"%s\"} %ld\n", name.c_str(),
-                     num(h->bin_hi(b)).c_str(), cum);
-        }
-        out += fmt("%s_count %ld\n", name.c_str(), h->count());
-      }
+      const support::Histogram& h = *reg.histogram(id);
+      prom_family(out, prom_name(d.name), d.help, d.unit, "histogram",
+                  [&h](const auto& sample) {
+                    long cum = 0;
+                    for (int b = 0, n = h.bins(); b < n; ++b) {
+                      cum += h.bin_count(b);
+                      sample("_bucket{le=\"" + num(h.bin_hi(b)) + "\"}",
+                             std::to_string(cum));
+                    }
+                    sample("_count", std::to_string(h.count()));
+                  });
       continue;
     }
-    if (d.scope == Scope::Rank) {
-      for (int r = 0; r < reg.nranks(); ++r) {
-        out += fmt("%s{rank=\"%d\"} %s\n", name.c_str(), r,
-                   num(reg.value(id, r)).c_str());
-      }
-    }
-    out += name + " " + num(reg.total(id)) + "\n";
-  }
-  if (sched != nullptr) {
-    out += "# HELP mpisect_sched_parks rank park operations (wall-clock "
-           "scheduling, non-deterministic)\n# TYPE mpisect_sched_parks "
-           "counter\n";
-    out += fmt("mpisect_sched_parks %" PRIu64 "\n",
-               sched->parks.load(std::memory_order_relaxed));
-    out += "# TYPE mpisect_sched_wakes counter\n";
-    out += fmt("mpisect_sched_wakes %" PRIu64 "\n",
-               sched->wakes.load(std::memory_order_relaxed));
-    out += "# TYPE mpisect_sched_switches counter\n";
-    out += fmt("mpisect_sched_switches %" PRIu64 "\n",
-               sched->switches.load(std::memory_order_relaxed));
-    out += "# TYPE mpisect_sched_max_ready gauge\n";
-    out += fmt("mpisect_sched_max_ready %" PRIu64 "\n",
-               sched->max_ready.load(std::memory_order_relaxed));
-    const std::uint64_t depth_samples =
-        sched->ready_depth_samples.load(std::memory_order_relaxed);
-    out += "# TYPE mpisect_sched_ready_depth_mean gauge\n";
-    out += fmt("mpisect_sched_ready_depth_mean %.3f\n",
-               depth_samples == 0
-                   ? 0.0
-                   : static_cast<double>(sched->ready_depth_sum.load(
-                         std::memory_order_relaxed)) /
-                         static_cast<double>(depth_samples));
-    const std::uint64_t lat_samples =
-        sched->switch_latency_samples.load(std::memory_order_relaxed);
-    out += "# TYPE mpisect_sched_switch_latency_mean_ns gauge\n";
-    out += fmt("mpisect_sched_switch_latency_mean_ns %.1f\n",
-               lat_samples == 0
-                   ? 0.0
-                   : static_cast<double>(sched->switch_latency_ns.load(
-                         std::memory_order_relaxed)) /
-                         static_cast<double>(lat_samples));
-    out += "# TYPE mpisect_sched_busy_ns counter\n";
-    out += fmt("mpisect_sched_busy_ns %" PRIu64 "\n",
-               sched->busy_ns.load(std::memory_order_relaxed));
-    out += "# TYPE mpisect_sched_idle_ns counter\n";
-    out += fmt("mpisect_sched_idle_ns %" PRIu64 "\n",
-               sched->idle_ns.load(std::memory_order_relaxed));
-    out += "# TYPE mpisect_sched_stack_bytes gauge\n";
-    out += fmt("mpisect_sched_stack_bytes %" PRIu64 "\n",
-               sched->stack_bytes.load(std::memory_order_relaxed));
+    prom_family(out, prom_name(d.name), d.help, d.unit,
+                d.kind == Kind::Counter ? "counter" : "gauge",
+                [&reg, &d, id](const auto& sample) {
+                  if (d.scope == Scope::Rank) {
+                    for (int r = 0; r < reg.nranks(); ++r) {
+                      sample("{rank=\"" + std::to_string(r) + "\"}",
+                             num(reg.value(id, r)));
+                    }
+                  }
+                  sample("", num(reg.total(id)));
+                });
   }
   return out;
 }
 
-std::string prometheus_text(const Registry& reg,
-                            const mpisim::ExecStats* sched) {
-  return prometheus_text(reg, sched, support::build_provenance());
+std::string metrics_page(const Registry& reg, const support::Provenance& p) {
+  std::string out = prometheus_text(reg, p);
+  const auto one = [&out](const char* name, const char* help,
+                          const char* type, std::string_view value) {
+    prom_family(out, name, help, "", type,
+                [value](const auto& sample) { sample("", value); });
+  };
+  const auto gauge = [&one](const char* name, const char* help, double v) {
+    one(name, help, "gauge", format("%.6g", v));
+  };
+  one("obs_spans_recorded", "self-trace spans recorded", "counter",
+      std::to_string(obs::spans_recorded()));
+  one("obs_spans_dropped", "self-trace spans dropped on ring overflow",
+      "counter", std::to_string(obs::spans_dropped()));
+  one("obs_self_trace_enabled", "1 while the self-trace records", "gauge",
+      obs::self_trace_enabled() ? "1" : "0");
+  const obs::Counters& c = obs::counters();
+  const auto ld = [](const std::atomic<std::uint64_t>& a) {
+    return a.load(std::memory_order_relaxed);
+  };
+  for (const obs::CounterDesc& d : obs::kCounterTable) {
+    one(d.name, d.help, d.type, std::to_string(ld(c.*d.field)));
+  }
+  // Derived gauges: B/ns is GB/s.
+  const auto rate = [](std::uint64_t bytes, std::uint64_t ns) {
+    return ns == 0 ? 0.0 : static_cast<double>(bytes) / static_cast<double>(ns);
+  };
+  gauge("obs_codec_compress_gbps", "codec compress input GB/s",
+        rate(ld(c.codec_compress_bytes_in), ld(c.codec_compress_ns)));
+  gauge("obs_codec_decompress_gbps", "codec decompress output GB/s",
+        rate(ld(c.codec_decompress_bytes_out), ld(c.codec_decompress_ns)));
+  const std::uint64_t ranks = ld(c.mem_ranks);
+  gauge("obs_mem_bytes_per_rank", "peak channel and stack bytes per rank",
+        ranks == 0 ? 0.0
+                   : static_cast<double>(ld(c.mem_channel_bytes_hwm) +
+                                         ld(c.mem_stack_bytes_hwm)) /
+                         static_cast<double>(ranks));
+  return out;
 }
 
 Timeline timeline_from_csv(std::string_view csv) {

@@ -1,5 +1,6 @@
 // Telemetry exporters: CSV / JSON time series, chrome-trace counter
-// tracks, and a Prometheus-style text dump of the registry.
+// tracks, and the Prometheus text page of the registry and the obs
+// counters.
 //
 // Every format leads with the build provenance (support::provenance):
 // CSV as `# ` comment lines, JSON under a "provenance" key, chrome-trace
@@ -13,7 +14,6 @@
 #include <string>
 #include <string_view>
 
-#include "mpisim/scheduler.hpp"
 #include "support/provenance.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/timeline.hpp"
@@ -25,39 +25,45 @@ namespace mpisect::telemetry {
 ///   min_rank,imbalance,binding,bound
 /// preceded by provenance comments and a `# dt=... nranks=... dropped=...`
 /// meta comment.
-[[nodiscard]] std::string timeline_csv(const Timeline& tl,
-                                       const support::Provenance& p);
-[[nodiscard]] std::string timeline_csv(const Timeline& tl);
+[[nodiscard]] std::string timeline_csv(
+    const Timeline& tl,
+    const support::Provenance& p = support::build_provenance());
 
 /// Per-window counter deltas (rank-scope instruments summed over ranks):
 ///   interval,t_start,counter,value  — plus mpi seconds as counter
 ///   "mpi.seconds".
-[[nodiscard]] std::string counters_csv(const Timeline& tl,
-                                       const support::Provenance& p);
-[[nodiscard]] std::string counters_csv(const Timeline& tl);
+[[nodiscard]] std::string counters_csv(
+    const Timeline& tl,
+    const support::Provenance& p = support::build_provenance());
 
 /// Full timeline as one JSON document (windows, sections, counters,
 /// section totals, overall Eq. 6 attribution).
-[[nodiscard]] std::string timeline_json(const Timeline& tl,
-                                        const support::Provenance& p);
-[[nodiscard]] std::string timeline_json(const Timeline& tl);
+[[nodiscard]] std::string timeline_json(
+    const Timeline& tl,
+    const support::Provenance& p = support::build_provenance());
 
 /// chrome://tracing counter tracks ("ph":"C"): one track per section
 /// (busy seconds per window), one for MPI seconds, one for the windowed
 /// Eq. 6 bound. Load alongside the replay's duration events.
-[[nodiscard]] std::string chrome_counters(const Timeline& tl,
-                                          const support::Provenance& p);
-[[nodiscard]] std::string chrome_counters(const Timeline& tl);
+[[nodiscard]] std::string chrome_counters(
+    const Timeline& tl,
+    const support::Provenance& p = support::build_provenance());
 
 /// Prometheus text exposition of the registry's current state: scalars as
 /// `mpisect_<name>{rank="r"} v` (+ an aggregate sample without the rank
-/// label), distributions as cumulative histograms. `sched` adds the
-/// executor's wall-clock occupancy counters (process scope) when given.
-[[nodiscard]] std::string prometheus_text(const Registry& reg,
-                                          const mpisim::ExecStats* sched,
-                                          const support::Provenance& p);
+/// label), distributions as cumulative histograms. A pure function of the
+/// registry (mpisect-analyze --telemetry is byte-compared).
 [[nodiscard]] std::string prometheus_text(
-    const Registry& reg, const mpisim::ExecStats* sched = nullptr);
+    const Registry& reg,
+    const support::Provenance& p = support::build_provenance());
+
+/// The metrics page: prometheus_text() followed by every obs_* series
+/// (span tracer health, codec and trace-writer throughput, scheduler and
+/// memory totals of the process; wall-clock, so never deterministic).
+/// Serve's {"op":"stats"} answers it; mpisect-top --export prom prints it.
+[[nodiscard]] std::string metrics_page(
+    const Registry& reg,
+    const support::Provenance& p = support::build_provenance());
 
 /// Parse a timeline_csv() document back into a Timeline (provenance and
 /// counter series are not recovered). Used by `mpisect-top --post`.

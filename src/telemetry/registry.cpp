@@ -53,20 +53,13 @@ InstrumentId Registry::add_gauge(std::string name, Scope scope,
                     std::move(unit));
 }
 
-InstrumentId Registry::add_distribution(std::string name, Scope scope,
-                                        double lo, double hi, int bins,
-                                        std::string help, std::string unit) {
+InstrumentId Registry::add_distribution(std::string name, double lo,
+                                        double hi, int bins, std::string help,
+                                        std::string unit) {
   Slot slot;
   slot.desc = {std::move(name), std::move(help), std::move(unit),
-               Kind::Distribution, scope};
-  if (scope == Scope::Rank) {
-    slot.rank_hists.reserve(static_cast<std::size_t>(nranks_));
-    for (int r = 0; r < nranks_; ++r) {
-      slot.rank_hists.emplace_back(lo, hi, bins);
-    }
-  } else {
-    slot.process_hist = std::make_unique<support::Histogram>(lo, hi, bins);
-  }
+               Kind::Distribution, Scope::Process};
+  slot.process_hist = std::make_unique<support::Histogram>(lo, hi, bins);
   const InstrumentId id = slots_.size();
   slots_.push_back(std::move(slot));
   return id;
@@ -91,14 +84,9 @@ void Registry::set(InstrumentId id, int rank, double v) noexcept {
   }
 }
 
-void Registry::observe(InstrumentId id, int rank, double x) noexcept {
-  Slot& s = slots_[id];
-  if (s.desc.scope == Scope::Rank) {
-    s.rank_hists[static_cast<std::size_t>(rank)].add(x);
-  } else {
-    const std::lock_guard lock(process_hist_mu_);
-    s.process_hist->add(x);
-  }
+void Registry::observe(InstrumentId id, double x) noexcept {
+  const std::lock_guard lock(process_hist_mu_);
+  slots_[id].process_hist->add(x);
 }
 
 const InstrumentDesc& Registry::desc(InstrumentId id) const {
@@ -132,14 +120,8 @@ double Registry::total(InstrumentId id) const {
   return sum;
 }
 
-const support::Histogram* Registry::histogram(InstrumentId id,
-                                              int rank) const {
-  const Slot& s = slots_.at(id);
-  if (s.desc.kind != Kind::Distribution) return nullptr;
-  if (s.desc.scope == Scope::Rank) {
-    return &s.rank_hists.at(static_cast<std::size_t>(rank));
-  }
-  return s.process_hist.get();
+const support::Histogram* Registry::histogram(InstrumentId id) const {
+  return slots_.at(id).process_hist.get();
 }
 
 void Registry::snapshot_rank(int rank, std::vector<double>& out) const {

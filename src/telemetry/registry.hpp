@@ -7,8 +7,8 @@
 //     written only by the owning rank thread (single-writer; accessed via
 //     relaxed atomic_ref so the live view may read them mid-run);
 //     Process-scope instruments are relaxed atomics (counters/gauges) or a
-//     mutex-guarded histogram (distributions are boundary-rate, not
-//     per-message-rate, so the mutex is cold);
+//     mutex-guarded histogram (distributions are process scope only, and
+//     one mutex guards them all);
 //   * two determinism classes, explicit in the type system:
 //       Scope::Rank     — bumped from hooks/taps on the owning rank, a pure
 //                         function of per-rank program order. Deterministic
@@ -63,9 +63,10 @@ class Registry {
                            std::string unit = {});
   InstrumentId add_gauge(std::string name, Scope scope, std::string help,
                          std::string unit = {});
-  /// Fixed-bin distribution spanning [lo, hi] (see support::Histogram).
-  InstrumentId add_distribution(std::string name, Scope scope, double lo,
-                                double hi, int bins, std::string help,
+  /// Process-scope fixed-bin distribution spanning [lo, hi] (see
+  /// support::Histogram).
+  InstrumentId add_distribution(std::string name, double lo, double hi,
+                                int bins, std::string help,
                                 std::string unit = {});
 
   // -- hot path -----------------------------------------------------------
@@ -75,7 +76,7 @@ class Registry {
   /// Gauge store (same ownership rule).
   void set(InstrumentId id, int rank, double v) noexcept;
   /// Distribution sample.
-  void observe(InstrumentId id, int rank, double x) noexcept;
+  void observe(InstrumentId id, double x) noexcept;
 
   // -- reads --------------------------------------------------------------
 
@@ -88,10 +89,8 @@ class Registry {
   [[nodiscard]] double value(InstrumentId id, int rank) const;
   /// Sum over rank slots (Rank scope) or the process value.
   [[nodiscard]] double total(InstrumentId id) const;
-  /// Distribution histogram (nullptr if `id` is a scalar). rank = -1 for
-  /// Process scope.
-  [[nodiscard]] const support::Histogram* histogram(InstrumentId id,
-                                                    int rank) const;
+  /// Distribution histogram (nullptr if `id` is a scalar).
+  [[nodiscard]] const support::Histogram* histogram(InstrumentId id) const;
 
   /// Ids of every Rank-scope counter/gauge, in registration order — the
   /// column order of the sampler's per-window delta vectors.
@@ -112,7 +111,6 @@ class Registry {
     InstrumentDesc desc;
     std::vector<Cell> rank;  ///< Rank-scope scalars
     std::unique_ptr<std::atomic<double>> process;
-    std::vector<support::Histogram> rank_hists;
     std::unique_ptr<support::Histogram> process_hist;
   };
 

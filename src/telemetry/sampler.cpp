@@ -92,11 +92,11 @@ TelemetrySampler::TelemetrySampler(mpisim::World& world,
     std_.fault_kills = registry_.add_counter(
         "faults.kills", R, "rank kills fired by the fault plan", "events");
     std_.send_queue_depth = registry_.add_distribution(
-        "channel.send_queue_depth", Scope::Process, 0.0, 64.0, 16,
+        "channel.send_queue_depth", 0.0, 64.0, 16,
         "unmatched messages in the destination channel after a deposit",
         "messages");
     std_.recv_queue_depth = registry_.add_distribution(
-        "channel.recv_queue_depth", Scope::Process, 0.0, 64.0, 16,
+        "channel.recv_queue_depth", 0.0, 64.0, 16,
         "unmatched posted receives after a post", "messages");
   }
   world.tool_stack().attach(this, mpisim::hooks::kOrderTelemetry);
@@ -155,7 +155,7 @@ void TelemetrySampler::on_send_post(mpisim::Ctx& ctx,
   registry_.inc(tap.bytes > eager_threshold_ ? std_.msgs_rendezvous
                                              : std_.msgs_eager,
                 ctx.rank());
-  registry_.observe(std_.send_queue_depth, -1,
+  registry_.observe(std_.send_queue_depth,
                     static_cast<double>(tap.queue_depth));
 }
 
@@ -164,7 +164,7 @@ void TelemetrySampler::on_recv_post(mpisim::Ctx& ctx,
   RankState& rs = state(ctx);
   advance(rs, ctx.rank(), ctx.now());
   registry_.inc(std_.recvs_posted, ctx.rank());
-  registry_.observe(std_.recv_queue_depth, -1,
+  registry_.observe(std_.recv_queue_depth,
                     static_cast<double>(tap.queue_depth));
 }
 

@@ -1,7 +1,5 @@
 #include "trace/report.hpp"
 
-#include <cstdarg>
-#include <cstdio>
 #include <string>
 
 #include "core/speedup/partial_bound.hpp"
@@ -12,14 +10,7 @@ namespace mpisect::trace {
 
 namespace {
 
-std::string fmt(const char* f, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, f);
-  std::vsnprintf(buf, sizeof buf, f, ap);
-  va_end(ap);
-  return buf;
-}
+using support::format;
 
 double mean_span(const ReplaySectionStat& s) {
   return s.agg.instances > 0 ? s.agg.total_span / s.agg.instances : 0.0;
@@ -36,23 +27,24 @@ double bound_for(const ReplayResult& res, const ReplaySectionStat& s,
 std::string render_text(const ReplayResult& res,
                         std::optional<double> t_seq) {
   std::string out;
-  out += fmt("replay: %d ranks, makespan %.6f s\n", res.nranks, res.makespan);
-  out += fmt("events %llu  messages %llu  collectives %llu  bytes %llu\n\n",
-             static_cast<unsigned long long>(res.events),
-             static_cast<unsigned long long>(res.messages),
-             static_cast<unsigned long long>(res.collectives),
-             static_cast<unsigned long long>(res.bytes_sent));
-  out += fmt("%-16s %4s %8s %12s %12s %12s %12s", "section", "comm", "inst",
-             "mean/proc", "total", "span", "imbalance");
-  if (t_seq) out += fmt(" %10s", "bound");
+  out += format("replay: %d ranks, makespan %.6f s\n", res.nranks,
+                res.makespan);
+  out += format("events %llu  messages %llu  collectives %llu  bytes %llu\n\n",
+                static_cast<unsigned long long>(res.events),
+                static_cast<unsigned long long>(res.messages),
+                static_cast<unsigned long long>(res.collectives),
+                static_cast<unsigned long long>(res.bytes_sent));
+  out += format("%-16s %4s %8s %12s %12s %12s %12s", "section", "comm", "inst",
+                "mean/proc", "total", "span", "imbalance");
+  if (t_seq) out += format(" %10s", "bound");
   out += "\n";
   for (const auto& s : res.sections) {
-    out += fmt("%-16s %4d %8llu %12.6f %12.6f %12.6f %12.6f",
-               s.label.c_str(), s.comm,
-               static_cast<unsigned long long>(s.instances),
-               s.mean_per_process, s.total_inclusive, s.agg.total_span,
-               s.agg.total_imbalance);
-    if (t_seq) out += fmt(" %10.3f", bound_for(res, s, *t_seq));
+    out += format("%-16s %4d %8llu %12.6f %12.6f %12.6f %12.6f",
+                  s.label.c_str(), s.comm,
+                  static_cast<unsigned long long>(s.instances),
+                  s.mean_per_process, s.total_inclusive, s.agg.total_span,
+                  s.agg.total_imbalance);
+    if (t_seq) out += format(" %10.3f", bound_for(res, s, *t_seq));
     out += "\n";
   }
   return out;
@@ -66,10 +58,10 @@ std::string render_csv(const ReplayResult& res, std::optional<double> t_seq) {
   for (const auto& s : res.sections) {
     out += s.label + "," + std::to_string(s.comm) + "," +
            std::to_string(s.ranks) + "," + std::to_string(s.instances) + ",";
-    out += fmt("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,", s.mean_per_process,
-               s.total_inclusive, s.agg.total_span, mean_span(s),
-               s.agg.total_imbalance, s.agg.max_entry_imb);
-    out += t_seq ? fmt("%.9g", bound_for(res, s, *t_seq)) : "";
+    out += format("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,", s.mean_per_process,
+                  s.total_inclusive, s.agg.total_span, mean_span(s),
+                  s.agg.total_imbalance, s.agg.max_entry_imb);
+    out += t_seq ? format("%.9g", bound_for(res, s, *t_seq)) : "";
     out += "\n";
   }
   return out;
@@ -79,26 +71,26 @@ std::string render_json(const ReplayResult& res,
                         std::optional<double> t_seq) {
   std::string out = "{\n";
   out += "  \"provenance\": " + support::provenance_json() + ",\n";
-  out += fmt("  \"nranks\": %d,\n  \"makespan\": %.9g,\n", res.nranks,
-             res.makespan);
-  out += fmt("  \"events\": %llu,\n  \"messages\": %llu,\n"
-             "  \"collectives\": %llu,\n  \"bytes_sent\": %llu,\n",
-             static_cast<unsigned long long>(res.events),
-             static_cast<unsigned long long>(res.messages),
-             static_cast<unsigned long long>(res.collectives),
-             static_cast<unsigned long long>(res.bytes_sent));
-  if (t_seq) out += fmt("  \"t_seq\": %.9g,\n", *t_seq);
+  out += format("  \"nranks\": %d,\n  \"makespan\": %.9g,\n", res.nranks,
+                res.makespan);
+  out += format("  \"events\": %llu,\n  \"messages\": %llu,\n"
+                "  \"collectives\": %llu,\n  \"bytes_sent\": %llu,\n",
+                static_cast<unsigned long long>(res.events),
+                static_cast<unsigned long long>(res.messages),
+                static_cast<unsigned long long>(res.collectives),
+                static_cast<unsigned long long>(res.bytes_sent));
+  if (t_seq) out += format("  \"t_seq\": %.9g,\n", *t_seq);
   out += "  \"sections\": [\n";
   for (std::size_t i = 0; i < res.sections.size(); ++i) {
     const auto& s = res.sections[i];
     out += "    {\"section\": \"" + support::json_escape(s.label) + "\"";
-    out += fmt(", \"comm\": %d, \"ranks\": %d, \"instances\": %llu", s.comm,
-               s.ranks, static_cast<unsigned long long>(s.instances));
-    out += fmt(", \"mean_per_process\": %.9g, \"total_inclusive\": %.9g",
-               s.mean_per_process, s.total_inclusive);
-    out += fmt(", \"total_span\": %.9g, \"total_imbalance\": %.9g",
-               s.agg.total_span, s.agg.total_imbalance);
-    if (t_seq) out += fmt(", \"bound\": %.9g", bound_for(res, s, *t_seq));
+    out += format(", \"comm\": %d, \"ranks\": %d, \"instances\": %llu", s.comm,
+                  s.ranks, static_cast<unsigned long long>(s.instances));
+    out += format(", \"mean_per_process\": %.9g, \"total_inclusive\": %.9g",
+                  s.mean_per_process, s.total_inclusive);
+    out += format(", \"total_span\": %.9g, \"total_imbalance\": %.9g",
+                  s.agg.total_span, s.agg.total_imbalance);
+    if (t_seq) out += format(", \"bound\": %.9g", bound_for(res, s, *t_seq));
     out += "}";
     out += i + 1 < res.sections.size() ? ",\n" : "\n";
   }
@@ -115,9 +107,9 @@ std::string render_chrome(const ReplayResult& res) {
                                  : "label#" + std::to_string(e.label);
     if (!first) out += ",\n";
     first = false;
-    out += fmt("{\"name\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, "
-               "\"pid\": 0, \"tid\": %d}",
-               name.c_str(), e.enter ? "B" : "E", e.t * 1e6, e.rank);
+    out += format("{\"name\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, "
+                  "\"pid\": 0, \"tid\": %d}",
+                  name.c_str(), e.enter ? "B" : "E", e.t * 1e6, e.rank);
   }
   out += "\n]}\n";
   return out;
@@ -137,15 +129,15 @@ std::string sweep_csv_rows(const ReplayResult& res, const std::string& machine,
                            std::optional<double> t_seq) {
   std::string out;
   const std::string prefix =
-      machine + "," + fmt("%.9g,%.9g,%.9g,%.9g,", latency_scale,
-                          bandwidth_scale, compute_scale, drop_rate) +
-      progress + fmt(",%.9g,", res.makespan);
+      machine + "," + format("%.9g,%.9g,%.9g,%.9g,", latency_scale,
+                             bandwidth_scale, compute_scale, drop_rate) +
+      progress + format(",%.9g,", res.makespan);
   for (const auto& s : res.sections) {
     out += prefix + s.label + "," + std::to_string(s.comm) + "," +
            std::to_string(s.instances) + ",";
-    out += fmt("%.9g,%.9g,%.9g,%.9g,", s.mean_per_process, s.total_inclusive,
-               s.agg.total_span, s.agg.total_imbalance);
-    out += t_seq ? fmt("%.9g", bound_for(res, s, *t_seq)) : "";
+    out += format("%.9g,%.9g,%.9g,%.9g,", s.mean_per_process, s.total_inclusive,
+                  s.agg.total_span, s.agg.total_imbalance);
+    out += t_seq ? format("%.9g", bound_for(res, s, *t_seq)) : "";
     out += "\n";
   }
   return out;

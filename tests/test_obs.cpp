@@ -3,8 +3,8 @@
 // the load-bearing property — enabling it changes nothing about the
 // simulation: final virtual times, trace bytes and telemetry CSV are
 // bit-identical across backends and worker counts. Plus the MPISECT_LOG
-// parse edge cases, the per-rank memory accountant, and the serve
-// {"op":"metrics"} scrape surface.
+// parse edge cases, the per-rank memory accountant, and the metrics page
+// serve's {"op":"stats"} answers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include "mpisim/runtime.hpp"
 #include "obs/counters.hpp"
 #include "obs/memory.hpp"
-#include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 #include "serve/service.hpp"
 #include "support/log.hpp"
@@ -250,16 +249,37 @@ TEST(ObsMem, UpdateMaxIsMonotone) {
 // --- metrics surfaces ----------------------------------------------------
 
 TEST(ObsMetrics, PrometheusTextExposesCoreSeries) {
-  const std::string text = obs::prometheus_text();
+  const telemetry::Registry reg(1);
+  const std::string text = telemetry::metrics_page(reg);
   for (const char* name :
        {"obs_spans_recorded", "obs_spans_dropped", "obs_self_trace_enabled",
         "obs_codec_compress_bytes_in", "obs_sched_parks",
+        "obs_sched_ready_depth_sum", "obs_sched_switch_latency_ns",
         "obs_mem_channel_bytes_hwm", "obs_mem_bytes_per_rank"}) {
     EXPECT_NE(text.find(name), std::string::npos) << name;
   }
-  // Exposition format: every series has a TYPE line.
+  // Exposition format: every obs counter has HELP and TYPE lines.
+  for (const obs::CounterDesc& d : obs::kCounterTable) {
+    EXPECT_NE(text.find(std::string("# HELP ") + d.name + " "),
+              std::string::npos)
+        << d.name;
+    EXPECT_NE(text.find(std::string("# TYPE ") + d.name + " " + d.type),
+              std::string::npos)
+        << d.name;
+  }
   EXPECT_NE(text.find("# TYPE obs_spans_recorded counter"),
             std::string::npos);
+  // The registry part is prometheus_text() itself, the obs part follows.
+  EXPECT_EQ(text.rfind(telemetry::prometheus_text(reg), 0), 0u);
+}
+
+TEST(ObsMetrics, ResetZeroesEveryTableField) {
+  obs::Counters c;
+  for (const obs::CounterDesc& d : obs::kCounterTable) (c.*d.field).store(7);
+  c.reset();
+  for (const obs::CounterDesc& d : obs::kCounterTable) {
+    EXPECT_EQ((c.*d.field).load(), 0u) << d.name;
+  }
 }
 
 TEST(ObsMetrics, WorldRunFoldsSchedulerAndMemoryCounters) {
@@ -279,18 +299,27 @@ TEST(ObsMetrics, WorldRunFoldsSchedulerAndMemoryCounters) {
   EXPECT_GT(obs::counters().sched_wakes.load(), 0u);
   EXPECT_EQ(obs::counters().mem_ranks.load(), 4u);
   EXPECT_GT(obs::counters().mem_stack_bytes_hwm.load(), 0u);
+  EXPECT_GT(obs::counters().sched_ready_depth_samples.load(), 0u);
+  EXPECT_GE(obs::counters().sched_ready_depth_sum.load(),
+            obs::counters().sched_ready_depth_samples.load());
 }
 
-TEST(ObsServe, MetricsOpMergesServeAndObsSeries) {
+TEST(ObsServe, StatsOpMergesServeAndObsSeries) {
   serve::Service svc;
-  const std::string resp = svc.handle_line("{\"id\":1,\"op\":\"metrics\"}");
+  const std::string resp = svc.handle_line("{\"id\":1,\"op\":\"stats\"}");
   EXPECT_NE(resp.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(resp.find("mpisect_serve_requests"), std::string::npos);
+  EXPECT_NE(resp.find("obs_sched_switches"), std::string::npos);
   EXPECT_NE(resp.find("obs_spans_recorded"), std::string::npos);
-  // Unknown ops must now advertise the metrics surface.
-  const std::string err = svc.handle_line(
-      "{\"id\":2,\"op\":\"nope\",\"trace\":\"x.mpst\",\"params\":{}}");
-  EXPECT_NE(err.find("metrics"), std::string::npos);
+  // stats is the one scrape op: metrics is unknown, and the error lists
+  // the six ops.
+  const std::string err =
+      svc.handle_line("{\"id\":2,\"op\":\"metrics\"}");
+  EXPECT_NE(err.find("\"ok\":false"), std::string::npos);
+  EXPECT_NE(err.find("unknown op 'metrics' "
+                     "(info|replay|sweep|timeline|analyze|stats)"),
+            std::string::npos)
+      << err;
 }
 
 }  // namespace

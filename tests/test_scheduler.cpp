@@ -546,8 +546,9 @@ TEST(FiberStackPool, SecondWorldOfTheSameStackSizeMapsNoSlab) {
   std::uint64_t second = 0;
   run_barrier_world(64, kStackKb, &first);
   run_barrier_world(64, kStackKb, &second);
-  // Two workers that find the pool empty at once may each map a slab.
-  EXPECT_GE(first, 64 / mpisim::kStacksPerSlab);
+  // One worker maps while the other waits for its slab: exactly the slabs
+  // 64 concurrent stacks need.
+  EXPECT_EQ(first, (64 + mpisim::kStacksPerSlab - 1) / mpisim::kStacksPerSlab);
   EXPECT_EQ(second, 0u);
   EXPECT_EQ(mpisim::stack_pool_stats().slab_maps - maps_before, first);
 }

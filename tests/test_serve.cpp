@@ -23,6 +23,7 @@
 
 #include "apps/convolution/convolution.hpp"
 #include "codec/mpstz.hpp"
+#include "core/sections/api.hpp"
 #include "core/sections/runtime.hpp"
 #include "mpisim/runtime.hpp"
 #include "serve/cache.hpp"
@@ -31,6 +32,7 @@
 #include "serve/service.hpp"
 #include "support/digest.hpp"
 #include "support/json.hpp"
+#include "telemetry/export.hpp"
 #include "trace/recorder.hpp"
 
 #include "temp_path.hpp"
@@ -232,6 +234,54 @@ TEST(QueryEngine, BadComputeScaleThrows) {
 }
 
 // -------------------------------------------------------------- service --
+
+// Section labels come from outside input and have no length bound: every
+// render carries a 300-character label whole, and every JSON render parses.
+TEST(QueryEngine, LongSectionLabelSurvivesEveryRender) {
+  std::string label;
+  while (label.size() < 300) {
+    label += "long_label_" + std::to_string(label.size());
+  }
+  label.resize(300);
+  mpisim::WorldOptions opts;
+  opts.machine = mpisim::MachineModel::nehalem_cluster();
+  opts.seed = 0x5EED;
+  mpisim::World world(2, opts);
+  sections::SectionRuntime::install(world);
+  auto rec = trace::TraceRecorder::install(world, {.app = "long-label"});
+  world.run([&label](mpisim::Ctx& ctx) {
+    mpisim::Comm comm = ctx.world_comm();
+    sections::MPIX_Section_enter(comm, label.c_str());
+    ctx.compute(1e-3 * (ctx.rank() + 1));
+    comm.barrier();
+    sections::MPIX_Section_exit(comm, label.c_str());
+  });
+  const trace::TraceFile tf = rec->finish();
+
+  EXPECT_NE(serve::run_info(tf).find("] " + label + "\n"), std::string::npos);
+  for (const char* format : {"text", "json", "chrome"}) {
+    serve::ReplayQuery q;
+    q.format = format;
+    const std::string out = serve::run_replay(tf, q);
+    EXPECT_NE(out.find(label), std::string::npos) << format;
+    if (q.format != "text") {
+      EXPECT_NO_THROW((void)support::json_parse(out)) << format;
+    }
+  }
+  for (const char* format : {"csv", "json", "chrome"}) {
+    serve::TimelineQuery q;
+    q.format = format;
+    const std::string out = serve::run_timeline(tf, q);
+    EXPECT_NE(out.find(label), std::string::npos) << format;
+    if (q.format == "csv") {
+      const telemetry::Timeline tl = telemetry::timeline_from_csv(out);
+      ASSERT_FALSE(tl.section_totals.empty());
+      EXPECT_EQ(tl.binding, label);
+    } else {
+      EXPECT_NO_THROW((void)support::json_parse(out)) << format;
+    }
+  }
+}
 
 TEST(Service, InfoResponseCarriesDigestAndEngineBytes) {
   const Fixture& fx = fixture();

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -17,10 +20,13 @@
 #include "support/crc32.hpp"
 #include "support/csv.hpp"
 #include "support/digest.hpp"
+#include "support/file.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
+
+#include "temp_path.hpp"
 
 namespace {
 
@@ -57,6 +63,12 @@ TEST(Strings, Formatting) {
   EXPECT_EQ(fmt_seconds(0.0025), "2.500 ms");
   EXPECT_EQ(fmt_seconds(2.5e-6), "2.500 us");
   EXPECT_EQ(fmt_seconds(2.5e-8), "25 ns");
+}
+
+TEST(Strings, FormatSizesItsBuffer) {
+  const std::string label(3000, 'x');
+  EXPECT_EQ(format("[%s] %d", label.c_str(), 42), "[" + label + "] 42");
+  EXPECT_EQ(format("%s", ""), "");
 }
 
 TEST(Strings, Padding) {
@@ -107,6 +119,58 @@ TEST(Csv, WriteParseRoundtrip) {
   EXPECT_EQ(rows[0][0], "p");
   EXPECT_EQ(rows[1][1], "2.5");
   EXPECT_EQ(rows[2][0], "2");
+}
+
+namespace fs = std::filesystem;
+using mpisect::testutil::unique_temp_path;
+
+/// Names in `dir` that start with `stem`.
+std::vector<std::string> entries_starting(const fs::path& dir,
+                                          const std::string& stem) {
+  std::vector<std::string> out;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind(stem, 0) == 0) out.push_back(name);
+  }
+  return out;
+}
+
+TEST(WriteFileAtomic, ReplacesTheTargetAndLeavesNoTempFile) {
+  const fs::path path = unique_temp_path("atomic", ".txt");
+  ASSERT_TRUE(write_file_atomic(path.string(), "first"));
+  ASSERT_TRUE(write_file_atomic(path.string(), "second\n"));
+  std::ifstream in(path);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), "second\n");
+  EXPECT_EQ(entries_starting(path.parent_path(), path.filename().string()),
+            std::vector<std::string>{path.filename().string()});
+  fs::remove(path);
+}
+
+TEST(WriteFileAtomic, MissingDirectoryFailsAndLeavesNothing) {
+  const fs::path dir = unique_temp_path("atomic_missing", "");
+  const fs::path path = dir / "out.txt";
+  EXPECT_FALSE(write_file_atomic(path.string(), "bytes"));
+  EXPECT_FALSE(fs::exists(dir));
+  EXPECT_TRUE(entries_starting(dir.parent_path(), dir.filename().string())
+                  .empty());
+}
+
+TEST(WriteFileAtomic, WritesIntoADeviceInPlace) {
+  EXPECT_TRUE(write_file_atomic("/dev/null", "bytes"));
+  EXPECT_TRUE(fs::is_character_file("/dev/null"));
+}
+
+TEST(WriteFileAtomic, WritesThroughASymlinkAndKeepsTheLink) {
+  const fs::path target = unique_temp_path("atomic_target", ".txt");
+  const fs::path link = unique_temp_path("atomic_link", ".txt");
+  ASSERT_TRUE(write_file_atomic(target.string(), "old"));
+  fs::create_symlink(target, link);
+  ASSERT_TRUE(write_file_atomic(link.string(), "new\n"));
+  EXPECT_TRUE(fs::is_symlink(link));
+  std::ifstream in(target);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), "new\n");
+  fs::remove(link);
+  fs::remove(target);
 }
 
 TEST(Csv, RowArityEnforced) {

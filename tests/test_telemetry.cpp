@@ -76,14 +76,13 @@ TEST(TelemetryRegistry, ProcessScopeAndDistributions) {
   EXPECT_DOUBLE_EQ(reg.value(p, -1), 5.0);
   EXPECT_DOUBLE_EQ(reg.total(p), 5.0);
 
-  const auto d = reg.add_distribution("q.depth", Scope::Process, 0.0, 16.0, 4,
-                                      "depth");
-  reg.observe(d, -1, 1.0);
-  reg.observe(d, -1, 9.0);
-  const auto* hist = reg.histogram(d, -1);
+  const auto d = reg.add_distribution("q.depth", 0.0, 16.0, 4, "depth");
+  reg.observe(d, 1.0);
+  reg.observe(d, 9.0);
+  const auto* hist = reg.histogram(d);
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->count(), 2u);
-  EXPECT_EQ(reg.histogram(p, -1), nullptr);  // scalars have no histogram
+  EXPECT_EQ(reg.histogram(p), nullptr);  // scalars have no histogram
 }
 
 TEST(TelemetryRegistry, RankScalarSnapshotOrderIsRegistrationOrder) {
@@ -452,6 +451,48 @@ TEST_F(ExporterTest, JsonAndChromeAndPrometheusCarryTheSeries) {
   EXPECT_NE(prom.find("# TYPE mpisect_mpi_msgs_sent counter"),
             std::string::npos);
   EXPECT_NE(prom.find("{rank=\"0\"}"), std::string::npos);
+}
+
+// The registry part of the Prometheus page, byte for byte: rank scalars
+// (one sample per rank plus the total) with and without a unit, a process
+// counter, and a process histogram with an overflow sample.
+TEST(TelemetryPrometheus, RegistryPageIsPinned) {
+  Registry reg(2);
+  const auto msgs = reg.add_counter("mpi.msgs_sent", Scope::Rank,
+                                    "messages sent", "messages");
+  const auto depth = reg.add_gauge("queue.depth", Scope::Rank, "queue depth");
+  const auto reqs = reg.add_counter("serve.requests", Scope::Process,
+                                    "requests answered", "requests");
+  const auto lat = reg.add_distribution("serve.latency", 0.0, 1.0, 4,
+                                        "request latency", "seconds");
+  reg.inc(msgs, 0, 3.0);
+  reg.inc(msgs, 1, 0.5);
+  reg.set(depth, 1, 7.0);
+  reg.inc(reqs, -1, 2.0);
+  for (double x : {0.1, 0.6, 0.9, 5.0}) reg.observe(lat, x);
+  const support::Provenance p{"1.2.3", "abc1234", "Release", "none", "", ""};
+  EXPECT_EQ(telemetry::prometheus_text(reg, p),
+            "# mpisect 1.2.3 git=abc1234 build=Release sanitizer=none\n"
+            "# HELP mpisect_mpi_msgs_sent messages sent (messages)\n"
+            "# TYPE mpisect_mpi_msgs_sent counter\n"
+            "mpisect_mpi_msgs_sent{rank=\"0\"} 3\n"
+            "mpisect_mpi_msgs_sent{rank=\"1\"} 0.5\n"
+            "mpisect_mpi_msgs_sent 3.5\n"
+            "# HELP mpisect_queue_depth queue depth\n"
+            "# TYPE mpisect_queue_depth gauge\n"
+            "mpisect_queue_depth{rank=\"0\"} 0\n"
+            "mpisect_queue_depth{rank=\"1\"} 7\n"
+            "mpisect_queue_depth 7\n"
+            "# HELP mpisect_serve_requests requests answered (requests)\n"
+            "# TYPE mpisect_serve_requests counter\n"
+            "mpisect_serve_requests 2\n"
+            "# HELP mpisect_serve_latency request latency (seconds)\n"
+            "# TYPE mpisect_serve_latency histogram\n"
+            "mpisect_serve_latency_bucket{le=\"0.25\"} 1\n"
+            "mpisect_serve_latency_bucket{le=\"0.5\"} 1\n"
+            "mpisect_serve_latency_bucket{le=\"0.75\"} 2\n"
+            "mpisect_serve_latency_bucket{le=\"1\"} 4\n"
+            "mpisect_serve_latency_count 4\n");
 }
 
 // ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@
 //
 // Exit status: 0 = no findings, 2 = findings reported, 1 = usage error.
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <string>
 
@@ -41,6 +40,7 @@
 #include "obs/spans.hpp"
 #include "serve/queries.hpp"
 #include "support/cli.hpp"
+#include "support/file.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/recorder.hpp"
@@ -131,21 +131,6 @@ void scenario_clean(mpisim::Ctx& ctx) {
     }
   }
   sections::MPIX_Section_exit(world, "RING");
-}
-
-bool emit(const std::string& text, const std::string& out_path) {
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return false;
-  }
-  out << text;
-  std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), text.size());
-  return true;
 }
 
 /// Record a scenario or app in-process and return the trace.
@@ -251,8 +236,9 @@ int run(int argc, char** argv) {
     const analysis::AnalysisResult res = analysis::analyze(tf);
     telemetry::Registry reg(tf.header.nranks);
     analysis::fill_telemetry(res, reg);
-    if (!emit(telemetry::prometheus_text(reg),
-              args.get_string("telemetry"))) {
+    if (!support::write_output("mpisect-analyze",
+                               telemetry::prometheus_text(reg),
+                               args.get_string("telemetry"))) {
       return 1;
     }
   }
@@ -263,7 +249,9 @@ int run(int argc, char** argv) {
   q.format = format;
   std::size_t findings = 0;
   const std::string text = serve::run_analyze(tf, q, &findings);
-  if (!emit(text, args.get_string("out"))) return 1;
+  if (!support::write_output("mpisect-analyze", text, args.get_string("out"))) {
+    return 1;
+  }
   return findings > 0 ? 2 : 0;
 }
 

@@ -18,7 +18,6 @@
 //
 // Exit status: 0 = no findings, 2 = findings reported, 1 = usage error.
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -33,6 +32,7 @@
 #include "mpisim/session.hpp"
 #include "obs/spans.hpp"
 #include "support/cli.hpp"
+#include "support/file.hpp"
 
 namespace {
 
@@ -89,21 +89,6 @@ void scenario_section_misuse(mpisim::Ctx& ctx) {
   // Rank 1 exits a label it never entered; its "COMPUTE" section leaks.
   sections::MPIX_Section_exit(world,
                               world.rank() == 0 ? "COMPUTE" : "EXCHANGE");
-}
-
-bool emit(const std::string& text, const std::string& out_path) {
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return false;
-  }
-  out << text;
-  std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), text.size());
-  return true;
 }
 
 int run(int argc, char** argv) {
@@ -242,7 +227,9 @@ int run(int argc, char** argv) {
   } else {
     text = checker::render_json(diags);
   }
-  if (!emit(text, args.get_string("out"))) return 1;
+  if (!support::write_output("mpisect-check", text, args.get_string("out"))) {
+    return 1;
+  }
 
   std::size_t errors = 0;
   for (const auto& d : diags) {

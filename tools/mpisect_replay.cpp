@@ -24,11 +24,9 @@
 //
 // Exit status: 0 = ok, 1 = usage/file error (one-line diagnostic),
 // 3 = --verify mismatch.
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -41,6 +39,7 @@
 #include "serve/queries.hpp"
 #include "support/cli.hpp"
 #include "support/digest.hpp"
+#include "support/file.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
 
@@ -48,41 +47,12 @@ namespace {
 
 using namespace mpisect;
 
-bool emit(const std::string& text, const std::string& out_path) {
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "mpisect-replay: cannot write %s\n",
-                 out_path.c_str());
-    return false;
-  }
-  out << text;
-  std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), text.size());
-  return true;
-}
-
-/// Write `bytes` to `<path>.tmp.<pid>`, then rename that over `path`: a
-/// failed or interrupted write never leaves a truncated file at `path`
-/// (which mpisect-serve would otherwise load and pin).
+/// Atomic: a failed or interrupted write never leaves a truncated file at
+/// `path` (which mpisect-serve would otherwise load and pin).
 void save_bytes(const std::vector<std::uint8_t>& bytes,
                 const std::string& path) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary);
-    if (!out) throw trace::TraceError("cannot write '" + path + "'");
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.close();
-    if (!out) {
-      std::remove(tmp.c_str());
-      throw trace::TraceError("write error on '" + path + "'");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  if (!support::write_file_atomic(
+          path, {reinterpret_cast<const char*>(bytes.data()), bytes.size()})) {
     throw trace::TraceError("cannot write '" + path + "'");
   }
 }
@@ -299,7 +269,8 @@ int cmd_replay(int argc, const char* const* argv) {
   q.format = support::unified_export(args);
   q.tseq = serve::check_num("tseq", args.get_double("tseq"),
                             serve::NumRange::NonNegative);
-  return emit(serve::run_replay(tf, q), args.get_string("out")) ? 0 : 1;
+  return support::write_output("mpisect-replay", serve::run_replay(tf, q),
+                               args.get_string("out")) ? 0 : 1;
 }
 
 int cmd_timeline(int argc, const char* const* argv) {
@@ -324,7 +295,8 @@ int cmd_timeline(int argc, const char* const* argv) {
   q.dt = serve::check_num("dt", args.get_double("dt"),
                           serve::NumRange::NonNegative);
   q.format = support::unified_export(args);
-  return emit(serve::run_timeline(tf, q), args.get_string("out")) ? 0 : 1;
+  return support::write_output("mpisect-replay", serve::run_timeline(tf, q),
+                               args.get_string("out")) ? 0 : 1;
 }
 
 int cmd_info(int argc, const char* const* argv) {
@@ -383,7 +355,8 @@ int cmd_sweep(int argc, const char* const* argv) {
   // run_sweep checks the grid too; checking first skips loading the trace.
   serve::check_sweep_grid(q);
   const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
-  return emit(serve::run_sweep(tf, q), args.get_string("out")) ? 0 : 1;
+  return support::write_output("mpisect-replay", serve::run_sweep(tf, q),
+                               args.get_string("out")) ? 0 : 1;
 }
 
 int cmd_compress(int argc, const char* const* argv) {

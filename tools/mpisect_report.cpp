@@ -12,7 +12,6 @@
 // balance (load-balance triage), chrome (chrome://tracing JSON),
 // snapshot (ProfileSnapshot CSV for mpisect-diff).
 #include <cstdio>
-#include <fstream>
 #include <memory>
 
 #include "apps/convolution/convolution.hpp"
@@ -26,6 +25,7 @@
 #include "profiler/tree.hpp"
 #include "obs/spans.hpp"
 #include "support/cli.hpp"
+#include "support/file.hpp"
 #include "support/strings.hpp"
 
 namespace {
@@ -39,21 +39,6 @@ std::string preset_list() {
     out += n;
   }
   return out;
-}
-
-bool emit(const std::string& text, const std::string& out_path) {
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return false;
-  }
-  out << text;
-  std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), text.size());
-  return true;
 }
 
 }  // namespace
@@ -151,7 +136,9 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "unknown format '%s'\n", format.c_str());
     return 1;
   }
-  return emit(text, args.get_string("out")) ? 0 : 1;
+  return support::write_output("mpisect-report", text, args.get_string("out"))
+             ? 0
+             : 1;
 }
 
 int main(int argc, char** argv) {

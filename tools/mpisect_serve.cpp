@@ -12,7 +12,7 @@
 //    "params":{"model":"knl","compute_scale":"auto","format":"csv"}}
 //   {"id":3,"op":"sweep","trace":"conv.mpstz",
 //    "params":{"drop_rates":[0,0.01,0.05]}}
-//   {"id":4,"op":"stats"}
+//   {"id":4,"op":"stats"}    # Prometheus page: serve.* and obs_* series
 // Responses:
 //   {"id":2,"ok":true,"digest":"mpst1-...","cached":false,"result":"..."}
 //
@@ -45,6 +45,7 @@
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "support/cli.hpp"
+#include "support/file.hpp"
 #include "support/spec.hpp"
 
 namespace {
@@ -129,14 +130,12 @@ int cmd_serve(int argc, const char* const* argv) {
   serve::Server server(service, workers);
   const int port = server.listen(static_cast<int>(args.get_int("port")));
 
-  if (!args.get_string("port-file").empty()) {
-    std::ofstream pf(args.get_string("port-file"));
-    if (!pf) {
-      std::fprintf(stderr, "mpisect-serve: cannot write %s\n",
-                   args.get_string("port-file").c_str());
-      return 1;
-    }
-    pf << port << "\n";
+  // Atomic, so a poller never reads a half-written port.
+  if (const std::string& pf = args.get_string("port-file");
+      !pf.empty() &&
+      !support::write_file_atomic(pf, std::to_string(port) + "\n")) {
+    std::fprintf(stderr, "mpisect-serve: cannot write %s\n", pf.c_str());
+    return 1;
   }
   std::printf("mpisect-serve: listening on 127.0.0.1:%d (workers=%d)\n", port,
               server.workers());

@@ -38,6 +38,7 @@
 #include "obs/memory.hpp"
 #include "obs/spans.hpp"
 #include "support/cli.hpp"
+#include "support/file.hpp"
 #include "support/strings.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/sampler.hpp"
@@ -220,23 +221,6 @@ std::string self_pane(const mpisim::ExecStats& st, const obs::MemAccount& mem,
   return out;
 }
 
-bool emit(const std::string& text, const std::string& out_path,
-          const char* what) {
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "mpisect-top: cannot write %s\n", out_path.c_str());
-    return false;
-  }
-  out << text;
-  std::printf("wrote %s %s (%zu bytes)\n", what, out_path.c_str(),
-              text.size());
-  return true;
-}
-
 int run_post(const std::string& path, const RenderOptions& ro) {
   std::ifstream in(path);
   if (!in) {
@@ -407,14 +391,14 @@ int main(int argc, char** argv) {
       } else if (fmt_name == "chrome") {
         text = telemetry::chrome_counters(tl, prov);
       } else if (fmt_name == "prom") {
-        text = telemetry::prometheus_text(
-            sampler->registry(), &world.executor().stats(), prov);
+        text = telemetry::metrics_page(sampler->registry(), prov);
       } else {
         std::fprintf(stderr, "mpisect-top: unknown export '%s'\n",
                      fmt_name.c_str());
         return 1;
       }
-      return emit(text, args.get_string("out"), fmt_name.c_str()) ? 0 : 1;
+      return support::write_output("mpisect-top", text, args.get_string("out"),
+                                   fmt_name) ? 0 : 1;
     }
 
     ro.status = "[done]";

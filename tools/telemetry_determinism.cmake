@@ -4,7 +4,8 @@
 #      contract, observed through the CLI rather than the unit suite
 #   2. the counters export is byte-identical too
 #   3. --post re-renders a saved CSV and reports the same binding section
-#   4. every other export format produces non-empty, well-formed output
+#   4. every other export format produces non-empty, well-formed output;
+#      prom is the one metrics page (registry + obs_* series)
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env MPISECT_WORKERS=1
           ${TOP} --app convolution --ranks 8 --steps 40 --seed 99
@@ -79,4 +80,12 @@ endif()
 file(READ telem.prom prom_out)
 if(NOT prom_out MATCHES "# TYPE mpisect_mpi_msgs_sent counter")
   message(FATAL_ERROR "prometheus export missing typed counter")
+endif()
+# The same registry + obs_* page serve's stats op answers: scheduler
+# series come from the obs counters, not a second hand-written block.
+if(NOT prom_out MATCHES "obs_sched_switches")
+  message(FATAL_ERROR "prometheus export missing obs_sched_switches")
+endif()
+if(prom_out MATCHES "mpisect_sched_")
+  message(FATAL_ERROR "prometheus export still has mpisect_sched_ series")
 endif()
