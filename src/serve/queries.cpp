@@ -61,8 +61,10 @@ double parse_compute_scale(const trace::TraceFile& tf,
                ? tf.header.machine.flops_per_core / machine.flops_per_core
                : 1.0;
   }
-  const double cs = std::strtod(spec.c_str(), nullptr);
-  if (cs <= 0) {
+  char* end = nullptr;
+  const double cs = std::strtod(spec.c_str(), &end);
+  if (spec.empty() || end != spec.c_str() + spec.size() ||
+      !std::isfinite(cs) || cs <= 0) {
     throw trace::TraceError("bad compute-scale '" + spec +
                             "' (positive float or 'auto')");
   }
@@ -116,7 +118,9 @@ void for_each_sweep_point(const trace::TraceFile& tf, const SweepQuery& q,
   for (const auto& mname : q.models) {
     const mpisim::MachineModel base = base_model(tf, mname);
     for (const double ls : q.latency_scales) {
+      (void)check_num("latency_scales", ls, NumRange::Positive);
       for (const double bs : q.bandwidth_scales) {
+        (void)check_num("bandwidth_scales", bs, NumRange::Positive);
         for (const std::string& citem : q.compute_scales) {
           const double cs = parse_compute_scale(tf, base, citem);
           mpisim::MachineModel m = base;
@@ -130,7 +134,7 @@ void for_each_sweep_point(const trace::TraceFile& tf, const SweepQuery& q,
                 m, tf.header.progress, pm,
                 /*machine_is_recorded=*/mname == "recorded");
             for (const double dr : q.drop_rates) {
-              if (dr < 0.0 || dr >= 1.0) {
+              if (!(dr >= 0.0 && dr < 1.0)) {  // NaN too
                 throw trace::TraceError(
                     "bad drop-rates entry (need 0 <= p < 1)");
               }
@@ -156,12 +160,7 @@ void for_each_sweep_point(const trace::TraceFile& tf, const SweepQuery& q,
 }  // namespace
 
 std::string model_choices() {
-  std::string out = "recorded";
-  for (const auto& n : mpisim::MachineModel::preset_names()) {
-    out += "|";
-    out += n;
-  }
-  return out;
+  return "recorded|" + support::join(mpisim::MachineModel::preset_names(), "|");
 }
 
 double check_num(const char* name, double v, NumRange range) {

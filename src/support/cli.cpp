@@ -172,9 +172,6 @@ void add_unified_flags(ArgParser& args, const std::string& model_default,
   args.add_string("export", export_default, "output format");
   args.add_flag("json", "shorthand for --export json");
   args.add_int("seed", seed_default, "world seed");
-  args.add_string("self-trace", "",
-                  "wall-clock self-trace of the simulator itself "
-                  "(.json = chrome://tracing, else CSV)");
 }
 
 std::string unified_export(const ArgParser& args) {

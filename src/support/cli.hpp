@@ -67,9 +67,8 @@ class ArgParser {
 };
 
 /// Register the flag vocabulary every mpisect-* tool shares: `--model`,
-/// `--export`, `--json`, `--seed` and `--self-trace` (tools pass its value
-/// to obs::enable_self_trace; MPISECT_SELF_TRACE is the env equivalent).
-/// `--version` is built into parse().
+/// `--export`, `--json` and `--seed`. `--version` is built into parse();
+/// the tools' launcher declares `--self-trace`.
 void add_unified_flags(ArgParser& args, const std::string& model_default,
                        const std::string& export_default,
                        long long seed_default);

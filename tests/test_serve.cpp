@@ -233,6 +233,32 @@ TEST(QueryEngine, BadComputeScaleThrows) {
   EXPECT_THROW((void)serve::run_replay(fixture().tf, q), trace::TraceError);
 }
 
+// A compute scale is a whole finite number > 0 (or "auto"): NaN, inf and
+// trailing garbage are errors, never a CSV of nan rows.
+TEST(QueryEngine, ComputeScaleMustParseWholeFiniteAndPositive) {
+  const Fixture& fx = fixture();
+  for (const char* bad : {"nan", "inf", "-inf", "2x", "", "0", "1e999"}) {
+    serve::ReplayQuery q;
+    q.model.compute_scale = bad;
+    try {
+      (void)serve::run_replay(fx.tf, q);
+      ADD_FAILURE() << "compute-scale '" << bad << "' accepted";
+    } catch (const trace::TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find("(positive float or 'auto')"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  serve::SweepQuery sweep;
+  sweep.compute_scales = {"1", "inf"};
+  EXPECT_THROW((void)serve::run_sweep(fx.tf, sweep), trace::TraceError);
+  for (const char* good : {"2", "0.5", "1e-3", "auto"}) {
+    serve::ReplayQuery q;
+    q.model.compute_scale = good;
+    EXPECT_NO_THROW((void)serve::run_replay(fx.tf, q)) << good;
+  }
+}
+
 // -------------------------------------------------------------- service --
 
 // Section labels come from outside input and have no length bound: every
@@ -458,6 +484,12 @@ TEST(Service, OutOfRangeDoubleParamsAreErrorsNamingTheParam) {
       for (const char* bad : {"-1e-6", "-1e300"}) expect_named(op, key, bad);
     }
   }
+  // Sweep grid entries get the same range, per entry.
+  for (const char* key : {"latency_scales", "bandwidth_scales"}) {
+    for (const char* bad : {"[0]", "[-1e300]", "[1,-1]"}) {
+      expect_named("sweep", key, bad);
+    }
+  }
   for (const char* bad : {"-1", "-1e300"}) {
     expect_named("replay", "tseq", bad);
     expect_named("sweep", "tseq", bad);
@@ -573,6 +605,38 @@ TEST(QueryEngine, SweepPointsSaturateInsteadOfOverflowing) {
   q.drop_rates.assign(2000, 0.0);
   q.progress.assign(2000, "recorded");
   EXPECT_EQ(serve::sweep_points(q), serve::kMaxSweepPoints + 1);
+}
+
+// Each latency/bandwidth scale of a sweep grid is range-checked where the
+// grid is walked, so the CLI and the daemon reject the same entries; a
+// drop rate must lie in [0, 1), which NaN does not.
+TEST(QueryEngine, SweepGridEntriesAreRangeChecked) {
+  const Fixture& fx = fixture();
+  const auto error_of_sweep = [&](const serve::SweepQuery& q) {
+    try {
+      (void)serve::run_sweep(fx.tf, q);
+    } catch (const trace::TraceError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, 0.0, std::nan(""), inf}) {
+    serve::SweepQuery q;
+    q.latency_scales = {1.0, bad};
+    EXPECT_NE(error_of_sweep(q).find("param 'latency_scales'"),
+              std::string::npos)
+        << bad << ": " << error_of_sweep(q);
+    q = serve::SweepQuery{};
+    q.bandwidth_scales = {bad};
+    EXPECT_NE(error_of_sweep(q).find("param 'bandwidth_scales'"),
+              std::string::npos)
+        << bad << ": " << error_of_sweep(q);
+  }
+  serve::SweepQuery q;
+  q.drop_rates = {std::nan("")};
+  EXPECT_NE(error_of_sweep(q).find("bad drop-rates entry"), std::string::npos)
+      << error_of_sweep(q);
 }
 
 // A dt that bins the makespan into too many windows is an error, not an

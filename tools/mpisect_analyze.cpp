@@ -26,18 +26,13 @@
 //
 // Exit status: 0 = no findings, 2 = findings reported, 1 = usage error.
 #include <cstdio>
-#include <functional>
 #include <string>
 
 #include "analysis/analyzer.hpp"
-#include "apps/convolution/convolution.hpp"
-#include "apps/lulesh/lulesh.hpp"
 #include "codec/mpstz.hpp"
 #include "core/sections/api.hpp"
-#include "core/sections/runtime.hpp"
+#include "launch.hpp"
 #include "mpisim/message.hpp"
-#include "mpisim/session.hpp"
-#include "obs/spans.hpp"
 #include "serve/queries.hpp"
 #include "support/cli.hpp"
 #include "support/file.hpp"
@@ -48,15 +43,6 @@
 namespace {
 
 using namespace mpisect;
-
-std::string preset_list() {
-  std::string out;
-  for (const auto& n : mpisim::MachineModel::preset_names()) {
-    if (!out.empty()) out += "|";
-    out += n;
-  }
-  return out;
-}
 
 // Rank 0 posts a wildcard receive that both rank 1 and rank 2 can satisfy
 // concurrently (rank 2's send is causally independent of rank 0): one
@@ -138,57 +124,29 @@ trace::TraceFile record_trace(const support::ArgParser& args) {
   const std::string scenario = args.get_string("scenario");
   const std::string app_name = args.get_string("app");
 
-  std::function<void(mpisim::Ctx&)> body;
-  int ranks = static_cast<int>(args.get_int("ranks"));
+  launch::Body body;
+  int ranks = 3;  // every scenario
   if (scenario == "race") {
     body = scenario_race;
   } else if (scenario == "latent-deadlock") {
     body = scenario_latent;
   } else if (scenario == "clean") {
     body = scenario_clean;
-  } else if (scenario != "none") {
+  } else if (scenario == "none") {
+    ranks = launch::int_flag(args, "ranks");
+    body = launch::app(app_name, {launch::int_flag(args, "steps"), 0, 1},
+                       ranks);
+  } else {
     throw std::invalid_argument("unknown scenario '" + scenario +
                                 "' (none|race|latent-deadlock|clean)");
   }
-  if (body) ranks = 3;
 
-  mpisim::WorldOptions opts;
-  const auto preset = mpisim::MachineModel::preset(args.get_string("model"));
-  if (!preset) {
-    throw std::invalid_argument("unknown model '" + args.get_string("model") +
-                                "' (" + preset_list() + ")");
-  }
-  opts.machine = *preset;
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const auto world_ptr = mpisim::Session(ranks, opts)
-                             .world_builder()
-                             .exec_spec(args.get_string("exec"))
-                             .build();
-  mpisim::World& world = *world_ptr;
-  sections::SectionRuntime::install(world);
+  const auto world = launch::world(args, ranks);
   const std::string provenance =
-      (body ? "scenario-" + scenario : app_name) + " --ranks " +
+      (scenario == "none" ? app_name : "scenario-" + scenario) + " --ranks " +
       std::to_string(ranks);
-  auto rec = trace::TraceRecorder::install(world, {.app = provenance});
-
-  if (body) {
-    world.run(body);
-  } else if (app_name == "convolution") {
-    apps::conv::ConvolutionConfig cfg;
-    cfg.steps = static_cast<int>(args.get_int("steps"));
-    cfg.full_fidelity = false;
-    apps::conv::ConvolutionApp app(cfg);
-    world.run(std::ref(app));
-  } else if (app_name == "lulesh") {
-    apps::lulesh::LuleshConfig cfg;
-    cfg.steps = static_cast<int>(args.get_int("steps"));
-    cfg.full_fidelity = false;
-    apps::lulesh::LuleshApp app(cfg);
-    world.run(std::ref(app));
-  } else {
-    throw std::invalid_argument("unknown app '" + app_name +
-                                "' (convolution|lulesh)");
-  }
+  auto rec = trace::TraceRecorder::install(*world, {.app = provenance});
+  world->run(body);
   return rec->finish();
 }
 
@@ -211,10 +169,7 @@ int run(int argc, char** argv) {
   args.add_string("save-trace", "", "also save the recorded trace here");
   args.add_string("telemetry", "",
                   "write analysis counters as Prometheus text to this file");
-  if (!args.parse(argc, argv)) return 1;
-  if (const auto& st = args.get_string("self-trace"); !st.empty()) {
-    obs::enable_self_trace(st);
-  }
+  if (!launch::parse(args, argc, argv)) return 1;
 
   const std::string format = support::unified_export(args);
   if (format != "text" && format != "csv" && format != "json") {
@@ -258,12 +213,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Corrupt traces and usage errors must surface as a one-line diagnostic
-  // with a nonzero exit, never an uncaught-exception abort.
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "mpisect-analyze: %s\n", err.what());
-    return 1;
-  }
+  return launch::guarded_main("mpisect-analyze", run, argc, argv);
 }

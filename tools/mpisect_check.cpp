@@ -18,34 +18,19 @@
 //
 // Exit status: 0 = no findings, 2 = findings reported, 1 = usage error.
 #include <cstdio>
-#include <functional>
-#include <stdexcept>
 #include <string>
 
-#include "apps/convolution/convolution.hpp"
-#include "apps/lulesh/lulesh.hpp"
 #include "checker/checker.hpp"
 #include "checker/report.hpp"
 #include "core/sections/api.hpp"
-#include "core/sections/runtime.hpp"
+#include "launch.hpp"
 #include "mpisim/faults/injector.hpp"
-#include "mpisim/session.hpp"
-#include "obs/spans.hpp"
 #include "support/cli.hpp"
 #include "support/file.hpp"
 
 namespace {
 
 using namespace mpisect;
-
-std::string preset_list() {
-  std::string out;
-  for (const auto& n : mpisim::MachineModel::preset_names()) {
-    if (!out.empty()) out += "|";
-    out += n;
-  }
-  return out;
-}
 
 void scenario_deadlock(mpisim::Ctx& ctx) {
   mpisim::Comm world = ctx.world_comm();
@@ -109,10 +94,7 @@ int run(int argc, char** argv) {
                   "fault plan spec, e.g. 'drop:p=0.05; kill:rank=1,at=1e-3' "
                   "('' = none)");
   args.add_string("out", "", "output file ('' = stdout)");
-  if (!args.parse(argc, argv)) return 1;
-  if (const auto& st = args.get_string("self-trace"); !st.empty()) {
-    obs::enable_self_trace(st);
-  }
+  if (!launch::parse(args, argc, argv)) return 1;
 
   const std::string scenario = args.get_string("scenario");
   const std::string format = support::unified_export(args);
@@ -121,8 +103,8 @@ int run(int argc, char** argv) {
     return 1;
   }
 
-  std::function<void(mpisim::Ctx&)> body;
-  int ranks = static_cast<int>(args.get_int("ranks"));
+  launch::Body body;
+  int ranks = 2;  // every scenario
   if (scenario == "deadlock") {
     body = scenario_deadlock;
   } else if (scenario == "leak") {
@@ -133,80 +115,34 @@ int run(int argc, char** argv) {
     body = scenario_p2p_mismatch;
   } else if (scenario == "section-misuse") {
     body = scenario_section_misuse;
-  } else if (scenario != "clean") {
+  } else if (scenario == "clean") {
+    ranks = launch::int_flag(args, "ranks");
+    body = launch::app(
+        args.get_string("app"),
+        {launch::int_flag(args, "steps"), 0, launch::int_flag(args, "threads")},
+        ranks);
+  } else {
     std::fprintf(stderr, "unknown scenario '%s'\n", scenario.c_str());
     return 1;
   }
-  if (body) ranks = 2;
 
   mpisim::WorldOptions opts;
-  const auto preset = mpisim::MachineModel::preset(args.get_string("model"));
-  if (!preset) {
-    std::fprintf(stderr, "unknown model '%s' (%s)\n",
-                 args.get_string("model").c_str(), preset_list().c_str());
-    return 1;
-  }
-  opts.machine = *preset;
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   if (!args.get_string("faults").empty()) {
-    try {
-      opts.faults = mpisim::faults::FaultPlan::parse(args.get_string("faults"));
-    } catch (const std::invalid_argument& err) {
-      std::fprintf(stderr, "mpisect-check: %s\n", err.what());
-      return 1;
-    }
+    opts.faults = mpisim::faults::FaultPlan::parse(args.get_string("faults"));
   }
-  const auto world_ptr = mpisim::Session(ranks, opts)
-                             .world_builder()
-                             .exec_spec(args.get_string("exec"))
-                             .build();
-  mpisim::World& world = *world_ptr;
-  sections::SectionRuntime::install(world);
-
-  auto check = checker::MpiChecker::install(world);
+  const auto world = launch::world(args, ranks, opts);
+  auto check = checker::MpiChecker::install(*world);
   std::shared_ptr<mpisim::faults::FaultInjector> injector;
   if (!opts.faults.empty()) {
-    injector = mpisim::faults::FaultInjector::install(world);
+    injector = mpisim::faults::FaultInjector::install(*world);
   }
 
-  if (!body) {
-    const std::string app_name = args.get_string("app");
-    if (app_name == "convolution") {
-      apps::conv::ConvolutionConfig cfg;
-      cfg.steps = static_cast<int>(args.get_int("steps"));
-      cfg.full_fidelity = false;
-      apps::conv::ConvolutionApp app(cfg);
-      body = std::ref(app);
-      try {
-        world.run(body);
-      } catch (const mpisim::MpiError& err) {
-        std::fprintf(stderr, "run terminated: %s\n", err.what());
-      }
-    } else if (app_name == "lulesh") {
-      apps::lulesh::LuleshConfig cfg;
-      cfg.steps = static_cast<int>(args.get_int("steps"));
-      cfg.omp_threads = static_cast<int>(args.get_int("threads"));
-      cfg.full_fidelity = false;
-      apps::lulesh::LuleshApp app(cfg);
-      body = std::ref(app);
-      try {
-        world.run(body);
-      } catch (const mpisim::MpiError& err) {
-        std::fprintf(stderr, "run terminated: %s\n", err.what());
-      }
-    } else {
-      std::fprintf(stderr, "unknown app '%s' (convolution|lulesh)\n",
-                   app_name.c_str());
-      return 1;
-    }
-  } else {
-    try {
-      world.run(body);
-    } catch (const mpisim::MpiError& err) {
-      // Expected for seeded scenarios: the checker aborts a deadlocked
-      // world, truncation throws on the receiver.
-      std::fprintf(stderr, "run terminated: %s\n", err.what());
-    }
+  try {
+    world->run(body);
+  } catch (const mpisim::MpiError& err) {
+    // Expected for seeded scenarios and injected faults: the checker
+    // aborts a deadlocked world, truncation throws on the receiver.
+    std::fprintf(stderr, "run terminated: %s\n", err.what());
   }
 
   check->analyze();
@@ -241,12 +177,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Corrupt input or an internal failure must surface as a one-line
-  // diagnostic with a nonzero exit, never an uncaught-exception abort.
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "mpisect-check: %s\n", err.what());
-    return 1;
-  }
+  return launch::guarded_main("mpisect-check", run, argc, argv);
 }

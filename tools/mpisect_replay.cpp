@@ -27,19 +27,17 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "apps/convolution/convolution.hpp"
-#include "apps/lulesh/lulesh.hpp"
 #include "codec/mpstz.hpp"
-#include "core/sections/runtime.hpp"
-#include "mpisim/session.hpp"
-#include "obs/spans.hpp"
+#include "launch.hpp"
 #include "serve/queries.hpp"
 #include "support/cli.hpp"
 #include "support/digest.hpp"
 #include "support/file.hpp"
+#include "support/strings.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
 
@@ -57,33 +55,25 @@ void save_bytes(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-std::string preset_list() {
-  std::string out;
-  for (const auto& n : mpisim::MachineModel::preset_names()) {
-    if (!out.empty()) out += "|";
-    out += n;
-  }
-  return out;
-}
-
+/// The non-empty entries of a comma list.
 std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string item =
-        csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
+  std::vector<std::string> out = support::split(csv, ',');
+  std::erase(out, std::string());
   return out;
 }
 
-std::vector<double> parse_grid(const std::string& csv) {
+/// The value of a comma-list flag as numbers; an entry that does not
+/// parse whole is an error naming the flag.
+std::vector<double> parse_grid(const support::ArgParser& args,
+                               const std::string& flag) {
   std::vector<double> out;
-  for (const auto& item : split_csv(csv)) {
-    out.push_back(std::strtod(item.c_str(), nullptr));
+  for (const auto& item : split_csv(args.get_string(flag))) {
+    char* end = nullptr;
+    out.push_back(std::strtod(item.c_str(), &end));
+    if (end != item.c_str() + item.size()) {
+      throw std::invalid_argument("bad --" + flag + " entry '" + item +
+                                  "' (not a number)");
+    }
   }
   return out;
 }
@@ -127,26 +117,11 @@ serve::ModelParams model_params(const support::ArgParser& args) {
   return p;
 }
 
-/// Shared tail of every subcommand's arg setup: register the unified
-/// --self-trace flag, parse, and arm the span tracer when requested
-/// (MPISECT_SELF_TRACE is the env equivalent).
-bool parse_with_self_trace(support::ArgParser& args, int argc,
-                           const char* const* argv) {
-  args.add_string("self-trace", "",
-                  "wall-clock self-trace of the simulator itself "
-                  "(.json = chrome://tracing, else CSV)");
-  if (!args.parse(argc, argv)) return false;
-  if (const auto& p = args.get_string("self-trace"); !p.empty()) {
-    obs::enable_self_trace(p);
-  }
-  return true;
-}
-
 int cmd_record(int argc, const char* const* argv) {
   support::ArgParser args("mpisect-replay record",
                           "Run an instrumented app and capture a .mpst trace");
   args.add_string("app", "convolution", "convolution | lulesh");
-  args.add_string("model", "nehalem-cluster", preset_list());
+  args.add_string("model", "nehalem-cluster", launch::presets());
   args.add_int("ranks", 8, "MPI processes (lulesh: perfect cube)");
   args.add_int("threads", 1, "MiniOMP threads per rank (lulesh)");
   args.add_int("steps", 100, "time-steps");
@@ -162,57 +137,26 @@ int cmd_record(int argc, const char* const* argv) {
   args.add_double("telemetry-dt", 0.0,
                   "telemetry sampling interval to stamp into the trace "
                   "header (0 = none); consumed by the timeline subcommand");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse(args, argc, argv)) return 1;
 
   const std::string app_name = args.get_string("app");
-  const int ranks = static_cast<int>(args.get_int("ranks"));
+  const int ranks = launch::int_flag(args, "ranks");
+  const int steps = launch::int_flag(args, "steps");
+  const launch::Body body = launch::app(
+      app_name,
+      {steps, launch::int_flag(args, "size"),
+       launch::int_flag(args, "threads")},
+      ranks);
   mpisim::WorldOptions opts;
-  auto preset = mpisim::MachineModel::preset(args.get_string("model"));
-  if (!preset) {
-    throw trace::TraceError("unknown model '" + args.get_string("model") +
-                            "' (" + preset_list() + ")");
-  }
-  opts.machine = *preset;
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   opts.progress = mpisim::ProgressModel::parse(args.get_string("progress"));
-  const auto world_ptr = mpisim::Session(ranks, opts)
-                             .world_builder()
-                             .exec_spec(args.get_string("exec"))
-                             .build();
-  mpisim::World& world = *world_ptr;
-  sections::SectionRuntime::install(world);
-
-  std::string provenance = app_name + " --ranks " + std::to_string(ranks) +
-                           " --steps " + std::to_string(args.get_int("steps"));
+  const auto world = launch::world(args, ranks, opts);
+  const std::string provenance = app_name + " --ranks " +
+                                 std::to_string(ranks) + " --steps " +
+                                 std::to_string(steps);
   auto rec = trace::TraceRecorder::install(
-      world,
+      *world,
       {.app = provenance, .telemetry_dt = args.get_double("telemetry-dt")});
-
-  if (app_name == "convolution") {
-    apps::conv::ConvolutionConfig cfg;
-    cfg.steps = static_cast<int>(args.get_int("steps"));
-    if (args.get_int("size") > 0) {
-      cfg.width = static_cast<int>(args.get_int("size")) * 100;
-      cfg.height = static_cast<int>(args.get_int("size")) * 75;
-    }
-    cfg.full_fidelity = false;
-    apps::conv::ConvolutionApp app(cfg);
-    world.run(std::ref(app));
-  } else if (app_name == "lulesh") {
-    apps::lulesh::LuleshConfig cfg;
-    cfg.steps = static_cast<int>(args.get_int("steps"));
-    cfg.omp_threads = static_cast<int>(args.get_int("threads"));
-    if (args.get_int("size") > 0) {
-      cfg.s = static_cast<int>(args.get_int("size"));
-    }
-    cfg.full_fidelity = false;
-    apps::lulesh::LuleshApp app(cfg);
-    world.run(std::ref(app));
-  } else {
-    std::fprintf(stderr, "mpisect-replay: unknown app '%s'\n",
-                 app_name.c_str());
-    return 1;
-  }
+  world->run(body);
 
   // Both output paths stream rank by rank off the recorder; the full
   // TraceFile is never materialized (the difference between "fits in RAM"
@@ -249,7 +193,7 @@ int cmd_replay(int argc, const char* const* argv) {
                 "same-model integrity check against the recorded footer");
   args.add_double("tseq", 0.0,
                   "sequential reference time: emit Eq. 6 partial bounds");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse(args, argc, argv)) return 1;
 
   const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
   if (args.get_flag("verify")) {
@@ -285,7 +229,7 @@ int cmd_timeline(int argc, const char* const* argv) {
   args.add_string("export", "csv", "csv | json | chrome");
   args.add_flag("json", "shorthand for --export json");
   args.add_string("out", "", "output file ('' = stdout)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse(args, argc, argv)) return 1;
 
   const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
   serve::TimelineQuery q;
@@ -306,7 +250,7 @@ int cmd_info(int argc, const char* const* argv) {
   args.add_flag("digest",
                 "print only the stable content digest (identical for .mpst "
                 "and .mpstz encodings of the same trace)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse(args, argc, argv)) return 1;
 
   const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
   if (args.get_flag("digest")) {
@@ -340,14 +284,14 @@ int cmd_sweep(int argc, const char* const* argv) {
                "seed for the fault draws (0 = the trace header's seed)");
   args.add_double("tseq", 0.0, "sequential reference time for Eq. 6 bounds");
   args.add_string("out", "", "output CSV ('' = stdout)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse(args, argc, argv)) return 1;
 
   serve::SweepQuery q;
   q.models = split_csv(args.get_string("models"));
-  q.latency_scales = parse_grid(args.get_string("latency-scales"));
-  q.bandwidth_scales = parse_grid(args.get_string("bandwidth-scales"));
+  q.latency_scales = parse_grid(args, "latency-scales");
+  q.bandwidth_scales = parse_grid(args, "bandwidth-scales");
   q.compute_scales = split_csv(args.get_string("compute-scales"));
-  q.drop_rates = parse_grid(args.get_string("drop-rates"));
+  q.drop_rates = parse_grid(args, "drop-rates");
   q.progress = split_csv(args.get_string("progress"));
   q.fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
   q.tseq = serve::check_num("tseq", args.get_double("tseq"),
@@ -365,7 +309,7 @@ int cmd_compress(int argc, const char* const* argv) {
   args.add_string("in", "trace.mpst", "input trace (.mpst | .mpstz)");
   args.add_string("out", "trace.mpstz", "output .mpstz container");
   args.add_int("chunk-events", 16384, "events per chunk (seek granularity)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse(args, argc, argv)) return 1;
 
   const trace::TraceFile tf = codec::load_trace(args.get_string("in"));
   codec::CompressOptions opts;
@@ -389,7 +333,7 @@ int cmd_decompress(int argc, const char* const* argv) {
                           "Expand a .mpstz container back to flat .mpst");
   args.add_string("in", "trace.mpstz", "input .mpstz container");
   args.add_string("out", "trace.mpst", "output .mpst trace");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse(args, argc, argv)) return 1;
 
   const trace::TraceFile tf = codec::load_trace(args.get_string("in"));
   save_bytes(tf.encode(), args.get_string("out"));
@@ -399,29 +343,25 @@ int cmd_decompress(int argc, const char* const* argv) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const std::string cmd = argc > 1 ? argv[1] : "";
-  try {
-    if (cmd == "record") return cmd_record(argc - 1, argv + 1);
-    if (cmd == "replay") return cmd_replay(argc - 1, argv + 1);
-    if (cmd == "info") return cmd_info(argc - 1, argv + 1);
-    if (cmd == "sweep") return cmd_sweep(argc - 1, argv + 1);
-    if (cmd == "timeline") return cmd_timeline(argc - 1, argv + 1);
-    if (cmd == "compress") return cmd_compress(argc - 1, argv + 1);
-    if (cmd == "decompress") return cmd_decompress(argc - 1, argv + 1);
-  } catch (const trace::TraceError& err) {
-    std::fprintf(stderr, "mpisect-replay: %s\n", err.what());
-    return 1;
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "mpisect-replay: %s\n", err.what());
-    return 1;
-  }
+  if (cmd == "record") return cmd_record(argc - 1, argv + 1);
+  if (cmd == "replay") return cmd_replay(argc - 1, argv + 1);
+  if (cmd == "info") return cmd_info(argc - 1, argv + 1);
+  if (cmd == "sweep") return cmd_sweep(argc - 1, argv + 1);
+  if (cmd == "timeline") return cmd_timeline(argc - 1, argv + 1);
+  if (cmd == "compress") return cmd_compress(argc - 1, argv + 1);
+  if (cmd == "decompress") return cmd_decompress(argc - 1, argv + 1);
   std::fprintf(stderr,
                "usage: mpisect-replay "
                "<record|replay|info|sweep|timeline|compress|decompress> "
                "[options]\n"
                "       mpisect-replay <subcommand> --help\n");
   return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return launch::guarded_main("mpisect-replay", run, argc, argv);
 }

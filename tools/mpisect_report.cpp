@@ -12,18 +12,13 @@
 // balance (load-balance triage), chrome (chrome://tracing JSON),
 // snapshot (ProfileSnapshot CSV for mpisect-diff).
 #include <cstdio>
-#include <memory>
 
-#include "apps/convolution/convolution.hpp"
-#include "apps/lulesh/lulesh.hpp"
-#include "core/sections/runtime.hpp"
-#include "mpisim/session.hpp"
+#include "launch.hpp"
 #include "profiler/balance.hpp"
 #include "profiler/diff.hpp"
 #include "profiler/report.hpp"
 #include "profiler/section_profiler.hpp"
 #include "profiler/tree.hpp"
-#include "obs/spans.hpp"
 #include "support/cli.hpp"
 #include "support/file.hpp"
 #include "support/strings.hpp"
@@ -31,17 +26,6 @@
 namespace {
 
 using namespace mpisect;
-
-std::string preset_list() {
-  std::string out;
-  for (const auto& n : mpisim::MachineModel::preset_names()) {
-    if (!out.empty()) out += "|";
-    out += n;
-  }
-  return out;
-}
-
-}  // namespace
 
 int run(int argc, char** argv) {
   support::ArgParser args("mpisect-report",
@@ -59,67 +43,30 @@ int run(int argc, char** argv) {
                "per-rank edge; 0 = default)");
   args.add_string("out", "", "output file ('' = stdout)");
   args.add_flag("validate", "enable section validation mode");
-  if (!args.parse(argc, argv)) return 1;
-  if (const auto& st = args.get_string("self-trace"); !st.empty()) {
-    obs::enable_self_trace(st);
-  }
+  if (!launch::parse(args, argc, argv)) return 1;
 
   const std::string app_name = args.get_string("app");
   const std::string format = support::unified_export(args);
-  const int ranks = static_cast<int>(args.get_int("ranks"));
-  const bool keep_instances =
-      format == "tree" || format == "chrome";
+  const int ranks = launch::int_flag(args, "ranks");
+  const launch::Body body = launch::app(
+      app_name,
+      {launch::int_flag(args, "steps"), launch::int_flag(args, "size"),
+       launch::int_flag(args, "threads")},
+      ranks);
 
   mpisim::WorldOptions opts;
-  const auto preset = mpisim::MachineModel::preset(args.get_string("model"));
-  if (!preset) {
-    std::fprintf(stderr, "unknown model '%s' (%s)\n",
-                 args.get_string("model").c_str(), preset_list().c_str());
-    return 1;
-  }
-  opts.machine = *preset;
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   opts.validate_sections = args.get_flag("validate");
-  const auto world_ptr = mpisim::Session(ranks, opts)
-                             .world_builder()
-                             .exec_spec(args.get_string("exec"))
-                             .build();
-  mpisim::World& world = *world_ptr;
-  sections::SectionRuntime::install(world);
-  profiler::SectionProfiler prof(world, {.keep_instances = keep_instances});
-
-  if (app_name == "convolution") {
-    apps::conv::ConvolutionConfig cfg;
-    cfg.steps = static_cast<int>(args.get_int("steps"));
-    if (args.get_int("size") > 0) {
-      cfg.width = static_cast<int>(args.get_int("size")) * 100;
-      cfg.height = static_cast<int>(args.get_int("size")) * 75;
-    }
-    cfg.full_fidelity = false;
-    apps::conv::ConvolutionApp app(cfg);
-    world.run(std::ref(app));
-  } else if (app_name == "lulesh") {
-    apps::lulesh::LuleshConfig cfg;
-    cfg.steps = static_cast<int>(args.get_int("steps"));
-    cfg.omp_threads = static_cast<int>(args.get_int("threads"));
-    if (args.get_int("size") > 0) {
-      cfg.s = static_cast<int>(args.get_int("size"));
-    }
-    cfg.full_fidelity = false;
-    apps::lulesh::LuleshApp app(cfg);
-    world.run(std::ref(app));
-  } else {
-    std::fprintf(stderr, "unknown app '%s' (convolution|lulesh)\n",
-                 app_name.c_str());
-    return 1;
-  }
+  const auto world = launch::world(args, ranks, opts);
+  profiler::SectionProfiler prof(
+      *world, {.keep_instances = format == "tree" || format == "chrome"});
+  world->run(body);
 
   std::string text;
   if (format == "text") {
     text = profiler::render_text(prof);
-    text += "virtual walltime: " + support::fmt_seconds(world.elapsed()) +
+    text += "virtual walltime: " + support::fmt_seconds(world->elapsed()) +
             " on " + std::to_string(ranks) + " ranks (" +
-            opts.machine.name + ")\n";
+            world->options().machine.name + ")\n";
   } else if (format == "csv") {
     text = profiler::render_csv(prof);
   } else if (format == "json") {
@@ -141,13 +88,8 @@ int run(int argc, char** argv) {
              : 1;
 }
 
+}  // namespace
+
 int main(int argc, char** argv) {
-  // Usage errors (bad --exec specs and friends) must surface as a
-  // one-line diagnostic with exit 1, never an uncaught-exception abort.
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "mpisect-report: %s\n", err.what());
-    return 1;
-  }
+  return launch::guarded_main("mpisect-report", run, argc, argv);
 }

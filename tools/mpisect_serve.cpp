@@ -40,8 +40,8 @@
 #include <string>
 #include <vector>
 
+#include "launch.hpp"
 #include "mpisim/scheduler.hpp"
-#include "obs/spans.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "support/cli.hpp"
@@ -87,21 +87,6 @@ std::vector<std::string> read_script(const std::string& path) {
   return lines;
 }
 
-/// Shared tail of every subcommand's arg setup: register the unified
-/// --self-trace flag, parse, and arm the span tracer when requested
-/// (MPISECT_SELF_TRACE is the env equivalent).
-bool parse_with_self_trace(support::ArgParser& args, int argc,
-                           const char* const* argv) {
-  args.add_string("self-trace", "",
-                  "wall-clock self-trace of the simulator itself "
-                  "(.json = chrome://tracing, else CSV)");
-  if (!args.parse(argc, argv)) return false;
-  if (const auto& p = args.get_string("self-trace"); !p.empty()) {
-    obs::enable_self_trace(p);
-  }
-  return true;
-}
-
 int cmd_serve(int argc, const char* const* argv) {
   support::ArgParser args("mpisect-serve serve",
                           "Run the query daemon on localhost TCP");
@@ -114,7 +99,7 @@ int cmd_serve(int argc, const char* const* argv) {
                "shard by trace path");
   args.add_int("cache-entries", 256, "result cache capacity (entries)");
   args.add_int("cache-mb", 64, "result cache capacity (megabytes)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse(args, argc, argv)) return 1;
 
   if (args.get_int("workers") > mpisim::ExecModel::kMaxWorkers) {
     std::fprintf(stderr, "mpisect-serve: --workers exceeds the bound of %d\n",
@@ -158,7 +143,7 @@ int cmd_client(int argc, const char* const* argv) {
   args.add_string("script", "",
                   "request file, one JSON object per line ('' = stdin; '#' "
                   "comments skipped)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse(args, argc, argv)) return 1;
   if (args.get_int("port") <= 0) {
     std::fprintf(stderr, "mpisect-serve: client needs --port\n");
     return 1;
@@ -229,7 +214,7 @@ int cmd_query(int argc, const char* const* argv) {
                   "comments skipped)");
   args.add_int("cache-entries", 256, "result cache capacity (entries)");
   args.add_int("cache-mb", 64, "result cache capacity (megabytes)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse(args, argc, argv)) return 1;
 
   serve::Service service(
       static_cast<std::size_t>(args.get_int("cache-entries")),
@@ -242,20 +227,19 @@ int cmd_query(int argc, const char* const* argv) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const std::string cmd = argc > 1 ? argv[1] : "";
-  try {
-    if (cmd == "serve") return cmd_serve(argc - 1, argv + 1);
-    if (cmd == "client") return cmd_client(argc - 1, argv + 1);
-    if (cmd == "query") return cmd_query(argc - 1, argv + 1);
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "mpisect-serve: %s\n", err.what());
-    return 1;
-  }
+  if (cmd == "serve") return cmd_serve(argc - 1, argv + 1);
+  if (cmd == "client") return cmd_client(argc - 1, argv + 1);
+  if (cmd == "query") return cmd_query(argc - 1, argv + 1);
   std::fprintf(stderr,
                "usage: mpisect-serve <serve|client|query> [options]\n"
                "       mpisect-serve <subcommand> --help\n");
   return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return launch::guarded_main("mpisect-serve", run, argc, argv);
 }

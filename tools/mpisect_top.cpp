@@ -23,18 +23,14 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "apps/convolution/convolution.hpp"
-#include "apps/lulesh/lulesh.hpp"
-#include "core/sections/runtime.hpp"
 #include "core/speedup/partial_bound.hpp"
+#include "launch.hpp"
 #include "mpisim/faults/injector.hpp"
-#include "mpisim/session.hpp"
 #include "obs/memory.hpp"
 #include "obs/spans.hpp"
 #include "support/cli.hpp"
@@ -47,15 +43,6 @@
 namespace {
 
 using namespace mpisect;
-
-std::string preset_list() {
-  std::string out;
-  for (const auto& n : mpisim::MachineModel::preset_names()) {
-    if (!out.empty()) out += "|";
-    out += n;
-  }
-  return out;
-}
 
 /// Unicode block sparkline of the series tail (empty series -> spaces).
 std::string sparkline(const std::vector<double>& xs, std::size_t width) {
@@ -234,9 +221,7 @@ int run_post(const std::string& path, const RenderOptions& ro) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   support::ArgParser args("mpisect-top",
                           "Live telemetry view of an instrumented run");
   args.add_string("app", "lulesh", "lulesh | convolution");
@@ -263,10 +248,7 @@ int main(int argc, char** argv) {
                   "fault plan spec, e.g. 'drop:p=0.05; stall:rank=0,at=0.01,"
                   "for=0.1' ('' = none)");
   args.add_string("out", "", "output file for --export ('' = stdout)");
-  if (!args.parse(argc, argv)) return 1;
-  if (const auto& st = args.get_string("self-trace"); !st.empty()) {
-    obs::enable_self_trace(st);
-  }
+  if (!launch::parse(args, argc, argv)) return 1;
   const bool self_pane_on = args.get_flag("self");
   // busy/idle and wake-to-resume latency cost clock reads the scheduler
   // only pays when asked; virtual time is unaffected either way.
@@ -275,146 +257,110 @@ int main(int argc, char** argv) {
   RenderOptions ro;
   ro.top = static_cast<int>(args.get_int("top"));
 
-  try {
-    if (!args.get_string("post").empty()) {
-      ro.status = "[post]";
-      return run_post(args.get_string("post"), ro);
-    }
-
-    const auto preset =
-        mpisim::MachineModel::preset(args.get_string("model"));
-    if (!preset) {
-      std::fprintf(stderr, "mpisect-top: unknown model '%s' (%s)\n",
-                   args.get_string("model").c_str(), preset_list().c_str());
-      return 1;
-    }
-    const int ranks = static_cast<int>(args.get_int("ranks"));
-    mpisim::WorldOptions opts;
-    opts.machine = *preset;
-    opts.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    if (!args.get_string("faults").empty()) {
-      opts.faults =
-          mpisim::faults::FaultPlan::parse(args.get_string("faults"));
-    }
-    const auto world_ptr = mpisim::Session(ranks, opts)
-                               .world_builder()
-                               .exec_spec(args.get_string("exec"))
-                               .build();
-    mpisim::World& world = *world_ptr;
-    sections::SectionRuntime::install(world);
-    telemetry::SamplerOptions sopts;
-    sopts.dt = args.get_double("dt");
-    sopts.phase_depth = static_cast<int>(args.get_int("depth"));
-    auto sampler = telemetry::TelemetrySampler::install(world, sopts);
-    std::shared_ptr<mpisim::faults::FaultInjector> injector;
-    if (!opts.faults.empty()) {
-      injector = mpisim::faults::FaultInjector::install(world);
-    }
-
-    std::function<void(mpisim::Ctx&)> body;
-    const std::string app_name = args.get_string("app");
-    std::shared_ptr<apps::conv::ConvolutionApp> conv;
-    std::shared_ptr<apps::lulesh::LuleshApp> lulesh;
-    if (app_name == "convolution") {
-      apps::conv::ConvolutionConfig cfg;
-      cfg.steps = static_cast<int>(args.get_int("steps"));
-      if (args.get_int("size") > 0) {
-        cfg.width = static_cast<int>(args.get_int("size")) * 100;
-        cfg.height = static_cast<int>(args.get_int("size")) * 75;
-      }
-      cfg.full_fidelity = false;
-      conv = std::make_shared<apps::conv::ConvolutionApp>(cfg);
-      body = [conv](mpisim::Ctx& ctx) { (*conv)(ctx); };
-    } else if (app_name == "lulesh") {
-      apps::lulesh::LuleshConfig cfg;
-      cfg.steps = static_cast<int>(args.get_int("steps"));
-      cfg.omp_threads = static_cast<int>(args.get_int("threads"));
-      if (args.get_int("size") > 0) {
-        cfg.s = static_cast<int>(args.get_int("size"));
-      }
-      cfg.full_fidelity = false;
-      lulesh = std::make_shared<apps::lulesh::LuleshApp>(cfg);
-      body = [lulesh](mpisim::Ctx& ctx) { (*lulesh)(ctx); };
-    } else {
-      std::fprintf(stderr, "mpisect-top: unknown app '%s'\n",
-                   app_name.c_str());
-      return 1;
-    }
-
-    std::atomic<bool> done{false};
-    std::exception_ptr run_error;
-    std::thread runner([&] {
-      try {
-        world.run(body);
-      } catch (...) {
-        run_error = std::current_exception();
-      }
-      done.store(true);
-    });
-
-    const bool live = !args.get_flag("no-live") && isatty(1) != 0;
-    while (!done.load()) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(args.get_int("refresh-ms")));
-      if (!live) continue;
-      telemetry::Timeline tl = telemetry::build_timeline(*sampler);
-      RenderOptions live_ro = ro;
-      live_ro.clear_screen = true;
-      live_ro.status = "[running]";
-      std::string frame = render(tl, live_ro);
-      frame += counters_footer(sampler->registry(), sampler->instruments());
-      if (self_pane_on) {
-        frame += self_pane(world.executor().stats(), world.mem_account(),
-                           sampler->registry());
-      }
-      std::fputs(frame.c_str(), stdout);
-      std::fflush(stdout);
-    }
-    runner.join();
-    if (run_error) std::rethrow_exception(run_error);
-
-    const telemetry::Timeline tl = telemetry::build_timeline(*sampler);
-
-    support::Provenance prov = support::build_provenance();
-    prov.machine = opts.machine.name;
-    prov.seed = std::to_string(opts.seed);
-
-    const std::string fmt_name = support::unified_export(args);
-    if (!fmt_name.empty()) {
-      std::string text;
-      if (fmt_name == "csv") {
-        text = telemetry::timeline_csv(tl, prov);
-      } else if (fmt_name == "counters") {
-        text = telemetry::counters_csv(tl, prov);
-      } else if (fmt_name == "json") {
-        text = telemetry::timeline_json(tl, prov);
-      } else if (fmt_name == "chrome") {
-        text = telemetry::chrome_counters(tl, prov);
-      } else if (fmt_name == "prom") {
-        text = telemetry::metrics_page(sampler->registry(), prov);
-      } else {
-        std::fprintf(stderr, "mpisect-top: unknown export '%s'\n",
-                     fmt_name.c_str());
-        return 1;
-      }
-      return support::write_output("mpisect-top", text, args.get_string("out"),
-                                   fmt_name) ? 0 : 1;
-    }
-
-    ro.status = "[done]";
-    std::string out = render(tl, ro);
-    out += counters_footer(sampler->registry(), sampler->instruments());
-    if (self_pane_on) {
-      out += self_pane(world.executor().stats(), world.mem_account(),
-                       sampler->registry());
-    }
-    if (injector) {
-      out += "faults: " + injector->summary() + "\n";
-    }
-    std::fputs(out.c_str(), stdout);
-    return 0;
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "mpisect-top: %s\n", err.what());
-    return 1;
+  if (!args.get_string("post").empty()) {
+    ro.status = "[post]";
+    return run_post(args.get_string("post"), ro);
   }
+
+  const int ranks = launch::int_flag(args, "ranks");
+  const launch::Body body = launch::app(
+      args.get_string("app"),
+      {launch::int_flag(args, "steps"), launch::int_flag(args, "size"),
+       launch::int_flag(args, "threads")},
+      ranks);
+  mpisim::WorldOptions opts;
+  if (!args.get_string("faults").empty()) {
+    opts.faults = mpisim::faults::FaultPlan::parse(args.get_string("faults"));
+  }
+  const auto world_ptr = launch::world(args, ranks, opts);
+  mpisim::World& world = *world_ptr;
+  telemetry::SamplerOptions sopts;
+  sopts.dt = args.get_double("dt");
+  sopts.phase_depth = static_cast<int>(args.get_int("depth"));
+  auto sampler = telemetry::TelemetrySampler::install(world, sopts);
+  std::shared_ptr<mpisim::faults::FaultInjector> injector;
+  if (!opts.faults.empty()) {
+    injector = mpisim::faults::FaultInjector::install(world);
+  }
+
+  std::atomic<bool> done{false};
+  std::exception_ptr run_error;
+  std::thread runner([&] {
+    try {
+      world.run(body);
+    } catch (...) {
+      run_error = std::current_exception();
+    }
+    done.store(true);
+  });
+
+  const bool live = !args.get_flag("no-live") && isatty(1) != 0;
+  while (!done.load()) {
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(args.get_int("refresh-ms")));
+    if (!live) continue;
+    telemetry::Timeline tl = telemetry::build_timeline(*sampler);
+    RenderOptions live_ro = ro;
+    live_ro.clear_screen = true;
+    live_ro.status = "[running]";
+    std::string frame = render(tl, live_ro);
+    frame += counters_footer(sampler->registry(), sampler->instruments());
+    if (self_pane_on) {
+      frame += self_pane(world.executor().stats(), world.mem_account(),
+                         sampler->registry());
+    }
+    std::fputs(frame.c_str(), stdout);
+    std::fflush(stdout);
+  }
+  runner.join();
+  if (run_error) std::rethrow_exception(run_error);
+
+  const telemetry::Timeline tl = telemetry::build_timeline(*sampler);
+
+  support::Provenance prov = support::build_provenance();
+  prov.machine = world.options().machine.name;
+  prov.seed = std::to_string(world.options().seed);
+
+  const std::string fmt_name = support::unified_export(args);
+  if (!fmt_name.empty()) {
+    std::string text;
+    if (fmt_name == "csv") {
+      text = telemetry::timeline_csv(tl, prov);
+    } else if (fmt_name == "counters") {
+      text = telemetry::counters_csv(tl, prov);
+    } else if (fmt_name == "json") {
+      text = telemetry::timeline_json(tl, prov);
+    } else if (fmt_name == "chrome") {
+      text = telemetry::chrome_counters(tl, prov);
+    } else if (fmt_name == "prom") {
+      text = telemetry::metrics_page(sampler->registry(), prov);
+    } else {
+      std::fprintf(stderr, "mpisect-top: unknown export '%s'\n",
+                   fmt_name.c_str());
+      return 1;
+    }
+    return support::write_output("mpisect-top", text, args.get_string("out"),
+                                 fmt_name)
+               ? 0
+               : 1;
+  }
+
+  ro.status = "[done]";
+  std::string out = render(tl, ro);
+  out += counters_footer(sampler->registry(), sampler->instruments());
+  if (self_pane_on) {
+    out += self_pane(world.executor().stats(), world.mem_account(),
+                     sampler->registry());
+  }
+  if (injector) {
+    out += "faults: " + injector->summary() + "\n";
+  }
+  std::fputs(out.c_str(), stdout);
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return launch::guarded_main("mpisect-top", run, argc, argv);
 }
