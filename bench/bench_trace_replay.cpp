@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "apps/convolution/convolution.hpp"
+#include "apps/lulesh/lulesh.hpp"
 #include "core/sections/runtime.hpp"
 #include "mpisim/runtime.hpp"
 #include "mpisim/session.hpp"
@@ -167,5 +168,43 @@ void BM_SweepEightPoints(benchmark::State& state) {
   state.counters["points"] = 8;
 }
 BENCHMARK(BM_SweepEightPoints)->Unit(benchmark::kMillisecond);
+
+/// The perfbench trace_pipeline trace: Lulesh on 8^3 = 512 KNL ranks, 6^3
+/// elements per rank, 2 steps, 4 MiniOMP threads, seed 7.
+trace::TraceFile record_lulesh512() {
+  const auto world_ptr = mpisim::Session(512)
+                             .world_builder()
+                             .machine(mpisim::MachineModel::knl())
+                             .seed(7)
+                             .build();
+  mpisim::World& world = *world_ptr;
+  sections::SectionRuntime::install(world);
+  auto rec = trace::TraceRecorder::install(world, {.app = "lulesh-512"});
+  apps::lulesh::LuleshConfig cfg;
+  cfg.s = 6;
+  cfg.steps = 2;
+  cfg.omp_threads = 4;
+  cfg.full_fidelity = false;
+  apps::lulesh::LuleshApp app(cfg);
+  world.run(std::ref(app));
+  return rec->finish();
+}
+
+/// One what-if replay (a 2-frame walk under broadwell-2s) of the
+/// trace_pipeline trace: the walk that stage and every serve replay miss
+/// pay, at 196,880 events.
+void BM_ReplayLulesh512(benchmark::State& state) {
+  const trace::TraceFile tf = record_lulesh512();
+  const mpisim::MachineModel machine = trace::fold_progress(
+      *mpisim::MachineModel::preset("broadwell-2s"), tf.header.progress,
+      tf.header.progress, /*machine_is_recorded=*/false);
+  for (auto _ : state) {
+    const trace::ReplayResult res = trace::replay(tf, machine);
+    benchmark::DoNotOptimize(res.makespan);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tf.total_events()));
+}
+BENCHMARK(BM_ReplayLulesh512)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -22,10 +22,12 @@ void join_vc(std::vector<std::uint64_t>& into,
   }
 }
 
-/// What the analyzer attaches to the walker's records: each send's slot
-/// in its channel list, and each barrier/NBC round's joined vector clock.
+/// What the analyzer attaches to the walker's records: each send's
+/// channel list and slot in it (std::map nodes never move, so the pointer
+/// stays valid), and each barrier/NBC round's joined vector clock.
 struct HbExtra {
   struct Msg {
+    std::vector<SendInfo>* channel = nullptr;
     std::size_t channel_slot = 0;
   };
   struct Round {
@@ -64,10 +66,13 @@ struct Interpreter : trace::WalkObserver {
   /// One pass over the raw streams: wildcard presence, envelope coverage,
   /// and communicator membership (every rank that touches a context).
   void scan_envelopes() {
+    std::size_t recv_posts = 0;
     for (const auto& rs : tf.ranks) {
       for (const Event& ev : rs.events) {
         switch (ev.kind) {
           case EventKind::RecvPost:
+            ++recv_posts;
+            [[fallthrough]];
           case EventKind::Probe:
             if (ev.post_src == Event::kNotRecorded) {
               res.envelopes_recorded = false;
@@ -93,6 +98,7 @@ struct Interpreter : trace::WalkObserver {
     for (const auto& [ctx, set] : members_seen) {
       res.comm_members[ctx] = std::vector<int>(set.begin(), set.end());
     }
+    res.recvs.reserve(recv_posts);
   }
 
   void on_arrive(int r, HbWalker::Round& round) {
@@ -103,6 +109,7 @@ struct Interpreter : trace::WalkObserver {
 
   void on_send(int r, const Event& ev, HbWalker::Msg& ms) {
     auto& chan = res.channels[ChannelKey{ev.comm, r, ev.peer}];
+    ms.x.channel = &chan;
     ms.x.channel_slot = chan.size();
     chan.push_back(SendInfo{ev.seq, ev.tag, ev.bytes, ms.send_idx, ms.rend[0],
                             false, 0, false, 0});
@@ -116,9 +123,8 @@ struct Interpreter : trace::WalkObserver {
 
   /// Mark the channel-side match so match sets can see consumption.
   void on_recv_wait(int r, std::uint32_t idx, std::size_t back,
-                    const trace::MsgKey& key, const HbWalker::Msg& ms) {
-    auto& send = res.channels[ChannelKey{key.comm, key.src, key.dst}]
-                             [ms.x.channel_slot];
+                    const trace::MsgKey& /*key*/, const HbWalker::Msg& ms) {
+    SendInfo& send = (*ms.x.channel)[ms.x.channel_slot];
     send.matched = true;
     send.recv_post_idx = ms.post_idx;
     send.completed = true;

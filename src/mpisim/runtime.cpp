@@ -1,10 +1,12 @@
 #include "mpisim/runtime.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <limits>
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "mpisim/error.hpp"
 #include "mpisim/faults/engine.hpp"
@@ -106,6 +108,15 @@ void World::run(const RankMain& rank_main) {
 
   std::mutex err_mu;
   std::exception_ptr first_error;
+  std::vector<int> raised;  ///< ranks that threw, logged in rank order
+  const auto record_raise = [&](int r) {
+    {
+      const std::lock_guard lock(err_mu);
+      if (!first_error) first_error = std::current_exception();
+      raised.push_back(r);
+    }
+    abort();
+  };
 
   auto rank_body = [&](int r) {
     Ctx ctx(*this, r, clocks_[static_cast<std::size_t>(r)]);
@@ -152,25 +163,20 @@ void World::run(const RankMain& rank_main) {
         final_times_[static_cast<std::size_t>(r)] = ctx.now();
         return;
       }
-      {
-        const std::lock_guard lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      MPISECT_LOG_ERROR("rank %d raised; aborting world", r);
-      abort();
+      record_raise(r);
     } catch (...) {
-      {
-        const std::lock_guard lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      MPISECT_LOG_ERROR("rank %d raised; aborting world", r);
-      abort();
+      record_raise(r);
     }
   };
 
   {
     const obs::Span span("world.run");
     executor_->run(nranks_, rank_body);
+  }
+  // Workers catch in a racy order; the log does not depend on it.
+  std::ranges::sort(raised);
+  for (const int r : raised) {
+    MPISECT_LOG_ERROR("rank %d raised; aborting world", r);
   }
 
   // Fold this run's wall-clock scheduling totals and memory high-water

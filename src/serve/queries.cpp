@@ -173,6 +173,18 @@ double check_num(const char* name, double v, NumRange range) {
   return v;
 }
 
+std::int64_t check_int(const char* name, double v, std::int64_t lo,
+                       std::int64_t hi) {
+  // false for NaN
+  if (!(v >= static_cast<double>(lo) && v <= static_cast<double>(hi) &&
+        v == std::floor(v))) {
+    throw trace::TraceError(std::string("param '") + name +
+                            "' must be an integer in [" + std::to_string(lo) +
+                            ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<std::int64_t>(v);
+}
+
 void check_model_params(const ModelParams& p) {
   (void)check_num("latency", p.latency, NumRange::NonNegative);
   (void)check_num("bandwidth", p.bandwidth, NumRange::NonNegative);

@@ -60,25 +60,15 @@ double num_field(const support::JsonValue* params, const char* key,
   return v->number;
 }
 
-/// Largest magnitude below which every integer is exactly a double.
-constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 53;
-
 bool is_integer_in(double v, double lo, double hi) {
   return v >= lo && v <= hi && v == std::floor(v);  // false for NaN
 }
 
-/// An integer param in [lo, hi]. A JSON number outside the integer range
-/// cannot be cast (undefined behaviour), so it is an error naming the
-/// param, as is a fractional one.
+/// An integer param in [lo, hi] (see serve::check_int).
 std::int64_t int_field(const support::JsonValue* params, const char* key,
                        std::int64_t dflt, std::int64_t lo, std::int64_t hi) {
-  const double v = num_field(params, key, static_cast<double>(dflt));
-  if (!is_integer_in(v, static_cast<double>(lo), static_cast<double>(hi))) {
-    throw trace::TraceError(std::string("param '") + key +
-                            "' must be an integer in [" + std::to_string(lo) +
-                            ", " + std::to_string(hi) + "]");
-  }
-  return static_cast<std::int64_t>(v);
+  return check_int(key, num_field(params, key, static_cast<double>(dflt)), lo,
+                   hi);
 }
 
 /// A finite number param in `range` (see serve::check_num): the error

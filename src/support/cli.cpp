@@ -1,5 +1,7 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -9,6 +11,26 @@
 #include "support/strings.hpp"
 
 namespace mpisect::support {
+
+namespace {
+
+/// True when all of `text` is one number of the option's kind that fits:
+/// strtoll/strtod consume every character and report no overflow.
+bool parses_fully(const std::string& text, bool integer) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  if (integer) {
+    (void)std::strtoll(begin, &end, 10);
+    if (errno == ERANGE) return false;
+  } else {
+    const double v = std::strtod(begin, &end);
+    if (errno == ERANGE && std::isinf(v)) return false;
+  }
+  return end != begin && *end == '\0';
+}
+
+}  // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -101,6 +123,14 @@ bool ArgParser::parse(int argc, const char* const* argv) {
         return false;
       }
       value = argv[++i];
+    }
+    const Kind kind = it->second.kind;
+    if ((kind == Kind::Int || kind == Kind::Double) &&
+        !parses_fully(value, kind == Kind::Int)) {
+      MPISECT_LOG_ERROR("%s: option '--%s' expects <%s>, got '%s'",
+                        program_.c_str(), arg.c_str(),
+                        kind == Kind::Int ? "int" : "float", value.c_str());
+      return false;
     }
     set_value(arg, value);
   }

@@ -37,7 +37,9 @@ class ArgParser {
 
   /// Parse `--name value`, `--name=value` and `--flag` forms. Returns false
   /// (after printing usage) on `--help` or on a malformed/unknown argument,
-  /// and (after printing the provenance banner) on `--version`.
+  /// (after printing the provenance banner) on `--version`, and (after a
+  /// one-line error) on an int or float value with trailing characters or
+  /// out of its type's range.
   [[nodiscard]] bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] long long get_int(const std::string& name) const;

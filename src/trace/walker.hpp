@@ -14,12 +14,25 @@
 // they re-charge recorded compute gaps (rescaled per frame by the
 // observer) and cost messages through their own machine and progress model.
 //
-// Frames share jitter draws: the draws are keyed on logical ids and depend
-// only on a model's seed and JitterModel, so a frame whose network has the
-// same seed and jitter as an earlier frame reuses that frame's draws for
-// every message and CPU overhead instead of drawing again. Most of a
-// frame's cost is its draws, so what-if frames that only rescale links or
-// compute cost little beyond the first.
+// Jitter draws come from a draw tape. A draw depends only on (seed,
+// JitterModel, rank, event), never on walk order, so the constructor makes
+// every draw of the trace up front into one allocation, rank by rank on
+// support::parallel_for; the fan-out runs inline for a trace of fewer than
+// kParallelMinWork events, a single rank or a single hardware thread. A
+// rank's tape holds, in event order, one double (the factor) per CPU draw
+// of a SendPost, RecvWait, CollBegin or NbcPost and two (factor, additive)
+// per transfer draw of a SendPost: 24 B per sent message and 8 B per other
+// drawing event, for each frame that owns its draws (about 1.2 MB for the
+// 196,880-event Lulesh p = 512 trace). A frame whose network has the same
+// seed and jitter as an earlier frame does not own draws; it reads that
+// frame's column of the tape, so what-if frames that only rescale links or
+// compute cost little beyond the first. step() reads the tape through a
+// per-rank draw cursor; there is no other draw path.
+//
+// In-flight messages live in a MsgTable: records in fixed blocks that
+// never move, recycled through a free list and found through an
+// open-addressing index of (MsgKey, slot). A rank remembers its posts as
+// event indices (4 B each) and rebuilds a message's key from the post.
 //
 // Whatever a caller keeps beyond the clocks lives in an observer passed to
 // run() (hooks: WalkObserver); `Extra` adds observer fields to every
@@ -29,14 +42,17 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "mpisim/netmodel.hpp"
 #include "mpisim/progress.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "trace/file.hpp"
 
@@ -61,6 +77,110 @@ struct MsgKeyHash {
             static_cast<std::uint32_t>(k.src),
         static_cast<std::uint64_t>(k.dst), k.seq));
   }
+};
+
+/// In-flight message records keyed by MsgKey. Records live in blocks of
+/// kBlock that never move: growth adds a block and copies no record, and
+/// an erased record's slot goes on a free list for the next message. An
+/// open-addressing index (linear probing, at most half full, backward-shift
+/// erase) maps a key to its record's slot.
+template <class Rec>
+class MsgTable {
+ public:
+  /// `key`'s record, or nullptr.
+  [[nodiscard]] Rec* find(const MsgKey& key) noexcept {
+    if (index_.empty()) return nullptr;
+    const Entry& e = index_[probe(key)];
+    return e.slot == kNone ? nullptr : &at(e.slot);
+  }
+
+  /// `key`'s record, a default-constructed one on first sight.
+  Rec& operator[](const MsgKey& key) {
+    if (2 * (size_ + 1) > index_.size()) grow();
+    Entry& e = index_[probe(key)];
+    if (e.slot != kNone) return at(e.slot);
+    std::uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+      at(slot) = Rec{};
+    } else {
+      if (next_ % kBlock == 0) {
+        blocks_.push_back(std::make_unique<Rec[]>(kBlock));
+      }
+      slot = next_++;
+    }
+    e = Entry{key.comm, key.src, key.dst, slot, key.seq};
+    ++size_;
+    return at(slot);
+  }
+
+  /// Drop `key`'s record, which must exist.
+  void erase(const MsgKey& key) {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t hole = probe(key);
+    free_.push_back(index_[hole].slot);
+    // Pull later entries of the probe run back over the hole unless that
+    // would move one in front of its home position.
+    for (std::size_t j = (hole + 1) & mask; index_[j].slot != kNone;
+         j = (j + 1) & mask) {
+      const std::size_t home = MsgKeyHash{}(index_[j].key()) & mask;
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        index_[hole] = index_[j];
+        hole = j;
+      }
+    }
+    index_[hole].slot = kNone;
+    --size_;
+  }
+
+ private:
+  static constexpr std::uint32_t kBlock = 128;
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// A MsgKey and its record's slot, packed into the key's padding.
+  struct Entry {
+    int comm = 0, src = 0, dst = 0;
+    std::uint32_t slot = kNone;
+    std::uint64_t seq = 0;
+    [[nodiscard]] MsgKey key() const noexcept { return {comm, src, dst, seq}; }
+  };
+
+  Rec& at(std::uint32_t slot) noexcept {
+    return blocks_[slot / kBlock][slot % kBlock];
+  }
+
+  /// The index position holding `key`, else the empty one ending its run.
+  [[nodiscard]] std::size_t probe(const MsgKey& key) const noexcept {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = MsgKeyHash{}(key) & mask;
+    for (;; i = (i + 1) & mask) {
+      const Entry& e = index_[i];
+      if (e.slot == kNone || (e.seq == key.seq && e.src == key.src &&
+                              e.dst == key.dst && e.comm == key.comm)) {
+        return i;
+      }
+    }
+  }
+
+  void grow() {
+    std::vector<Entry> old(std::max<std::size_t>(64, 2 * index_.size()));
+    old.swap(index_);
+    const std::size_t mask = index_.size() - 1;
+    for (const Entry& e : old) {
+      if (e.slot == kNone) continue;
+      std::size_t i = MsgKeyHash{}(e.key()) & mask;
+      while (index_[i].slot != kNone) i = (i + 1) & mask;
+      index_[i] = e;
+    }
+  }
+
+  std::vector<Entry> index_;  ///< size is zero or a power of two
+  std::size_t size_ = 0;
+  std::vector<std::unique_ptr<Rec[]>> blocks_;
+  std::vector<std::uint32_t> free_;
+  std::uint32_t next_ = 0;  ///< slots handed out so far
 };
 
 /// Outcome of one attempt to advance a rank. Progress: state changed (a
@@ -181,7 +301,9 @@ class Walker {
   struct RankState {
     std::size_t cursor = 0;
     Clocks t{};  ///< final once done
-    std::vector<MsgKey> send_keys, recv_keys;
+    std::size_t draw = 0;  ///< tape row of the next unread draw
+    /// Event index of every SendPost and RecvPost so far, in post order.
+    std::vector<std::uint32_t> send_posts, recv_posts;
     bool sync_entered = false;
     std::pair<int, std::uint64_t> sync_key{0, 0};
     std::map<int, std::uint64_t> sync_ordinal;  ///< per-comm CommSync count
@@ -204,20 +326,37 @@ class Walker {
     if (tf.ranks.size() != static_cast<std::size_t>(tf.header.nranks)) {
       throw TraceError("trace rank streams do not match header rank count");
     }
+    std::array<const mpisim::NetworkModel*, N> owners{};
     for (std::size_t f = 0; f < N; ++f) {
       const mpisim::NetworkModel& net = *frames_[f].net;
-      draws_from_[f] = f;
+      column_[f] = owners_;
       for (std::size_t g = 0; g < f; ++g) {
         const mpisim::NetworkModel& other = *frames_[g].net;
         if (other.seed == net.seed && other.jitter == net.jitter) {
-          draws_from_[f] = g;
+          column_[f] = column_[g];
           break;
         }
       }
+      if (column_[f] == owners_) owners[owners_++] = &net;
     }
+    std::size_t draws = 0;
     for (std::size_t r = 0; r < ranks_.size(); ++r) {
-      ranks_[r].t.fill(tf.ranks[r].t0);
+      RankState& st = ranks_[r];
+      st.t.fill(tf.ranks[r].t0);
+      st.draw = draws;
+      std::size_t sends = 0, recvs = 0;
+      for (const Event& ev : tf.ranks[r].events) {
+        draws += draw_width(ev.kind);
+        sends += ev.kind == EventKind::SendPost ? 1 : 0;
+        recvs += ev.kind == EventKind::RecvPost ? 1 : 0;
+      }
+      st.send_posts.reserve(sends);
+      st.recv_posts.reserve(recvs);
     }
+    tape_ = std::make_unique_for_overwrite<double[]>(draws * owners_);
+    support::parallel_for(ranks_.size(), tf.total_events(), [&](std::size_t r) {
+      fill_tape(r, {owners.data(), owners_});
+    });
   }
 
   [[nodiscard]] const std::vector<RankState>& ranks() const { return ranks_; }
@@ -271,28 +410,73 @@ class Walker {
     st.t[0] = ev.t_before;
   }
 
-  /// Every frame's jitter draw for one key: `draw(net)` in a frame that
-  /// owns its draws, the earlier frame's draw in a frame that shares them.
-  template <class DrawFn>
-  std::array<mpisim::JitterDraw, N> jitter(DrawFn&& draw) const {
-    std::array<mpisim::JitterDraw, N> out;
-    out[0] = draw(*frames_[0].net);
-    for (std::size_t f = 1; f < N; ++f) {
-      out[f] = draws_from_[f] == f ? draw(*frames_[f].net)
-                                   : out[draws_from_[f]];
+  /// Tape rows (one double per owner each) an event of kind `k` draws: a
+  /// CPU factor for every jittered call overhead, plus a transfer factor
+  /// and additive term for a send.
+  static constexpr std::size_t draw_width(EventKind k) noexcept {
+    switch (k) {
+      case EventKind::SendPost:
+        return 3;
+      case EventKind::RecvWait:
+      case EventKind::CollBegin:
+      case EventKind::NbcPost:
+        return 1;
+      default:
+        return 0;
     }
-    return out;
+  }
+
+  /// Draw rank r's tape: per drawing event and draw, one column per owner,
+  /// in the order step() reads them. The salts mirror mpisim::Comm: 0 for
+  /// a send, 1 for a receive, 2 for a collective entry.
+  void fill_tape(std::size_t r,
+                 std::span<const mpisim::NetworkModel* const> owners) {
+    const int rank = static_cast<int>(r);
+    double* out = tape_.get() + ranks_[r].draw * owners.size();
+    const auto cpu = [&](std::uint64_t op, std::uint64_t salt) {
+      for (const mpisim::NetworkModel* net : owners) {
+        *out++ = net->cpu_jitter(rank, op, salt).factor;
+      }
+    };
+    for (const Event& ev : tf_.ranks[r].events) {
+      switch (ev.kind) {
+        case EventKind::SendPost:
+          cpu(ev.op, 0);
+          for (const mpisim::NetworkModel* net : owners) {
+            const mpisim::JitterDraw d = net->transfer_jitter(rank, ev.peer,
+                                                              ev.seq);
+            *out++ = d.factor;
+            *out++ = d.additive;
+          }
+          break;
+        case EventKind::RecvWait:
+          cpu(ev.op, 1);
+          break;
+        case EventKind::CollBegin:
+        case EventKind::NbcPost:
+          cpu(ev.op, 2);
+          break;
+        default:
+          break;
+      }
+    }
+  }
+
+  /// The next `width` rows of st's tape, one column per owner each.
+  const double* take(RankState& st, std::size_t width) const noexcept {
+    const double* d = tape_.get() + st.draw * owners_;
+    st.draw += width;
+    return d;
   }
 
   /// Charge the jittered CPU overhead of a call in every frame.
-  void charge_overhead(int r, RankState& st, double mpisim::NetworkModel::*base,
-                       std::uint64_t op, std::uint64_t salt) {
-    const auto jit = jitter([&](const mpisim::NetworkModel& net) {
-      return net.cpu_jitter(r, op, salt);
-    });
+  void charge_overhead(RankState& st, double mpisim::NetworkModel::*base) {
+    const double* jit = take(st, 1);
     for (std::size_t f = 0; f < N; ++f) {
       const mpisim::NetworkModel& net = *frames_[f].net;
-      st.t[f] += std::max(net.cpu_overhead(net.*base, jit[f]), 0.0);
+      st.t[f] += std::max(
+          net.cpu_overhead(net.*base, mpisim::JitterDraw{jit[column_[f]], 0.0}),
+          0.0);
     }
   }
 
@@ -313,6 +497,17 @@ class Walker {
 
   void consume(const MsgKey& key, Msg& ms) {
     if (++ms.consumed >= 2) msgs_.erase(key);
+  }
+
+  /// The key of the message a rank-r SendPost or RecvPost names; null for
+  /// a receive that never matched.
+  static MsgKey send_key(int r, const Event& post) noexcept {
+    return {post.comm, r, post.peer, post.seq};
+  }
+  static MsgKey recv_key(int r, const Event& post) noexcept {
+    return post.peer == Event::kUnmatched
+               ? MsgKey::none()
+               : MsgKey{post.comm, post.peer, r, post.seq};
   }
 
   /// Rendezvous completion in frame f: both sides are in and the wire is
@@ -354,35 +549,35 @@ class Walker {
     switch (ev.kind) {
       case EventKind::SendPost: {
         charge_gap(r, st, ev, obs);
-        charge_overhead(r, st, &mpisim::NetworkModel::send_overhead, ev.op, 0);
-        const MsgKey key{ev.comm, r, ev.peer, ev.seq};
-        Msg& ms = msgs_[key];
+        charge_overhead(st, &mpisim::NetworkModel::send_overhead);
+        Msg& ms = msgs_[send_key(r, ev)];
         const auto nbytes = static_cast<std::size_t>(ev.bytes);
-        const auto jit = jitter([&](const mpisim::NetworkModel& net) {
-          return net.transfer_jitter(r, ev.peer, ev.seq);
-        });
+        const double* jit = take(st, 2);
         for (std::size_t f = 0; f < N; ++f) {
           const mpisim::NetworkModel& net = *frames_[f].net;
+          const double* d = jit + 2 * column_[f];
           ms.start[f] = st.t[f];
-          ms.wire[f] = net.transfer_cost(r, ev.peer, nbytes, jit[f]);
+          ms.wire[f] = net.transfer_cost(r, ev.peer, nbytes,
+                                         mpisim::JitterDraw{d[0], d[1]});
           ms.rend[f] = nbytes > net.eager_threshold;
         }
         ms.send_rank = r;
         ms.send_idx = idx;
         obs.on_send(r, ev, ms);
-        st.send_keys.push_back(key);
+        st.send_posts.push_back(idx);
         break;
       }
       case EventKind::SendWait: {
-        if (ev.op >= st.send_keys.size()) fail(r, ev, "bad send backref");
-        const MsgKey key = st.send_keys[st.send_keys.size() - 1 - ev.op];
-        const auto it = msgs_.find(key);
-        if (it == msgs_.end()) {
+        if (ev.op >= st.send_posts.size()) fail(r, ev, "bad send backref");
+        const MsgKey key = send_key(
+            r, stream.events[st.send_posts[st.send_posts.size() - 1 - ev.op]]);
+        Msg* const found = msgs_.find(key);
+        if (found == nullptr) {
           // Already fully consumed: wait() was a no-op re-wait.
           charge_gap(r, st, ev, obs);
           break;
         }
-        Msg& ms = it->second;
+        Msg& ms = *found;
         check_delivered(r, ev, key, ms, true);
         const bool rend = std::ranges::find(ms.rend, true) != ms.rend.end();
         if (rend && ms.post_rank < 0) return Step::Blocked;
@@ -402,27 +597,24 @@ class Walker {
       }
       case EventKind::RecvPost: {
         charge_gap(r, st, ev, obs);
-        if (ev.peer == Event::kUnmatched) {
-          st.recv_keys.push_back(MsgKey::none());
-        } else {
-          const MsgKey key{ev.comm, ev.peer, r, ev.seq};
-          Msg& ms = msgs_[key];
+        if (ev.peer != Event::kUnmatched) {
+          Msg& ms = msgs_[recv_key(r, ev)];
           ms.post = st.t;
           ms.post_rank = r;
           ms.post_idx = idx;
-          st.recv_keys.push_back(key);
         }
+        st.recv_posts.push_back(idx);
         obs.on_recv_post(r, ev, idx);
         break;
       }
       case EventKind::RecvWait: {
-        if (ev.seq >= st.recv_keys.size()) fail(r, ev, "bad recv backref");
-        const std::size_t back = st.recv_keys.size() - 1 - ev.seq;
-        const MsgKey key = st.recv_keys[back];
+        if (ev.seq >= st.recv_posts.size()) fail(r, ev, "bad recv backref");
+        const std::size_t back = st.recv_posts.size() - 1 - ev.seq;
+        const MsgKey key = recv_key(r, stream.events[st.recv_posts[back]]);
         if (key.null()) fail(r, ev, "wait on a receive that never matched");
-        const auto it = msgs_.find(key);
-        if (it == msgs_.end() || it->second.send_rank < 0) return Step::Blocked;
-        Msg& ms = it->second;
+        Msg* const found = msgs_.find(key);
+        if (found == nullptr || found->send_rank < 0) return Step::Blocked;
+        Msg& ms = *found;
         check_delivered(r, ev, key, ms, false);
         charge_gap(r, st, ev, obs);
         link = {ms.send_rank, ms.send_idx, false, nullptr};
@@ -436,16 +628,16 @@ class Walker {
           }
           st.t[f] = std::max(st.t[f], del);
         }
-        charge_overhead(r, st, &mpisim::NetworkModel::recv_overhead, ev.op, 1);
+        charge_overhead(st, &mpisim::NetworkModel::recv_overhead);
         obs.on_recv_wait(r, idx, back, key, ms);
         consume(key, ms);
         break;
       }
       case EventKind::Probe: {
         const MsgKey key{ev.comm, ev.peer, r, ev.seq};
-        const auto it = msgs_.find(key);
-        if (it == msgs_.end() || it->second.send_rank < 0) return Step::Blocked;
-        const Msg& ms = it->second;
+        const Msg* const found = msgs_.find(key);
+        if (found == nullptr || found->send_rank < 0) return Step::Blocked;
+        const Msg& ms = *found;
         check_delivered(r, ev, key, ms, false);
         charge_gap(r, st, ev, obs);
         // Mirror of Channel::probe: the completion time of a hypothetical
@@ -464,7 +656,7 @@ class Walker {
       }
       case EventKind::CollBegin:
         charge_gap(r, st, ev, obs);
-        charge_overhead(r, st, &mpisim::NetworkModel::send_overhead, ev.op, 2);
+        charge_overhead(st, &mpisim::NetworkModel::send_overhead);
         break;
       case EventKind::CollEnd:
       case EventKind::Pcontrol:
@@ -503,7 +695,7 @@ class Walker {
         charge_gap(r, st, ev, obs);
         // Entry overhead on the collective-entry jitter stream (salt 2),
         // mirroring Comm::nbc_post.
-        charge_overhead(r, st, &mpisim::NetworkModel::send_overhead, ev.op, 2);
+        charge_overhead(st, &mpisim::NetworkModel::send_overhead);
         Round& nb = nbc_rounds_[{ev.comm, ev.seq}];
         nb.members = ev.peer;
         nb.bytes = std::max(nb.bytes, ev.bytes);
@@ -549,11 +741,16 @@ class Walker {
 
   const TraceFile& tf_;
   std::array<Frame, N> frames_;
-  /// The frame whose jitter draws each frame reuses (itself if none).
-  std::array<std::size_t, N> draws_from_{};
+  /// Frames that own their draws; the tape has a column per owner.
+  std::size_t owners_ = 0;
+  /// The tape column each frame reads (shared with an earlier frame of the
+  /// same seed and jitter).
+  std::array<std::size_t, N> column_{};
   const char* who_;
   std::vector<RankState> ranks_;
-  std::unordered_map<MsgKey, Msg, MsgKeyHash> msgs_;
+  /// Every rank's draws, rank by rank; RankState::draw indexes its row.
+  std::unique_ptr<double[]> tape_;
+  MsgTable<Msg> msgs_;
   RoundMap syncs_;
   RoundMap nbc_rounds_;
 };

@@ -12,10 +12,12 @@
 #include <cstdio>
 #include <exception>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/convolution/convolution.hpp"
@@ -26,6 +28,7 @@
 #include "mpisim/runtime.hpp"
 #include "profiler/section_profiler.hpp"
 #include "serve/queries.hpp"
+#include "support/digest.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
 #include "trace/report.hpp"
@@ -692,6 +695,106 @@ TEST(SweepOneWalk, VerifyAgreesWithTwoFrameReplayOnCorruptClocks) {
     ok += want == "ok" ? 1 : 0;
   }
   EXPECT_EQ(ok, 1u);  // only the clean trace verifies
+}
+
+
+// --- pinned walk outputs ---------------------------------------------------
+
+/// FNV-1a of `text` without its "# mpisect ..." provenance lines, which
+/// name the build rather than the result.
+std::uint64_t output_digest(const std::string& text) {
+  std::string kept;
+  std::size_t at = 0;
+  while (at < text.size()) {
+    std::size_t end = text.find('\n', at);
+    end = end == std::string::npos ? text.size() : end + 1;
+    if (text.compare(at, 10, "# mpisect ") != 0) {
+      kept.append(text, at, end - at);
+    }
+    at = end;
+  }
+  return support::fnv1a64({reinterpret_cast<const std::uint8_t*>(kept.data()),
+                           kept.size()});
+}
+
+/// Record a 64-rank app on the jittered KNL model under one progress model.
+trace::TraceFile record_knl(const std::string& app,
+                            const std::string& progress) {
+  mpisim::WorldOptions opts = options_for(mpisim::MachineModel::knl());
+  opts.progress = mpisim::ProgressModel::parse(progress);
+  mpisim::World world(64, opts);
+  sections::SectionRuntime::install(world);
+  auto rec = trace::TraceRecorder::install(world, {.app = app});
+  if (app == "lulesh") {
+    apps::lulesh::LuleshConfig cfg;
+    cfg.s = 4;
+    cfg.steps = 3;
+    cfg.full_fidelity = false;
+    apps::lulesh::LuleshApp lulesh(cfg);
+    world.run(std::ref(lulesh));
+  } else {
+    run_convolution(world, 10);
+  }
+  return rec->finish();
+}
+
+// Every walk-driven output (replay, timeline, a 16-point sweep with drops,
+// analyze) of four jittered traces, hashed. A walker change that moves any
+// virtual time, draw or rendered byte changes a digest.
+TEST(Replay, WalkOutputsArePinned) {
+  struct Traced {
+    const char* name;
+    trace::TraceFile tf;
+  };
+  const std::vector<Traced> traces = {
+      {"conv64/blocking-only", record_knl("convolution", "blocking-only")},
+      {"conv64/opportunistic", record_knl("convolution", "opportunistic")},
+      {"conv64/progress-thread", record_knl("convolution", "progress-thread")},
+      {"lulesh64", record_knl("lulesh", "blocking-only")},
+  };
+  serve::SweepQuery sweep;
+  sweep.models = {"recorded", "broadwell-2s"};
+  sweep.latency_scales = {1.0, 2.0};
+  sweep.bandwidth_scales = {1.0, 0.5};
+  sweep.drop_rates = {0.0, 0.01};
+
+  std::vector<std::pair<std::string, std::uint64_t>> got;
+  for (const Traced& t : traces) {
+    const auto pin = [&](const char* what, const std::string& text) {
+      got.emplace_back(std::string(t.name) + " " + what, output_digest(text));
+    };
+    for (const char* model : {"recorded", "broadwell-2s"}) {
+      serve::ReplayQuery q;
+      q.model.model = model;
+      q.format = "csv";
+      pin(model, serve::run_replay(t.tf, q));
+    }
+    serve::TimelineQuery tl;
+    tl.model.model = "broadwell-2s";
+    pin("timeline", serve::run_timeline(t.tf, tl));
+    pin("sweep", serve::run_sweep(t.tf, sweep));
+    pin("analyze", serve::run_analyze(t.tf, {.format = "json"}));
+  }
+
+  const std::uint64_t want[] = {
+      // conv64/blocking-only: recorded, broadwell-2s, timeline, sweep, analyze
+      0x6ba04e4e540e81a7ull, 0x045c688f784a27d4ull, 0x8c271091a0f1cbe2ull,
+      0x00216a5e96140bfeull, 0xec87a196a1ad34a4ull,
+      // conv64/opportunistic: recorded, broadwell-2s, timeline, sweep, analyze
+      0xc312577756dd2e67ull, 0x396f0f359008422bull, 0xfa479453e3efa3a1ull,
+      0x5e6dc829ed33792full, 0x2dddfed0118f09e8ull,
+      // conv64/progress-thread: recorded, broadwell-2s, timeline, sweep, analyze
+      0x272c4ca5fd4493deull, 0x0dd8bac4e95f8527ull, 0x193bbcf25ed3dd91ull,
+      0x2334628aa25ca070ull, 0x8e4553141e01cffbull,
+      // lulesh64: recorded, broadwell-2s, timeline, sweep, analyze
+      0xf9080546fcf004e8ull, 0xbd65efda65b05175ull, 0x21b341472635c3f6ull,
+      0xf322aa4b9d942924ull, 0x0cd312f63ccf5ac2ull,
+  };
+  ASSERT_EQ(got.size(), std::size(want));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].second, want[i])
+        << got[i].first << ": got 0x" << std::hex << got[i].second;
+  }
 }
 
 }  // namespace

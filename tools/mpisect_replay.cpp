@@ -110,7 +110,9 @@ serve::ModelParams model_params(const support::ArgParser& args) {
   p.bandwidth_scale = args.get_double("bandwidth-scale");
   p.jitter_scale = args.get_double("jitter-scale");
   p.no_jitter = args.get_flag("no-jitter");
-  p.eager = static_cast<std::uint64_t>(args.get_int("eager"));
+  p.eager = static_cast<std::uint64_t>(serve::check_int(
+      "eager", static_cast<double>(args.get_int("eager")), 0,
+      serve::kMaxExactInt));
   p.compute_scale = args.get_string("compute-scale");
   p.progress = args.get_string("progress");
   serve::check_model_params(p);
@@ -195,6 +197,14 @@ int cmd_replay(int argc, const char* const* argv) {
                   "sequential reference time: emit Eq. 6 partial bounds");
   if (!launch::parse(args, argc, argv)) return 1;
 
+  // Flags are checked before the trace is read.
+  serve::ReplayQuery q;
+  q.model = model_params(args);
+  q.faults = args.get_string("faults");
+  q.fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
+  q.format = support::unified_export(args);
+  q.tseq = serve::check_num("tseq", args.get_double("tseq"),
+                            serve::NumRange::NonNegative);
   const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
   if (args.get_flag("verify")) {
     const trace::VerifyResult v = trace::verify_roundtrip(tf);
@@ -205,14 +215,6 @@ int cmd_replay(int argc, const char* const* argv) {
     }
     std::printf("verify OK: same-model replay matches the recorded footer\n");
   }
-
-  serve::ReplayQuery q;
-  q.model = model_params(args);
-  q.faults = args.get_string("faults");
-  q.fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
-  q.format = support::unified_export(args);
-  q.tseq = serve::check_num("tseq", args.get_double("tseq"),
-                            serve::NumRange::NonNegative);
   return support::write_output("mpisect-replay", serve::run_replay(tf, q),
                                args.get_string("out")) ? 0 : 1;
 }
@@ -231,7 +233,6 @@ int cmd_timeline(int argc, const char* const* argv) {
   args.add_string("out", "", "output file ('' = stdout)");
   if (!launch::parse(args, argc, argv)) return 1;
 
-  const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
   serve::TimelineQuery q;
   q.model = model_params(args);
   q.faults = args.get_string("faults");
@@ -239,6 +240,7 @@ int cmd_timeline(int argc, const char* const* argv) {
   q.dt = serve::check_num("dt", args.get_double("dt"),
                           serve::NumRange::NonNegative);
   q.format = support::unified_export(args);
+  const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
   return support::write_output("mpisect-replay", serve::run_timeline(tf, q),
                                args.get_string("out")) ? 0 : 1;
 }

@@ -24,6 +24,7 @@
 #include <exception>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -262,6 +263,11 @@ int run(int argc, char** argv) {
     return run_post(args.get_string("post"), ro);
   }
 
+  const double dt = args.get_double("dt");
+  if (!(std::isfinite(dt) && dt > 0.0)) {
+    throw std::invalid_argument(support::format("--dt %g", dt) +
+                                " must be finite and > 0");
+  }
   const int ranks = launch::int_flag(args, "ranks");
   const launch::Body body = launch::app(
       args.get_string("app"),
@@ -275,7 +281,7 @@ int run(int argc, char** argv) {
   const auto world_ptr = launch::world(args, ranks, opts);
   mpisim::World& world = *world_ptr;
   telemetry::SamplerOptions sopts;
-  sopts.dt = args.get_double("dt");
+  sopts.dt = dt;
   sopts.phase_depth = static_cast<int>(args.get_int("depth"));
   auto sampler = telemetry::TelemetrySampler::install(world, sopts);
   std::shared_ptr<mpisim::faults::FaultInjector> injector;
