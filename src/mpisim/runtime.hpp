@@ -66,7 +66,7 @@ struct WorldOptions {
   /// reference. Virtual-time results are identical either way.
   ExecBackend exec = ExecBackend::Cooperative;
   /// Worker threads for the cooperative backend: 0 = MPISECT_WORKERS env
-  /// var, else hardware_concurrency (see resolve_workers()).
+  /// var, else the usable cores (see resolve_workers()).
   int workers = 0;
   /// Fiber stack size in KiB for the cooperative backend: 0 =
   /// MPISECT_STACK_KB env var, else 1 MiB; values are clamped up to 64.

@@ -15,6 +15,7 @@
 #include "obs/memory.hpp"
 #include "obs/spans.hpp"
 #include "support/log.hpp"
+#include "support/parallel.hpp"
 #include "support/spec.hpp"
 
 // glibc's swapcontext saves and restores the signal mask, an rt_sigprocmask
@@ -1022,8 +1023,7 @@ int resolve_workers(int workers) noexcept {
       env > 0) {
     return env;
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return support::usable_cores();
 }
 
 std::unique_ptr<Executor> make_executor(ExecBackend backend, int workers,

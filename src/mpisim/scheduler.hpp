@@ -8,7 +8,7 @@
 //     a stackful fiber (a user-space register switch on x86-64, ucontext
 //     elsewhere) whose stack comes from one process-wide pool of guard-paged
 //     slabs that later Worlds reuse; a fixed pool of worker threads (default
-//     hardware_concurrency, override with MPISECT_WORKERS) runs fibers
+//     support::usable_cores(), override with MPISECT_WORKERS) runs fibers
 //     until they block, then parks them on the WaitPoint and picks up the
 //     next runnable fiber. Parking costs one user-space context switch, so
 //     worlds with thousands of ranks multiplex over a handful of OS
@@ -294,7 +294,8 @@ struct StackPoolStats {
 
 /// Number of worker threads `workers` resolves to: the value itself if > 0,
 /// else the MPISECT_WORKERS environment variable (read by support::env_int,
-/// bounded by ExecModel::kMaxWorkers), else hardware_concurrency.
+/// bounded by ExecModel::kMaxWorkers), else support::usable_cores() (the
+/// CPUs of the process's affinity mask).
 [[nodiscard]] int resolve_workers(int workers) noexcept;
 
 /// Create an executor. workers is resolved via resolve_workers() and only

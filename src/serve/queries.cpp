@@ -173,18 +173,6 @@ double check_num(const char* name, double v, NumRange range) {
   return v;
 }
 
-std::int64_t check_int(const char* name, double v, std::int64_t lo,
-                       std::int64_t hi) {
-  // false for NaN
-  if (!(v >= static_cast<double>(lo) && v <= static_cast<double>(hi) &&
-        v == std::floor(v))) {
-    throw trace::TraceError(std::string("param '") + name +
-                            "' must be an integer in [" + std::to_string(lo) +
-                            ", " + std::to_string(hi) + "]");
-  }
-  return static_cast<std::int64_t>(v);
-}
-
 void check_model_params(const ModelParams& p) {
   (void)check_num("latency", p.latency, NumRange::NonNegative);
   (void)check_num("bandwidth", p.bandwidth, NumRange::NonNegative);
@@ -279,6 +267,7 @@ std::string run_timeline(const trace::TraceFile& tf, const TimelineQuery& q) {
   trace::ReplayOptions ropts = replay_options(
       tf, w.compute_scale, q.faults, q.fault_seed, /*timeline=*/true);
   ropts.progress = w.progress;
+  ropts.collect_metrics = false;  // a timeline reads no section metrics
   const trace::ReplayResult res = trace::replay(tf, w.machine, ropts);
 
   double dt = q.dt;

@@ -47,14 +47,6 @@ enum class NumRange {
 };
 /// `v` if it is finite and in `range`, else a TraceError naming `name`.
 double check_num(const char* name, double v, NumRange range);
-/// Largest magnitude below which every integer is exactly a double: the
-/// bound of the daemon's integer params and of the CLI flags that fill them.
-inline constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 53;
-/// `v` as an integer if it is whole and in [lo, hi], else a TraceError
-/// naming `name`. A double outside the integer range cannot be cast
-/// (undefined behaviour), so it is checked first.
-std::int64_t check_int(const char* name, double v, std::int64_t lo,
-                       std::int64_t hi);
 /// check_num every double of p. The daemon's request params and the CLI
 /// flags fill ModelParams alike; both reject the same values.
 void check_model_params(const ModelParams& p);

@@ -9,6 +9,7 @@
 
 #include "codec/mpstz.hpp"
 #include "obs/spans.hpp"
+#include "support/cli.hpp"
 #include "support/digest.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
@@ -64,11 +65,11 @@ bool is_integer_in(double v, double lo, double hi) {
   return v >= lo && v <= hi && v == std::floor(v);  // false for NaN
 }
 
-/// An integer param in [lo, hi] (see serve::check_int).
+/// An integer param in [lo, hi] (see support::check_int).
 std::int64_t int_field(const support::JsonValue* params, const char* key,
                        std::int64_t dflt, std::int64_t lo, std::int64_t hi) {
-  return check_int(key, num_field(params, key, static_cast<double>(dflt)), lo,
-                   hi);
+  return support::check_int(
+      key, num_field(params, key, static_cast<double>(dflt)), lo, hi);
 }
 
 /// A finite number param in `range` (see serve::check_num): the error
@@ -80,7 +81,7 @@ double num_field(const support::JsonValue* params, const char* key,
 
 std::uint64_t seed_field(const support::JsonValue* params) {
   return static_cast<std::uint64_t>(
-      int_field(params, "fault_seed", 0, 0, kMaxExactInt));
+      int_field(params, "fault_seed", 0, 0, support::kMaxExactInt));
 }
 
 bool bool_field(const support::JsonValue* params, const char* key,
@@ -181,7 +182,7 @@ ModelParams model_params(const support::JsonValue* params) {
       num_field(params, "jitter_scale", p.jitter_scale, NumRange::Positive);
   p.no_jitter = bool_field(params, "no_jitter", p.no_jitter);
   p.eager = static_cast<std::uint64_t>(
-      int_field(params, "eager", 0, 0, kMaxExactInt));
+      int_field(params, "eager", 0, 0, support::kMaxExactInt));
   p.compute_scale = str_field(params, "compute_scale", p.compute_scale);
   p.progress = str_field(params, "progress", p.progress);
   return p;
@@ -215,8 +216,8 @@ SweepQuery sweep_query(const support::JsonValue* params) {
 std::string render_id(const support::JsonValue& req) {
   const support::JsonValue* v = req.find("id");
   if (v == nullptr || !v->is_number() ||
-      !is_integer_in(v->number, -static_cast<double>(kMaxExactInt),
-                     static_cast<double>(kMaxExactInt))) {
+      !is_integer_in(v->number, -static_cast<double>(support::kMaxExactInt),
+                     static_cast<double>(support::kMaxExactInt))) {
     return "0";
   }
   char buf[32];

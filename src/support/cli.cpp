@@ -215,4 +215,17 @@ void add_world_flags(ArgParser& args) {
                   "cooperative[:workers=N,stack=KB] | threads");
 }
 
+std::int64_t check_int(const char* name, double v, std::int64_t lo,
+                       std::int64_t hi) {
+  // false for NaN
+  if (!(v >= static_cast<double>(lo) && v <= static_cast<double>(hi) &&
+        v == std::floor(v))) {
+    throw std::invalid_argument(std::string("param '") + name +
+                                "' must be an integer in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+  return static_cast<std::int64_t>(v);
+}
+
 }  // namespace mpisect::support

@@ -14,6 +14,7 @@
 //   --version          provenance banner
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -84,5 +85,17 @@ void add_unified_flags(ArgParser& args, const std::string& model_default,
 /// Feed the value to WorldBuilder::exec_spec(), which parses and validates
 /// it (support is below mpisim, so parsing lives there).
 void add_world_flags(ArgParser& args);
+
+/// Largest magnitude below which every integer is exactly a double: the
+/// bound of the serve daemon's integer params and of the CLI flags that
+/// fill them (seeds, the eager threshold).
+inline constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 53;
+
+/// `v` as an integer if it is whole and in [lo, hi], else a
+/// std::invalid_argument naming `name` ("param 'name' must be an integer
+/// in [lo, hi]"). A double outside the integer range cannot be cast
+/// (undefined behaviour), so it is checked first.
+[[nodiscard]] std::int64_t check_int(const char* name, double v,
+                                     std::int64_t lo, std::int64_t hi);
 
 }  // namespace mpisect::support

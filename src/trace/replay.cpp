@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
 #include <utility>
 
@@ -29,41 +28,55 @@ struct FrameReport {
   /// model's core tax, so multiply by the ratio.
   double gap_factor = 1.0;
   std::unique_ptr<mpisim::faults::FaultEngine> fault_eng;
-  /// [section id][instance] -> every rank's span (collect_metrics only).
-  std::vector<std::vector<std::vector<sections::RankSpan>>> spans;
   ReplayResult res;
 };
 
 /// The replay's share of the walk: fault re-costing of the reported
 /// frames, counters, per-rank section totals, metrics spans and the
 /// timeline. Counters and instance ordinals are the same in every frame
-/// and are kept once.
+/// and are kept once. Everything the hooks write is rank r's own (its
+/// RankLog); finish() merges the logs in rank order.
 template <std::size_t N>
 struct Replayer : WalkObserver {
   using ReplayWalker = Walker<N>;
 
-  /// Per rank and (comm, label): the section's id, the instances exited so
-  /// far (the next instance ordinal) and every frame's inclusive seconds.
+  /// One section of one rank: the instances exited so far (the next
+  /// instance ordinal) and every frame's inclusive seconds.
   struct RankSection {
-    std::size_t id = 0;
+    std::uint32_t id = 0;  ///< index into Replayer::keys
     long instances = 0;
     std::array<double, N> inclusive{};
   };
 
+  /// A metric span of rank r's instance k of section `id`.
+  struct SpanRow {
+    double t_in = 0.0, t = 0.0;
+    std::uint32_t id = 0;
+    std::uint32_t k = 0;
+  };
+
+  /// What the hooks of one rank write.
+  struct RankLog {
+    std::uint64_t events = 0;
+    std::uint64_t messages = 0;
+    std::uint64_t collectives = 0;
+    std::uint64_t bytes_sent = 0;
+    bool nan_clock = false;  ///< an event of frames[0] ended on a NaN clock
+    std::vector<SectionKey> keys;  ///< every section it enters, sorted
+    std::vector<RankSection> sections;  ///< parallel to keys
+    std::vector<std::vector<SpanRow>> spans;  ///< per reported frame
+    std::vector<std::vector<TimelineEntry>> rows;  ///< per reported frame
+  };
+
   std::size_t first;  ///< walker frame reported by frames[0]
   std::vector<FrameReport> frames;
-  std::uint64_t events = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t collectives = 0;
-  std::uint64_t bytes_sent = 0;
-  std::vector<std::map<SectionKey, RankSection>> sections;
-  std::map<SectionKey, std::size_t> section_ids;
+  std::vector<SectionKey> keys;  ///< every entered section, sorted; ids
+  std::vector<RankLog> logs;
   bool timeline = false;  ///< some frame keeps a timeline
-  bool nan_clock = false;  ///< frames[0] ended an event on a NaN clock
 
   Replayer(const TraceFile& t, std::size_t first_frame,
            std::span<const WhatIfPoint> points)
-      : first(first_frame), frames(points.size()), sections(t.ranks.size()) {
+      : first(first_frame), frames(points.size()), logs(t.ranks.size()) {
     const mpisim::ProgressModel& rec = t.header.progress;
     for (std::size_t i = 0; i < points.size(); ++i) {
       const ReplayOptions& opt = points[i].options;
@@ -87,17 +100,48 @@ struct Replayer : WalkObserver {
       fr.res.labels = t.labels;
       timeline = timeline || opt.timeline;
     }
+    // Number the sections before the walk: each rank's entered keys, then
+    // their union in (comm, label) order. What a hook appends to is sized
+    // here too, so the walk does not grow it.
+    const bool spans = std::ranges::any_of(
+        points, [](const WhatIfPoint& p) { return p.options.collect_metrics; });
+    for (std::size_t r = 0; r < logs.size(); ++r) {
+      RankLog& log = logs[r];
+      std::size_t exits = 0;
+      for (const Event& ev : t.ranks[r].events) {
+        if (ev.kind == EventKind::SectionEnter) {
+          log.keys.emplace_back(ev.comm, ev.label);
+        }
+        exits += ev.kind == EventKind::SectionExit ? 1 : 0;
+      }
+      const std::size_t enters = log.keys.size();
+      std::ranges::sort(log.keys);
+      log.keys.erase(std::ranges::unique(log.keys).begin(), log.keys.end());
+      if (spans) log.spans.resize(frames.size());
+      if (timeline) log.rows.resize(frames.size());
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        if (frames[i].opt->collect_metrics) log.spans[i].reserve(exits);
+        if (frames[i].opt->timeline) log.rows[i].reserve(enters + exits);
+      }
+    }
+    for (const RankLog& log : logs) {
+      keys.insert(keys.end(), log.keys.begin(), log.keys.end());
+    }
+    std::ranges::sort(keys);
+    keys.erase(std::ranges::unique(keys).begin(), keys.end());
+    for (RankLog& log : logs) {
+      log.sections.resize(log.keys.size());
+      for (std::size_t i = 0; i < log.keys.size(); ++i) {
+        log.sections[i].id = static_cast<std::uint32_t>(
+            std::ranges::lower_bound(keys, log.keys[i]) - keys.begin());
+      }
+    }
   }
 
-  /// Rank r's entry for `key`, numbering the section on first sight.
-  RankSection& section(int r, const SectionKey& key) {
-    const auto [it, fresh] =
-        sections[static_cast<std::size_t>(r)].try_emplace(key);
-    if (fresh) {
-      it->second.id = section_ids.try_emplace(key, section_ids.size())
-                          .first->second;
-    }
-    return it->second;
+  /// Rank r's entry for `key`, a section the rank entered.
+  RankSection& section(RankLog& log, const SectionKey& key) {
+    return log.sections[static_cast<std::size_t>(
+        std::ranges::lower_bound(log.keys, key) - log.keys.begin())];
   }
 
   // Stall rules charge at the rank's first event past their trigger time
@@ -129,34 +173,35 @@ struct Replayer : WalkObserver {
           ms.wire[f] * fate.cost_factor + fate.add_latency + fate.extra_delay;
       ms.lost[f] = fate.lost;
     }
-    ++messages;
-    bytes_sent += ev.bytes;
+    RankLog& log = logs[static_cast<std::size_t>(r)];
+    ++log.messages;
+    log.bytes_sent += ev.bytes;
   }
 
   void on_event(int r, const typename ReplayWalker::RankState& st,
                 const Event& ev, const typename ReplayWalker::Link& /*link*/) {
-    ++events;
-    if (std::isnan(st.t[first])) nan_clock = true;
+    RankLog& log = logs[static_cast<std::size_t>(r)];
+    ++log.events;
+    if (std::isnan(st.t[first])) log.nan_clock = true;
     switch (ev.kind) {
       case EventKind::CollBegin:
       case EventKind::NbcPost:
-        ++collectives;
+        ++log.collectives;
         break;
       case EventKind::SectionEnter: {
         if (!timeline) break;
-        const long k = section(r, {ev.comm, ev.label}).instances;
+        const long k = section(log, {ev.comm, ev.label}).instances;
         for (std::size_t i = 0; i < frames.size(); ++i) {
           if (!frames[i].opt->timeline) continue;
-          frames[i].res.timeline.push_back(
-              {st.t[first + i], r, ev.comm, ev.label, true,
-               static_cast<int>(st.stack.size()), k});
+          log.rows[i].push_back({st.t[first + i], r, ev.comm, ev.label, true,
+                                 static_cast<int>(st.stack.size()), k});
         }
         break;
       }
       case EventKind::SectionExit: {
         const auto& open = st.stack.back();
         const SectionKey key{open.comm, open.label};
-        RankSection& sec = section(r, key);
+        RankSection& sec = section(log, key);
         const long k = sec.instances++;
         for (std::size_t i = 0; i < frames.size(); ++i) {
           FrameReport& fr = frames[i];
@@ -165,17 +210,12 @@ struct Replayer : WalkObserver {
           const double t_in = open.t_in[f];
           sec.inclusive[f] += t - t_in;
           if (fr.opt->collect_metrics) {
-            if (fr.spans.size() <= sec.id) fr.spans.resize(sec.id + 1);
-            auto& per_instance = fr.spans[sec.id];
-            if (per_instance.size() <= static_cast<std::size_t>(k)) {
-              per_instance.resize(static_cast<std::size_t>(k) + 1);
-            }
-            per_instance[static_cast<std::size_t>(k)].push_back({r, t_in, t});
+            log.spans[i].push_back(
+                {t_in, t, sec.id, static_cast<std::uint32_t>(k)});
           }
           if (fr.opt->timeline) {
-            fr.res.timeline.push_back(
-                {t, r, key.first, key.second, false,
-                 static_cast<int>(st.stack.size()) - 1, k});
+            log.rows[i].push_back({t, r, key.first, key.second, false,
+                                   static_cast<int>(st.stack.size()) - 1, k});
           }
         }
         break;
@@ -185,8 +225,20 @@ struct Replayer : WalkObserver {
     }
   }
 
+  /// True when an event of frames[0] ended on a NaN clock.
+  [[nodiscard]] bool nan_clock() const {
+    return std::ranges::any_of(logs, &RankLog::nan_clock);
+  }
+
   /// Append every reported frame's result to `out`, in frame order.
   void finish(const ReplayWalker& walker, std::vector<ReplayResult>& out) {
+    std::uint64_t events = 0, messages = 0, collectives = 0, bytes_sent = 0;
+    for (const RankLog& log : logs) {
+      events += log.events;
+      messages += log.messages;
+      collectives += log.collectives;
+      bytes_sent += log.bytes_sent;
+    }
     for (std::size_t i = 0; i < frames.size(); ++i) {
       const std::size_t f = first + i;
       FrameReport& fr = frames[i];
@@ -204,35 +256,53 @@ struct Replayer : WalkObserver {
       }
       if (res.final_times.empty()) res.makespan = 0.0;
 
+      // [section id][instance] -> every rank's span, in rank order (the
+      // order a rank-ordered profiler sums metrics in).
+      std::vector<std::vector<std::vector<sections::RankSpan>>> spans;
+      if (fr.opt->collect_metrics) {
+        spans.resize(keys.size());
+        for (std::size_t r = 0; r < logs.size(); ++r) {
+          for (const SpanRow& row : logs[r].spans[i]) {
+            auto& per_instance = spans[row.id];
+            if (per_instance.size() <= row.k) per_instance.resize(row.k + 1);
+            per_instance[row.k].push_back(
+                {static_cast<int>(r), row.t_in, row.t});
+          }
+          std::vector<SpanRow>().swap(logs[r].spans[i]);
+        }
+      }
+
       // Per-rank totals in footer order (sorted by (comm, label)), and the
       // section statistics aggregated across ranks. An entry no instance
       // has exited yet (a timeline's open enter) is not a total.
-      std::map<SectionKey, ReplaySectionStat> stats;
-      res.rank_totals.resize(sections.size());
-      for (std::size_t r = 0; r < sections.size(); ++r) {
-        for (const auto& [key, sec] : sections[r]) {
+      std::vector<ReplaySectionStat> stats(keys.size());
+      res.rank_totals.resize(logs.size());
+      for (std::size_t r = 0; r < logs.size(); ++r) {
+        const RankLog& log = logs[r];
+        for (std::size_t j = 0; j < log.keys.size(); ++j) {
+          const SectionKey& key = log.keys[j];
+          const RankSection& sec = log.sections[j];
           if (sec.instances == 0) continue;
           const auto count = static_cast<std::uint64_t>(sec.instances);
           res.rank_totals[r].push_back(
               SectionTotal{key.first, key.second, count, sec.inclusive[f]});
-          auto& s = stats[key];
-          s.comm = key.first;
-          s.label = key.second < res.labels.size()
-                        ? res.labels[key.second]
-                        : "label#" + std::to_string(key.second);
+          ReplaySectionStat& s = stats[sec.id];
           ++s.ranks;
           s.instances += count;
           s.total_inclusive += sec.inclusive[f];
         }
       }
-      for (auto& [key, s] : stats) {
-        s.mean_per_process = s.ranks > 0 ? s.total_inclusive / s.ranks : 0.0;
-        // Ranks finish an instance in dependency order, not rank order;
-        // sort so metric summation matches a rank-ordered profiler bit for
-        // bit. (spans stays empty unless collect_metrics.)
-        if (const std::size_t id = section_ids.at(key); id < fr.spans.size()) {
-          for (auto& instance : fr.spans[id]) {
-            std::ranges::sort(instance, {}, &sections::RankSpan::rank);
+      for (std::size_t id = 0; id < keys.size(); ++id) {
+        ReplaySectionStat& s = stats[id];
+        if (s.ranks == 0) continue;
+        const SectionKey& key = keys[id];
+        s.comm = key.first;
+        s.label = key.second < res.labels.size()
+                      ? res.labels[key.second]
+                      : "label#" + std::to_string(key.second);
+        s.mean_per_process = s.total_inclusive / s.ranks;
+        if (id < spans.size()) {
+          for (const auto& instance : spans[id]) {
             if (!instance.empty()) {
               s.agg.add(sections::compute_metrics(instance));
             }
@@ -242,6 +312,17 @@ struct Replayer : WalkObserver {
       }
 
       if (fr.opt->timeline) {
+        // A rank's rows are in its event order; a stable (t, rank) sort
+        // of the rank-ordered concatenation therefore equals the sort of
+        // the rows in walk order.
+        std::size_t rows = 0;
+        for (const RankLog& log : logs) rows += log.rows[i].size();
+        res.timeline.reserve(rows);
+        for (RankLog& log : logs) {
+          res.timeline.insert(res.timeline.end(), log.rows[i].begin(),
+                              log.rows[i].end());
+          std::vector<TimelineEntry>().swap(log.rows[i]);
+        }
         std::stable_sort(res.timeline.begin(), res.timeline.end(),
                          [](const TimelineEntry& a, const TimelineEntry& b) {
                            if (a.t != b.t) return a.t < b.t;
@@ -356,7 +437,7 @@ VerifyResult verify_roundtrip(const TraceFile& tf) {
   // what-if frame, as a one-point replay does.
   const bool nan_start = std::ranges::any_of(
       tf.ranks, [](const RankStream& rs) { return std::isnan(rs.t0); });
-  if (rep.nan_clock || nan_start || rep.frames.front().gap_factor != 1.0) {
+  if (rep.nan_clock() || nan_start || rep.frames.front().gap_factor != 1.0) {
     return compare_footer(tf, replay(tf, tf.header.machine, {}));
   }
   return compare_footer(tf, out.front());

@@ -18,7 +18,7 @@
 // JitterModel, rank, event), never on walk order, so the constructor makes
 // every draw of the trace up front into one allocation, rank by rank on
 // support::parallel_for; the fan-out runs inline for a trace of fewer than
-// kParallelMinWork events, a single rank or a single hardware thread. A
+// kParallelMinWork events, a single rank or one usable core. A
 // rank's tape holds, in event order, one double (the factor) per CPU draw
 // of a SendPost, RecvWait, CollBegin or NbcPost and two (factor, additive)
 // per transfer draw of a SendPost: 24 B per sent message and 8 B per other
@@ -33,6 +33,7 @@
 // never move, recycled through a free list and found through an
 // open-addressing index of (MsgKey, slot). A rank remembers its posts as
 // event indices (4 B each) and rebuilds a message's key from the post.
+// Every read of a rank's recorded events goes through events(r).
 //
 // Whatever a caller keeps beyond the clocks lives in an observer passed to
 // run() (hooks: WalkObserver); `Extra` adds observer fields to every
@@ -345,7 +346,7 @@ class Walker {
       st.t.fill(tf.ranks[r].t0);
       st.draw = draws;
       std::size_t sends = 0, recvs = 0;
-      for (const Event& ev : tf.ranks[r].events) {
+      for (const Event& ev : events(r)) {
         draws += draw_width(ev.kind);
         sends += ev.kind == EventKind::SendPost ? 1 : 0;
         recvs += ev.kind == EventKind::RecvPost ? 1 : 0;
@@ -381,6 +382,11 @@ class Walker {
 
  private:
   using RoundMap = std::map<std::pair<int, std::uint64_t>, Round>;
+
+  /// Rank r's recorded events: the walk's only access to the streams.
+  [[nodiscard]] std::span<const Event> events(std::size_t r) const noexcept {
+    return tf_.ranks[r].events;
+  }
 
   [[noreturn]] void fail(int r, const Event& ev, const std::string& why) const {
     throw TraceError(std::string(who_) + " failed at rank " +
@@ -438,7 +444,7 @@ class Walker {
         *out++ = net->cpu_jitter(rank, op, salt).factor;
       }
     };
-    for (const Event& ev : tf_.ranks[r].events) {
+    for (const Event& ev : events(r)) {
       switch (ev.kind) {
         case EventKind::SendPost:
           cpu(ev.op, 0);
@@ -536,12 +542,12 @@ class Walker {
   template <class Obs>
   Step step(int r, Obs& obs) {
     RankState& st = ranks_[static_cast<std::size_t>(r)];
-    const RankStream& stream = tf_.ranks[static_cast<std::size_t>(r)];
-    if (st.cursor >= stream.events.size()) {
+    const std::span<const Event> stream = events(static_cast<std::size_t>(r));
+    if (st.cursor >= stream.size()) {
       st.done = true;  // no Finalize recorded (aborted run): stop here
       return Step::Advanced;
     }
-    const Event& ev = stream.events[st.cursor];
+    const Event& ev = stream[st.cursor];
     const auto idx = static_cast<std::uint32_t>(st.cursor);
     obs.before_step(r, st.t);
     Link link;
@@ -570,7 +576,7 @@ class Walker {
       case EventKind::SendWait: {
         if (ev.op >= st.send_posts.size()) fail(r, ev, "bad send backref");
         const MsgKey key = send_key(
-            r, stream.events[st.send_posts[st.send_posts.size() - 1 - ev.op]]);
+            r, stream[st.send_posts[st.send_posts.size() - 1 - ev.op]]);
         Msg* const found = msgs_.find(key);
         if (found == nullptr) {
           // Already fully consumed: wait() was a no-op re-wait.
@@ -610,7 +616,7 @@ class Walker {
       case EventKind::RecvWait: {
         if (ev.seq >= st.recv_posts.size()) fail(r, ev, "bad recv backref");
         const std::size_t back = st.recv_posts.size() - 1 - ev.seq;
-        const MsgKey key = recv_key(r, stream.events[st.recv_posts[back]]);
+        const MsgKey key = recv_key(r, stream[st.recv_posts[back]]);
         if (key.null()) fail(r, ev, "wait on a receive that never matched");
         Msg* const found = msgs_.find(key);
         if (found == nullptr || found->send_rank < 0) return Step::Blocked;
@@ -722,7 +728,7 @@ class Walker {
       }
       case EventKind::Finalize:
         charge_gap(r, st, ev, obs);
-        if (st.t[0] != stream.t_final) {
+        if (st.t[0] != tf_.ranks[static_cast<std::size_t>(r)].t_final) {
           fail(r, ev, "recorded-frame final time mismatch (corrupt trace?)");
         }
         st.done = true;

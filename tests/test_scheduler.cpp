@@ -31,6 +31,7 @@
 #include "mpisim/scheduler.hpp"
 #include "profiler/section_profiler.hpp"
 #include "support/log.hpp"
+#include "support/parallel.hpp"
 #include "support/spec.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/sampler.hpp"
@@ -217,10 +218,8 @@ TEST(Scheduler, EnvironmentKnobsIgnoreOutOfRangeValues) {
   support::set_log_capture(&log);
   ::setenv("MPISECT_WORKERS", "2147483647", 1);
   EXPECT_EQ(support::env_int("MPISECT_WORKERS", 1024), 0);
-  // Falls back to the hardware default instead of 2^31 - 1 threads.
-  EXPECT_EQ(mpisim::resolve_workers(0),
-            static_cast<int>(
-                std::max(1u, std::thread::hardware_concurrency())));
+  // Falls back to the usable cores instead of 2^31 - 1 threads.
+  EXPECT_EQ(mpisim::resolve_workers(0), support::usable_cores());
   ::setenv("MPISECT_WORKERS", "99999999999999999999", 1);  // strtol overflow
   EXPECT_EQ(support::env_int("MPISECT_WORKERS", 1024), 0);
   ::setenv("MPISECT_WORKERS", "4x", 1);

@@ -12,7 +12,8 @@
 //     are byte-identical to the monolithic finish().encode()/compress();
 //   * the v5 trace format round-trips the hierarchical-NBC machine flag;
 //   * a 65,536-rank world builds in O(1) and (gated: MPISECT_SCALE_TESTS=1,
-//     Release only) completes a convolution step.
+//     which is the only reason tier-1 skips it in an NDEBUG build)
+//     completes a convolution step.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -283,7 +284,8 @@ TEST(SessionScale, SixtyFiveKConvolutionStepCompletes) {
     GTEST_SKIP() << "set MPISECT_SCALE_TESTS=1 to run the 65k smoke";
   }
 #ifndef NDEBUG
-  GTEST_SKIP() << "65k smoke is Release-only";
+  GTEST_SKIP() << "65k smoke needs an NDEBUG build (Release or "
+                  "RelWithDebInfo): assertions make it too slow";
 #else
   const auto world = Session(65536)
                          .world_builder()

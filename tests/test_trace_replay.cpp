@@ -2,21 +2,26 @@
 // recording (final times, section totals, Fig. 3 metrics), cross-preset
 // replays predict a direct run within 5%, what-if knobs move results the
 // right way, and inconsistent traces fail loudly instead of hanging. A
-// sweep's one batched walk is byte-identical to one replay per point, and
-// verify's frame-0 walk agrees with a same-model what-if replay.
+// sweep's one batched walk is byte-identical to one replay per point,
+// verify's frame-0 walk agrees with a same-model what-if replay, and every
+// walk output and error text is the same at every CPU budget.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
 #include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,9 +34,11 @@
 #include "profiler/section_profiler.hpp"
 #include "serve/queries.hpp"
 #include "support/digest.hpp"
+#include "support/parallel.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
 #include "trace/report.hpp"
+#include "trace/walker.hpp"
 
 namespace {
 
@@ -795,6 +802,249 @@ TEST(Replay, WalkOutputsArePinned) {
     EXPECT_EQ(got[i].second, want[i])
         << got[i].first << ": got 0x" << std::hex << got[i].second;
   }
+}
+
+// --- width independence ---------------------------------------------------
+
+/// Sets MPISECT_WORKERS (the cap of the process's CPU budget) for one scope.
+class WorkersEnv {
+ public:
+  explicit WorkersEnv(int workers) {
+    if (const char* old = std::getenv("MPISECT_WORKERS")) saved_ = old;
+    ::setenv("MPISECT_WORKERS", std::to_string(workers).c_str(), 1);
+  }
+  ~WorkersEnv() {
+    if (saved_) {
+      ::setenv("MPISECT_WORKERS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("MPISECT_WORKERS");
+    }
+  }
+  WorkersEnv(const WorkersEnv&) = delete;
+  WorkersEnv& operator=(const WorkersEnv&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+/// A query's output, or its error text.
+template <class Fn>
+std::string output_or_error(Fn&& fn) {
+  try {
+    return fn();
+  } catch (const std::exception& err) {
+    return std::string("error: ") + err.what();
+  }
+}
+
+/// Every walk-driven output of `tf` at the current width: replay csv
+/// (recorded and broadwell-2s), verify, a sweep with drop rates, a batched
+/// replay under a drop plan and a stall plan, and the timeline at the
+/// default and at an explicit dt.
+std::vector<std::string> walk_outputs(const trace::TraceFile& tf) {
+  std::vector<std::string> out;
+  for (const char* model : {"recorded", "broadwell-2s"}) {
+    serve::ReplayQuery q;
+    q.model.model = model;
+    q.format = "csv";
+    out.push_back(output_or_error([&] { return serve::run_replay(tf, q); }));
+  }
+  out.push_back(output_or_error([&] {
+    const trace::VerifyResult v = trace::verify_roundtrip(tf);
+    return std::string(v.ok ? "ok" : "mismatch: ") + v.detail;
+  }));
+  serve::SweepQuery sweep;
+  sweep.models = {"recorded", "broadwell-2s"};
+  sweep.latency_scales = {1.0, 2.0};
+  sweep.drop_rates = {0.0, 0.01};
+  out.push_back(output_or_error([&] { return serve::run_sweep(tf, sweep); }));
+  out.push_back(output_or_error([&] {
+    std::vector<trace::WhatIfPoint> points(2, {tf.header.machine, {}});
+    points[0].options.faults = mpisim::faults::FaultPlan::parse("drop:p=0.02");
+    points[1].options.faults =
+        mpisim::faults::FaultPlan::parse("stall:rank=3,at=0.0001,for=0.001");
+    std::string text;
+    for (const trace::ReplayResult& res : trace::replay(tf, points)) {
+      text += trace::render_csv(res, std::nullopt);
+    }
+    return text;
+  }));
+  for (const double dt : {0.0, 2e-4}) {
+    serve::TimelineQuery tl;
+    tl.model.model = "broadwell-2s";
+    tl.dt = dt;
+    out.push_back(output_or_error([&] { return serve::run_timeline(tf, tl); }));
+  }
+  return out;
+}
+
+/// The progress_mix body of test_progress (point-to-point, a test() poll,
+/// an iallreduce and an ibarrier), repeated so the trace is large enough
+/// for a parallel draw-tape fill.
+void nbc_world(mpisim::Ctx& ctx) {
+  mpisim::Comm world = ctx.world_comm();
+  const int r = world.rank();
+  const int n = world.size();
+  for (int it = 0; it < 12; ++it) {
+    std::vector<char> big(64 * 1024, static_cast<char>(r));
+    std::vector<char> in(big.size());
+    auto sreq = world.isend(big.data(), big.size(), (r + 1) % n, 3);
+    auto rreq = world.irecv(in.data(), in.size(), (r + n - 1) % n, 3);
+    ctx.compute(2e-5 * (r + 1));
+    double v = r + 1.0;
+    double acc = 0.0;
+    auto nbc = world.iallreduce(&v, &acc, 1, mpisim::datatype_of<double>,
+                                mpisim::ReduceOp::Sum);
+    (void)nbc.test();
+    ctx.compute(5e-5);
+    nbc.wait();
+    (void)rreq.wait();
+    (void)sreq.wait();
+    auto nbb = world.ibarrier();
+    while (!nbb.test()) {
+    }
+  }
+}
+
+trace::TraceFile record_world(int ranks, const std::string& progress,
+                              const std::function<void(mpisim::Ctx&)>& body) {
+  mpisim::WorldOptions opts = options_for(mpisim::MachineModel::knl());
+  opts.progress = mpisim::ProgressModel::parse(progress);
+  mpisim::World world(ranks, opts);
+  sections::SectionRuntime::install(world);
+  auto rec = trace::TraceRecorder::install(world, {.app = "width"});
+  world.run(body);
+  return rec->finish();
+}
+
+trace::TraceFile record_lulesh(int ranks) {
+  return record_world(ranks, "blocking-only", [](mpisim::Ctx& ctx) {
+    apps::lulesh::LuleshConfig cfg;
+    cfg.s = 4;
+    cfg.steps = 2;
+    cfg.full_fidelity = false;
+    apps::lulesh::LuleshApp lulesh(cfg);
+    lulesh(ctx);
+  });
+}
+
+// A walk's outputs and error texts do not depend on the CPU budget:
+// MPISECT_WORKERS = 1 fills the draw tape on the calling thread, 2..4 fan
+// its ranks out over that many threads (125 ranks: uneven shares).
+TEST(Replay, WalkIsWidthIndependent) {
+  struct Traced {
+    std::string name;
+    trace::TraceFile tf;
+  };
+  std::vector<Traced> traces;
+  for (const char* pm : {"blocking-only", "opportunistic", "progress-thread"}) {
+    traces.push_back({std::string("conv64/") + pm, conv64(pm)});
+  }
+  traces.push_back({"lulesh64", record_lulesh(64)});
+  traces.push_back({"lulesh125", record_lulesh(125)});
+  traces.push_back({"nbc64", record_world(64, "opportunistic", nbc_world)});
+  traces.push_back(
+      {"probe64", record_world(64, "blocking-only", kitchen_sink)});
+  for (const Traced& t : traces) {
+    ASSERT_GE(t.tf.total_events(), support::kParallelMinWork) << t.name;
+  }
+  // Error texts: a rank whose stream ends early stalls its peers, and a
+  // drop plan loses a message.
+  trace::TraceFile truncated = traces[3].tf;
+  auto& events = truncated.ranks[5].events;
+  events.resize(events.size() / 2);
+
+  std::vector<std::string> serial;
+  for (int width = 1; width <= 4; ++width) {
+    const WorkersEnv env(width);
+    std::vector<std::string> got;
+    for (const Traced& t : traces) {
+      for (std::string& text : walk_outputs(t.tf)) {
+        got.push_back(std::move(text));
+      }
+    }
+    got.push_back(output_or_error([&] {
+      return trace::render_csv(
+          trace::replay(truncated, truncated.header.machine, {}), std::nullopt);
+    }));
+    got.push_back(output_or_error([&] {
+      trace::ReplayOptions lossy;
+      lossy.faults = mpisim::faults::FaultPlan::parse("drop:p=0.9");
+      return trace::render_csv(
+          trace::replay(traces[4].tf, traces[4].tf.header.machine, lossy),
+          std::nullopt);
+    }));
+    if (width == 1) {
+      serial = std::move(got);
+      EXPECT_NE(serial[serial.size() - 2].find("dependency stall"),
+                std::string::npos)
+          << serial[serial.size() - 2];
+      EXPECT_NE(serial.back().find("lost under the fault plan"),
+                std::string::npos)
+          << serial.back();
+      continue;
+    }
+    ASSERT_EQ(got.size(), serial.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], serial[i]) << "width " << width << ", output " << i;
+    }
+  }
+}
+
+/// Threads of this process, from /proc/self/task.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Records the threads a walk's hooks run on and the most threads the
+/// process had while it walked.
+struct ThreadProbe : trace::WalkObserver {
+  std::set<std::thread::id>* ids;
+  std::size_t* most;
+  void on_event(int, const auto&, const trace::Event&, const auto&) {
+    ids->insert(std::this_thread::get_id());
+    *most = std::max(*most, thread_count());
+  }
+};
+
+// On one allowed CPU the CPU budget is one: a walk and a parallel_for run
+// on the calling thread alone and start no thread.
+TEST(Replay, OneCpuStartsNoHelperThread) {
+  cpu_set_t saved;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+  const WorkersEnv env(4);  // a cap above the mask changes nothing
+  EXPECT_EQ(support::usable_cores(), 1);
+  const trace::TraceFile& tf = conv64("blocking-only");
+  ASSERT_GE(tf.total_events(), support::kParallelMinWork);
+  const std::size_t threads = thread_count();
+  std::set<std::thread::id> ids;
+  std::size_t most = 0;
+  trace::Walker<1> walker(
+      tf, {trace::Frame{&tf.header.machine.net, tf.header.progress}}, "probe");
+  ThreadProbe probe{{}, &ids, &most};
+  walker.run(probe);
+  std::vector<int> hits(1000, 0);
+  support::parallel_for(hits.size(), support::kParallelMinWork,
+                        [&](std::size_t i) {
+                          ids.insert(std::this_thread::get_id());
+                          most = std::max(most, thread_count());
+                          ++hits[i];
+                        });
+  EXPECT_EQ(ids, std::set<std::thread::id>{std::this_thread::get_id()});
+  EXPECT_EQ(most, threads);
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 1000);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof saved, &saved), 0);
 }
 
 }  // namespace

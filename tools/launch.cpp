@@ -85,6 +85,23 @@ int int_flag(const support::ArgParser& args, const std::string& name) {
   throw std::logic_error("launch::int_flag: no bound for --" + name);
 }
 
+std::uint64_t uint_flag(const support::ArgParser& args,
+                        const std::string& name, std::int64_t lo,
+                        std::int64_t hi) {
+  const long long v = args.get_int(name);
+  // Past 2^53 a long long rounds on its way to double, possibly onto the
+  // bound: such a value is out of range however it rounds.
+  const double d = v > hi ? std::numeric_limits<double>::infinity()
+                          : static_cast<double>(v);
+  return static_cast<std::uint64_t>(
+      support::check_int(name.c_str(), d, lo, hi));
+}
+
+std::uint64_t seed_flag(const support::ArgParser& args,
+                        const std::string& name) {
+  return uint_flag(args, name, 0, support::kMaxExactInt);
+}
+
 Body app(const std::string& name, const AppSize& sz, int ranks) {
   if (name == "convolution") {
     apps::conv::ConvolutionConfig cfg;
@@ -92,6 +109,14 @@ Body app(const std::string& name, const AppSize& sz, int ranks) {
     if (sz.size > 0) {
       cfg.width = sz.size * 100;
       cfg.height = sz.size * 75;
+    }
+    // The row decomposition's own rule, checked before any world exists
+    // (inside it, every rank would raise it).
+    if (ranks > cfg.height) {
+      throw std::invalid_argument(
+          "convolution needs at most one rank per image row: --ranks " +
+          std::to_string(ranks) + " exceeds the " + std::to_string(cfg.height) +
+          " rows");
     }
     cfg.full_fidelity = false;
     return [app = std::make_shared<apps::conv::ConvolutionApp>(cfg)](
@@ -119,7 +144,7 @@ Body app(const std::string& name, const AppSize& sz, int ranks) {
 std::unique_ptr<mpisim::World> world(const support::ArgParser& args,
                                      int ranks, mpisim::WorldOptions opts) {
   opts.machine = model(args.get_string("model"));
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  opts.seed = seed_flag(args, "seed");
   auto w = mpisim::Session(ranks, std::move(opts))
                .world_builder()
                .exec_spec(args.get_string("exec"))

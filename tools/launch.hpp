@@ -13,6 +13,7 @@
 // Errors are exceptions with a one-line message; guarded_main prints them.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -43,6 +44,17 @@ int guarded_main(const char* tool, int (*run)(int, char**), int argc,
 [[nodiscard]] int int_flag(const support::ArgParser& args,
                            const std::string& name);
 
+/// An unsigned integer flag (a seed, a count) checked by support::check_int
+/// to lie in [lo, hi]; the error names the flag.
+[[nodiscard]] std::uint64_t uint_flag(const support::ArgParser& args,
+                                      const std::string& name, std::int64_t lo,
+                                      std::int64_t hi);
+
+/// A seed flag: an integer in [0, 2^53] (support::kMaxExactInt), the
+/// daemon's seed bound.
+[[nodiscard]] std::uint64_t seed_flag(const support::ArgParser& args,
+                                      const std::string& name);
+
 /// What sizes an app run. A tool without --size/--threads passes 0/1.
 struct AppSize {
   int steps = 0;
@@ -51,11 +63,13 @@ struct AppSize {
 };
 
 /// The modeled convolution or lulesh app, sized by `sz`. Throws for an
-/// unknown app, and for lulesh on a non-cube `ranks`, before any world.
+/// unknown app, for lulesh on a non-cube `ranks` and for convolution on
+/// more ranks than image rows, before any world.
 [[nodiscard]] Body app(const std::string& name, const AppSize& sz, int ranks);
 
 /// Session -> exec_spec(--exec) -> build -> SectionRuntime::install, with
-/// the --model preset (an unknown name throws) and --seed filled into
+/// the --model preset (an unknown name throws) and --seed (seed_flag)
+/// filled into
 /// `opts`; the caller sets any other field.
 [[nodiscard]] std::unique_ptr<mpisim::World> world(
     const support::ArgParser& args, int ranks, mpisim::WorldOptions opts = {});

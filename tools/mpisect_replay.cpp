@@ -45,6 +45,10 @@ namespace {
 
 using namespace mpisect;
 
+/// Largest --chunk-events: a chunk is decoded whole, and 2^24 events are
+/// 1 GiB of decoded events.
+constexpr std::int64_t kMaxChunkEvents = std::int64_t{1} << 24;
+
 /// Atomic: a failed or interrupted write never leaves a truncated file at
 /// `path` (which mpisect-serve would otherwise load and pin).
 void save_bytes(const std::vector<std::uint8_t>& bytes,
@@ -110,9 +114,7 @@ serve::ModelParams model_params(const support::ArgParser& args) {
   p.bandwidth_scale = args.get_double("bandwidth-scale");
   p.jitter_scale = args.get_double("jitter-scale");
   p.no_jitter = args.get_flag("no-jitter");
-  p.eager = static_cast<std::uint64_t>(serve::check_int(
-      "eager", static_cast<double>(args.get_int("eager")), 0,
-      serve::kMaxExactInt));
+  p.eager = launch::uint_flag(args, "eager", 0, support::kMaxExactInt);
   p.compute_scale = args.get_string("compute-scale");
   p.progress = args.get_string("progress");
   serve::check_model_params(p);
@@ -201,7 +203,7 @@ int cmd_replay(int argc, const char* const* argv) {
   serve::ReplayQuery q;
   q.model = model_params(args);
   q.faults = args.get_string("faults");
-  q.fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
+  q.fault_seed = launch::seed_flag(args, "fault-seed");
   q.format = support::unified_export(args);
   q.tseq = serve::check_num("tseq", args.get_double("tseq"),
                             serve::NumRange::NonNegative);
@@ -236,7 +238,7 @@ int cmd_timeline(int argc, const char* const* argv) {
   serve::TimelineQuery q;
   q.model = model_params(args);
   q.faults = args.get_string("faults");
-  q.fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
+  q.fault_seed = launch::seed_flag(args, "fault-seed");
   q.dt = serve::check_num("dt", args.get_double("dt"),
                           serve::NumRange::NonNegative);
   q.format = support::unified_export(args);
@@ -295,7 +297,7 @@ int cmd_sweep(int argc, const char* const* argv) {
   q.compute_scales = split_csv(args.get_string("compute-scales"));
   q.drop_rates = parse_grid(args, "drop-rates");
   q.progress = split_csv(args.get_string("progress"));
-  q.fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
+  q.fault_seed = launch::seed_flag(args, "fault-seed");
   q.tseq = serve::check_num("tseq", args.get_double("tseq"),
                             serve::NumRange::NonNegative);
   // run_sweep checks the grid too; checking first skips loading the trace.
@@ -310,14 +312,15 @@ int cmd_compress(int argc, const char* const* argv) {
                           "Re-encode a trace as a compressed .mpstz container");
   args.add_string("in", "trace.mpst", "input trace (.mpst | .mpstz)");
   args.add_string("out", "trace.mpstz", "output .mpstz container");
-  args.add_int("chunk-events", 16384, "events per chunk (seek granularity)");
+  args.add_int("chunk-events", 16384,
+               "events per chunk, 1.." + std::to_string(kMaxChunkEvents) +
+                   " (seek granularity)");
   if (!launch::parse(args, argc, argv)) return 1;
 
-  const trace::TraceFile tf = codec::load_trace(args.get_string("in"));
   codec::CompressOptions opts;
-  if (args.get_int("chunk-events") > 0) {
-    opts.chunk_events = static_cast<std::uint64_t>(args.get_int("chunk-events"));
-  }
+  opts.chunk_events =
+      launch::uint_flag(args, "chunk-events", 1, kMaxChunkEvents);
+  const trace::TraceFile tf = codec::load_trace(args.get_string("in"));
   const std::size_t flat = tf.encode().size();
   const std::vector<std::uint8_t> packed = codec::compress(tf, opts);
   save_bytes(packed, args.get_string("out"));

@@ -36,3 +36,37 @@ endforeach()
 expect_rejected("mpisect-replay replay --eager -1"
   "^mpisect-replay: param 'eager' must be an integer in \\[0, 9007199254740992\\]\n$"
   ${REPLAY} replay --trace no-such-trace.mpst --eager -1)
+# Past 2^53 a flag value rounds on its way to double, possibly onto the
+# bound: 2^53 + 1 must be rejected, not read as 2^53.
+expect_rejected("mpisect-replay replay --eager 9007199254740993"
+  "^mpisect-replay: param 'eager' must be an integer in \\[0, 9007199254740992\\]\n$"
+  ${REPLAY} replay --trace no-such-trace.mpst --eager 9007199254740993)
+# Seeds and counts go through support::check_int like the daemon's params,
+# before the trace is read: on a real trace, --fault-seed -1 used to run
+# with seed 2^64 - 1 and --chunk-events 0 silently meant 16384 (exit 0).
+set(trace "${CMAKE_CURRENT_BINARY_DIR}/numeric_flag_garbage.mpst")
+execute_process(
+  COMMAND ${REPLAY} record --app convolution --ranks 2 --steps 1
+          --out ${trace}
+  OUTPUT_QUIET RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "recording ${trace} failed: exit ${rc}")
+endif()
+foreach(sub replay timeline sweep)
+  expect_rejected("mpisect-replay ${sub} --fault-seed -1"
+    "^mpisect-replay: param 'fault-seed' must be an integer in \\[0, 9007199254740992\\]\n$"
+    ${REPLAY} ${sub} --trace ${trace} --fault-seed -1)
+endforeach()
+expect_rejected("mpisect-report --seed -1"
+  "^mpisect-report: param 'seed' must be an integer in \\[0, 9007199254740992\\]\n$"
+  ${REPORT} --app convolution --ranks 2 --steps 1 --seed -1)
+expect_rejected("mpisect-replay record --seed 9007199254740993"
+  "^mpisect-replay: param 'seed' must be an integer in \\[0, 9007199254740992\\]\n$"
+  ${REPLAY} record --app convolution --ranks 2 --steps 1
+  --seed 9007199254740993 --out ${trace}.unused)
+foreach(v 0 -1 16777217)
+  expect_rejected("mpisect-replay compress --chunk-events ${v}"
+    "^mpisect-replay: param 'chunk-events' must be an integer in \\[1, 16777216\\]\n$"
+    ${REPLAY} compress --in ${trace} --out ${trace}z --chunk-events ${v})
+endforeach()
+file(REMOVE ${trace} ${trace}z ${trace}.unused)
