@@ -18,6 +18,7 @@
 
 #include "core/sections/api.hpp"
 #include "mpisim/session.hpp"
+#include "mpisim/toolstack.hpp"
 #include "support/strings.hpp"
 
 using namespace mpisect;
@@ -28,28 +29,32 @@ namespace {
 
 /// Tool 2: flags slow section instances using only the enter/leave
 /// callbacks and the 32-byte payload the runtime preserves between them.
-class SlowInstanceDetector {
+class SlowInstanceDetector final : public mpisim::hooks::Tool {
  public:
   SlowInstanceDetector(mpisim::World& world, double threshold_s)
-      : threshold_(threshold_s) {
-    world.hooks().section_enter_cb = [](Ctx& ctx, Comm&, const char*,
-                                        char* data) {
-      const double now = ctx.now();
-      std::memcpy(data, &now, sizeof now);
-    };
-    world.hooks().section_leave_cb = [this](Ctx& ctx, Comm&,
-                                            const char* label, char* data) {
-      double entered = 0.0;
-      std::memcpy(&entered, data, sizeof entered);
-      const double took = ctx.now() - entered;
-      if (took > threshold_) {
-        const std::lock_guard lock(mu_);
-        reports_.push_back("rank " + std::to_string(ctx.rank()) +
-                           ": section '" + label + "' took " +
-                           support::fmt_seconds(took) + " (threshold " +
-                           support::fmt_seconds(threshold_) + ")");
-      }
-    };
+      : world_(world), threshold_(threshold_s) {
+    world_.tool_stack().attach(this, mpisim::hooks::kOrderProfiler);
+  }
+  ~SlowInstanceDetector() override { world_.tool_stack().detach(this); }
+  SlowInstanceDetector(const SlowInstanceDetector&) = delete;
+  SlowInstanceDetector& operator=(const SlowInstanceDetector&) = delete;
+
+  void on_section_enter(Ctx& ctx, Comm&, const char*, char* data) override {
+    const double now = ctx.now();
+    std::memcpy(data, &now, sizeof now);
+  }
+  void on_section_leave(Ctx& ctx, Comm&, const char* label,
+                        char* data) override {
+    double entered = 0.0;
+    std::memcpy(&entered, data, sizeof entered);
+    const double took = ctx.now() - entered;
+    if (took > threshold_) {
+      const std::lock_guard lock(mu_);
+      reports_.push_back("rank " + std::to_string(ctx.rank()) +
+                         ": section '" + label + "' took " +
+                         support::fmt_seconds(took) + " (threshold " +
+                         support::fmt_seconds(threshold_) + ")");
+    }
   }
 
   void print() const {
@@ -58,6 +63,7 @@ class SlowInstanceDetector {
   }
 
  private:
+  mpisim::World& world_;
   double threshold_;
   mutable std::mutex mu_;
   std::vector<std::string> reports_;

@@ -62,7 +62,11 @@ typedef void (*MPIX_Section_exit_cb)(MPIX_Comm comm, const char* label,
 typedef MPIX_Section_exit_cb MPIX_Section_leave_cb;
 
 /* Register (or, with NULLs, reset) the callback pair on the world that
- * owns `comm`. Returns MPIX_SECTION_OK or MPIX_SECTION_ERR_COMM. */
+ * owns `comm`. The enter callback fires before the world's attached tools
+ * (C++ hooks::Tool objects), the exit callback after them; registering
+ * leaves those tools attached. Any rank may register while others enter
+ * and exit sections. Returns MPIX_SECTION_OK, MPIX_SECTION_ERR_COMM, or
+ * MPIX_SECTION_ERR_NO_RUNTIME when no section runtime is installed. */
 int MPIX_Section_set_callbacks(MPIX_Comm comm, MPIX_Section_enter_cb on_enter,
                                MPIX_Section_exit_cb on_exit);
 

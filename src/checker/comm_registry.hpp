@@ -1,7 +1,7 @@
 // Communicator bookkeeping built from CommLifecycle hook events.
 //
 // mpicheck learns about every communicator the application creates through
-// HookTable::on_comm_create — world creation, split, dup — with zero app
+// hooks::Tool::on_comm_create — world creation, split, dup — with zero app
 // cooperation. The registry answers the two questions the analyses need:
 //   * group resolution: which world rank is comm rank k of context c?
 //     (the wait-for graph runs on world ranks; CallInfo peers are comm

@@ -49,18 +49,4 @@ std::size_t DiagnosticSink::count(Category c) const {
   return n;
 }
 
-std::size_t DiagnosticSink::error_count() const {
-  const std::lock_guard lock(mu_);
-  std::size_t n = 0;
-  for (const auto& d : diags_) {
-    if (d.severity == Severity::Error) ++n;
-  }
-  return n;
-}
-
-void DiagnosticSink::clear() {
-  const std::lock_guard lock(mu_);
-  diags_.clear();
-}
-
 }  // namespace mpisect::checker

@@ -57,8 +57,6 @@ class DiagnosticSink {
   [[nodiscard]] std::vector<Diagnostic> diagnostics() const;
   [[nodiscard]] std::size_t count() const;
   [[nodiscard]] std::size_t count(Category c) const;
-  [[nodiscard]] std::size_t error_count() const;
-  void clear();
 
  private:
   mutable std::mutex mu_;

@@ -19,7 +19,6 @@ void WaitGraph::block(int rank, mpisim::MpiCall call, int comm_context,
   st.peer_world = peer_world;
   st.t_virtual = t_virtual;
   if (st.collective) st.coll_ordinal = st.coll_done[comm_context];
-  ++progress_;
 }
 
 void WaitGraph::unblock(int rank, mpisim::MpiCall call, int comm_context) {
@@ -27,35 +26,18 @@ void WaitGraph::unblock(int rank, mpisim::MpiCall call, int comm_context) {
   auto& st = states_[static_cast<std::size_t>(rank)];
   st.phase = RankWaitState::Phase::Running;
   if (mpisim::is_collective(call)) ++st.coll_done[comm_context];
-  ++progress_;
 }
 
 void WaitGraph::set_running(int rank) {
   const std::lock_guard lock(mu_);
   auto& st = states_[static_cast<std::size_t>(rank)];
   st = RankWaitState{};  // fresh run: clear Finished and collective counters
-  ++progress_;
 }
 
 void WaitGraph::set_finished(int rank) {
   const std::lock_guard lock(mu_);
   states_[static_cast<std::size_t>(rank)].phase =
       RankWaitState::Phase::Finished;
-  ++progress_;
-}
-
-std::uint64_t WaitGraph::progress() const {
-  const std::lock_guard lock(mu_);
-  return progress_;
-}
-
-int WaitGraph::blocked_count() const {
-  const std::lock_guard lock(mu_);
-  int n = 0;
-  for (const auto& st : states_) {
-    if (st.phase == RankWaitState::Phase::Blocked) ++n;
-  }
-  return n;
 }
 
 std::vector<RankWaitState> WaitGraph::snapshot() const {

@@ -63,10 +63,6 @@ class WaitGraph {
   [[nodiscard]] int size() const noexcept {
     return static_cast<int>(nranks_);
   }
-  /// Monotonic counter bumped on every state transition (diagnostic; the
-  /// old sampling watchdog used it, quiescence is now proven exactly).
-  [[nodiscard]] std::uint64_t progress() const;
-  [[nodiscard]] int blocked_count() const;
   [[nodiscard]] std::vector<RankWaitState> snapshot() const;
 
   struct Cycle {
@@ -85,7 +81,6 @@ class WaitGraph {
   std::size_t nranks_;
   mutable std::mutex mu_;
   std::vector<RankWaitState> states_;
-  std::uint64_t progress_ = 0;
 };
 
 }  // namespace mpisect::checker

@@ -16,9 +16,4 @@ int MPIX_Section_exit(mpisim::Comm& comm, const char* label) {
   return rt->exit(comm.ctx(), comm, label);
 }
 
-void reset_section_callbacks(mpisim::World& world) {
-  world.hooks().section_enter_cb = nullptr;
-  world.hooks().section_leave_cb = nullptr;
-}
-
 }  // namespace mpisect::sections

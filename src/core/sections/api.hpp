@@ -10,11 +10,13 @@
 //   int MPIX_Section_enter_cb(MPI_Comm comm, const char *label, char data[32]);
 //   int MPIX_Section_leave_cb(MPI_Comm comm, const char *label, char data[32]);
 //
-// which tools override through the world's HookTable (the PMPI analogue in
-// this runtime). A ScopedSection RAII helper is provided for C++ call
-// sites; the paper's point that "application programmers are only required
-// to manipulate two function calls" is preserved — the free functions are
-// the canonical interface.
+// which a C++ tool "redefines" by overriding hooks::Tool::on_section_enter /
+// on_section_leave and attaching to the world's ToolStack (the PMPI
+// analogue in this runtime); a plain-C tool registers a function pair with
+// MPIX_Section_set_callbacks. A ScopedSection RAII helper is provided for
+// C++ call sites; the paper's point that "application programmers are only
+// required to manipulate two function calls" is preserved — the free
+// functions are the canonical interface.
 //
 // The stable public ABI lives in include/mpix_section.h (plain C); the
 // overloads here are the typed C++ view of the same functions, and
@@ -34,13 +36,6 @@ int MPIX_Section_enter(mpisim::Comm& comm, const char* label);
 
 /// Leave an MPI Section — non-blocking collective on `comm`.
 int MPIX_Section_exit(mpisim::Comm& comm, const char* label);
-
-/// Install the default (empty) PMPI-level callbacks. A tool "redefines"
-/// the callbacks by assigning world.hooks().section_enter_cb/leave_cb;
-/// this helper resets them to the runtime's empty PMPI versions
-/// ("their PMPI version being possibly empty if the runtime ignores such
-/// events" — paper Sec. 4).
-void reset_section_callbacks(mpisim::World& world);
 
 /// The opaque C handle for `comm`, as taken by the extern "C" entry points
 /// of include/mpix_section.h. Valid for the lifetime of `comm`.

@@ -7,7 +7,6 @@
 #include "core/sections/runtime.hpp"
 #include "mpisim/comm.hpp"
 #include "mpisim/hooks.hpp"
-#include "mpisim/runtime.hpp"
 
 namespace {
 
@@ -42,29 +41,14 @@ extern "C" int MPIX_Section_exit(MPIX_Comm comm, const char* label) {
   return sec::MPIX_Section_exit(*unwrap(comm), label);
 }
 
-// Writes the raw HookTable slots, so it follows the same rule as any raw
-// hook user: register before tools attach to the world's ToolStack — the
-// stack captures raw hooks as its innermost base layer at creation.
+// The pair lives in the world's SectionRuntime: enter fires it before the
+// attached tools, exit after them, and setting it leaves the tools attached.
 extern "C" int MPIX_Section_set_callbacks(MPIX_Comm comm,
                                           MPIX_Section_enter_cb on_enter,
                                           MPIX_Section_exit_cb on_exit) {
   if (comm == nullptr || !unwrap(comm)->valid()) return MPIX_SECTION_ERR_COMM;
-  sim::HookTable& hooks = unwrap(comm)->ctx().world().hooks();
-  if (on_enter == nullptr) {
-    hooks.section_enter_cb = nullptr;
-  } else {
-    hooks.section_enter_cb = [on_enter](sim::Ctx&, sim::Comm& c,
-                                        const char* label, char* data) {
-      on_enter(mpisect::sections::mpix_handle(c), label, data);
-    };
-  }
-  if (on_exit == nullptr) {
-    hooks.section_leave_cb = nullptr;
-  } else {
-    hooks.section_leave_cb = [on_exit](sim::Ctx&, sim::Comm& c,
-                                       const char* label, char* data) {
-      on_exit(mpisect::sections::mpix_handle(c), label, data);
-    };
-  }
+  auto* const rt = sec::SectionRuntime::find(unwrap(comm)->ctx().world());
+  if (rt == nullptr) return MPIX_SECTION_ERR_NO_RUNTIME;
+  rt->set_c_callbacks(on_enter, on_exit);
   return MPIX_SECTION_OK;
 }

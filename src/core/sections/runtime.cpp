@@ -1,5 +1,6 @@
 #include "core/sections/runtime.hpp"
 
+#include "core/sections/api.hpp"
 #include "support/log.hpp"
 
 namespace mpisect::sections {
@@ -24,8 +25,8 @@ namespace {
 /// correctness tools hook this to turn runtime rejections into findings).
 int fire_section_error(mpisim::Ctx& ctx, mpisim::Comm& comm,
                        const char* label, int code) {
-  auto& cb = ctx.world().hooks().section_error_cb;
-  if (cb) cb(ctx, comm, label, code);
+  ctx.world().tool_stack().notify(&mpisim::hooks::Tool::on_section_error,
+                                  ctx, comm, label, code);
   return code;
 }
 
@@ -109,10 +110,15 @@ int SectionRuntime::enter(mpisim::Ctx& ctx, mpisim::Comm& comm,
     if (rc != kSectionOk) return fire_section_error(ctx, comm, label, rc);
   }
 
-  // Tool notification (MPIX_Section_enter_cb, paper Fig. 2). The data
-  // pointer aliases the stack slot so the payload survives to the exit.
-  auto& cb = ctx.world().hooks().section_enter_cb;
-  if (cb) cb(ctx, comm, label, stack.back().data.data());
+  // Tool notification (MPIX_Section_enter_cb, paper Fig. 2): the C
+  // callback first, then the attached tools. The data pointer aliases the
+  // stack slot so the payload survives to the exit.
+  char* const data = stack.back().data.data();
+  if (const auto cb = c_enter_.load()) {
+    cb(mpix_handle(comm), label, data);
+  }
+  ctx.world().tool_stack().notify(&mpisim::hooks::Tool::on_section_enter, ctx,
+                                  comm, label, data);
   return kSectionOk;
 }
 
@@ -150,8 +156,13 @@ int SectionRuntime::exit(mpisim::Ctx& ctx, mpisim::Comm& comm,
     }
   }
 
-  auto& cb = ctx.world().hooks().section_leave_cb;
-  if (cb) cb(ctx, comm, label, stack.back().data.data());
+  // The attached tools in reverse, then the C callback (it entered first).
+  char* const data = stack.back().data.data();
+  ctx.world().tool_stack().notify_reverse(
+      &mpisim::hooks::Tool::on_section_leave, ctx, comm, label, data);
+  if (const auto cb = c_exit_.load()) {
+    cb(mpix_handle(comm), label, data);
+  }
   stack.pop_back();
   return kSectionOk;
 }
@@ -162,13 +173,6 @@ std::vector<ActiveSection> SectionRuntime::stack_snapshot(
   const auto it = st.stacks.find(comm.context_id());
   if (it == st.stacks.end()) return {};
   return it->second;
-}
-
-int SectionRuntime::open_depth(const mpisim::Ctx& ctx,
-                               const mpisim::Comm& comm) const {
-  const auto& st = state_of(ctx);
-  const auto it = st.stacks.find(comm.context_id());
-  return it == st.stacks.end() ? 0 : static_cast<int>(it->second.size());
 }
 
 std::string SectionRuntime::stack_string(const mpisim::Ctx& ctx,

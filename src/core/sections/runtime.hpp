@@ -3,9 +3,9 @@
 // A *section* is "a temporal outline of a distributed code region entered by
 // all the MPI processes belonging to a given communicator". Entering and
 // leaving are non-blocking collective calls: each rank records only local
-// state (a per-communicator stack) and the runtime notifies tools through
-// the PMPI-interceptable callbacks of hooks.hpp, passing 32 bytes of tool
-// payload preserved from enter to leave.
+// state (a per-communicator stack) and the runtime notifies the world's
+// hooks::ToolStack (and the C callbacks of MPIX_Section_set_callbacks),
+// passing 32 bytes of tool payload preserved from enter to leave.
 //
 // Invariants enforced (paper: "sections are always perfectly nested,
 // entered in the same order and exited in the opposite order"):
@@ -39,6 +39,7 @@
 #include "mpisim/hooks.hpp"
 #include "mpisim/lane_table.hpp"
 #include "mpisim/runtime.hpp"
+#include "mpix_section.h"
 
 namespace mpisect::sections {
 
@@ -99,16 +100,20 @@ class SectionRuntime final : public mpisim::Extension {
 
   [[nodiscard]] LabelRegistry& labels() noexcept { return labels_; }
 
+  /// The C tool callbacks of MPIX_Section_set_callbacks (nullptr = none).
+  /// Any rank may set them while others fire them: the enter callback runs
+  /// before the attached tools, the exit callback after them.
+  void set_c_callbacks(MPIX_Section_enter_cb on_enter,
+                       MPIX_Section_exit_cb on_exit) noexcept {
+    c_enter_.store(on_enter);
+    c_exit_.store(on_exit);
+  }
+
   /// Snapshot of the calling rank's open-section stack on `comm` —
   /// innermost last. This is the "debugger would tell you the bug is in
   /// the communication section" use case (paper Sec. 5.3).
   [[nodiscard]] std::vector<ActiveSection> stack_snapshot(
       const mpisim::Ctx& ctx, const mpisim::Comm& comm) const;
-  /// Nesting depth of the calling rank's open-section stack on `comm`
-  /// (counts the implicit MPI_MAIN on the world communicator). Exposed so
-  /// correctness tools can lint section usage without a shadow stack.
-  [[nodiscard]] int open_depth(const mpisim::Ctx& ctx,
-                               const mpisim::Comm& comm) const;
   /// Human-readable " / "-joined stack labels for the calling rank.
   [[nodiscard]] std::string stack_string(const mpisim::Ctx& ctx,
                                          const mpisim::Comm& comm) const;
@@ -138,6 +143,8 @@ class SectionRuntime final : public mpisim::Extension {
   LabelRegistry labels_;
   std::vector<RankState> ranks_;  ///< indexed by world rank, owner-only access
   std::atomic<bool> validate_{false};
+  std::atomic<MPIX_Section_enter_cb> c_enter_{nullptr};
+  std::atomic<MPIX_Section_exit_cb> c_exit_{nullptr};
 };
 
 }  // namespace mpisect::sections

@@ -46,11 +46,10 @@ RegionCharge Team::charge_region(double serial_seconds,
   const double t_before = ctx_.now();
   // Charge through Ctx::compute so the machine's compute noise applies.
   ctx_.compute(charge.total());
-  if (auto& tap = ctx_.world().trace_tap().on_omp_region) {
-    tap(ctx_, mpisim::TapOmpRegion{threads_, serial_seconds, charge.compute,
-                                   charge.imbalance, charge.overhead,
-                                   t_before});
-  }
+  ctx_.world().tool_stack().notify(
+      &mpisim::hooks::Tool::on_omp_region, ctx_,
+      mpisim::TapOmpRegion{threads_, serial_seconds, charge.compute,
+                           charge.imbalance, charge.overhead, t_before});
   return charge;
 }
 

@@ -154,10 +154,10 @@ Message* raw_start_send(Ctx& ctx, CommImpl& impl, int my_rank,
 
   const std::size_t depth = impl.channel(dst).deposit(msg);
   channel_done = depth == 0;
-  if (auto& tap = ctx.world().trace_tap().on_send_post) {
-    tap(ctx, TapSend{msg, impl.context_id(), gsrc, gdst, tag, bytes, seq, op,
-                     t_before, depth});
-  }
+  ctx.world().tool_stack().notify(
+      &hooks::Tool::on_send_post, ctx,
+      TapSend{msg, impl.context_id(), gsrc, gdst, tag, bytes, seq, op,
+              t_before, depth});
 
   if (fe != nullptr && (fate.lost || fate.attempts > 1 || fate.duplicate)) {
     if (fate.duplicate && !fe->dedup_duplicates() && !fate.lost) {
@@ -172,7 +172,7 @@ Message* raw_start_send(Ctx& ctx, CommImpl& impl, int my_rank,
       copy->t_avail = copy->t_send_start + copy->wire_cost;
       impl.channel(dst).deposit(copy);
     }
-    if (auto& ftap = ctx.world().trace_tap().on_fault) {
+    if (auto& tools = ctx.world().tool_stack(); !tools.empty()) {
       TapFault tf;
       tf.kind = fate.lost ? FaultKind::Loss
                 : fate.attempts > 1 ? FaultKind::Drop
@@ -184,7 +184,7 @@ Message* raw_start_send(Ctx& ctx, CommImpl& impl, int my_rank,
       tf.attempts = fate.attempts;
       tf.seconds = fate.extra_delay;
       tf.t = ctx.now();
-      ftap(ctx, tf);
+      tools.notify(&hooks::Tool::on_fault, ctx, tf);
     }
   }
   return msg;
@@ -200,9 +200,8 @@ void raw_finish_send(Ctx& ctx, CommImpl& impl, int dst, Message* msg,
     ctx.clock().sync_to(t);
     channel_done = true;
   }
-  if (auto& tap = ctx.world().trace_tap().on_send_wait) {
-    tap(ctx, TapSendWait{msg, t_before});
-  }
+  ctx.world().tool_stack().notify(&hooks::Tool::on_send_wait, ctx,
+                                  TapSendWait{msg, t_before});
   ch.release(msg, channel_done);
 }
 
@@ -217,10 +216,11 @@ PostedRecv* raw_post_recv(Ctx& ctx, CommImpl& impl, int my_rank, void* buf,
   pr->buf = buf;
   pr->max_bytes = max_bytes;
   const std::size_t depth = impl.channel(my_rank).post(pr);
-  if (auto& tap = ctx.world().trace_tap().on_recv_post) {
+  if (auto& tools = ctx.world().tool_stack(); !tools.empty()) {
     const int src_posted =
         src == kAnySource ? kAnySource : impl.group().world_rank(src);
-    tap(ctx, TapRecvPost{pr, impl.context_id(), depth, src_posted, tag});
+    tools.notify(&hooks::Tool::on_recv_post, ctx,
+                 TapRecvPost{pr, impl.context_id(), depth, src_posted, tag});
   }
   return pr;
 }
@@ -236,10 +236,11 @@ Status raw_finish_recv(Ctx& ctx, CommImpl& impl, int my_rank,
   const std::uint64_t op = ctx.next_op_id();
   ctx.clock().advance(net.cpu_overhead(grank, net.recv_overhead, op, 1));
   st.t_complete = ctx.now();
-  if (auto& tap = ctx.world().trace_tap().on_recv_wait) {
-    tap(ctx, TapRecvWait{pr, impl.context_id(),
-                         impl.group().world_rank(st.source), st.seq, st.bytes,
-                         op, t_before});
+  if (auto& tools = ctx.world().tool_stack(); !tools.empty()) {
+    tools.notify(&hooks::Tool::on_recv_wait, ctx,
+                 TapRecvWait{pr, impl.context_id(),
+                             impl.group().world_rank(st.source), st.seq,
+                             st.bytes, op, t_before});
   }
   ch.release(pr, /*channel_done=*/true);
   return st;
@@ -268,33 +269,31 @@ CallInfo make_info(const Comm& comm, MpiCall call, int peer, std::size_t bytes,
 }
 
 void fire_begin(Ctx& ctx, CallInfo& ci) {
-  auto& hook = ctx.world().hooks().on_call_begin;
-  if (hook) {
+  if (auto& tools = ctx.world().tool_stack(); !tools.empty()) {
     ci.t_virtual = ctx.now();
-    hook(ctx, ci);
+    tools.notify(&hooks::Tool::on_call_begin, ctx, ci);
   }
 }
 
 void fire_end(Ctx& ctx, CallInfo& ci) {
-  auto& hook = ctx.world().hooks().on_call_end;
-  if (hook) {
+  if (auto& tools = ctx.world().tool_stack(); !tools.empty()) {
     ci.t_virtual = ctx.now();
-    hook(ctx, ci);
+    tools.notify_reverse(&hooks::Tool::on_call_end, ctx, ci);
   }
 }
 
 /// Notify tools that the caller became a member of a new communicator.
 void fire_comm_create(Ctx& ctx, CommImpl& impl, int parent_context,
                       int comm_rank) {
-  auto& hook = ctx.world().hooks().on_comm_create;
-  if (!hook) return;
+  auto& tools = ctx.world().tool_stack();
+  if (tools.empty()) return;
   CommLifecycle info;
   info.context = impl.context_id();
   info.parent_context = parent_context;
   info.rank = comm_rank;
   info.size = impl.size();
   info.world_ranks = &impl.group().world_ranks();
-  hook(ctx, info);
+  tools.notify(&hooks::Tool::on_comm_create, ctx, info);
 }
 
 /// RAII begin/end bracket for one intercepted call. Doubles as the MPI-call
@@ -340,9 +339,8 @@ void Comm::charge_collective_entry() {
   const std::uint64_t op = ctx_->next_op_id();
   const double t_before = ctx_->now();
   ctx_->clock().advance(net.cpu_overhead(grank, net.send_overhead, op, 2));
-  if (auto& tap = ctx_->world().trace_tap().on_coll_entry) {
-    tap(*ctx_, op, t_before);
-  }
+  ctx_->world().tool_stack().notify(&hooks::Tool::on_coll_entry, *ctx_, op,
+                                    t_before);
 }
 
 int Comm::next_internal_tag() {
@@ -423,12 +421,13 @@ Status Comm::probe(int src, int tag) {
   const double t_before = ctx_->now();
   const Status st = impl_->channel(rank_).probe(src, tag, ctx_->now());
   ctx_->clock().sync_to(st.t_complete);
-  if (auto& tap = ctx_->world().trace_tap().on_probe) {
+  if (auto& tools = ctx_->world().tool_stack(); !tools.empty()) {
     const int src_posted =
         src == kAnySource ? kAnySource : impl_->group().world_rank(src);
-    tap(*ctx_, TapProbe{impl_->context_id(),
-                        impl_->group().world_rank(st.source), st.seq, t_before,
-                        src_posted, tag});
+    tools.notify(&hooks::Tool::on_probe, *ctx_,
+                 TapProbe{impl_->context_id(),
+                          impl_->group().world_rank(st.source), st.seq,
+                          t_before, src_posted, tag});
   }
   return st;
 }
@@ -513,10 +512,10 @@ Comm::Request Comm::nbc_post(MpiCall call, const void* sendbuf, void* recvbuf,
     contribution.assign(p, p + bytes);
   }
   impl_->nbc_sync().post(gen, rank_, ctx_->now(), std::move(contribution));
-  if (auto& tap = ctx_->world().trace_tap().on_nbc_post) {
-    tap(*ctx_, TapNbcPost{impl_->context_id(), gen, call, size(), bytes,
-                          op_id, t_before});
-  }
+  ctx_->world().tool_stack().notify(
+      &hooks::Tool::on_nbc_post, *ctx_,
+      TapNbcPost{impl_->context_id(), gen, call, size(), bytes, op_id,
+                 t_before});
 
   Request::State* st = ctx_->world().records().requests.acquire();
   st->kind = Request::Kind::Coll;
@@ -558,18 +557,14 @@ Status Comm::Request::wait() {
   require(s_ != nullptr, Err::Arg, "wait on null request");
   if (s_->done) return s_->status;
   Ctx& ctx = *s_->ctx;
-  {
-    CallInfo ci;
-    ci.call = MpiCall::Wait;
-    ci.comm_context = s_->comm_context;
-    ci.rank = s_->comm_rank;
-    ci.comm_size = s_->comm_size;
-    ci.peer = s_->peer;
-    ci.request = s_->id;
-    ci.t_virtual = ctx.now();
-    auto& begin = ctx.world().hooks().on_call_begin;
-    if (begin) begin(ctx, ci);
-  }
+  CallInfo ci;
+  ci.call = MpiCall::Wait;
+  ci.comm_context = s_->comm_context;
+  ci.rank = s_->comm_rank;
+  ci.comm_size = s_->comm_size;
+  ci.peer = s_->peer;
+  ci.request = s_->id;
+  fire_begin(ctx, ci);
   if (s_->kind == Kind::Recv) {
     const double t_before = ctx.now();
     Status st = s_->channel->wait_recv(s_->recv);
@@ -581,10 +576,11 @@ Status Comm::Request::wait() {
         net.cpu_overhead(ctx.rank(), net.recv_overhead, op, 1));
     st.t_complete = ctx.now();
     s_->status = st;
-    if (auto& tap = ctx.world().trace_tap().on_recv_wait) {
-      tap(ctx, TapRecvWait{s_->recv, s_->comm_context,
-                           s_->impl->group().world_rank(st.source), st.seq,
-                           st.bytes, op, t_before});
+    if (auto& tools = ctx.world().tool_stack(); !tools.empty()) {
+      tools.notify(&hooks::Tool::on_recv_wait, ctx,
+                   TapRecvWait{s_->recv, s_->comm_context,
+                               s_->impl->group().world_rank(st.source),
+                               st.seq, st.bytes, op, t_before});
     }
   } else if (s_->kind == Kind::Coll) {
     const double t_wait_entry = ctx.now();
@@ -606,10 +602,9 @@ Status Comm::Request::wait() {
     const double t_done = pm.nbc_complete_time(t_wait_entry, max_post, algo);
     ctx.clock().sync_to(t_done);
     s_->status = Status{kAnySource, -1, s_->nbc->bytes, ctx.now()};
-    if (auto& tap = ctx.world().trace_tap().on_nbc_complete) {
-      tap(ctx, TapNbcComplete{s_->comm_context, s_->nbc->gen, t_wait_entry,
-                              t_done});
-    }
+    ctx.world().tool_stack().notify(
+        &hooks::Tool::on_nbc_complete, ctx,
+        TapNbcComplete{s_->comm_context, s_->nbc->gen, t_wait_entry, t_done});
   } else {
     const double t_before = ctx.now();
     if (s_->msg->rendezvous) {
@@ -619,24 +614,12 @@ Status Comm::Request::wait() {
     }
     s_->status =
         Status{kAnySource, s_->msg->tag, s_->msg->bytes, ctx.now()};
-    if (auto& tap = ctx.world().trace_tap().on_send_wait) {
-      tap(ctx, TapSendWait{s_->msg, t_before});
-    }
+    ctx.world().tool_stack().notify(&hooks::Tool::on_send_wait, ctx,
+                                    TapSendWait{s_->msg, t_before});
   }
   s_->done = true;
   release_record();
-  {
-    CallInfo ci;
-    ci.call = MpiCall::Wait;
-    ci.comm_context = s_->comm_context;
-    ci.rank = s_->comm_rank;
-    ci.comm_size = s_->comm_size;
-    ci.peer = s_->peer;
-    ci.request = s_->id;
-    ci.t_virtual = ctx.now();
-    auto& end = ctx.world().hooks().on_call_end;
-    if (end) end(ctx, ci);
-  }
+  fire_end(ctx, ci);
   return s_->status;
 }
 
@@ -692,9 +675,8 @@ bool Comm::Request::test() {
         break;
     }
   }
-  if (auto& tap = ctx.world().trace_tap().on_request_test) {
-    tap(ctx, TapRequestTest{s_->id, completed, ctx.now()});
-  }
+  ctx.world().tool_stack().notify(&hooks::Tool::on_request_test, ctx,
+                                  TapRequestTest{s_->id, completed, ctx.now()});
   if (completed) {
     s_->test_spins = 0;
   } else if (++s_->test_spins <= kTestSpinBudget) {
@@ -1254,10 +1236,10 @@ Comm Comm::split(int color, int key) {
   double rounds = 1.0;
   for (int k = 1; k < size(); k <<= 1) rounds += 1.0;
   ctx_->clock().sync_to(std::max(t_entry_max, t_publish_max) + rounds * lat);
-  if (auto& tap = ctx_->world().trace_tap().on_comm_sync) {
-    tap(*ctx_, TapCommSync{impl_->context_id(), gen, size(),
-                           static_cast<int>(rounds), t_before});
-  }
+  ctx_->world().tool_stack().notify(
+      &hooks::Tool::on_comm_sync, *ctx_,
+      TapCommSync{impl_->context_id(), gen, size(), static_cast<int>(rounds),
+                  t_before});
 
   if (color < 0) return Comm{};
   // Locate my color and my rank within it.
@@ -1298,9 +1280,9 @@ Comm Comm::dup() {
   const double lat = ctx_->machine().net.inter_node.latency;
   const double t_before = ctx_->now();
   ctx_->clock().sync_to(std::max(t_entry_max, t_publish_max) + lat);
-  if (auto& tap = ctx_->world().trace_tap().on_comm_sync) {
-    tap(*ctx_, TapCommSync{impl_->context_id(), gen, size(), 1, t_before});
-  }
+  ctx_->world().tool_stack().notify(
+      &hooks::Tool::on_comm_sync, *ctx_,
+      TapCommSync{impl_->context_id(), gen, size(), 1, t_before});
   fire_comm_create(*ctx_, *published[0]->at(0), impl_->context_id(), rank_);
   return Comm(ctx_, published[0]->at(0), rank_);
 }
@@ -1313,8 +1295,8 @@ void Comm::free() {
   {
     const HookScope hook(*ctx_,
                          make_info(*this, MpiCall::CommFree, -1, 0, -1));
-    auto& cb = ctx_->world().hooks().on_comm_free;
-    if (cb) cb(*ctx_, context);
+    ctx_->world().tool_stack().notify_reverse(&hooks::Tool::on_comm_free,
+                                              *ctx_, context);
   }
   impl_.reset();
   rank_ = -1;

@@ -43,12 +43,6 @@ void FaultInjector::on_fault(Ctx& ctx, const TapFault& f) {
   log.events.push_back(ev);
 }
 
-std::vector<FaultEvent> FaultInjector::events(int rank) const {
-  const RankLog& log = *logs_.at(static_cast<std::size_t>(rank));
-  const std::lock_guard lock(log.mu);
-  return log.events;
-}
-
 std::size_t FaultInjector::total_events() const {
   std::size_t n = 0;
   for (const auto& log : logs_) {

@@ -58,8 +58,6 @@ class FaultInjector final : public Extension, public hooks::Tool {
   /// Unregister from the world's ToolStack. Idempotent.
   void detach();
 
-  /// Snapshot of `rank`'s event log (program order).
-  [[nodiscard]] std::vector<FaultEvent> events(int rank) const;
   /// Total events observed across all ranks.
   [[nodiscard]] std::size_t total_events() const;
   /// Human-readable digest: the engine's counter summary when a plan is

@@ -34,17 +34,6 @@ const char* mpi_call_name(MpiCall c) noexcept {
   return "MPI_(unknown)";
 }
 
-const char* fault_kind_name(FaultKind k) noexcept {
-  switch (k) {
-    case FaultKind::Drop: return "drop";
-    case FaultKind::Loss: return "loss";
-    case FaultKind::Duplicate: return "duplicate";
-    case FaultKind::Stall: return "stall";
-    case FaultKind::Kill: return "kill";
-  }
-  return "(unknown)";
-}
-
 bool is_collective(MpiCall c) noexcept {
   switch (c) {
     case MpiCall::Barrier:

@@ -1,25 +1,26 @@
-// PMPI-style interposition.
+// Event descriptors of the PMPI-style tool interface.
 //
 // Real MPI tools interpose at link time: the tool defines MPI_Send, the
-// runtime provides PMPI_Send. MiniMPI reproduces that contract with an
-// explicit per-World HookTable: every public entry point dispatches through
-// the table, whose default slots are the runtime's own implementations.
-// A tool installs wrappers and the *application never names the tool* —
-// exactly the decoupling the paper's MPI_Section proposal relies on
-// ("A profiling tool redefining those functions is able to intercept
-// Section events in a straightforward manner").
+// runtime provides PMPI_Send. MiniMPI reproduces that contract with a
+// per-World hooks::ToolStack (toolstack.hpp): every public entry point
+// notifies the attached tools, and the *application never names a tool* —
+// exactly the decoupling the paper's MPI_Section proposal relies on ("A
+// profiling tool redefining those functions is able to intercept Section
+// events in a straightforward manner").
 //
-// Two hook families:
-//   * generic call begin/end notifications carrying a CallInfo descriptor
-//     (what a PMPI wrapper library sees), and
-//   * the paper's Figure 2 section callbacks,
+// This header holds what the tools are told. Two event families:
+//   * the PMPI view: call begin/end notifications carrying a CallInfo
+//     descriptor (what a PMPI wrapper library sees, with collective-
+//     internal traffic hidden), communicator lifecycle, MPI_Pcontrol and
+//     the paper's Figure 2 section callbacks,
 //     MPIX_Section_enter_cb / MPIX_Section_leave_cb(comm, label, data[32]),
-//     with the 32-byte tool payload preserved between enter and leave.
+//     with the 32-byte tool payload preserved between enter and leave;
+//   * the message-level view: one Tap* descriptor per modelled message,
+//     collective entry, MiniOMP region and injected fault.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace mpisect::mpisim {
@@ -99,49 +100,17 @@ struct CommLifecycle {
 /// Size of the tool payload carried across a section's lifetime (Fig. 2).
 inline constexpr std::size_t kSectionDataBytes = 32;
 
-struct HookTable {
-  /// Fired on entry to / exit from every intercepted MPI call.
-  std::function<void(Ctx&, const CallInfo&)> on_call_begin;
-  std::function<void(Ctx&, const CallInfo&)> on_call_end;
-
-  /// MPIX_Section_enter_cb(comm, label, data[32]) — the runtime invokes
-  /// this when a section is entered; `data` points to 32 bytes of mutable
-  /// tool storage preserved until the matching leave callback.
-  std::function<void(Ctx&, Comm&, const char* label, char* data)>
-      section_enter_cb;
-  /// MPIX_Section_leave_cb(comm, label, data[32]).
-  std::function<void(Ctx&, Comm&, const char* label, char* data)>
-      section_leave_cb;
-
-  /// MPI_Pcontrol(level, label) — the IPM-style phase baseline (Sec. 6).
-  std::function<void(Ctx&, int level, const char* label)> on_pcontrol;
-
-  /// Fired on every rank that becomes a member of a new communicator
-  /// (world creation, split, dup) before the creating call returns.
-  std::function<void(Ctx&, const CommLifecycle&)> on_comm_create;
-  /// Fired when a rank frees its handle to communicator `context`.
-  std::function<void(Ctx&, int context)> on_comm_free;
-
-  /// Fired when the sections layer rejects an operation (bad nesting,
-  /// empty stack, cross-rank mismatch, section leaked at finalize). `code`
-  /// is a sections::SectionResult value; `comm` may be invalid for
-  /// invalid-communicator errors.
-  std::function<void(Ctx&, Comm&, const char* label, int code)>
-      section_error_cb;
-};
-
 // ---------------------------------------------------------------------------
-// Trace taps
+// Message-level descriptors
 // ---------------------------------------------------------------------------
 //
-// The HookTable above shows tools what a PMPI wrapper sees: public entry
-// points only, with collective-internal traffic hidden. Trace capture needs
-// the opposite view — every modelled message, with the logical identifiers
-// (per-edge sequence number, per-rank op id) that key the deterministic
-// jitter draws. The TraceTap exposes exactly those identifiers so a recorded
-// skeleton can be re-costed under a different MachineModel and, on the
-// recorded model, reproduce the original virtual timeline bit for bit.
-// Tap callbacks observe and never charge virtual time.
+// The PMPI view above hides collective-internal traffic. Trace capture
+// needs the opposite view — every modelled message, with the logical
+// identifiers (per-edge sequence number, per-rank op id) that key the
+// deterministic jitter draws. The Tap* descriptors expose exactly those
+// identifiers so a recorded skeleton can be re-costed under a different
+// MachineModel and, on the recorded model, reproduce the original virtual
+// timeline bit for bit. Tools observe them and never charge virtual time.
 
 /// A send entered the matching engine. `t_before` is the sender clock before
 /// the send-side CPU overhead was charged with op id `op`.
@@ -267,8 +236,6 @@ enum class FaultKind {
   Kill,       ///< the rank is about to retire mid-run
 };
 
-[[nodiscard]] const char* fault_kind_name(FaultKind k) noexcept;
-
 /// An injected fault materialized. Fired on the rank that owns the event
 /// (the sender for wire faults, the faulting rank for stall/kill), so
 /// fault telemetry stays deterministic. Observational only — by the time
@@ -282,26 +249,6 @@ struct TapFault {
   int attempts = 1;        ///< wire transmissions modelled (Drop/Loss)
   double seconds = 0.0;    ///< retransmit delay / stall duration
   double t = 0.0;          ///< owning rank's clock at the event
-};
-
-/// Message-level observation points (all optional, fired when set).
-struct TraceTap {
-  std::function<void(Ctx&, const TapSend&)> on_send_post;
-  std::function<void(Ctx&, const TapSendWait&)> on_send_wait;
-  std::function<void(Ctx&, const TapRecvPost&)> on_recv_post;
-  std::function<void(Ctx&, const TapRecvWait&)> on_recv_wait;
-  std::function<void(Ctx&, const TapProbe&)> on_probe;
-  std::function<void(Ctx&, const TapRequestTest&)> on_request_test;
-  std::function<void(Ctx&, const TapNbcPost&)> on_nbc_post;
-  std::function<void(Ctx&, const TapNbcComplete&)> on_nbc_complete;
-  std::function<void(Ctx&, const TapCommSync&)> on_comm_sync;
-  /// Collective-entry CPU overhead charged with op id `op`; `t_before` is
-  /// the clock before the charge.
-  std::function<void(Ctx&, std::uint64_t op, double t_before)> on_coll_entry;
-  /// MiniOMP fork/join region charged on the calling rank.
-  std::function<void(Ctx&, const TapOmpRegion&)> on_omp_region;
-  /// An injected fault materialized (see TapFault for the ownership rule).
-  std::function<void(Ctx&, const TapFault&)> on_fault;
 };
 
 }  // namespace mpisect::mpisim

@@ -72,22 +72,6 @@ void reduce_loc(ReduceOp op, const void* in_v, void* inout_v, int count) {
 
 }  // namespace
 
-const char* op_name(ReduceOp op) noexcept {
-  switch (op) {
-    case ReduceOp::Sum: return "MPI_SUM";
-    case ReduceOp::Prod: return "MPI_PROD";
-    case ReduceOp::Max: return "MPI_MAX";
-    case ReduceOp::Min: return "MPI_MIN";
-    case ReduceOp::LAnd: return "MPI_LAND";
-    case ReduceOp::LOr: return "MPI_LOR";
-    case ReduceOp::BAnd: return "MPI_BAND";
-    case ReduceOp::BOr: return "MPI_BOR";
-    case ReduceOp::MaxLoc: return "MPI_MAXLOC";
-    case ReduceOp::MinLoc: return "MPI_MINLOC";
-  }
-  return "MPI_OP_NULL";
-}
-
 bool op_valid(ReduceOp op, Datatype type) noexcept {
   const bool loc_op = op == ReduceOp::MaxLoc || op == ReduceOp::MinLoc;
   if (type == Datatype::DoubleInt) return loc_op;

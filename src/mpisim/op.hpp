@@ -18,8 +18,6 @@ enum class ReduceOp {
   MinLoc, ///< DoubleInt only
 };
 
-[[nodiscard]] const char* op_name(ReduceOp op) noexcept;
-
 /// inout[i] = op(in[i], inout[i]) for count elements. Throws MpiError on an
 /// op/type combination MPI itself forbids (e.g. BAnd on Double).
 void apply_op(ReduceOp op, Datatype type, const void* in, void* inout,

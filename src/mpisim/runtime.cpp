@@ -10,7 +10,6 @@
 
 #include "mpisim/error.hpp"
 #include "mpisim/faults/engine.hpp"
-#include "mpisim/toolstack.hpp"
 #include "obs/counters.hpp"
 #include "obs/spans.hpp"
 #include "support/log.hpp"
@@ -53,11 +52,6 @@ World::World(int nranks, WorldOptions options)
 
 World::~World() = default;
 
-hooks::ToolStack& World::tool_stack() {
-  if (!tool_stack_) tool_stack_ = std::make_unique<hooks::ToolStack>(*this);
-  return *tool_stack_;
-}
-
 void World::attach_extension(std::shared_ptr<Extension> ext) {
   extensions_.push_back(std::move(ext));
 }
@@ -76,11 +70,11 @@ void World::run(const RankMain& rank_main) {
   // The previous run's world communicator dies here; tell lifecycle hooks
   // (comm-leak analyses pair every create with a free) while the clocks
   // still carry that run's final times.
-  if (world_comm_announced_ && hooks_.on_comm_free) {
+  if (world_comm_announced_ && !tool_stack_.empty()) {
     const int old_context = world_comm_->context_id();
     for (int r = 0; r < nranks_; ++r) {
       Ctx ctx(*this, r, clocks_[static_cast<std::size_t>(r)]);
-      hooks_.on_comm_free(ctx, old_context);
+      tool_stack_.notify_reverse(&hooks::Tool::on_comm_free, ctx, old_context);
     }
   }
   world_comm_announced_ = false;
@@ -93,7 +87,7 @@ void World::run(const RankMain& rank_main) {
   world_comm_ =
       std::make_shared<CommImpl>(*this, Group(std::move(all)),
                                  next_context_id());
-  world_comm_announced_ = hooks_.on_comm_create != nullptr;
+  world_comm_announced_ = !tool_stack_.empty();
   for (int r = 0; r < nranks_; ++r) {
     double skew = 0.0;
     if (options_.start_skew_sigma > 0.0) {
@@ -121,37 +115,35 @@ void World::run(const RankMain& rank_main) {
   auto rank_body = [&](int r) {
     Ctx ctx(*this, r, clocks_[static_cast<std::size_t>(r)]);
     try {
-      if (hooks_.on_comm_create) {
+      if (!tool_stack_.empty()) {
         CommLifecycle info;
         info.context = world_comm_->context_id();
         info.parent_context = -1;
         info.rank = r;
         info.size = nranks_;
         info.world_ranks = &world_comm_->group().world_ranks();
-        hooks_.on_comm_create(ctx, info);
-      }
-      {
+        tool_stack_.notify(&hooks::Tool::on_comm_create, ctx, info);
         CallInfo ci;
         ci.call = MpiCall::Init;
         ci.rank = r;
         ci.comm_size = nranks_;
         ci.t_virtual = ctx.now();
-        if (hooks_.on_call_begin) hooks_.on_call_begin(ctx, ci);
-        if (hooks_.on_call_end) hooks_.on_call_end(ctx, ci);
+        tool_stack_.notify(&hooks::Tool::on_call_begin, ctx, ci);
+        tool_stack_.notify_reverse(&hooks::Tool::on_call_end, ctx, ci);
       }
       for (auto& ext : extensions_) ext->on_rank_init(ctx);
       rank_main(ctx);
       for (auto it = extensions_.rbegin(); it != extensions_.rend(); ++it) {
         (*it)->on_rank_finalize(ctx);
       }
-      {
+      if (!tool_stack_.empty()) {
         CallInfo ci;
         ci.call = MpiCall::Finalize;
         ci.rank = r;
         ci.comm_size = nranks_;
         ci.t_virtual = ctx.now();
-        if (hooks_.on_call_begin) hooks_.on_call_begin(ctx, ci);
-        if (hooks_.on_call_end) hooks_.on_call_end(ctx, ci);
+        tool_stack_.notify(&hooks::Tool::on_call_begin, ctx, ci);
+        tool_stack_.notify_reverse(&hooks::Tool::on_call_end, ctx, ci);
       }
       final_times_[static_cast<std::size_t>(r)] = ctx.now();
     } catch (const MpiError& e) {
@@ -268,7 +260,7 @@ void Ctx::fault_checkpoint() {
     tf.seconds = s;
     tf.t = clock_.now();
     clock_.advance(s);
-    if (world_.trace_tap().on_fault) world_.trace_tap().on_fault(*this, tf);
+    world_.tool_stack().notify(&hooks::Tool::on_fault, *this, tf);
   }
   if (fe->kill_due(rank_, clock_.now())) {
     fe->record_kill(rank_, clock_.now());
@@ -276,7 +268,7 @@ void Ctx::fault_checkpoint() {
     tf.kind = FaultKind::Kill;
     tf.src_world = rank_;
     tf.t = clock_.now();
-    if (world_.trace_tap().on_fault) world_.trace_tap().on_fault(*this, tf);
+    world_.tool_stack().notify(&hooks::Tool::on_fault, *this, tf);
     throw MpiError(Err::Killed,
                    "rank " + std::to_string(rank_) +
                        " killed by fault plan at t=" +
@@ -285,18 +277,19 @@ void Ctx::fault_checkpoint() {
 }
 
 void Ctx::pcontrol(int level, const char* label) {
-  // Generic begin/end bracket first (PMPI wrappers see MPI_Pcontrol like
-  // any other entry point; `peer` carries the level).
+  const hooks::ToolStack& tools = world_.tool_stack();
+  if (tools.empty()) return;
+  // Generic begin/end bracket around the Pcontrol event (PMPI wrappers see
+  // MPI_Pcontrol like any other entry point; `peer` carries the level).
   CallInfo ci;
   ci.call = MpiCall::Pcontrol;
   ci.rank = rank_;
   ci.comm_size = world_.size();
   ci.peer = level;
   ci.t_virtual = now();
-  if (world_.hooks().on_call_begin) world_.hooks().on_call_begin(*this, ci);
-  auto& hook = world_.hooks().on_pcontrol;
-  if (hook) hook(*this, level, label);
-  if (world_.hooks().on_call_end) world_.hooks().on_call_end(*this, ci);
+  tools.notify(&hooks::Tool::on_call_begin, *this, ci);
+  tools.notify(&hooks::Tool::on_pcontrol, *this, level, label);
+  tools.notify_reverse(&hooks::Tool::on_call_end, *this, ci);
 }
 
 }  // namespace mpisect::mpisim

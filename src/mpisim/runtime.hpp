@@ -32,6 +32,7 @@
 #include "mpisim/machine.hpp"
 #include "mpisim/progress.hpp"
 #include "mpisim/scheduler.hpp"
+#include "mpisim/toolstack.hpp"
 #include "obs/memory.hpp"
 #include "support/rng.hpp"
 
@@ -39,9 +40,6 @@ namespace mpisect::mpisim {
 
 namespace faults {
 class FaultEngine;
-}
-namespace hooks {
-class ToolStack;
 }
 
 /// Algorithm selection for the rooted block collectives. Linear is the
@@ -112,11 +110,6 @@ class World {
   [[nodiscard]] const ProgressModel& progress() const noexcept {
     return options_.progress;
   }
-  [[nodiscard]] HookTable& hooks() noexcept { return hooks_; }
-  /// Message-level trace taps (see hooks.hpp). Unlike the PMPI-style
-  /// HookTable, taps also observe collective-internal traffic and carry the
-  /// RNG keys (op ids, wire sequence numbers) of every modelled charge.
-  [[nodiscard]] TraceTap& trace_tap() noexcept { return trace_tap_; }
   [[nodiscard]] const support::CounterRng& rng() const noexcept {
     return rng_;
   }
@@ -156,10 +149,10 @@ class World {
     return mem_account_;
   }
 
-  /// The world's tool stack (created on first use). Tools — profiler,
-  /// checker, recorder, sampler, fault injector — register through it
-  /// instead of hand-chaining HookTable/TraceTap slots; see toolstack.hpp.
-  [[nodiscard]] hooks::ToolStack& tool_stack();
+  /// The world's tool stack. Tools — profiler, checker, recorder,
+  /// sampler, fault injector, Pcontrol phases — register through it, and
+  /// every event site of the runtime notifies it; see toolstack.hpp.
+  [[nodiscard]] hooks::ToolStack& tool_stack() noexcept { return tool_stack_; }
 
   void attach_extension(std::shared_ptr<Extension> ext);
 
@@ -217,8 +210,6 @@ class World {
   // the account on destruction, so it must outlive the communicator.
   obs::MemAccount mem_account_{nranks_};
   obs::MemAccount stack_account_{nranks_};
-  HookTable hooks_;
-  TraceTap trace_tap_;
   support::CounterRng rng_;
   std::atomic<bool> aborted_{false};
   std::atomic<int> next_context_{0};
@@ -238,7 +229,7 @@ class World {
   // Declared before extensions_: an extension that is also a tool (the
   // trace recorder) detaches from the stack in its destructor, so the
   // stack must outlive every extension.
-  std::unique_ptr<hooks::ToolStack> tool_stack_;
+  hooks::ToolStack tool_stack_;
   std::vector<std::shared_ptr<Extension>> extensions_;
   std::unique_ptr<faults::FaultEngine> fault_engine_;
 };
@@ -283,7 +274,7 @@ class Ctx {
     return ++req_counter_;
   }
 
-  /// MPI_Pcontrol: dispatches to the tool hook (IPM-style phase baseline).
+  /// MPI_Pcontrol: notifies the attached tools (IPM-style phase baseline).
   void pcontrol(int level, const char* label = nullptr);
 
   /// Fault checkpoint: charge any due stall and raise Err::Killed when a

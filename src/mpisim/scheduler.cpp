@@ -1034,10 +1034,6 @@ std::unique_ptr<Executor> make_executor(ExecBackend backend, int workers,
   return std::make_unique<FiberExecutor>(resolve_workers(workers), stack_kb);
 }
 
-std::unique_ptr<Executor> make_executor(const ExecModel& model) {
-  return make_executor(model.backend, model.workers, model.stack_kb);
-}
-
 // ---------------------------------------------------------------------------
 // ExecModel: the --exec spec
 // ---------------------------------------------------------------------------

@@ -306,7 +306,4 @@ struct StackPoolStats {
                                                       int workers = 0,
                                                       std::size_t stack_kb = 0);
 
-/// make_executor from a parsed spec (backend + workers + stack in one).
-[[nodiscard]] std::unique_ptr<Executor> make_executor(const ExecModel& model);
-
 }  // namespace mpisect::mpisim

@@ -2,140 +2,19 @@
 
 #include <algorithm>
 
-#include "mpisim/runtime.hpp"
-
 namespace mpisect::mpisim::hooks {
-
-ToolStack::ToolStack(World& world) : world_(world) {
-  base_hooks_ = world_.hooks();
-  base_taps_ = world_.trace_tap();
-  install();
-}
-
-ToolStack::~ToolStack() {
-  // Restore the application's raw hooks so a stack-free world behaves as
-  // if the stack never existed.
-  world_.hooks() = base_hooks_;
-  world_.trace_tap() = base_taps_;
-}
 
 void ToolStack::attach(Tool* tool, int order) {
   detach(tool);
-  entries_.push_back(Entry{tool, order, next_stamp_++});
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.order != b.order ? a.order < b.order
-                                        : a.stamp < b.stamp;
-            });
+  // After every entry of the same order: ties keep attach order.
+  const auto at = std::upper_bound(
+      entries_.begin(), entries_.end(), order,
+      [](int o, const Entry& e) { return o < e.order; });
+  entries_.insert(at, Entry{tool, order});
 }
 
 void ToolStack::detach(Tool* tool) {
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [&](const Entry& e) { return e.tool == tool; }),
-                 entries_.end());
-}
-
-void ToolStack::install() {
-  // One dispatching closure per slot. Begin-type events run the base layer
-  // first, then tools in ascending order; end-type events run tools in
-  // descending order, then the base — so each tool brackets the ones
-  // attached after it, like stacked PMPI wrapper libraries.
-  //
-  // `this` is stable for the World's lifetime (the stack lives behind a
-  // unique_ptr owned by the World and is created at most once).
-  auto& h = world_.hooks();
-  auto& t = world_.trace_tap();
-
-  h.on_call_begin = [this](Ctx& ctx, const CallInfo& ci) {
-    if (base_hooks_.on_call_begin) base_hooks_.on_call_begin(ctx, ci);
-    for (const auto& e : entries_) e.tool->on_call_begin(ctx, ci);
-  };
-  h.on_call_end = [this](Ctx& ctx, const CallInfo& ci) {
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it)
-      (*it).tool->on_call_end(ctx, ci);
-    if (base_hooks_.on_call_end) base_hooks_.on_call_end(ctx, ci);
-  };
-  h.section_enter_cb = [this](Ctx& ctx, Comm& comm, const char* label,
-                              char* data) {
-    if (base_hooks_.section_enter_cb)
-      base_hooks_.section_enter_cb(ctx, comm, label, data);
-    for (const auto& e : entries_) e.tool->on_section_enter(ctx, comm, label, data);
-  };
-  h.section_leave_cb = [this](Ctx& ctx, Comm& comm, const char* label,
-                              char* data) {
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it)
-      (*it).tool->on_section_leave(ctx, comm, label, data);
-    if (base_hooks_.section_leave_cb)
-      base_hooks_.section_leave_cb(ctx, comm, label, data);
-  };
-  h.section_error_cb = [this](Ctx& ctx, Comm& comm, const char* label,
-                              int code) {
-    if (base_hooks_.section_error_cb)
-      base_hooks_.section_error_cb(ctx, comm, label, code);
-    for (const auto& e : entries_) e.tool->on_section_error(ctx, comm, label, code);
-  };
-  h.on_pcontrol = [this](Ctx& ctx, int level, const char* label) {
-    if (base_hooks_.on_pcontrol) base_hooks_.on_pcontrol(ctx, level, label);
-    for (const auto& e : entries_) e.tool->on_pcontrol(ctx, level, label);
-  };
-  h.on_comm_create = [this](Ctx& ctx, const CommLifecycle& info) {
-    if (base_hooks_.on_comm_create) base_hooks_.on_comm_create(ctx, info);
-    for (const auto& e : entries_) e.tool->on_comm_create(ctx, info);
-  };
-  h.on_comm_free = [this](Ctx& ctx, int context) {
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it)
-      (*it).tool->on_comm_free(ctx, context);
-    if (base_hooks_.on_comm_free) base_hooks_.on_comm_free(ctx, context);
-  };
-
-  t.on_send_post = [this](Ctx& ctx, const TapSend& tap) {
-    if (base_taps_.on_send_post) base_taps_.on_send_post(ctx, tap);
-    for (const auto& e : entries_) e.tool->on_send_post(ctx, tap);
-  };
-  t.on_send_wait = [this](Ctx& ctx, const TapSendWait& tap) {
-    if (base_taps_.on_send_wait) base_taps_.on_send_wait(ctx, tap);
-    for (const auto& e : entries_) e.tool->on_send_wait(ctx, tap);
-  };
-  t.on_recv_post = [this](Ctx& ctx, const TapRecvPost& tap) {
-    if (base_taps_.on_recv_post) base_taps_.on_recv_post(ctx, tap);
-    for (const auto& e : entries_) e.tool->on_recv_post(ctx, tap);
-  };
-  t.on_recv_wait = [this](Ctx& ctx, const TapRecvWait& tap) {
-    if (base_taps_.on_recv_wait) base_taps_.on_recv_wait(ctx, tap);
-    for (const auto& e : entries_) e.tool->on_recv_wait(ctx, tap);
-  };
-  t.on_probe = [this](Ctx& ctx, const TapProbe& tap) {
-    if (base_taps_.on_probe) base_taps_.on_probe(ctx, tap);
-    for (const auto& e : entries_) e.tool->on_probe(ctx, tap);
-  };
-  t.on_request_test = [this](Ctx& ctx, const TapRequestTest& tap) {
-    if (base_taps_.on_request_test) base_taps_.on_request_test(ctx, tap);
-    for (const auto& e : entries_) e.tool->on_request_test(ctx, tap);
-  };
-  t.on_nbc_post = [this](Ctx& ctx, const TapNbcPost& tap) {
-    if (base_taps_.on_nbc_post) base_taps_.on_nbc_post(ctx, tap);
-    for (const auto& e : entries_) e.tool->on_nbc_post(ctx, tap);
-  };
-  t.on_nbc_complete = [this](Ctx& ctx, const TapNbcComplete& tap) {
-    if (base_taps_.on_nbc_complete) base_taps_.on_nbc_complete(ctx, tap);
-    for (const auto& e : entries_) e.tool->on_nbc_complete(ctx, tap);
-  };
-  t.on_comm_sync = [this](Ctx& ctx, const TapCommSync& tap) {
-    if (base_taps_.on_comm_sync) base_taps_.on_comm_sync(ctx, tap);
-    for (const auto& e : entries_) e.tool->on_comm_sync(ctx, tap);
-  };
-  t.on_coll_entry = [this](Ctx& ctx, std::uint64_t op, double t_before) {
-    if (base_taps_.on_coll_entry) base_taps_.on_coll_entry(ctx, op, t_before);
-    for (const auto& e : entries_) e.tool->on_coll_entry(ctx, op, t_before);
-  };
-  t.on_omp_region = [this](Ctx& ctx, const TapOmpRegion& tap) {
-    if (base_taps_.on_omp_region) base_taps_.on_omp_region(ctx, tap);
-    for (const auto& e : entries_) e.tool->on_omp_region(ctx, tap);
-  };
-  t.on_fault = [this](Ctx& ctx, const TapFault& tap) {
-    if (base_taps_.on_fault) base_taps_.on_fault(ctx, tap);
-    for (const auto& e : entries_) e.tool->on_fault(ctx, tap);
-  };
+  std::erase_if(entries_, [tool](const Entry& e) { return e.tool == tool; });
 }
 
 }  // namespace mpisect::mpisim::hooks

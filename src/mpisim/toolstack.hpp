@@ -1,23 +1,19 @@
-// Unified tool registration — one stack instead of four hand-rolled chains.
+// Tool registration and dispatch — the one way the runtime reaches a tool.
 //
-// Before this API, every PMPI-style tool (profiler, checker, trace
-// recorder, telemetry sampler) saved the World's HookTable/TraceTap,
-// installed its own closures, and manually forwarded to the previous
-// occupant — four slightly different copies of the same chaining
-// boilerplate, each with its own ordering quirks. The ToolStack replaces
-// that: a tool derives from hooks::Tool, overrides only the events it
-// cares about, and registers with
+// Real MPI tools interpose at link time (the tool defines MPI_Send, the
+// runtime provides PMPI_Send). Here a tool derives from hooks::Tool,
+// overrides only the events it cares about, and registers with
 //
 //   world.tool_stack().attach(&tool, order);
 //
-// The stack installs one dispatching closure per HookTable/TraceTap slot
-// (capturing whatever raw hooks an application had installed beforehand as
-// the innermost "base" layer, so plain-hook users keep working) and calls
-// tools in `order`: ascending for begin-type events, descending for
-// end-type events, so tool A that attaches before tool B brackets B's
-// observations like PMPI wrapper libraries stack. Tools never charge
-// virtual time; order therefore affects only observation nesting, never
-// simulation results.
+// The application never names the tool — the decoupling the paper's
+// MPI_Section proposal relies on. Every event site of the runtime calls the
+// world's stack directly: begin-type events run the tools in ascending
+// `order`, end-type events (on_call_end, on_section_leave, on_comm_free) in
+// descending order, so a tool with a lower order brackets the ones above it
+// like stacked PMPI wrapper libraries. Ties dispatch in attach order. Tools
+// never charge virtual time; order therefore affects only observation
+// nesting, never simulation results.
 //
 // Detach is symmetric (`detach(&tool)`); the stack never owns a tool.
 #pragma once
@@ -28,11 +24,7 @@
 
 #include "mpisim/hooks.hpp"
 
-namespace mpisect::mpisim {
-
-class World;
-
-namespace hooks {
+namespace mpisect::mpisim::hooks {
 
 /// Conventional attach orders for the in-tree tools (ascending = outermost
 /// first on begin events). Gaps are deliberate: user tools can slot between.
@@ -43,26 +35,34 @@ inline constexpr int kOrderTelemetry = 40;
 inline constexpr int kOrderFaults = 50;
 
 /// Base class for stack-registered tools. Every method is an empty-bodied
-/// virtual observing one HookTable or TraceTap event; override what you
-/// need. Methods run on rank threads and must not charge virtual time.
+/// virtual observing one event; override what you need. Methods run on rank
+/// threads and must not charge virtual time.
 class Tool {
  public:
   virtual ~Tool() = default;
 
-  // HookTable events (PMPI view).
+  // PMPI view: public entry points, sections, communicator lifecycle.
   virtual void on_call_begin(Ctx&, const CallInfo&) {}
   virtual void on_call_end(Ctx&, const CallInfo&) {}
+  /// MPIX_Section_enter_cb(comm, label, data[32]) (paper Fig. 2): `data`
+  /// points to 32 bytes of tool storage preserved until the matching leave.
   virtual void on_section_enter(Ctx&, Comm&, const char* /*label*/,
                                 char* /*data*/) {}
+  /// MPIX_Section_leave_cb(comm, label, data[32]).
   virtual void on_section_leave(Ctx&, Comm&, const char* /*label*/,
                                 char* /*data*/) {}
+  /// The sections layer rejected an operation; `code` is a
+  /// sections::SectionResult value and `comm` may be invalid.
   virtual void on_section_error(Ctx&, Comm&, const char* /*label*/,
                                 int /*code*/) {}
+  /// MPI_Pcontrol(level, label) — the IPM-style phase baseline (Sec. 6).
   virtual void on_pcontrol(Ctx&, int /*level*/, const char* /*label*/) {}
+  /// The caller became a member of a new communicator (world, split, dup).
   virtual void on_comm_create(Ctx&, const CommLifecycle&) {}
+  /// The caller freed its handle to communicator `context`.
   virtual void on_comm_free(Ctx&, int /*context*/) {}
 
-  // TraceTap events (message-level view).
+  // Message-level view (see the Tap* descriptors in hooks.hpp).
   virtual void on_send_post(Ctx&, const TapSend&) {}
   virtual void on_send_wait(Ctx&, const TapSendWait&) {}
   virtual void on_recv_post(Ctx&, const TapRecvPost&) {}
@@ -72,46 +72,53 @@ class Tool {
   virtual void on_nbc_post(Ctx&, const TapNbcPost&) {}
   virtual void on_nbc_complete(Ctx&, const TapNbcComplete&) {}
   virtual void on_comm_sync(Ctx&, const TapCommSync&) {}
+  /// Collective-entry CPU overhead charged with op id `op`; `t_before` is
+  /// the clock before the charge.
   virtual void on_coll_entry(Ctx&, std::uint64_t /*op*/, double /*t_before*/) {}
   virtual void on_omp_region(Ctx&, const TapOmpRegion&) {}
   virtual void on_fault(Ctx&, const TapFault&) {}
 };
 
+/// The attached tools of one world, obtained through World::tool_stack().
 class ToolStack {
  public:
-  /// Captures the World's current raw HookTable/TraceTap as the innermost
-  /// base layer and installs the dispatching closures. Obtain through
-  /// World::tool_stack() — one stack per world.
-  explicit ToolStack(World& world);
-  ~ToolStack();
-
+  ToolStack() = default;
   ToolStack(const ToolStack&) = delete;
   ToolStack& operator=(const ToolStack&) = delete;
 
   /// Register `tool` at `order` (see kOrder* above). Ties dispatch in
-  /// attach order. The stack borrows the pointer; detach before the tool
-  /// dies. Attach/detach before World::run, not from rank threads.
+  /// attach order; re-attaching moves the tool to its new place. The stack
+  /// borrows the pointer; detach before the tool dies. Attach/detach
+  /// before World::run, not from rank threads.
   void attach(Tool* tool, int order);
   /// Remove a previously attached tool (no-op if absent).
   void detach(Tool* tool);
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
+
+  /// Deliver a begin-type event: `(tool->*event)(ctx, args...)` for every
+  /// tool in ascending order.
+  template <typename Event, typename... Args>
+  void notify(Event event, Ctx& ctx, Args&&... args) const {
+    for (const Entry& e : entries_) (e.tool->*event)(ctx, args...);
+  }
+  /// Deliver an end-type event (on_call_end, on_section_leave,
+  /// on_comm_free) in descending order.
+  template <typename Event, typename... Args>
+  void notify_reverse(Event event, Ctx& ctx, Args&&... args) const {
+    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+      (it->tool->*event)(ctx, args...);
+    }
+  }
 
  private:
   struct Entry {
     Tool* tool = nullptr;
     int order = 0;
-    std::uint64_t stamp = 0;  ///< attach sequence, the tie-breaker
   };
 
-  void install();
-
-  World& world_;
-  HookTable base_hooks_;
-  TraceTap base_taps_;
-  std::vector<Entry> entries_;  ///< kept sorted by (order, stamp)
-  std::uint64_t next_stamp_ = 0;
+  std::vector<Entry> entries_;  ///< sorted by (order, attach sequence)
 };
 
-}  // namespace hooks
-}  // namespace mpisect::mpisim
+}  // namespace mpisect::mpisim::hooks

@@ -3,18 +3,11 @@
 namespace mpisect::profiler {
 
 PcontrolPhases::PcontrolPhases(mpisim::World& world)
-    : world_(&world), ranks_(static_cast<std::size_t>(world.size())) {
-  world.hooks().on_pcontrol = [this](mpisim::Ctx& ctx, int level,
-                                     const char* label) {
-    on_pcontrol(ctx, level, label);
-  };
+    : world_(world), ranks_(static_cast<std::size_t>(world.size())) {
+  world_.tool_stack().attach(this, mpisim::hooks::kOrderProfiler);
 }
 
-void PcontrolPhases::detach() {
-  if (world_ == nullptr) return;
-  world_->hooks().on_pcontrol = nullptr;
-  world_ = nullptr;
-}
+PcontrolPhases::~PcontrolPhases() { world_.tool_stack().detach(this); }
 
 void PcontrolPhases::on_pcontrol(mpisim::Ctx& ctx, int level,
                                  const char* label) {

@@ -21,14 +21,18 @@
 
 #include "core/sections/labels.hpp"
 #include "mpisim/runtime.hpp"
+#include "mpisim/toolstack.hpp"
 
 namespace mpisect::profiler {
 
-class PcontrolPhases {
+/// A hooks::Tool at kOrderProfiler: attaches on construction, detaches on
+/// destruction.
+class PcontrolPhases final : public mpisim::hooks::Tool {
  public:
   explicit PcontrolPhases(mpisim::World& world);
-
-  void detach();
+  ~PcontrolPhases() override;
+  PcontrolPhases(const PcontrolPhases&) = delete;
+  PcontrolPhases& operator=(const PcontrolPhases&) = delete;
 
   struct PhaseStats {
     long count = 0;
@@ -48,14 +52,14 @@ class PcontrolPhases {
   [[nodiscard]] long protocol_errors() const;
 
  private:
-  void on_pcontrol(mpisim::Ctx& ctx, int level, const char* label);
+  void on_pcontrol(mpisim::Ctx& ctx, int level, const char* label) override;
 
   struct RankData {
     std::map<std::string, double> open;  ///< label -> start time
     std::map<std::string, PhaseStats> stats;
   };
 
-  mpisim::World* world_;
+  mpisim::World& world_;
   std::vector<RankData> ranks_;
 };
 

@@ -1,7 +1,7 @@
 // A section-aware profiling tool (the paper's MALP-style consumer).
 //
 // SectionProfiler attaches to a World purely through the PMPI-analogue
-// HookTable — it never requires application changes, demonstrating the
+// hooks::ToolStack — it never requires application changes, demonstrating the
 // paper's central claim: once the runtime standardizes MPIX_Section events,
 // *any* tool can consume phase semantics for free.
 //

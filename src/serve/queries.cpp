@@ -279,9 +279,10 @@ std::string run_timeline(const trace::TraceFile& tf, const TimelineQuery& q) {
   // Each window is a row per section: a tiny dt, or a what-if that
   // stretches the makespan to infinity, must not bin without bound. The
   // negated test also rejects a NaN ratio.
-  if (!(res.makespan / dt <= static_cast<double>(kMaxTimelineWindows))) {
+  if (!(res.makespan / dt <=
+        static_cast<double>(telemetry::kMaxTimelineWindows))) {
     throw trace::TraceError("dt bins the makespan into more than " +
-                            std::to_string(kMaxTimelineWindows) +
+                            std::to_string(telemetry::kMaxTimelineWindows) +
                             " windows");
   }
   const telemetry::Timeline tl = telemetry::timeline_from_replay(res, dt);

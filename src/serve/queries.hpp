@@ -77,10 +77,6 @@ struct TimelineQuery {
   std::string format = "csv";  ///< csv | json | chrome
 };
 
-/// Most windows a timeline query bins the makespan into (the default dt
-/// gives 100).
-inline constexpr std::uint64_t kMaxTimelineWindows = 100000;
-
 struct SweepQuery {
   std::vector<std::string> models{"recorded"};
   std::vector<double> latency_scales{1.0};

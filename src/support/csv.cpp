@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "support/file.hpp"
 #include "support/strings.hpp"
 
 namespace mpisect::support {
@@ -25,10 +24,6 @@ void CsvWriter::add_row(const std::vector<double>& values) {
 }
 
 std::string CsvWriter::str() const { return body_; }
-
-bool CsvWriter::save(const std::string& path) const {
-  return write_file_atomic(path, body_);
-}
 
 std::vector<std::vector<std::string>> parse_csv(std::string_view text) {
   std::vector<std::vector<std::string>> rows;

@@ -14,8 +14,6 @@ class CsvWriter {
   void add_row(const std::vector<double>& values);
   /// Serialize to a string (header + rows).
   [[nodiscard]] std::string str() const;
-  /// Write to a file; returns false on I/O failure.
-  bool save(const std::string& path) const;
 
  private:
   std::size_t columns_;

@@ -16,8 +16,7 @@ std::string* g_capture = nullptr;
 
 /// One-shot MPISECT_LOG environment override, applied before the first
 /// level read so `MPISECT_LOG=debug ./anything` governs every subsystem
-/// that logs through this sink. Explicit set_log_level() calls later
-/// (tests) still win.
+/// that logs through this sink.
 std::once_flag g_env_once;
 
 void apply_env_level() {
@@ -41,16 +40,6 @@ const char* level_name(LogLevel level) {
 }
 
 }  // namespace
-
-void set_log_level(LogLevel level) noexcept {
-  ensure_env_applied();  // consume the env override so it cannot clobber us
-  g_level.store(level);
-}
-
-LogLevel log_level() noexcept {
-  ensure_env_applied();
-  return g_level.load();
-}
 
 std::optional<LogLevel> parse_log_level(std::string_view name) noexcept {
   const std::string s = to_lower(trim(name));

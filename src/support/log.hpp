@@ -11,12 +11,10 @@ namespace mpisect::support {
 
 enum class LogLevel { Trace = 0, Debug, Info, Warn, Error, Off };
 
-/// Global minimum level; messages below it are dropped cheaply. The
-/// `MPISECT_LOG` environment variable (trace|debug|info|warn|error|off)
-/// sets the initial level before the first read; explicit set_log_level()
-/// calls override it.
-void set_log_level(LogLevel level) noexcept;
-[[nodiscard]] LogLevel log_level() noexcept;
+/// Messages below the global minimum level (default warn) are dropped
+/// cheaply. The `MPISECT_LOG` environment variable
+/// (trace|debug|info|warn|error|off) sets that level before the first
+/// message.
 
 /// Parse a level name as accepted by MPISECT_LOG (case-insensitive;
 /// "warning" and "none" are aliases). nullopt on unknown input.

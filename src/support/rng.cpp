@@ -75,11 +75,4 @@ double SequentialRng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform();
 }
 
-double SequentialRng::gaussian() noexcept {
-  double u1 = uniform();
-  const double u2 = uniform();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
-}
-
 }  // namespace mpisect::support

@@ -81,7 +81,6 @@ class SequentialRng {
   [[nodiscard]] std::uint64_t next() noexcept;
   [[nodiscard]] double uniform() noexcept;
   [[nodiscard]] double uniform(double lo, double hi) noexcept;
-  [[nodiscard]] double gaussian() noexcept;
 
  private:
   std::uint64_t state_;

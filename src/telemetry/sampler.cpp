@@ -303,6 +303,7 @@ void TelemetrySampler::advance(RankState& rs, int rank, double t) {
   while (true) {
     const double wend = static_cast<double>(rs.window + 1) * dt;
     if (t < wend) break;
+    if (!within_bound(rs)) return;
     attribute(rs, wend - rs.t_last);
     rs.t_last = wend;
     flush_window(rs, rank);
@@ -337,8 +338,17 @@ void TelemetrySampler::on_rank_finalize(mpisim::Ctx& ctx) {
   RankState& rs = state(ctx);
   advance(rs, ctx.rank(), ctx.now());
   // Flush the trailing partial window so the series covers the whole run.
-  if (options_.dt > 0.0) flush_window(rs, ctx.rank());
+  if (options_.dt > 0.0 && rs.active && within_bound(rs)) {
+    flush_window(rs, ctx.rank());
+  }
   rs.active = false;
+}
+
+bool TelemetrySampler::within_bound(RankState& rs) noexcept {
+  if (rs.window < kMaxTimelineWindows) return true;
+  bound_exceeded_.store(true);
+  rs.active = false;
+  return false;
 }
 
 std::vector<TelemetrySampler::Sample> TelemetrySampler::samples(

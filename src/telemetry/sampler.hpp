@@ -27,6 +27,7 @@
 // compare bytes).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -79,6 +80,11 @@ struct StandardInstruments {
   InstrumentId recv_queue_depth = 0;
 };
 
+/// Most windows a timeline bins a run into, live (TelemetrySampler) or
+/// from a replay (serve's timeline query): a tiny dt must not flush
+/// windows without bound.
+inline constexpr std::uint64_t kMaxTimelineWindows = 100000;
+
 struct SamplerOptions {
   /// Interval width in virtual seconds. <= 0 disables window sampling
   /// (the registry still counts). The default trades resolution against
@@ -118,6 +124,11 @@ class TelemetrySampler : public mpisim::Extension,
     return std_;
   }
   [[nodiscard]] double dt() const noexcept { return options_.dt; }
+  /// True once a rank's clock ran past kMaxTimelineWindows windows of dt:
+  /// that rank stopped sampling there, so the series is incomplete.
+  [[nodiscard]] bool window_bound_exceeded() const noexcept {
+    return bound_exceeded_.load();
+  }
   [[nodiscard]] int nranks() const noexcept {
     return static_cast<int>(ranks_.size());
   }
@@ -195,6 +206,9 @@ class TelemetrySampler : public mpisim::Extension,
   void advance(RankState& rs, int rank, double t);
   void attribute(RankState& rs, double d);
   void flush_window(RankState& rs, int rank);
+  /// False (and this rank's sampling stopped) when rs.window lies past
+  /// kMaxTimelineWindows.
+  bool within_bound(RankState& rs) noexcept;
 
   mpisim::World* world_;
   SamplerOptions options_;
@@ -203,6 +217,7 @@ class TelemetrySampler : public mpisim::Extension,
   sections::LabelRegistry labels_;
   std::size_t eager_threshold_ = 0;
   bool attached_ = false;
+  std::atomic<bool> bound_exceeded_{false};
   std::vector<std::unique_ptr<RankState>> ranks_;
 };
 

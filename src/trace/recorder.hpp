@@ -4,9 +4,10 @@
 //
 // Like MpiChecker it registers with the world's hooks::ToolStack, so it
 // stacks with the profiler and checker in any order; unlike them it also
-// observes the TraceTap events for collective-internal messages and the
-// RNG keys of every modelled charge. Taps and hooks never charge virtual
-// time, so recording perturbs the simulated timeline by exactly zero.
+// observes the message-level events (hooks.hpp's Tap* descriptors) for
+// collective-internal messages and the RNG keys of every modelled charge.
+// Tools never charge virtual time, so recording perturbs the simulated
+// timeline by exactly zero.
 //
 //   World world(16, {...});
 //   sections::SectionRuntime::install(world);

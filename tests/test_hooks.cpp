@@ -13,6 +13,7 @@
 
 #include "mpisim/comm.hpp"
 #include "mpisim/runtime.hpp"
+#include "mpisim/toolstack.hpp"
 
 namespace {
 
@@ -24,7 +25,7 @@ WorldOptions ideal_options() {
   return opts;
 }
 
-struct Recorder {
+struct Recorder final : hooks::Tool {
   std::mutex mu;
   std::vector<std::pair<int, CallInfo>> begins;  ///< (world rank, info)
   std::vector<std::pair<int, CallInfo>> ends;
@@ -32,30 +33,29 @@ struct Recorder {
   std::vector<std::pair<int, int>> comm_frees;  ///< (world rank, context)
   std::vector<std::pair<int, int>> pcontrols;   ///< (world rank, level)
 
-  void install(World& world) {
-    world.hooks().on_call_begin = [this](Ctx& ctx, const CallInfo& info) {
-      const std::lock_guard lock(mu);
-      begins.emplace_back(ctx.rank(), info);
-    };
-    world.hooks().on_call_end = [this](Ctx& ctx, const CallInfo& info) {
-      const std::lock_guard lock(mu);
-      ends.emplace_back(ctx.rank(), info);
-    };
-    world.hooks().on_comm_create = [this](Ctx& ctx,
-                                          const CommLifecycle& info) {
-      const std::lock_guard lock(mu);
-      CommLifecycle copy = info;
-      copy.world_ranks = nullptr;  // borrowed; not valid after the callback
-      comm_creates.emplace_back(ctx.rank(), copy);
-    };
-    world.hooks().on_comm_free = [this](Ctx& ctx, int context) {
-      const std::lock_guard lock(mu);
-      comm_frees.emplace_back(ctx.rank(), context);
-    };
-    world.hooks().on_pcontrol = [this](Ctx& ctx, int level, const char*) {
-      const std::lock_guard lock(mu);
-      pcontrols.emplace_back(ctx.rank(), level);
-    };
+  void install(World& world) { world.tool_stack().attach(this, 10); }
+
+  void on_call_begin(Ctx& ctx, const CallInfo& info) override {
+    const std::lock_guard lock(mu);
+    begins.emplace_back(ctx.rank(), info);
+  }
+  void on_call_end(Ctx& ctx, const CallInfo& info) override {
+    const std::lock_guard lock(mu);
+    ends.emplace_back(ctx.rank(), info);
+  }
+  void on_comm_create(Ctx& ctx, const CommLifecycle& info) override {
+    const std::lock_guard lock(mu);
+    CommLifecycle copy = info;
+    copy.world_ranks = nullptr;  // borrowed; not valid after the callback
+    comm_creates.emplace_back(ctx.rank(), copy);
+  }
+  void on_comm_free(Ctx& ctx, int context) override {
+    const std::lock_guard lock(mu);
+    comm_frees.emplace_back(ctx.rank(), context);
+  }
+  void on_pcontrol(Ctx& ctx, int level, const char*) override {
+    const std::lock_guard lock(mu);
+    pcontrols.emplace_back(ctx.rank(), level);
   }
 
   std::vector<CallInfo> begins_of(int rank, MpiCall call) {

@@ -7,6 +7,7 @@
 
 #include "core/compat/mpi_compat.hpp"
 #include "core/sections/runtime.hpp"
+#include "lambda_tool.hpp"
 
 namespace {
 
@@ -174,10 +175,119 @@ TEST(Compat, PaperFigureOneTranscription) {
   EXPECT_EQ(rt->counters().errors, 0u);
 }
 
+TEST(Compat, ReduceLandsOnTheRootOnly) {
+  mpisim::World world(4, ideal_options());
+  world.run([](Ctx& ctx) {
+    MPI_Comm comm = ctx.world_comm();
+    const int mine = ctx.rank() + 1;
+    int sum = -1;
+    EXPECT_EQ(MPI_Reduce(&mine, &sum, 1, MPI_INT, MPI_SUM, 2, comm),
+              MPI_SUCCESS);
+    EXPECT_EQ(sum, ctx.rank() == 2 ? 10 : -1);
+  });
+}
+
+TEST(Compat, AlltoallTransposesBlocks) {
+  mpisim::World world(3, ideal_options());
+  world.run([](Ctx& ctx) {
+    MPI_Comm comm = ctx.world_comm();
+    std::vector<int> out(3);
+    std::vector<int> in(3, -1);
+    for (int dst = 0; dst < 3; ++dst) {
+      out[static_cast<std::size_t>(dst)] = 10 * ctx.rank() + dst;
+    }
+    EXPECT_EQ(MPI_Alltoall(out.data(), 1, MPI_INT, in.data(), 1, MPI_INT,
+                           comm),
+              MPI_SUCCESS);
+    for (int src = 0; src < 3; ++src) {
+      EXPECT_EQ(in[static_cast<std::size_t>(src)], 10 * src + ctx.rank());
+    }
+  });
+}
+
+TEST(Compat, CommDupIsolatesTraffic) {
+  mpisim::World world(2, ideal_options());
+  world.run([](Ctx& ctx) {
+    MPI_Comm comm = ctx.world_comm();
+    MPI_Comm dup;
+    ASSERT_EQ(MPI_Comm_dup(comm, &dup), MPI_SUCCESS);
+    EXPECT_NE(dup.context_id(), comm.context_id());
+    int size = 0;
+    EXPECT_EQ(MPI_Comm_size(dup, &size), MPI_SUCCESS);
+    EXPECT_EQ(size, 2);
+    // The same tag on both communicators: each receive matches its own.
+    const int peer = 1 - ctx.rank();
+    int on_world = ctx.rank();
+    int on_dup = 100 + ctx.rank();
+    int got_world = -1;
+    int got_dup = -1;
+    EXPECT_EQ(MPI_Sendrecv(&on_dup, 1, MPI_INT, peer, 7, &got_dup, 1, MPI_INT,
+                           peer, 7, dup, MPI_STATUS_IGNORE),
+              MPI_SUCCESS);
+    EXPECT_EQ(MPI_Sendrecv(&on_world, 1, MPI_INT, peer, 7, &got_world, 1,
+                           MPI_INT, peer, 7, comm, MPI_STATUS_IGNORE),
+              MPI_SUCCESS);
+    EXPECT_EQ(got_dup, 100 + peer);
+    EXPECT_EQ(got_world, peer);
+  });
+}
+
+TEST(Compat, WaitFillsTheStatus) {
+  mpisim::World world(2, ideal_options());
+  world.run([](Ctx& ctx) {
+    MPI_Comm comm = ctx.world_comm();
+    MPI_Request req;
+    if (ctx.rank() == 0) {
+      const double v[2] = {1.5, 2.5};
+      ASSERT_EQ(MPI_Isend(v, 2, MPI_DOUBLE, 1, 3, comm, &req), MPI_SUCCESS);
+      EXPECT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+    } else {
+      double v[4] = {};
+      ASSERT_EQ(MPI_Irecv(v, 4, MPI_DOUBLE, MPI_ANY_SOURCE, MPI_ANY_TAG, comm,
+                          &req),
+                MPI_SUCCESS);
+      MPI_Status status;
+      EXPECT_EQ(MPI_Wait(&req, &status), MPI_SUCCESS);
+      EXPECT_EQ(status.MPI_SOURCE, 0);
+      EXPECT_EQ(status.MPI_TAG, 3);
+      int count = -1;
+      EXPECT_EQ(MPI_Get_count(&status, MPI_DOUBLE, &count), MPI_SUCCESS);
+      EXPECT_EQ(count, 2);
+      EXPECT_DOUBLE_EQ(v[1], 2.5);
+    }
+  });
+}
+
+TEST(Compat, ProbeSizesTheReceive) {
+  mpisim::World world(2, ideal_options());
+  world.run([](Ctx& ctx) {
+    MPI_Comm comm = ctx.world_comm();
+    if (ctx.rank() == 0) {
+      const std::vector<int> v{4, 5, 6, 7, 8};
+      EXPECT_EQ(MPI_Send(v.data(), 5, MPI_INT, 1, 9, comm), MPI_SUCCESS);
+    } else {
+      MPI_Status status;
+      ASSERT_EQ(MPI_Probe(MPI_ANY_SOURCE, MPI_ANY_TAG, comm, &status),
+                MPI_SUCCESS);
+      EXPECT_EQ(status.MPI_SOURCE, 0);
+      EXPECT_EQ(status.MPI_TAG, 9);
+      int count = -1;
+      ASSERT_EQ(MPI_Get_count(&status, MPI_INT, &count), MPI_SUCCESS);
+      ASSERT_EQ(count, 5);
+      std::vector<int> v(static_cast<std::size_t>(count));
+      EXPECT_EQ(MPI_Recv(v.data(), count, MPI_INT, status.MPI_SOURCE,
+                         status.MPI_TAG, comm, MPI_STATUS_IGNORE),
+                MPI_SUCCESS);
+      EXPECT_EQ(v.back(), 8);
+    }
+  });
+}
+
 TEST(Compat, PcontrolRoutedToHook) {
   mpisim::World world(1, ideal_options());
   int calls = 0;
-  world.hooks().on_pcontrol = [&](Ctx&, int, const char*) { ++calls; };
+  testutil::LambdaTool tool(world);
+  tool.pcontrol = [&](Ctx&, int, const char*) { ++calls; };
   world.run([](Ctx& ctx) {
     MPI_Comm comm = ctx.world_comm();
     MPI_Pcontrol(comm, 1, "phase");

@@ -1,14 +1,16 @@
-// World lifecycle, hook dispatch, abort propagation, determinism.
+// World lifecycle, tool dispatch, abort propagation, determinism.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <mutex>
 #include <vector>
 
+#include "lambda_tool.hpp"
 #include "mpisim/runtime.hpp"
 
 namespace {
 
+using namespace mpisect;
 using namespace mpisect::mpisim;
 
 WorldOptions ideal_options() {
@@ -16,6 +18,8 @@ WorldOptions ideal_options() {
   opts.machine = MachineModel::ideal();
   return opts;
 }
+
+using testutil::LambdaTool;
 
 TEST(WorldBasics, SizeAndRanks) {
   World world(7, ideal_options());
@@ -110,11 +114,12 @@ TEST(Hooks, CallBeginEndBracketsOperations) {
   std::atomic<int> begins{0};
   std::atomic<int> ends{0};
   std::atomic<int> sends{0};
-  world.hooks().on_call_begin = [&](Ctx&, const CallInfo& info) {
+  LambdaTool tool(world);
+  tool.call_begin = [&](Ctx&, const CallInfo& info) {
     ++begins;
     if (info.call == MpiCall::Send) ++sends;
   };
-  world.hooks().on_call_end = [&](Ctx&, const CallInfo&) { ++ends; };
+  tool.call_end = [&](Ctx&, const CallInfo&) { ++ends; };
   world.run([](Ctx& ctx) {
     Comm comm = ctx.world_comm();
     if (ctx.rank() == 0) {
@@ -136,7 +141,8 @@ TEST(Hooks, CallInfoCarriesContext) {
   World world(2, ideal_options());
   std::vector<CallInfo> infos;
   std::mutex mu;
-  world.hooks().on_call_begin = [&](Ctx&, const CallInfo& info) {
+  LambdaTool tool(world);
+  tool.call_begin = [&](Ctx&, const CallInfo& info) {
     if (info.call == MpiCall::Send) {
       const std::lock_guard lock(mu);
       infos.push_back(info);
@@ -165,7 +171,8 @@ TEST(Hooks, InternalCollectiveTrafficInvisible) {
   World world(8, ideal_options());
   std::atomic<int> p2p_calls{0};
   std::atomic<int> bcasts{0};
-  world.hooks().on_call_begin = [&](Ctx&, const CallInfo& info) {
+  LambdaTool tool(world);
+  tool.call_begin = [&](Ctx&, const CallInfo& info) {
     if (is_point_to_point(info.call)) ++p2p_calls;
     if (info.call == MpiCall::Bcast) ++bcasts;
   };
@@ -229,7 +236,8 @@ TEST(StartSkew, AppliedWhenConfigured) {
 TEST(Pcontrol, DispatchesToHook) {
   World world(2, ideal_options());
   std::atomic<int> count{0};
-  world.hooks().on_pcontrol = [&](Ctx&, int level, const char* label) {
+  LambdaTool tool(world);
+  tool.pcontrol = [&](Ctx&, int level, const char* label) {
     if (level == 1 && std::string(label) == "phase") ++count;
   };
   world.run([](Ctx& ctx) {

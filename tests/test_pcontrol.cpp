@@ -100,6 +100,28 @@ TEST(PcontrolPhasesTest, AnonymousLabel) {
   EXPECT_EQ(phases.total_phase("(anonymous)").count, 1);
 }
 
+// The tool detaches when it dies: a world that outlives it runs Pcontrol
+// calls without reaching the dead tool (AddressSanitizer reports a
+// use-after-scope here if the stack still holds it).
+TEST(PcontrolPhasesTest, DestroyedToolStopsObserving) {
+  World world(2, ideal_options());
+  const auto body = [](Ctx& ctx) {
+    ctx.pcontrol(1, "A");
+    ctx.compute_exact(1.0);
+    ctx.pcontrol(-1, "A");
+  };
+  {
+    PcontrolPhases phases(world);
+    world.run(body);
+    EXPECT_EQ(phases.total_phase("A").count, 2);
+  }
+  EXPECT_EQ(world.tool_stack().size(), 0u);
+  world.run(body);
+  PcontrolPhases later(world);
+  world.run(body);
+  EXPECT_EQ(later.total_phase("A").count, 2);  // only the run it observed
+}
+
 TEST(PcontrolVsSections, SectionsCatchWhatPcontrolMisses) {
   // The same mistake — a mismatched close — is an explicit error through
   // MPI_Sections but silent mismeasurement through Pcontrol.

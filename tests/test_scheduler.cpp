@@ -25,6 +25,7 @@
 #include "apps/convolution/convolution.hpp"
 #include "apps/lulesh/lulesh.hpp"
 #include "core/sections/runtime.hpp"
+#include "lambda_tool.hpp"
 #include "mpisim/collsync.hpp"
 #include "mpisim/comm.hpp"
 #include "mpisim/runtime.hpp"
@@ -423,11 +424,12 @@ TEST(Scheduler, MultiRunEmitsWorldCommFree) {
   std::vector<int> created;
   std::vector<std::pair<int, int>> freed;  // (rank, context)
   std::mutex mu;
-  world.hooks().on_comm_create = [&](Ctx&, const mpisim::CommLifecycle& info) {
+  testutil::LambdaTool tool(world);
+  tool.comm_create = [&](Ctx&, const mpisim::CommLifecycle& info) {
     const std::lock_guard lock(mu);
     created.push_back(info.context);
   };
-  world.hooks().on_comm_free = [&](Ctx& ctx, int context) {
+  tool.comm_free = [&](Ctx& ctx, int context) {
     const std::lock_guard lock(mu);
     freed.emplace_back(ctx.rank(), context);
   };

@@ -13,6 +13,7 @@
 
 #include "core/sections/api.hpp"
 #include "core/sections/runtime.hpp"
+#include "lambda_tool.hpp"
 #include "mpisim/runtime.hpp"
 
 namespace {
@@ -30,6 +31,8 @@ WorldOptions ideal_options() {
   opts.machine = MachineModel::ideal();
   return opts;
 }
+
+using testutil::LambdaTool;
 
 TEST(SectionApi, EnterExitBalancedOk) {
   World world(2, ideal_options());
@@ -99,8 +102,8 @@ TEST(SectionApi, MainSectionAutomatic) {
   World world(2, ideal_options());
   auto rt = SectionRuntime::install(world);
   std::atomic<int> saw_main{0};
-  world.hooks().section_enter_cb = [&](Ctx&, Comm&, const char* label,
-                                       char*) {
+  LambdaTool tool(world);
+  tool.section_enter = [&](Ctx&, const char* label, char*) {
     if (std::string(label) == kMainSectionLabel) ++saw_main;
   };
   world.run([&](Ctx& ctx) {
@@ -128,15 +131,14 @@ TEST(SectionCallbacks, PayloadPreservedEnterToLeave) {
   World world(2, ideal_options());
   SectionRuntime::install(world);
   std::atomic<int> checked{0};
-  world.hooks().section_enter_cb = [](Ctx& ctx, Comm&, const char* label,
-                                      char* data) {
+  LambdaTool tool(world);
+  tool.section_enter = [](Ctx& ctx, const char* label, char* data) {
     if (std::string(label) == "work") {
       const double stamp = ctx.now() + 1000.0;
       std::memcpy(data, &stamp, sizeof stamp);
     }
   };
-  world.hooks().section_leave_cb = [&](Ctx& ctx, Comm&, const char* label,
-                                       char* data) {
+  tool.section_leave = [&](Ctx& ctx, const char* label, char* data) {
     if (std::string(label) == "work") {
       double stamp = 0.0;
       std::memcpy(&stamp, data, sizeof stamp);
@@ -158,12 +160,12 @@ TEST(SectionCallbacks, NestedPayloadsIndependent) {
   World world(1, ideal_options());
   SectionRuntime::install(world);
   std::vector<int> leave_order;
-  world.hooks().section_enter_cb = [](Ctx&, Comm&, const char* label,
-                                      char* data) {
+  LambdaTool tool(world);
+  tool.section_enter = [](Ctx&, const char* label, char* data) {
     const int v = label[0];
     std::memcpy(data, &v, sizeof v);
   };
-  world.hooks().section_leave_cb = [&](Ctx&, Comm&, const char*, char* data) {
+  tool.section_leave = [&](Ctx&, const char*, char* data) {
     int v = 0;
     std::memcpy(&v, data, sizeof v);
     leave_order.push_back(v);

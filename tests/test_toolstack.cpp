@@ -1,8 +1,7 @@
 // ToolStack registration semantics: attach order controls observation
-// nesting (ascending on begin events, descending on end events), raw
-// HookTable users installed before the stack keep firing as the innermost
-// base layer, detach is symmetric, and the stack never perturbs virtual
-// time.
+// nesting (ascending on begin events, descending on end events), the C
+// callbacks of MPIX_Section_set_callbacks bracket the attached tools,
+// detach is symmetric, and the stack never perturbs virtual time.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +13,7 @@
 #include "core/sections/runtime.hpp"
 #include "mpisim/runtime.hpp"
 #include "mpisim/toolstack.hpp"
+#include "mpix_section.h"
 
 namespace {
 
@@ -112,35 +112,47 @@ TEST(ToolStack, SectionCallbacksNestTheSameWay) {
   EXPECT_EQ(sec[3], "a-leave:PHASE");
 }
 
-TEST(ToolStack, RawHookUsersStayInstalledAsTheBaseLayer) {
-  mpisim::World world(1, {});
-  std::vector<std::string> log;
-  // An application installing plain hooks before any tool attaches.
-  world.hooks().on_call_begin = [&log](mpisim::Ctx&,
-                                       const mpisim::CallInfo&) {
-    log.push_back("base+");
-  };
-  world.hooks().on_call_end = [&log](mpisim::Ctx&, const mpisim::CallInfo&) {
-    log.push_back("base-");
-  };
-  LoggingTool tool("tool", log);
-  world.tool_stack().attach(&tool, 10);
-  run_barrier(world);
-  world.tool_stack().detach(&tool);
+// Log of the plain-C callback pair below (C function pointers carry no
+// state; the test world has one rank, so no lock is needed).
+std::vector<std::string>* g_c_log = nullptr;
 
-  std::vector<std::string> calls;
+void c_enter(MPIX_Comm, const char* label, char*) {
+  g_c_log->push_back(std::string("c+enter:") + label);
+}
+
+void c_exit(MPIX_Comm, const char* label, char*) {
+  g_c_log->push_back(std::string("c-leave:") + label);
+}
+
+TEST(ToolStack, CCallbacksFireFirstOnEnterAndLastOnExit) {
+  mpisim::World world(1, {});
+  sections::SectionRuntime::install(world);
+  std::vector<std::string> log;
+  g_c_log = &log;
+  LoggingTool a("a", log);
+  LoggingTool b("b", log);
+  world.tool_stack().attach(&a, 10);
+  world.tool_stack().attach(&b, 20);
+  world.run([](mpisim::Ctx& ctx) {
+    mpisim::Comm comm = ctx.world_comm();
+    ASSERT_EQ(MPIX_Section_set_callbacks(sections::mpix_handle(comm),
+                                         c_enter, c_exit),
+              MPIX_SECTION_OK);
+    sections::MPIX_Section_enter(comm, "PHASE");
+    sections::MPIX_Section_exit(comm, "PHASE");
+  });
+  world.tool_stack().detach(&a);
+  world.tool_stack().detach(&b);
+  g_c_log = nullptr;
+
+  std::vector<std::string> sec;
   for (const auto& e : log) {
-    if (e == "base+" || e == "tool+" || e == "base-" || e == "tool-") {
-      calls.push_back(e);
-    }
+    if (e.find(":PHASE") != std::string::npos) sec.push_back(e);
   }
-  ASSERT_GE(calls.size(), 4u);
-  // Base is the innermost-begin layer (it fired first historically) and the
-  // outermost-end layer, matching the old hand-chaining.
-  EXPECT_EQ(calls[0], "base+");
-  EXPECT_EQ(calls[1], "tool+");
-  EXPECT_EQ(calls[calls.size() - 2], "tool-");
-  EXPECT_EQ(calls[calls.size() - 1], "base-");
+  const std::vector<std::string> expected{
+      "c+enter:PHASE", "a+enter:PHASE", "b+enter:PHASE",
+      "b-leave:PHASE", "a-leave:PHASE", "c-leave:PHASE"};
+  EXPECT_EQ(sec, expected);
 }
 
 TEST(ToolStack, DetachStopsDeliveryAndShrinksTheStack) {

@@ -15,6 +15,7 @@
 #include "core/sections/runtime.hpp"
 #include "mpisim/runtime.hpp"
 #include "mpisim/toolstack.hpp"
+#include "profiler/pcontrol.hpp"
 #include "profiler/section_profiler.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
@@ -89,9 +90,8 @@ TEST(TraceRecord, InstallIsIdempotent) {
   EXPECT_EQ(a.get(), b.get());
 }
 
-// The recorder chains the previous HookTable like a PMPI wrapper library,
-// so profiler + checker + tracer stack in any install order, and each tool
-// still sees every event.
+// Every tool attaches to the world's ToolStack, so profiler + checker +
+// tracer stack in any install order, and each tool still sees every event.
 void check_stacked(bool recorder_last) {
   mpisim::World world(4, jittery_options());
   sections::SectionRuntime::install(world);
@@ -117,6 +117,44 @@ void check_stacked(bool recorder_last) {
   EXPECT_GT(prof->main_time(), 0.0);  // profiler still observed sections
   chk->analyze();
   EXPECT_TRUE(chk->diagnostics().empty());  // checker still saw clean run
+}
+
+// Pcontrol phases are a tool like the recorder: neither construction
+// order disconnects the other from the Pcontrol events of a 2-rank run.
+void check_pcontrol_reaches_both(bool recorder_first) {
+  mpisim::World world(2, jittery_options());
+  std::shared_ptr<trace::TraceRecorder> rec;
+  std::unique_ptr<profiler::PcontrolPhases> phases;
+  if (recorder_first) {
+    rec = trace::TraceRecorder::install(world, {});
+    phases = std::make_unique<profiler::PcontrolPhases>(world);
+  } else {
+    phases = std::make_unique<profiler::PcontrolPhases>(world);
+    rec = trace::TraceRecorder::install(world, {});
+  }
+  world.run([](mpisim::Ctx& ctx) {
+    ctx.pcontrol(1, "phase");
+    ctx.compute_exact(0.5);
+    ctx.pcontrol(-1, "phase");
+  });
+  const trace::TraceFile tf = rec->finish();
+  std::size_t recorded = 0;
+  for (const auto& rank : tf.ranks) {
+    for (const auto& ev : rank.events) {
+      if (ev.kind == trace::EventKind::Pcontrol) ++recorded;
+    }
+  }
+  EXPECT_EQ(recorded, 4u);
+  EXPECT_EQ(phases->total_phase("phase").count, 2);
+  EXPECT_NEAR(phases->total_phase("phase").total, 1.0, 1e-12);
+}
+
+TEST(TraceRecord, PcontrolReachesRecorderAndPhasesRecorderFirst) {
+  check_pcontrol_reaches_both(/*recorder_first=*/true);
+}
+
+TEST(TraceRecord, PcontrolReachesRecorderAndPhasesPhasesFirst) {
+  check_pcontrol_reaches_both(/*recorder_first=*/false);
 }
 
 TEST(TraceRecord, StacksWithProfilerAndCheckerRecorderLast) {

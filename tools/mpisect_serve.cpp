@@ -30,6 +30,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -56,6 +57,17 @@ serve::Server* g_server = nullptr;
 
 void on_signal(int) {
   if (g_server != nullptr) g_server->stop();
+}
+
+// Bounds of the result-cache flags, checked before the size_t cast (a
+// negative value would wrap). --cache-mb 0 keeps no byte bound.
+constexpr std::int64_t kMaxCacheEntries = 1 << 24;
+constexpr std::int64_t kMaxCacheMb = 1 << 20;
+
+/// The --port flag as a TCP port, checked before the 16-bit `htons` cast
+/// would turn a wider value into another port.
+int port_flag(const support::ArgParser& args, std::int64_t lo) {
+  return static_cast<int>(launch::uint_flag(args, "port", lo, 65535));
 }
 
 int env_workers() {
@@ -108,12 +120,13 @@ int cmd_serve(int argc, const char* const* argv) {
   }
   int workers = static_cast<int>(args.get_int("workers"));
   if (workers <= 0) workers = env_workers();
+  const int port_wanted = port_flag(args, 0);
 
   serve::Service service(
-      static_cast<std::size_t>(args.get_int("cache-entries")),
-      static_cast<std::size_t>(args.get_int("cache-mb")) << 20);
+      launch::uint_flag(args, "cache-entries", 0, kMaxCacheEntries),
+      launch::uint_flag(args, "cache-mb", 0, kMaxCacheMb) << 20);
   serve::Server server(service, workers);
-  const int port = server.listen(static_cast<int>(args.get_int("port")));
+  const int port = server.listen(port_wanted);
 
   // Atomic, so a poller never reads a half-written port.
   if (const std::string& pf = args.get_string("port-file");
@@ -148,6 +161,7 @@ int cmd_client(int argc, const char* const* argv) {
     std::fprintf(stderr, "mpisect-serve: client needs --port\n");
     return 1;
   }
+  const int port = port_flag(args, 1);
 
   const std::vector<std::string> lines =
       read_script(args.get_string("script"));
@@ -160,7 +174,7 @@ int cmd_client(int argc, const char* const* argv) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(args.get_int("port")));
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
     std::perror("mpisect-serve: connect");
     ::close(fd);
@@ -217,8 +231,8 @@ int cmd_query(int argc, const char* const* argv) {
   if (!launch::parse(args, argc, argv)) return 1;
 
   serve::Service service(
-      static_cast<std::size_t>(args.get_int("cache-entries")),
-      static_cast<std::size_t>(args.get_int("cache-mb")) << 20);
+      launch::uint_flag(args, "cache-entries", 0, kMaxCacheEntries),
+      launch::uint_flag(args, "cache-mb", 0, kMaxCacheMb) << 20);
   for (const std::string& line : read_script(args.get_string("script"))) {
     const std::string resp = service.handle_line(line);
     std::fwrite(resp.data(), 1, resp.size(), stdout);

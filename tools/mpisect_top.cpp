@@ -256,7 +256,11 @@ int run(int argc, char** argv) {
   if (self_pane_on) obs::set_timing(true);
 
   RenderOptions ro;
-  ro.top = static_cast<int>(args.get_int("top"));
+  ro.top = static_cast<int>(launch::uint_flag(args, "top", 0, 1 << 20));
+  const auto depth =
+      static_cast<int>(launch::uint_flag(args, "depth", 0, 1024));
+  const std::chrono::milliseconds refresh(
+      launch::uint_flag(args, "refresh-ms", 1, 3'600'000));
 
   if (!args.get_string("post").empty()) {
     ro.status = "[post]";
@@ -282,7 +286,7 @@ int run(int argc, char** argv) {
   mpisim::World& world = *world_ptr;
   telemetry::SamplerOptions sopts;
   sopts.dt = dt;
-  sopts.phase_depth = static_cast<int>(args.get_int("depth"));
+  sopts.phase_depth = depth;
   auto sampler = telemetry::TelemetrySampler::install(world, sopts);
   std::shared_ptr<mpisim::faults::FaultInjector> injector;
   if (!opts.faults.empty()) {
@@ -302,8 +306,7 @@ int run(int argc, char** argv) {
 
   const bool live = !args.get_flag("no-live") && isatty(1) != 0;
   while (!done.load()) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(args.get_int("refresh-ms")));
+    std::this_thread::sleep_for(refresh);
     if (!live) continue;
     telemetry::Timeline tl = telemetry::build_timeline(*sampler);
     RenderOptions live_ro = ro;
@@ -320,6 +323,11 @@ int run(int argc, char** argv) {
   }
   runner.join();
   if (run_error) std::rethrow_exception(run_error);
+  if (sampler->window_bound_exceeded()) {
+    throw std::invalid_argument(
+        support::format("--dt %g", dt) + " bins the run into more than " +
+        std::to_string(telemetry::kMaxTimelineWindows) + " windows");
+  }
 
   const telemetry::Timeline tl = telemetry::build_timeline(*sampler);
 

@@ -3,8 +3,11 @@
 # nothing on stdout, before any world exists. `--ranks 8x` used to run 8
 # ranks, `--dt abc` read 0 and `--eager -1` wrapped to 2^64 - 1.
 function(expect_rejected label pattern)
+  # A flag that slips through could start a daemon: the timeout turns that
+  # into a failure instead of a hang.
   execute_process(
     COMMAND ${ARGN}
+    TIMEOUT 60
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err
     RESULT_VARIABLE rc)
@@ -70,3 +73,33 @@ foreach(v 0 -1 16777217)
     ${REPLAY} compress --in ${trace} --out ${trace}z --chunk-events ${v})
 endforeach()
 file(REMOVE ${trace} ${trace}z ${trace}.unused)
+# The daemon's port and cache flags, and top's display flags, checked
+# before any socket, cache or world exists: `--port 70000` used to bind
+# port 4464 and `--cache-entries -1` a near-2^64 cache.
+foreach(v -1 70000)
+  expect_rejected("mpisect-serve serve --port ${v}"
+    "^mpisect-serve: param 'port' must be an integer in \\[0, 65535\\]\n$"
+    ${SERVE} serve --port ${v})
+endforeach()
+expect_rejected("mpisect-serve client --port 70000"
+  "^mpisect-serve: param 'port' must be an integer in \\[1, 65535\\]\n$"
+  ${SERVE} client --port 70000 --script no-such-script.jsonl)
+foreach(cmd "serve" "query;--script;no-such-script.jsonl")
+  expect_rejected("mpisect-serve ${cmd} --cache-entries -1"
+    "^mpisect-serve: param 'cache-entries' must be an integer in \\[0, 16777216\\]\n$"
+    ${SERVE} ${cmd} --cache-entries -1)
+  expect_rejected("mpisect-serve ${cmd} --cache-mb -1"
+    "^mpisect-serve: param 'cache-mb' must be an integer in \\[0, 1048576\\]\n$"
+    ${SERVE} ${cmd} --cache-mb -1)
+endforeach()
+expect_rejected("mpisect-top --depth -1"
+  "^mpisect-top: param 'depth' must be an integer in \\[0, 1024\\]\n$"
+  ${TOP} --app convolution --ranks 4 --steps 1 --no-live --depth -1)
+expect_rejected("mpisect-top --top -1"
+  "^mpisect-top: param 'top' must be an integer in \\[0, 1048576\\]\n$"
+  ${TOP} --app convolution --ranks 4 --steps 1 --no-live --top -1)
+foreach(v 0 -250)
+  expect_rejected("mpisect-top --refresh-ms ${v}"
+    "^mpisect-top: param 'refresh-ms' must be an integer in \\[1, 3600000\\]\n$"
+    ${TOP} --app convolution --ranks 4 --steps 1 --no-live --refresh-ms ${v})
+endforeach()
