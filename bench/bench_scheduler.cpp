@@ -1,11 +1,11 @@
 // Scheduler throughput microbenchmarks (google-benchmark): wall-clock cost
-// of running a fixed seeded convolution world under the cooperative fiber
-// backend vs the thread-per-rank reference, across rank counts and worker
-// pool sizes. The ranks/s counter is the number BENCH_*.json tracks — the
-// paper-scale worlds (64+ ranks, Table 7) are only practical when it stays
-// roughly flat as ranks grow past the core count. Every benchmark here runs
-// on real time: the benchmark thread only waits while workers (or rank
-// threads) do the work, so its own CPU time would make any rate meaningless.
+// of running a fixed seeded convolution world on the fiber scheduler,
+// across rank counts and worker pool sizes. The ranks/s counter is the
+// number BENCH_*.json tracks — the paper-scale worlds (64+ ranks, Table 7)
+// are only practical when it stays roughly flat as ranks grow past the core
+// count. Every benchmark here runs on real time: the benchmark thread only
+// waits while workers do the work, so its own CPU time would make any rate
+// meaningless.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,10 +21,9 @@ namespace {
 
 using namespace mpisect;
 
-mpisim::WorldOptions options(mpisim::ExecBackend exec, int workers) {
+mpisim::WorldOptions options(int workers) {
   mpisim::WorldOptions opts;
   opts.machine = mpisim::MachineModel::nehalem_cluster();
-  opts.exec = exec;
   opts.workers = workers;
   return opts;
 }
@@ -52,11 +51,11 @@ void with_rank_counter(benchmark::State& state, int ranks) {
                           ranks);
 }
 
-/// Cooperative fiber scheduler, default worker pool. Sweep rank counts past
-/// anything the thread backend can sensibly host on this container.
+/// Fiber scheduler, default worker pool. Sweeps rank counts past what one
+/// OS thread per rank could sensibly host on a small machine.
 void BM_SchedulerCooperative(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
-  const auto opts = options(mpisim::ExecBackend::Cooperative, 0);
+  const auto opts = options(0);
   for (auto _ : state) run_world(ranks, opts, /*steps=*/10);
   with_rank_counter(state, ranks);
 }
@@ -64,21 +63,6 @@ BENCHMARK(BM_SchedulerCooperative)
     ->Arg(8)
     ->Arg(64)
     ->Arg(256)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/// Thread-per-rank reference: same work, one OS thread per virtual rank.
-/// The 64-rank gap against BM_SchedulerCooperative/64 is the headline
-/// speedup of the cooperative backend.
-void BM_SchedulerThreads(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  const auto opts = options(mpisim::ExecBackend::Threads, 0);
-  for (auto _ : state) run_world(ranks, opts, /*steps=*/10);
-  with_rank_counter(state, ranks);
-}
-BENCHMARK(BM_SchedulerThreads)
-    ->Arg(8)
-    ->Arg(64)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -93,7 +77,7 @@ void BM_SchedulerWorkerSweep(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
   const int workers = static_cast<int>(state.range(1));
   constexpr int kSteps = 10;
-  const auto opts = options(mpisim::ExecBackend::Cooperative, workers);
+  const auto opts = options(workers);
   const std::clock_t cpu0 = std::clock();
   for (auto _ : state) run_world(ranks, opts, kSteps);
   const double cpu_s =

@@ -10,10 +10,12 @@
 //      threshold, entirely inside the callbacks.
 //
 //   build/examples/tool_integration
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/sections/api.hpp"
@@ -50,23 +52,35 @@ class SlowInstanceDetector final : public mpisim::hooks::Tool {
     const double took = ctx.now() - entered;
     if (took > threshold_) {
       const std::lock_guard lock(mu_);
-      reports_.push_back("rank " + std::to_string(ctx.rank()) +
-                         ": section '" + label + "' took " +
-                         support::fmt_seconds(took) + " (threshold " +
-                         support::fmt_seconds(threshold_) + ")");
+      reports_.push_back({ctx.rank(),
+                          "rank " + std::to_string(ctx.rank()) +
+                              ": section '" + label + "' took " +
+                              support::fmt_seconds(took) + " (threshold " +
+                              support::fmt_seconds(threshold_) + ")"});
     }
   }
 
-  void print() const {
+  /// Findings in rank order; one rank's stay in its program order. Ranks
+  /// leave their sections in whatever order the scheduler runs them, so
+  /// arrival order would differ from run to run.
+  void print() {
+    std::stable_sort(reports_.begin(), reports_.end(),
+                     [](const Report& a, const Report& b) {
+                       return a.rank < b.rank;
+                     });
     std::printf("SlowInstanceDetector findings (%zu):\n", reports_.size());
-    for (const auto& r : reports_) std::printf("  %s\n", r.c_str());
+    for (const auto& r : reports_) std::printf("  %s\n", r.text.c_str());
   }
 
  private:
   mpisim::World& world_;
   double threshold_;
-  mutable std::mutex mu_;
-  std::vector<std::string> reports_;
+  struct Report {
+    int rank;
+    std::string text;
+  };
+  std::mutex mu_;
+  std::vector<Report> reports_;
 };
 
 }  // namespace

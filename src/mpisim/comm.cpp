@@ -1,7 +1,6 @@
 #include "mpisim/comm.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <map>
 
@@ -849,8 +848,14 @@ void Comm::allreduce(const void* sendbuf, void* recvbuf, int count,
   bcast_binomial(modeled ? nullptr : recvbuf, bytes, 0, tag_bcast);
 }
 
-void Comm::scatter_linear(const void* sendbuf, std::size_t bytes_per_rank,
-                          void* recvbuf, int root, int tag) {
+void Comm::scatter(const void* sendbuf, std::size_t bytes_per_rank,
+                   void* recvbuf, int root) {
+  require(valid(), Err::Comm, "null communicator");
+  require(root >= 0 && root < size(), Err::Rank, "scatter: bad root");
+  const HookScope hook(
+      *ctx_, make_info(*this, MpiCall::Scatter, root, bytes_per_rank, -1));
+  charge_collective_entry();
+  const int tag = next_internal_tag();
   const int p = size();
   if (rank_ == root) {
     const auto* base = static_cast<const std::byte*>(sendbuf);
@@ -869,92 +874,6 @@ void Comm::scatter_linear(const void* sendbuf, std::size_t bytes_per_rank,
     }
   } else {
     recv_internal(recvbuf, bytes_per_rank, root, tag);
-  }
-}
-
-namespace {
-
-/// The recursive-halving split sequence for a relative rank vr in [0, p):
-/// at each level the range [lo, hi) held by `lo` splits at mid and the
-/// upper part moves to mid. Shared by binomial scatter and gather.
-std::vector<std::array<int, 3>> halving_splits(int vr, int p) {
-  std::vector<std::array<int, 3>> splits;
-  int lo = 0;
-  int hi = p;
-  while (hi - lo > 1) {
-    const int mid = lo + (hi - lo + 1) / 2;
-    splits.push_back({lo, mid, hi});
-    if (vr < mid) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return splits;
-}
-
-}  // namespace
-
-void Comm::scatter_binomial(const void* sendbuf, std::size_t bytes_per_rank,
-                            void* recvbuf, int root, int tag) {
-  const int p = size();
-  const int vr = (rank_ - root + p) % p;
-  const bool modeled = recvbuf == nullptr;
-
-  // Root repacks into relative-rank order once so subtree ranges are
-  // contiguous even when root != 0.
-  std::vector<std::byte> stage;
-  if (vr == 0 && !modeled && sendbuf != nullptr) {
-    stage.resize(static_cast<std::size_t>(p) * bytes_per_rank);
-    const auto* base = static_cast<const std::byte*>(sendbuf);
-    for (int j = 0; j < p; ++j) {
-      const int abs_rank = (j + root) % p;
-      std::memcpy(stage.data() + static_cast<std::size_t>(j) * bytes_per_rank,
-                  base + static_cast<std::size_t>(abs_rank) * bytes_per_rank,
-                  bytes_per_rank);
-    }
-  }
-
-  int coverage_lo = vr == 0 ? 0 : -1;  // stage currently holds [coverage_lo, ...)
-  for (const auto& [lo, mid, hi] : halving_splits(vr, p)) {
-    const std::size_t bytes =
-        static_cast<std::size_t>(hi - mid) * bytes_per_rank;
-    if (vr == lo) {
-      const void* src =
-          modeled || stage.empty()
-              ? nullptr
-              : stage.data() +
-                    static_cast<std::size_t>(mid - coverage_lo) *
-                        bytes_per_rank;
-      send_internal(src, bytes, (mid + root) % p, tag);
-    } else if (vr == mid) {
-      if (!modeled) stage.resize(bytes);
-      coverage_lo = mid;
-      recv_internal(modeled ? nullptr : stage.data(), bytes, (lo + root) % p,
-                    tag);
-    }
-  }
-  if (!modeled && !stage.empty()) {
-    std::memcpy(recvbuf,
-                stage.data() +
-                    static_cast<std::size_t>(vr - coverage_lo) *
-                        bytes_per_rank,
-                bytes_per_rank);
-  }
-}
-
-void Comm::scatter(const void* sendbuf, std::size_t bytes_per_rank,
-                   void* recvbuf, int root) {
-  require(valid(), Err::Comm, "null communicator");
-  require(root >= 0 && root < size(), Err::Rank, "scatter: bad root");
-  const HookScope hook(
-      *ctx_, make_info(*this, MpiCall::Scatter, root, bytes_per_rank, -1));
-  charge_collective_entry();
-  const int tag = next_internal_tag();
-  if (ctx_->world().options().scatter_algo == CollAlgo::Binomial) {
-    scatter_binomial(sendbuf, bytes_per_rank, recvbuf, root, tag);
-  } else {
-    scatter_linear(sendbuf, bytes_per_rank, recvbuf, root, tag);
   }
 }
 
@@ -989,8 +908,14 @@ void Comm::scatterv(const void* sendbuf, std::span<const std::size_t> counts,
   }
 }
 
-void Comm::gather_linear(const void* sendbuf, std::size_t bytes_per_rank,
-                         void* recvbuf, int root, int tag) {
+void Comm::gather(const void* sendbuf, std::size_t bytes_per_rank,
+                  void* recvbuf, int root) {
+  require(valid(), Err::Comm, "null communicator");
+  require(root >= 0 && root < size(), Err::Rank, "gather: bad root");
+  const HookScope hook(
+      *ctx_, make_info(*this, MpiCall::Gather, root, bytes_per_rank, -1));
+  charge_collective_entry();
+  const int tag = next_internal_tag();
   const int p = size();
   if (rank_ == root) {
     auto* base = static_cast<std::byte*>(recvbuf);
@@ -1008,77 +933,6 @@ void Comm::gather_linear(const void* sendbuf, std::size_t bytes_per_rank,
     }
   } else {
     send_internal(sendbuf, bytes_per_rank, root, tag);
-  }
-}
-
-void Comm::gather_binomial(const void* sendbuf, std::size_t bytes_per_rank,
-                           void* recvbuf, int root, int tag) {
-  const int p = size();
-  const int vr = (rank_ - root + p) % p;
-  const bool modeled = sendbuf == nullptr && recvbuf == nullptr;
-  const auto splits = halving_splits(vr, p);
-
-  // My eventual coverage: the largest [vr, hi) I will assemble — the hi of
-  // the earliest split in which I act as `lo` (splits narrow over time, so
-  // scanning forward finds the widest one).
-  int coverage_hi = vr + 1;
-  for (const auto& [lo, mid, hi] : splits) {
-    (void)mid;
-    if (vr == lo) {
-      coverage_hi = hi;
-      break;
-    }
-  }
-
-  std::vector<std::byte> stage;
-  if (!modeled) {
-    stage.resize(static_cast<std::size_t>(coverage_hi - vr) * bytes_per_rank);
-    if (sendbuf != nullptr) {
-      std::memcpy(stage.data(), sendbuf, bytes_per_rank);
-    }
-  }
-
-  // Replay the scatter splits in reverse: subtrees merge bottom-up.
-  for (auto it = splits.rbegin(); it != splits.rend(); ++it) {
-    const auto [lo, mid, hi] = *it;
-    const std::size_t bytes =
-        static_cast<std::size_t>(hi - mid) * bytes_per_rank;
-    if (vr == mid) {
-      send_internal(modeled ? nullptr : stage.data(), bytes,
-                    (lo + root) % p, tag);
-    } else if (vr == lo) {
-      void* dst = modeled ? nullptr
-                          : stage.data() +
-                                static_cast<std::size_t>(mid - vr) *
-                                    bytes_per_rank;
-      recv_internal(dst, bytes, (mid + root) % p, tag);
-    }
-  }
-
-  // Root unpacks relative order back to absolute rank slots.
-  if (vr == 0 && !modeled && recvbuf != nullptr) {
-    auto* base = static_cast<std::byte*>(recvbuf);
-    for (int j = 0; j < p; ++j) {
-      const int abs_rank = (j + root) % p;
-      std::memcpy(base + static_cast<std::size_t>(abs_rank) * bytes_per_rank,
-                  stage.data() + static_cast<std::size_t>(j) * bytes_per_rank,
-                  bytes_per_rank);
-    }
-  }
-}
-
-void Comm::gather(const void* sendbuf, std::size_t bytes_per_rank,
-                  void* recvbuf, int root) {
-  require(valid(), Err::Comm, "null communicator");
-  require(root >= 0 && root < size(), Err::Rank, "gather: bad root");
-  const HookScope hook(
-      *ctx_, make_info(*this, MpiCall::Gather, root, bytes_per_rank, -1));
-  charge_collective_entry();
-  const int tag = next_internal_tag();
-  if (ctx_->world().options().gather_algo == CollAlgo::Binomial) {
-    gather_binomial(sendbuf, bytes_per_rank, recvbuf, root, tag);
-  } else {
-    gather_linear(sendbuf, bytes_per_rank, recvbuf, root, tag);
   }
 }
 

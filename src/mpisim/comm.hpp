@@ -6,12 +6,13 @@
 // through which application code performs every MPI operation; it carries
 // the caller's Ctx so operations can charge the right virtual clock.
 //
-// Collectives are implemented over the runtime's own point-to-point layer
-// (binomial broadcast/reduce, dissemination barrier, linear rooted
-// scatter/gather, ring allgather, pairwise alltoall) on a reserved tag
-// range, exactly like a real MPI library — so their virtual-time costs
-// emerge from message mechanics instead of being special-cased, and tools
-// hooked on the public entry points never see the internal traffic.
+// Collectives are implemented over the runtime's own point-to-point layer,
+// one algorithm each (binomial broadcast/reduce, dissemination barrier,
+// linear rooted scatter/gather and their v-variants, ring allgather,
+// pairwise alltoall) on a reserved tag range, exactly like a real MPI
+// library — so their virtual-time costs emerge from message mechanics
+// instead of being special-cased, and tools hooked on the public entry
+// points never see the internal traffic.
 #pragma once
 
 #include <atomic>
@@ -191,14 +192,6 @@ class Comm {
   void bcast_binomial(void* buf, std::size_t bytes, int root, int tag);
   void reduce_binomial(const void* sendbuf, void* recvbuf, int count,
                        Datatype type, ReduceOp op, int root, int tag);
-  void scatter_linear(const void* sendbuf, std::size_t bytes_per_rank,
-                      void* recvbuf, int root, int tag);
-  void scatter_binomial(const void* sendbuf, std::size_t bytes_per_rank,
-                        void* recvbuf, int root, int tag);
-  void gather_linear(const void* sendbuf, std::size_t bytes_per_rank,
-                     void* recvbuf, int root, int tag);
-  void gather_binomial(const void* sendbuf, std::size_t bytes_per_rank,
-                       void* recvbuf, int root, int tag);
 
   Ctx* ctx_ = nullptr;
   std::shared_ptr<CommImpl> impl_;

@@ -31,8 +31,9 @@ World::World(int nranks, WorldOptions options)
     options_.machine.net.send_overhead += options_.progress.entry_overhead;
     options_.machine.net.recv_overhead += options_.progress.entry_overhead;
   }
-  executor_ =
-      make_executor(options_.exec, options_.workers, options_.stack_kb);
+  executor_ = options_.executor
+                  ? options_.executor()
+                  : make_executor(options_.workers, options_.stack_kb);
   executor_->set_mem_account(&stack_account_);
   records_ = std::make_unique<RecordPools>(*executor_);
   // Exact deadlock signal: every live rank parked, no wake pending. Give

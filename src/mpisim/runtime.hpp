@@ -1,12 +1,11 @@
 // World launcher and per-rank execution context.
 //
 // World::run(fn) executes an SPMD function on every rank against a shared
-// MachineModel. Ranks run on the World's Executor — by default the
-// cooperative fiber scheduler (see scheduler.hpp), with a thread-per-rank
-// backend selectable via WorldOptions::exec for differential testing; both
-// produce bit-identical virtual-time results for the same seed. Rank-side
-// code receives a Ctx — its rank identity, virtual clock and
-// compute-charging interface. Extensions
+// MachineModel. Ranks run on the World's Executor, the fiber scheduler of
+// scheduler.hpp; a test may substitute its own through
+// WorldOptions::executor, and virtual time is bit-identical on any
+// executor for the same seed. Rank-side code receives a Ctx — its rank
+// identity, virtual clock and compute-charging interface. Extensions
 // (the sections layer, profiling tools) attach to the World and get
 // per-rank init/finalize callbacks, mirroring how PMPI tools wrap
 // MPI_Init/MPI_Finalize.
@@ -42,16 +41,9 @@ namespace faults {
 class FaultEngine;
 }
 
-/// Algorithm selection for the rooted block collectives. Linear is the
-/// naive root-loops implementation; Binomial halves the problem per round
-/// (log p latency terms, intermediates forward subtree blocks).
-enum class CollAlgo { Linear, Binomial };
-
 struct WorldOptions {
   MachineModel machine = MachineModel::ideal();
   std::uint64_t seed = 0x5EED;
-  CollAlgo scatter_algo = CollAlgo::Linear;
-  CollAlgo gather_algo = CollAlgo::Linear;
   /// Standard deviation (seconds) of the random per-rank start skew,
   /// modelling loosely synchronized job launch (paper Fig. 3 discussion).
   double start_skew_sigma = 0.0;
@@ -59,15 +51,15 @@ struct WorldOptions {
   /// ("non-intrusive synchronization primitives which could be selectively
   /// enabled", paper Sec. 4).
   bool validate_sections = false;
-  /// Rank execution backend. Cooperative multiplexes ranks over a fixed
-  /// worker pool; Threads is the one-OS-thread-per-rank differential
-  /// reference. Virtual-time results are identical either way.
-  ExecBackend exec = ExecBackend::Cooperative;
-  /// Worker threads for the cooperative backend: 0 = MPISECT_WORKERS env
-  /// var, else the usable cores (see resolve_workers()).
+  /// Test seam: builds the World's executor. Null (the default) means the
+  /// fiber scheduler sized by `workers` and `stack_kb`; a test passes
+  /// another Executor (tests/thread_executor.hpp) to compare against it.
+  std::function<std::unique_ptr<Executor>()> executor;
+  /// Worker threads for the fiber scheduler: 0 = MPISECT_WORKERS env var,
+  /// else the usable cores (see resolve_workers()).
   int workers = 0;
-  /// Fiber stack size in KiB for the cooperative backend: 0 =
-  /// MPISECT_STACK_KB env var, else 1 MiB; values are clamped up to 64.
+  /// Fiber stack size in KiB: 0 = MPISECT_STACK_KB env var, else 1 MiB;
+  /// values are clamped up to 64.
   std::size_t stack_kb = 0;
   /// Deterministic fault-injection plan (see faults/plan.hpp). An empty
   /// plan constructs no engine, so fault-free runs are bit-identical to a
@@ -122,7 +114,7 @@ class World {
     aborted_.store(true);
     executor_->wake_all();
   }
-  /// The rank execution backend (channels and collectives block through it).
+  /// The rank executor (channels and collectives block through it).
   [[nodiscard]] Executor& executor() noexcept { return *executor_; }
   /// Free lists for this world's messages, posted receives and request
   /// states (see record_pool.hpp).

@@ -116,10 +116,19 @@ int Executor::current_worker() const noexcept {
   return tl_worker_exec == this ? tl_worker_index : -1;
 }
 
-void Executor::yield() noexcept {
-  // Thread-per-rank backend (and off-fiber callers): every rank has its own
-  // OS thread, so an OS yield is all the fairness there is to give.
-  std::this_thread::yield();
+std::uint64_t Executor::epoch(const WaitPoint& wp) noexcept {
+  return wp.epoch_.load(std::memory_order_relaxed);
+}
+
+void Executor::bump_epoch(WaitPoint& wp) noexcept {
+  wp.epoch_.fetch_add(1, std::memory_order_relaxed);
+  wp.cv_.notify_all();
+}
+
+void Executor::wait_epoch(WaitPoint& wp,
+                          std::unique_lock<std::mutex>& owner_lk,
+                          std::uint64_t seen) {
+  wp.cv_.wait(owner_lk, [&wp, seen] { return epoch(wp) != seen; });
 }
 
 void Executor::do_wake(WaitPoint& wp) {
@@ -127,139 +136,9 @@ void Executor::do_wake(WaitPoint& wp) {
   // reading the epoch until its cv wait releases it, so the bump either
   // happens-before the epoch read (the waiter then returns immediately) or
   // the notify finds the waiter already blocked. Never a lost wake.
-  {
-    const std::lock_guard lock(wp.owner_mu_);
-    wp.epoch_.fetch_add(1, std::memory_order_relaxed);
-  }
-  wp.cv_.notify_all();
+  const std::lock_guard lock(wp.owner_mu_);
+  bump_epoch(wp);
 }
-
-// ---------------------------------------------------------------------------
-// Threads backend: one OS thread per rank, condition-variable waits
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Set for threads spawned by ThreadExecutor::run; rank waits count towards
-/// quiescence, external waiters (unit tests poking a Channel from a raw
-/// thread) do not.
-thread_local bool tl_rank_thread = false;
-
-}  // namespace
-
-class ThreadExecutor final : public Executor {
- public:
-  ThreadExecutor() = default;
-
-  void run(int n, const std::function<void(int)>& body) override {
-    {
-      const std::lock_guard lock(mu_);
-      n_ = n;
-      alive_ = n;
-      blocked_ = 0;
-      waiters_.clear();
-      fired_ = false;
-    }
-    stats_.reset();
-    const obs::Span run_span("sched.run");
-    MPISECT_LOG_DEBUG("scheduler: threads backend, %d ranks", n);
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      threads.emplace_back([this, &body, r] {
-        tl_rank_thread = true;
-        body(r);
-        tl_rank_thread = false;
-        bool fire = false;
-        {
-          const std::lock_guard lock(mu_);
-          --alive_;
-          fire = quiescent_locked();
-        }
-        // A rank exiting can strand the rest (orphaned waits).
-        if (fire) fire_quiescence();
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-
-  [[nodiscard]] const char* backend_name() const noexcept override {
-    return "threads";
-  }
-  [[nodiscard]] int workers() const noexcept override { return n_; }
-
- protected:
-  void do_wait(WaitPoint& wp, std::unique_lock<std::mutex>& lk) override {
-    const std::uint64_t epoch = wp.epoch_.load(std::memory_order_relaxed);
-    const bool tracked = tl_rank_thread;
-    bool fire = false;
-    if (tracked) {
-      stats_.parks.fetch_add(1, std::memory_order_relaxed);
-      const std::lock_guard lock(mu_);
-      ++blocked_;
-      waiters_.push_back({&wp, epoch});
-      fire = quiescent_locked();
-    }
-    if (fire) {
-      // We still hold the owner mutex; the handler ends in World::abort(),
-      // whose wake_all needs every owner mutex — release around the call.
-      lk.unlock();
-      fire_quiescence();
-      lk.lock();
-    }
-    wp.cv_.wait(lk, [&wp, epoch] {
-      return wp.epoch_.load(std::memory_order_relaxed) != epoch;
-    });
-    if (tracked) {
-      const std::lock_guard lock(mu_);
-      --blocked_;
-      const auto it =
-          std::find(waiters_.begin(), waiters_.end(), Waiter{&wp, epoch});
-      if (it != waiters_.end()) {
-        *it = waiters_.back();
-        waiters_.pop_back();
-      }
-    }
-  }
-
-  void do_notify(WaitPoint& wp) override {
-    // Caller holds wp's owner mutex, so no blocked or about-to-block waiter
-    // can miss this bump (see do_wake for the argument).
-    wp.epoch_.fetch_add(1, std::memory_order_relaxed);
-    wp.cv_.notify_all();
-    stats_.wakes.fetch_add(1, std::memory_order_relaxed);
-  }
-
- private:
-  struct Waiter {
-    WaitPoint* wp;
-    std::uint64_t epoch;
-    bool operator==(const Waiter&) const = default;
-  };
-
-  /// Caller holds mu_. Quiescent = every live rank is blocked AND every
-  /// blocked rank's recorded epoch is still current (no wake in flight).
-  /// Any state change needs a running rank, and a rank that notified then
-  /// blocked synchronizes through mu_, so a stale epoch read cannot fake
-  /// quiescence.
-  bool quiescent_locked() {
-    if (fired_ || alive_ <= 0 || blocked_ != alive_) return false;
-    for (const Waiter& w : waiters_) {
-      if (w.wp->epoch_.load(std::memory_order_relaxed) != w.epoch) {
-        return false;
-      }
-    }
-    fired_ = true;
-    return true;
-  }
-
-  std::mutex mu_;
-  int n_ = 0;
-  int alive_ = 0;
-  int blocked_ = 0;
-  std::vector<Waiter> waiters_;
-  bool fired_ = false;
-};
 
 // ---------------------------------------------------------------------------
 // Fiber contexts: a user-space register switch on x86-64, ucontext elsewhere
@@ -524,7 +403,7 @@ class StackPool {
 StackPoolStats stack_pool_stats() { return StackPool::instance().stats(); }
 
 // ---------------------------------------------------------------------------
-// Cooperative backend: stackful fibers on a fixed worker pool
+// The fiber scheduler: stackful fibers on a fixed worker pool
 // ---------------------------------------------------------------------------
 
 class FiberExecutor;
@@ -655,8 +534,7 @@ class FiberExecutor final : public Executor {
     timed_ = obs::timing_enabled();
     const obs::Span run_span("sched.run");
     nw_ = std::min(workers_, std::max(1, n));
-    MPISECT_LOG_DEBUG("scheduler: cooperative backend, %d ranks on %d workers",
-                      n, nw_);
+    MPISECT_LOG_DEBUG("scheduler: %d ranks on %d workers", n, nw_);
     total_ = n;
     finished_.store(0, std::memory_order_relaxed);
     runnable_.store(n, std::memory_order_relaxed);
@@ -692,9 +570,6 @@ class FiberExecutor final : public Executor {
     tasks_.clear();
   }
 
-  [[nodiscard]] const char* backend_name() const noexcept override {
-    return "cooperative";
-  }
   [[nodiscard]] int workers() const noexcept override { return workers_; }
 
   void yield() noexcept override {
@@ -717,10 +592,7 @@ class FiberExecutor final : public Executor {
     if (t == nullptr || t->exec != this) {
       // Off-fiber caller (unit tests, external threads): epoch-guarded cv
       // wait, invisible to quiescence accounting.
-      const std::uint64_t epoch = wp.epoch_.load(std::memory_order_relaxed);
-      wp.cv_.wait(lk, [&wp, epoch] {
-        return wp.epoch_.load(std::memory_order_relaxed) != epoch;
-      });
+      wait_epoch(wp, lk, epoch(wp));
       return;
     }
     // Park. Register on the waitpoint while still holding the owner mutex
@@ -739,9 +611,9 @@ class FiberExecutor final : public Executor {
   }
 
   void do_notify(WaitPoint& wp) override {
-    // Caller holds wp's owner mutex; see ThreadExecutor::do_notify.
-    wp.epoch_.fetch_add(1, std::memory_order_relaxed);
-    wp.cv_.notify_all();
+    // Caller holds wp's owner mutex, so no blocked or about-to-block waiter
+    // can miss this bump (see Executor::do_wake).
+    bump_epoch(wp);
     // Every write to parked_ holds the owner mutex, which the caller holds
     // too, so an empty list here is exact: nobody is parked and nobody is
     // half-way through parking. Most notifies (a deposit or post with no
@@ -750,15 +622,12 @@ class FiberExecutor final : public Executor {
   }
 
   void do_wake(WaitPoint& wp) override {
-    // Same epoch bump and cv notify as Executor::do_wake, but the parked
-    // tasks move while the owner mutex is still held: that keeps every
-    // write to parked_ under it, which do_notify's early return relies on.
-    {
-      const std::lock_guard lock(wp.owner_mu_);
-      wp.epoch_.fetch_add(1, std::memory_order_relaxed);
-      wake_parked(wp);
-    }
-    wp.cv_.notify_all();
+    // Executor::do_wake, and the parked tasks move while the owner mutex is
+    // still held: that keeps every write to parked_ under it, which
+    // do_notify's early return relies on.
+    const std::lock_guard lock(wp.owner_mu_);
+    bump_epoch(wp);
+    wake_parked(wp);
   }
 
  private:
@@ -1026,37 +895,13 @@ int resolve_workers(int workers) noexcept {
   return support::usable_cores();
 }
 
-std::unique_ptr<Executor> make_executor(ExecBackend backend, int workers,
-                                        std::size_t stack_kb) {
-  if (backend == ExecBackend::Threads) {
-    return std::make_unique<ThreadExecutor>();
-  }
+std::unique_ptr<Executor> make_executor(int workers, std::size_t stack_kb) {
   return std::make_unique<FiberExecutor>(resolve_workers(workers), stack_kb);
 }
 
 // ---------------------------------------------------------------------------
 // ExecModel: the --exec spec
 // ---------------------------------------------------------------------------
-
-const char* ExecModel::name() const noexcept {
-  return backend == ExecBackend::Threads ? "threads" : "cooperative";
-}
-
-std::string ExecModel::spec() const {
-  std::string s = name();
-  if (backend == ExecBackend::Threads) return s;
-  char sep = ':';
-  if (workers > 0) {
-    s += sep;
-    s += "workers=" + std::to_string(workers);
-    sep = ',';
-  }
-  if (stack_kb > 0) {
-    s += sep;
-    s += "stack=" + std::to_string(stack_kb);
-  }
-  return s;
-}
 
 ExecModel ExecModel::parse(const std::string& spec) {
   support::SpecParts parts;
@@ -1066,18 +911,11 @@ ExecModel ExecModel::parse(const std::string& spec) {
     throw MpiError(Err::Arg, std::string("exec ") + e.what());
   }
 
-  ExecModel m;
-  if (parts.preset == "cooperative") {
-    m.backend = ExecBackend::Cooperative;
-  } else if (parts.preset == "threads") {
-    m.backend = ExecBackend::Threads;
-  } else {
+  if (parts.preset != "cooperative") {
     throw MpiError(Err::Arg, "unknown exec preset '" + parts.preset +
                                  "' (expected " + choices() + ")");
   }
-  require(parts.options.empty() || m.backend == ExecBackend::Cooperative,
-          Err::Arg, "threads takes no options");
-
+  ExecModel m;
   for (const auto& [key, raw] : parts.options) {
     int value = 0;
     try {
@@ -1108,7 +946,7 @@ ExecModel ExecModel::parse(const std::string& spec) {
 }
 
 std::string ExecModel::choices() {
-  return "cooperative[:workers=N,stack=KB]|threads";
+  return "cooperative[:workers=N,stack=KB]";
 }
 
 }  // namespace mpisect::mpisim

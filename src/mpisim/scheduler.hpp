@@ -1,41 +1,41 @@
-// Rank execution backends: how the ranks of one World::run get CPU time.
+// Rank execution: how the ranks of one World::run get CPU time.
 //
 // The simulator's blocking primitives (Channel, CollSync) do not own
 // condition variables; they own WaitPoints. A WaitPoint delegates blocking
-// to the World's Executor, which comes in two flavours:
+// to the World's Executor. The library has one: a run-to-block fiber
+// scheduler. Every rank is a stackful fiber (a user-space register switch
+// on x86-64, ucontext elsewhere) whose stack comes from one process-wide
+// pool of guard-paged slabs that later Worlds reuse; a fixed pool of worker
+// threads (default support::usable_cores(), override with MPISECT_WORKERS)
+// runs fibers until they block, then parks them on the WaitPoint and picks
+// up the next runnable fiber. Parking costs one user-space context switch,
+// so worlds with thousands of ranks multiplex over a handful of OS threads
+// instead of oversubscribing the machine. Each worker owns one ready lane,
+// and rank r's home lane is that of the worker owning its contiguous block
+// (r * workers / n): a wake or a yield appends the rank to its home lane,
+// so halo neighbours' messages and wakes stay on one core. A worker pops
+// its own lane first and steals from the others before it sleeps; there is
+// no global ready-queue lock.
 //
-//   * Cooperative (default): a run-to-block fiber scheduler. Every rank is
-//     a stackful fiber (a user-space register switch on x86-64, ucontext
-//     elsewhere) whose stack comes from one process-wide pool of guard-paged
-//     slabs that later Worlds reuse; a fixed pool of worker threads (default
-//     support::usable_cores(), override with MPISECT_WORKERS) runs fibers
-//     until they block, then parks them on the WaitPoint and picks up the
-//     next runnable fiber. Parking costs one user-space context switch, so
-//     worlds with thousands of ranks multiplex over a handful of OS
-//     threads instead of oversubscribing the machine. Each worker owns one
-//     ready lane, and rank r's home lane is that of the worker owning its
-//     contiguous block (r * workers / n): a wake or a yield appends the
-//     rank to its home lane, so halo neighbours' messages and wakes stay on
-//     one core. A worker pops its own lane first and steals from the others
-//     before it sleeps; there is no global ready-queue lock.
-//   * Threads: one OS thread per rank, waits are plain condition-variable
-//     blocks. Kept as the differential-testing reference — virtual-time
-//     results must be bit-identical between the two backends for the same
-//     seed, because virtual time is a pure function of per-rank program
-//     order and the seeded jitter draws, never of scheduling.
+// Executor stays an abstract interface so that a test can substitute its
+// own (WorldOptions::executor): tests/thread_executor.hpp runs one OS
+// thread per rank as the differential oracle. Virtual-time results must
+// be bit-identical between the two for the same seed, because virtual time
+// is a pure function of per-rank program order and the seeded jitter
+// draws, never of scheduling.
 //
 // There is no polling anywhere: waits block until an event delivery calls
 // WaitPoint::notify_all(), and World::abort() wakes every waiter explicitly
 // via Executor::wake_all().
 //
-// Both backends detect quiescence exactly: the instant every live rank is
-// parked with no wake pending, the quiescence handler fires. That is the
-// scheduler's "all runnable tasks parked" signal — a true deadlock by
-// construction, which replaces the checker's old real-time watchdog with
-// deterministic detection. The cooperative backend keeps one atomic count
-// of ready-or-running tasks: a wake adds to it before it publishes a task,
-// a park subtracts once the fiber's context is saved, a finish subtracts
-// too, and the count reaching 0 with ranks unfinished is the signal.
+// Quiescence is exact: the instant every live rank is parked with no wake
+// pending, the quiescence handler fires. That is the scheduler's "all
+// runnable tasks parked" signal — a true deadlock by construction, which
+// replaces the checker's old real-time watchdog with deterministic
+// detection. The fiber scheduler keeps one atomic count of ready-or-running
+// tasks: a wake adds to it before it publishes a task, a park subtracts
+// once the fiber's context is saved, a finish subtracts too, and the count
+// reaching 0 with ranks unfinished is the signal.
 #pragma once
 
 #include <atomic>
@@ -53,38 +53,24 @@ class MemAccount;
 
 namespace mpisect::mpisim {
 
-/// Which execution backend a World uses for its ranks.
-enum class ExecBackend {
-  Cooperative,  ///< fiber scheduler on a fixed worker pool (default)
-  Threads,      ///< one OS thread per rank (differential reference)
-};
-
-/// Backend selection plus its tuning knobs, with the same
+/// The fiber scheduler's tuning knobs, with the same
 /// `preset[:key=value,...]` spec vocabulary as ProgressModel — what the
-/// `--exec` flag parses and what describe() strings print.
+/// `--exec` flag parses.
 ///
 ///   cooperative                    default worker pool, default stacks
 ///   cooperative:workers=4          fixed worker count
 ///   cooperative:workers=4,stack=256  256 KiB fiber stacks
-///   threads                        one OS thread per rank
 struct ExecModel {
   /// Bounds on the knobs, for specs and environment variables alike: a
   /// hostile value is rejected before any thread or stack exists.
   static constexpr int kMaxWorkers = 1024;
   static constexpr std::size_t kMaxStackKb = 1048576;  ///< 1 GiB
 
-  ExecBackend backend = ExecBackend::Cooperative;
-  int workers = 0;          ///< 0 = MPISECT_WORKERS env, else hw concurrency
+  int workers = 0;          ///< 0 = MPISECT_WORKERS env, else usable cores
   std::size_t stack_kb = 0; ///< 0 = MPISECT_STACK_KB env, else 1 MiB; min 64
 
-  bool operator==(const ExecModel&) const = default;
-
-  [[nodiscard]] const char* name() const noexcept;
-  /// Canonical spec string; ExecModel::parse(spec()) == *this.
-  [[nodiscard]] std::string spec() const;
   /// Parse a spec string. Throws MpiError(Err::Arg) on unknown presets,
-  /// unknown options, options on the threads backend, or values above
-  /// kMaxWorkers / kMaxStackKb.
+  /// unknown options, or values above kMaxWorkers / kMaxStackKb.
   static ExecModel parse(const std::string& spec);
   static std::string choices();
 };
@@ -92,7 +78,7 @@ struct ExecModel {
 class WaitPoint;
 struct FiberTask;
 
-/// Wall-clock execution counters maintained by the backends (relaxed
+/// Wall-clock execution counters maintained by the executor (relaxed
 /// atomics, bumped on the park/wake paths). These describe *scheduling*,
 /// not virtual time: values vary run to run with OS interleaving and worker
 /// count, so telemetry exports them as runtime (process-scope) metrics,
@@ -100,7 +86,7 @@ struct FiberTask;
 struct ExecStats {
   std::atomic<std::uint64_t> parks{0};      ///< rank blocked on a WaitPoint
   std::atomic<std::uint64_t> wakes{0};      ///< tasks moved back to ready
-  std::atomic<std::uint64_t> switches{0};   ///< fiber resumes (coop backend)
+  std::atomic<std::uint64_t> switches{0};   ///< fiber resumes
   /// Runnable ranks sampled at every wake batch (sum / samples = mean).
   std::atomic<std::uint64_t> ready_depth_sum{0};
   std::atomic<std::uint64_t> ready_depth_samples{0};
@@ -141,7 +127,8 @@ struct ExecStats {
 };
 
 /// Executes the n rank bodies of one World::run and services their blocking
-/// waits. Created once per World via make_executor().
+/// waits. Each World owns one: make_executor()'s fiber scheduler unless
+/// WorldOptions::executor supplies another.
 class Executor {
  public:
   virtual ~Executor();
@@ -158,12 +145,11 @@ class Executor {
   /// blocked ranks re-check the flag and unwind with Err::Aborted.
   void wake_all() noexcept;
 
-  /// Reschedule the calling rank without blocking it: on the cooperative
-  /// backend the current fiber goes to the back of its home lane so other
-  /// runnable ranks get CPU time; on the thread backend this is an OS
-  /// yield. Completion-test loops (Request::test) call this so a spinning
-  /// rank can never starve the peer that would complete its request.
-  virtual void yield() noexcept;
+  /// Reschedule the calling rank without blocking it, so other runnable
+  /// ranks get CPU time. Completion-test loops (Request::test) call this so
+  /// a spinning rank can never starve the peer that would complete its
+  /// request.
+  virtual void yield() noexcept = 0;
 
   /// Install the callback fired (at most once per run) when every live rank
   /// is parked with no wake pending — an exact deadlock signal. Set before
@@ -171,19 +157,20 @@ class Executor {
   void set_quiescence_handler(std::function<void()> handler);
 
   /// Index of the calling thread in this executor's worker pool, or -1
-  /// when the caller is none of its workers (thread backend, main thread).
+  /// when the caller is none of its workers (the main thread, an executor
+  /// without a pool).
   /// A worker runs one fiber at a time, so state kept per worker index
   /// (the record caches of record_pool.hpp) needs no lock.
   [[nodiscard]] int current_worker() const noexcept;
 
-  [[nodiscard]] virtual const char* backend_name() const noexcept = 0;
-  /// Worker threads used to execute ranks (== nranks for Threads backend).
+  /// Worker threads that execute ranks: the fiber scheduler's pool size
+  /// (a run uses at most one per rank).
   [[nodiscard]] virtual int workers() const noexcept = 0;
 
   /// Wall-clock scheduling counters (see ExecStats). Reset at each run().
   [[nodiscard]] const ExecStats& stats() const noexcept { return stats_; }
 
-  /// Optional per-rank stack accounting sink. The cooperative backend
+  /// Optional per-rank stack accounting sink. The fiber scheduler
   /// charges rank r's slot when r's fiber stack is assigned and credits it
   /// when the fiber finishes; the account's hwm is therefore each rank's
   /// exact stack high-water mark. Accounting only — never affects
@@ -201,6 +188,19 @@ class Executor {
   virtual void do_notify(WaitPoint& wp) = 0;
   /// Wake all waiters of wp from the abort path (no locks held by caller).
   virtual void do_wake(WaitPoint& wp);
+
+  // WaitPoint state for the executors' wait and wake paths. The epoch is
+  // wp's wake generation: bumped under the owner mutex by every wake, so a
+  // waiter that read it under that mutex can never miss a wake.
+  /// wp's current wake generation.
+  static std::uint64_t epoch(const WaitPoint& wp) noexcept;
+  /// Bump wp's epoch and wake its condition-variable waiters. Caller holds
+  /// wp's owner mutex.
+  static void bump_epoch(WaitPoint& wp) noexcept;
+  /// Block on wp's condition variable (releasing owner_lk's mutex) until
+  /// its epoch differs from `seen`.
+  static void wait_epoch(WaitPoint& wp, std::unique_lock<std::mutex>& owner_lk,
+                         std::uint64_t seen);
 
   void add_waitpoint(WaitPoint* wp);
   void remove_waitpoint(WaitPoint* wp);
@@ -247,17 +247,16 @@ class WaitPoint {
 
  private:
   friend class Executor;
-  friend class ThreadExecutor;
   friend class FiberExecutor;
 
   Executor& exec_;
   std::mutex& owner_mu_;
-  std::condition_variable cv_;  ///< thread-backend + off-fiber waiters
+  std::condition_variable cv_;  ///< waiters that are not parked fibers
   /// Wake generation: bumped (under the owner mutex) by every notify. A
   /// waiter records it before blocking; "epoch unchanged" is both the
   /// cv wait predicate and the "no wake pending" half of quiescence.
   std::atomic<std::uint64_t> epoch_{0};
-  /// Fiber backend: tasks parked here. Every access holds the owner mutex;
+  /// Fiber scheduler: tasks parked here. Every access holds the owner mutex;
   /// a task is added before the parking fiber releases it, so a notifier
   /// (which holds it) never misses a half-parked task.
   std::vector<FiberTask*> parked_;
@@ -298,12 +297,11 @@ struct StackPoolStats {
 /// CPUs of the process's affinity mask).
 [[nodiscard]] int resolve_workers(int workers) noexcept;
 
-/// Create an executor. workers is resolved via resolve_workers() and only
-/// meaningful for the cooperative backend. stack_kb sets the fiber stack
-/// size (clamped up to 64 KiB); 0 falls back to MPISECT_STACK_KB (bounded
-/// by ExecModel::kMaxStackKb, clamped up likewise), else 1 MiB.
-[[nodiscard]] std::unique_ptr<Executor> make_executor(ExecBackend backend,
-                                                      int workers = 0,
+/// Create the fiber scheduler. workers is resolved via resolve_workers().
+/// stack_kb sets the fiber stack size (clamped up to 64 KiB); 0 falls back
+/// to MPISECT_STACK_KB (bounded by ExecModel::kMaxStackKb, clamped up
+/// likewise), else 1 MiB.
+[[nodiscard]] std::unique_ptr<Executor> make_executor(int workers = 0,
                                                       std::size_t stack_kb = 0);
 
 }  // namespace mpisect::mpisim

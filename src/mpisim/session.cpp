@@ -15,18 +15,6 @@ constexpr const char* kPsetSelf = "mpi://SELF";
 // WorldBuilder
 // ---------------------------------------------------------------------------
 
-std::string WorldBuilder::describe() const {
-  ExecModel em;
-  em.backend = opts_.exec;
-  em.workers = opts_.workers;
-  em.stack_kb = opts_.stack_kb;
-  std::string s = "ranks=" + std::to_string(nranks_);
-  s += " exec=" + em.spec();
-  s += " progress=" + opts_.progress.spec();
-  s += " seed=" + std::to_string(opts_.seed);
-  return s;
-}
-
 std::unique_ptr<World> WorldBuilder::build() const {
   return std::make_unique<World>(nranks_, opts_);
 }

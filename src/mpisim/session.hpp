@@ -56,14 +56,6 @@ class WorldBuilder {
     opts_.seed = s;
     return *this;
   }
-  WorldBuilder& scatter_algo(CollAlgo a) {
-    opts_.scatter_algo = a;
-    return *this;
-  }
-  WorldBuilder& gather_algo(CollAlgo a) {
-    opts_.gather_algo = a;
-    return *this;
-  }
   WorldBuilder& start_skew_sigma(double sigma) {
     opts_.start_skew_sigma = sigma;
     return *this;
@@ -72,14 +64,13 @@ class WorldBuilder {
     opts_.validate_sections = on;
     return *this;
   }
-  /// Execution backend + workers + stack size in one knob.
+  /// The fiber scheduler's workers + stack size in one knob.
   WorldBuilder& exec(const ExecModel& m) {
-    opts_.exec = m.backend;
     opts_.workers = m.workers;
     opts_.stack_kb = m.stack_kb;
     return *this;
   }
-  /// e.g. "cooperative:workers=4,stack=256" or "threads".
+  /// e.g. "cooperative:workers=4,stack=256" or "cooperative".
   WorldBuilder& exec_spec(const std::string& spec) {
     return exec(ExecModel::parse(spec));
   }
@@ -100,11 +91,6 @@ class WorldBuilder {
   [[nodiscard]] const WorldOptions& peek_options() const noexcept {
     return opts_;
   }
-
-  /// One-line summary of the configuration using canonical round-trip
-  /// spec strings (feeding each `x=<spec>` back through the matching
-  /// setter reproduces this builder).
-  [[nodiscard]] std::string describe() const;
 
   /// Construct the World (lazily: per-rank communicator state is deferred
   /// to run()). Throws MpiError(Err::Arg) if nranks <= 0.

@@ -211,8 +211,7 @@ std::string unified_export(const ArgParser& args) {
 
 void add_world_flags(ArgParser& args) {
   args.add_string("exec", "cooperative",
-                  "rank execution backend: "
-                  "cooperative[:workers=N,stack=KB] | threads");
+                  "rank scheduler: cooperative[:workers=N,stack=KB]");
 }
 
 std::int64_t check_int(const char* name, double v, std::int64_t lo,

@@ -81,7 +81,7 @@ void add_unified_flags(ArgParser& args, const std::string& model_default,
 
 /// Register the flag shared by every tool/bench that constructs a
 /// simulated world, in the common `preset[:key=value,...]` vocabulary:
-///   --exec  cooperative[:workers=N,stack=KB] | threads
+///   --exec  cooperative[:workers=N,stack=KB]  (the fiber scheduler's knobs)
 /// Feed the value to WorldBuilder::exec_spec(), which parses and validates
 /// it (support is below mpisim, so parsing lives there).
 void add_world_flags(ArgParser& args);

@@ -45,7 +45,10 @@ inline constexpr std::uint32_t kTraceVersion = 5;
 struct TraceHeader {
   std::string app;  ///< free-form provenance (app + parameters)
   std::uint64_t seed = 0;
-  std::uint8_t scatter_algo = 0;  ///< mpisim::CollAlgo
+  /// Rooted scatter/gather algorithm ids, 0 = linear (the only one the
+  /// simulator has). Kept in the v5 layout so every trace re-encodes
+  /// byte-identically; the recorder writes 0.
+  std::uint8_t scatter_algo = 0;
   std::uint8_t gather_algo = 0;
   double start_skew_sigma = 0.0;
   int nranks = 0;

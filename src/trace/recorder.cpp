@@ -307,10 +307,6 @@ TraceFile TraceRecorder::skeleton() const {
   TraceFile tf;
   tf.header.app = options_.app;
   tf.header.seed = world_->options().seed;
-  tf.header.scatter_algo =
-      static_cast<std::uint8_t>(world_->options().scatter_algo);
-  tf.header.gather_algo =
-      static_cast<std::uint8_t>(world_->options().gather_algo);
   tf.header.start_skew_sigma = world_->options().start_skew_sigma;
   tf.header.nranks = world_->size();
   tf.header.telemetry_dt = options_.telemetry_dt;

@@ -1,7 +1,9 @@
 // Direct unit tests of the matching engine (Channel) — below the Comm
 // layer, exercising matching rules and virtual-time math in isolation.
-// Channels block through an Executor; these tests use the thread backend
-// so plain test threads can poke at the channel from outside a World.
+// Channels block through an Executor; these tests use the thread-per-rank
+// oracle (thread_executor.hpp), whose waits are plain condition-variable
+// blocks, so plain test threads can poke at the channel from outside a
+// World.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,15 +23,17 @@
 #include "support/rng.hpp"
 
 #include "reference_matcher.hpp"
+#include "thread_executor.hpp"
 
 namespace {
 
 using namespace mpisect::mpisim;
 using mpisect::testutil::ReferenceMatcher;
+using mpisect::testutil::ThreadExecutor;
 
 struct ChannelFixture {
   std::atomic<bool> abort{false};
-  std::unique_ptr<Executor> exec = make_executor(ExecBackend::Threads);
+  std::unique_ptr<Executor> exec = std::make_unique<ThreadExecutor>();
   Channel ch{*exec, &abort};
 };
 
@@ -267,7 +271,7 @@ struct Lockstep {
       : ch{*exec, &abort, rendezvous_extra, mem}, ref{rendezvous_extra} {}
 
   std::atomic<bool> abort{false};
-  std::unique_ptr<Executor> exec = make_executor(ExecBackend::Threads);
+  std::unique_ptr<Executor> exec = std::make_unique<ThreadExecutor>();
   Channel ch;
   ReferenceMatcher ref;
   std::vector<Message*> msgs;

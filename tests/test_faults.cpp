@@ -28,6 +28,8 @@
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
 
+#include "thread_executor.hpp"
+
 namespace {
 
 using namespace mpisect;
@@ -70,13 +72,13 @@ struct RunArtifacts {
   std::string telemetry_csv;
 };
 
-RunArtifacts run_convolution(const FaultPlan& plan, mpisim::ExecBackend exec,
-                             int workers, int ranks = 4, int steps = 6) {
+/// workers: fiber-scheduler workers, or testutil::kThreadPerRank.
+RunArtifacts run_convolution(const FaultPlan& plan, int workers,
+                             int ranks = 4, int steps = 6) {
   mpisim::WorldOptions opts;
   opts.machine = mpisim::MachineModel::nehalem_cluster();
   opts.seed = 0xBEEF;
-  opts.exec = exec;
-  opts.workers = workers;
+  testutil::set_workers(opts, workers);
   opts.faults = plan;
   mpisim::World world(ranks, opts);
   sections::SectionRuntime::install(world);
@@ -111,40 +113,34 @@ void expect_identical(const RunArtifacts& a, const RunArtifacts& b,
 }
 
 TEST(FaultDeterminism, EmptyPlanIsBitIdenticalToFaultFreeRun) {
-  const auto bare = run_convolution(FaultPlan{}, mpisim::ExecBackend::Cooperative, 1);
+  const auto bare = run_convolution(FaultPlan{}, 1);
   // A plan with a non-default resilience policy but no rules is still
   // empty(): no engine is constructed, nothing can differ.
   FaultPlan policy_only;
   policy_only.retransmit.rto = 1e-3;
   policy_only.retransmit.max_retries = 2;
   ASSERT_TRUE(policy_only.empty());
-  expect_identical(bare,
-                   run_convolution(policy_only,
-                                   mpisim::ExecBackend::Cooperative, 1),
+  expect_identical(bare, run_convolution(policy_only, 1),
                    "empty plan, coop workers=1");
+  expect_identical(bare, run_convolution(FaultPlan{}, 4), "coop workers=4");
   expect_identical(bare,
-                   run_convolution(FaultPlan{},
-                                   mpisim::ExecBackend::Cooperative, 4),
-                   "coop workers=4");
-  expect_identical(bare,
-                   run_convolution(FaultPlan{}, mpisim::ExecBackend::Threads, 0),
-                   "threads backend");
+                   run_convolution(FaultPlan{}, testutil::kThreadPerRank),
+                   "thread-per-rank oracle");
 }
 
 TEST(FaultDeterminism, SameSeedFaultRunsAreByteReproducible) {
   const FaultPlan plan =
       FaultPlan::parse("drop:p=0.05; dup:p=0.02; delay:t=1e-5,p=0.2");
-  const auto coop1 = run_convolution(plan, mpisim::ExecBackend::Cooperative, 1);
-  const auto coop4 = run_convolution(plan, mpisim::ExecBackend::Cooperative, 4);
-  const auto threads = run_convolution(plan, mpisim::ExecBackend::Threads, 0);
+  const auto coop1 = run_convolution(plan, 1);
+  const auto coop4 = run_convolution(plan, 4);
+  const auto threads = run_convolution(plan, testutil::kThreadPerRank);
   expect_identical(coop1, coop4, "coop workers=1 vs 4");
-  expect_identical(coop1, threads, "coop vs threads");
+  expect_identical(coop1, threads, "coop vs thread-per-rank oracle");
 }
 
 TEST(FaultDeterminism, FaultsActuallyPerturbTheRun) {
-  const auto bare = run_convolution(FaultPlan{}, mpisim::ExecBackend::Cooperative, 1);
-  const auto dropped = run_convolution(FaultPlan::parse("drop:p=0.1"),
-                                       mpisim::ExecBackend::Cooperative, 1);
+  const auto bare = run_convolution(FaultPlan{}, 1);
+  const auto dropped = run_convolution(FaultPlan::parse("drop:p=0.1"), 1);
   // Retransmits cost wire time: the faulted run must finish strictly later.
   ASSERT_EQ(bare.final_times.size(), dropped.final_times.size());
   double bare_max = 0.0, dropped_max = 0.0;

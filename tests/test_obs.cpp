@@ -26,6 +26,8 @@
 #include "telemetry/timeline.hpp"
 #include "trace/recorder.hpp"
 
+#include "thread_executor.hpp"
+
 namespace {
 
 using namespace mpisect;
@@ -158,12 +160,12 @@ struct RunResult {
   std::string telemetry_csv;
 };
 
-RunResult run_conv(mpisim::ExecBackend exec, int workers) {
+/// workers: fiber-scheduler workers, or testutil::kThreadPerRank.
+RunResult run_conv(int workers) {
   mpisim::WorldOptions opts;
   opts.machine = mpisim::MachineModel::nehalem_cluster();
   opts.seed = 0x5EED;
-  opts.exec = exec;
-  opts.workers = workers;
+  testutil::set_workers(opts, workers);
   mpisim::World world(8, opts);
   sections::SectionRuntime::install(world);
   auto rec = trace::TraceRecorder::install(world, {.app = "convolution"});
@@ -186,20 +188,11 @@ RunResult run_conv(mpisim::ExecBackend exec, int workers) {
 }
 
 TEST(ObsSpans, SelfTracePerturbsNothingAcrossBackends) {
-  struct Config {
-    mpisim::ExecBackend exec;
-    int workers;
-  };
-  const Config configs[] = {
-      {mpisim::ExecBackend::Cooperative, 1},
-      {mpisim::ExecBackend::Cooperative, 4},
-      {mpisim::ExecBackend::Threads, 0},
-  };
-  for (const Config& c : configs) {
+  for (const int workers : {1, 4, testutil::kThreadPerRank}) {
     obs::set_enabled_for_test(false);
-    const RunResult off = run_conv(c.exec, c.workers);
+    const RunResult off = run_conv(workers);
     obs::set_enabled_for_test(true);
-    const RunResult on = run_conv(c.exec, c.workers);
+    const RunResult on = run_conv(workers);
     obs::set_enabled_for_test(false);
     EXPECT_EQ(off.final_times, on.final_times);
     EXPECT_EQ(off.trace_bytes, on.trace_bytes);

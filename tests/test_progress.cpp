@@ -26,12 +26,13 @@
 #include "trace/replay.hpp"
 #include "trace/report.hpp"
 
+#include "thread_executor.hpp"
+
 namespace {
 
 using namespace mpisect;
 using mpisim::Comm;
 using mpisim::Ctx;
-using mpisim::ExecBackend;
 using mpisim::MachineModel;
 using mpisim::MpiError;
 using mpisim::ProgressMode;
@@ -39,13 +40,11 @@ using mpisim::ProgressModel;
 using mpisim::World;
 using mpisim::WorldOptions;
 
-WorldOptions nehalem_options(ExecBackend exec = ExecBackend::Cooperative,
-                             int workers = 0,
-                             ProgressModel progress = {}) {
+/// workers: fiber-scheduler workers, or testutil::kThreadPerRank.
+WorldOptions nehalem_options(int workers = 0, ProgressModel progress = {}) {
   WorldOptions opts;
   opts.machine = MachineModel::nehalem_cluster();
-  opts.exec = exec;
-  opts.workers = workers;
+  testutil::set_workers(opts, workers);
   opts.progress = progress;
   return opts;
 }
@@ -100,19 +99,16 @@ TEST(ProgressSpec, SweepCsvCarriesProgressColumn) {
 // --------------------------------------------------------- bit compat ---
 
 TEST(ProgressBitCompat, BlockingOnlyIdenticalAcrossBackendsAndWorkers) {
-  const std::vector<double> base =
-      convolution_finals(nehalem_options(ExecBackend::Cooperative, 1), 8, 6);
+  const std::vector<double> base = convolution_finals(nehalem_options(1), 8, 6);
   const std::vector<double> pooled =
-      convolution_finals(nehalem_options(ExecBackend::Cooperative, 4), 8, 6);
+      convolution_finals(nehalem_options(4), 8, 6);
   const std::vector<double> threads =
-      convolution_finals(nehalem_options(ExecBackend::Threads), 8, 6);
+      convolution_finals(nehalem_options(testutil::kThreadPerRank), 8, 6);
   EXPECT_EQ(base, pooled);
   EXPECT_EQ(base, threads);
   // Passing the default model explicitly changes nothing either.
   const std::vector<double> explicit_model = convolution_finals(
-      nehalem_options(ExecBackend::Cooperative, 4,
-                      ProgressModel::parse("blocking-only")),
-      8, 6);
+      nehalem_options(4, ProgressModel::parse("blocking-only")), 8, 6);
   EXPECT_EQ(base, explicit_model);
 }
 
@@ -148,9 +144,9 @@ TEST(ProgressBitCompat, EveryModelDeterministicAcrossBackends) {
     std::array<std::vector<double>, 3> finals;
     int i = 0;
     for (const WorldOptions& opts :
-         {nehalem_options(ExecBackend::Cooperative, 1, pm),
-          nehalem_options(ExecBackend::Cooperative, 4, pm),
-          nehalem_options(ExecBackend::Threads, 0, pm)}) {
+         {nehalem_options(1, pm),
+          nehalem_options(4, pm),
+          nehalem_options(testutil::kThreadPerRank, pm)}) {
       World world(4, opts);
       world.run(progress_mix);
       finals[static_cast<std::size_t>(i++)] = world.final_times();
@@ -171,8 +167,7 @@ TEST(ProgressBitCompat, EveryModelDeterministicAcrossBackends) {
 TEST(ProgressRegression, TestLoopOnRendezvousSendCompletesWithOneWorker) {
   for (const std::string spec :
        {"blocking-only", "opportunistic", "progress-thread"}) {
-    WorldOptions opts = nehalem_options(ExecBackend::Cooperative, 1,
-                                        ProgressModel::parse(spec));
+    WorldOptions opts = nehalem_options(1, ProgressModel::parse(spec));
     World world(2, opts);
     std::atomic<int> spins{0};
     world.run([&spins](Ctx& ctx) {
@@ -199,7 +194,7 @@ TEST(ProgressRegression, TestLoopOnRendezvousSendCompletesWithOneWorker) {
 // blocking-only default keeps the historical strict index-order loop.
 TEST(ProgressRegression, WaitallOrderIndependentUnderProgressEngines) {
   const auto run_order = [](const ProgressModel& pm, bool send_first) {
-    World world(2, nehalem_options(ExecBackend::Cooperative, 0, pm));
+    World world(2, nehalem_options(0, pm));
     world.run([send_first](Ctx& ctx) {
       Comm world_comm = ctx.world_comm();
       std::vector<char> big(64 * 1024);
@@ -329,7 +324,7 @@ TEST(ProgressLivelock, CheckerClassifiesTestLoopLivelock) {
 // ------------------------------------------- trace, fold and replay ---
 
 trace::TraceFile record_mix(const ProgressModel& pm) {
-  World world(4, nehalem_options(ExecBackend::Cooperative, 0, pm));
+  World world(4, nehalem_options(0, pm));
   sections::SectionRuntime::install(world);
   auto rec = trace::TraceRecorder::install(world, {.app = "progress-mix"});
   world.run(progress_mix);

@@ -1,12 +1,12 @@
-// The cooperative rank scheduler: differential equivalence against the
-// thread-per-rank backend (virtual time is a pure function of program
-// order + seeded draws, never of scheduling), worker-count independence,
-// scale (256 ranks on a fixed worker pool), exact deadlock quiescence,
-// the per-worker home lanes (quiescence across lanes, stealing from one
-// loaded lane), the bounds on the --exec knobs, the max-accumulator /
-// multi-run lifecycle fixes that rode along, what a fiber switch must
-// preserve (floating-point control state, callee-saved registers), and the
-// process-wide stack pool.
+// The fiber rank scheduler: differential equivalence against the
+// thread-per-rank oracle of thread_executor.hpp (virtual time is a pure
+// function of program order + seeded draws, never of scheduling),
+// worker-count independence, scale (256 ranks on a fixed worker pool),
+// exact deadlock quiescence, the per-worker home lanes (quiescence across
+// lanes, stealing from one loaded lane), the bounds on the --exec knobs,
+// the max-accumulator / multi-run lifecycle fixes that rode along, what a
+// fiber switch must preserve (floating-point control state, callee-saved
+// registers), and the process-wide stack pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "apps/convolution/convolution.hpp"
@@ -39,24 +40,25 @@
 #include "telemetry/timeline.hpp"
 #include "trace/recorder.hpp"
 
+#include "thread_executor.hpp"
+
 namespace {
 
 using namespace mpisect;
 using mpisim::Comm;
 using mpisim::Ctx;
 using mpisim::Err;
-using mpisim::ExecBackend;
 using mpisim::MachineModel;
 using mpisim::MpiError;
 using mpisim::World;
 using mpisim::WorldOptions;
 
-WorldOptions nehalem_options(ExecBackend exec, int workers = 0) {
+/// workers: fiber-scheduler workers, or testutil::kThreadPerRank.
+WorldOptions nehalem_options(int workers = 0) {
   WorldOptions opts;
   opts.machine = MachineModel::nehalem_cluster();
   opts.start_skew_sigma = 1e-4;  // exercise the seeded jitter draws
-  opts.exec = exec;
-  opts.workers = workers;
+  testutil::set_workers(opts, workers);
   return opts;
 }
 
@@ -76,8 +78,8 @@ struct ConvRun {
   std::string telemetry_csv;
 };
 
-ConvRun run_convolution(ExecBackend exec, int workers = 0, int ranks = 8) {
-  World world(ranks, nehalem_options(exec, workers));
+ConvRun run_convolution(int workers = 0, int ranks = 8) {
+  World world(ranks, nehalem_options(workers));
   sections::SectionRuntime::install(world);
   profiler::SectionProfiler prof(world);
   auto rec = trace::TraceRecorder::install(world, {.app = "convolution"});
@@ -95,18 +97,20 @@ ConvRun run_convolution(ExecBackend exec, int workers = 0, int ranks = 8) {
 }
 
 TEST(Scheduler, DefaultBackendIsCooperative) {
+  // No executor given: the fiber scheduler make_executor() builds.
   World world(2, WorldOptions{});
-  EXPECT_STREQ(world.executor().backend_name(), "cooperative");
-  World threads(2, nehalem_options(ExecBackend::Threads));
-  EXPECT_STREQ(threads.executor().backend_name(), "threads");
+  const auto fibers = mpisim::make_executor(1);
+  EXPECT_EQ(typeid(world.executor()), typeid(*fibers));
+  World threads(2, nehalem_options(testutil::kThreadPerRank));
+  EXPECT_EQ(typeid(threads.executor()), typeid(testutil::ThreadExecutor));
 }
 
-// The property the whole trace/replay layer depends on: both backends
-// produce bit-identical virtual time, per-section profiles, and trace
-// bytes for the same seed.
+// The property the whole trace/replay layer depends on: the fiber
+// scheduler and the oracle produce bit-identical virtual time, per-section
+// profiles, and trace bytes for the same seed.
 TEST(Scheduler, DifferentialConvolutionBitIdentical) {
-  const ConvRun coop = run_convolution(ExecBackend::Cooperative, 4);
-  const ConvRun thr = run_convolution(ExecBackend::Threads);
+  const ConvRun coop = run_convolution(4);
+  const ConvRun thr = run_convolution(testutil::kThreadPerRank);
 
   ASSERT_EQ(coop.final_times.size(), thr.final_times.size());
   for (std::size_t r = 0; r < coop.final_times.size(); ++r) {
@@ -130,8 +134,8 @@ TEST(Scheduler, DifferentialConvolutionBitIdentical) {
 }
 
 TEST(Scheduler, DifferentialLuleshBitIdentical) {
-  auto run = [](ExecBackend exec) {
-    World world(8, nehalem_options(exec));
+  auto run = [](int workers) {
+    World world(8, nehalem_options(workers));
     sections::SectionRuntime::install(world);
     apps::lulesh::LuleshConfig cfg;
     cfg.s = 4;
@@ -140,8 +144,8 @@ TEST(Scheduler, DifferentialLuleshBitIdentical) {
     world.run(std::ref(app));
     return std::make_pair(world.final_times(), app.result().total_energy());
   };
-  const auto coop = run(ExecBackend::Cooperative);
-  const auto thr = run(ExecBackend::Threads);
+  const auto coop = run(0);
+  const auto thr = run(testutil::kThreadPerRank);
   ASSERT_EQ(coop.first.size(), thr.first.size());
   for (std::size_t r = 0; r < coop.first.size(); ++r) {
     EXPECT_EQ(coop.first[r], thr.first[r]) << "rank " << r;
@@ -152,8 +156,8 @@ TEST(Scheduler, DifferentialLuleshBitIdentical) {
 // Virtual time must also be independent of how many workers multiplex the
 // fibers — 1 worker serializes every rank, 4 interleave them.
 TEST(Scheduler, WorkerCountDoesNotAffectVirtualTime) {
-  const ConvRun one = run_convolution(ExecBackend::Cooperative, 1);
-  const ConvRun four = run_convolution(ExecBackend::Cooperative, 4);
+  const ConvRun one = run_convolution(1);
+  const ConvRun four = run_convolution(4);
   EXPECT_EQ(one.final_times, four.final_times);
   EXPECT_EQ(one.trace_bytes, four.trace_bytes);
   EXPECT_EQ(one.telemetry_csv, four.telemetry_csv);
@@ -162,7 +166,7 @@ TEST(Scheduler, WorkerCountDoesNotAffectVirtualTime) {
 // Paper-scale world on a fixed worker pool: 256 ranks was impractical with
 // one OS thread per rank; the fiber scheduler runs it as a unit test.
 TEST(Scheduler, ConvolutionScalesTo256Ranks) {
-  World world(256, nehalem_options(ExecBackend::Cooperative));
+  World world(256, nehalem_options());
   sections::SectionRuntime::install(world);
   apps::conv::ConvolutionConfig cfg;
   cfg.width = 512;
@@ -257,7 +261,7 @@ struct LaneRun {
 
 LaneRun run_counting_quiescence(int ranks, int workers,
                                 const std::function<void(Ctx&)>& body) {
-  World world(ranks, nehalem_options(ExecBackend::Cooperative, workers));
+  World world(ranks, nehalem_options(workers));
   std::atomic<int> fires{0};
   world.set_deadlock_handler([&fires] { fires.fetch_add(1); });
   LaneRun out;
@@ -308,7 +312,7 @@ TEST(SchedulerLanes, LastRunnerFinishingOverOrphanedWaitsFiresOnce) {
 // All the work in one home block: in a 64-rank world ranks 0-15 (lane 0 at
 // every worker count here) ping-pong 200 rounds in pairs, the rest exit at
 // once. Other workers must steal from lane 0, and virtual time must still
-// equal the thread-per-rank reference.
+// equal the thread-per-rank oracle.
 TEST(SchedulerLanes, OneLoadedHomeBlockMatchesThreadsBackend) {
   const auto body = [](Ctx& ctx) {
     Comm comm = ctx.world_comm();
@@ -327,7 +331,7 @@ TEST(SchedulerLanes, OneLoadedHomeBlockMatchesThreadsBackend) {
       ctx.compute_exact(1e-6 * (r + 1));
     }
   };
-  World reference(64, nehalem_options(ExecBackend::Threads));
+  World reference(64, nehalem_options(testutil::kThreadPerRank));
   reference.run(body);
   for (const int workers : kLaneWorkers) {
     const LaneRun run = run_counting_quiescence(64, workers, body);
@@ -370,9 +374,8 @@ TEST(SchedulerLanes, TestPollingAcrossLanesNeverFiresEarly) {
 // proves quiescence (every rank parked, no wake pending) and aborts —
 // deterministic, no watchdog timeout involved.
 TEST(Scheduler, QuiescenceAbortsDeadlockedWorld) {
-  for (const ExecBackend exec :
-       {ExecBackend::Cooperative, ExecBackend::Threads}) {
-    World world(2, nehalem_options(exec));
+  for (const int workers : {0, testutil::kThreadPerRank}) {
+    World world(2, nehalem_options(workers));
     bool aborted = false;
     try {
       world.run([](Ctx& ctx) {
@@ -383,7 +386,7 @@ TEST(Scheduler, QuiescenceAbortsDeadlockedWorld) {
     } catch (const MpiError& err) {
       aborted = err.code() == Err::Aborted;
     }
-    EXPECT_TRUE(aborted) << world.executor().backend_name();
+    EXPECT_TRUE(aborted) << "workers=" << workers;
     EXPECT_TRUE(world.aborted());
   }
 }
@@ -400,9 +403,9 @@ TEST(Scheduler, ElapsedHandlesNegativeFinalTimes) {
 // Same fix inside CollSync: the round's max-entry-time must not clamp
 // negative virtual times to 0.0.
 TEST(Scheduler, CollSyncMaxEntryHandlesNegativeTimes) {
-  auto exec = mpisim::make_executor(ExecBackend::Threads);
+  testutil::ThreadExecutor exec;
   std::atomic<bool> abort{false};
-  mpisim::CollSync<int> sync(2, *exec, &abort);
+  mpisim::CollSync<int> sync(2, exec, &abort);
   double max0 = 0.0;
   std::thread peer([&] {
     auto [values, t_max] = sync.exchange(0, 1, -3.0, 11);
@@ -496,7 +499,7 @@ bool registers_survive(std::uint64_t seed, Park&& park) {
 // that share rank 0's worker. Dividing 1 by 3 tells the modes apart.
 TEST(FiberContext, RoundingModeAndCalleeSavedRegistersSurviveParks) {
   for (const int workers : {1, 4}) {
-    World world(8, nehalem_options(ExecBackend::Cooperative, workers));
+    World world(8, nehalem_options(workers));
     std::atomic<int> bad_mode{0};
     std::atomic<int> bad_regs{0};
     world.run([&](Ctx& ctx) {
@@ -531,7 +534,7 @@ TEST(FiberContext, RoundingModeAndCalleeSavedRegistersSurviveParks) {
 /// n ranks that are all alive at once: each holds its stack through the
 /// barrier, so a world of n ranks needs n stacks concurrently.
 void run_barrier_world(int n, std::size_t stack_kb, std::uint64_t* slab_maps) {
-  WorldOptions opts = nehalem_options(ExecBackend::Cooperative, 2);
+  WorldOptions opts = nehalem_options(2);
   opts.stack_kb = stack_kb;
   World world(n, opts);
   world.run([](Ctx& ctx) { ctx.world_comm().barrier(); });

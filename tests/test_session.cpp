@@ -2,12 +2,13 @@
 //
 //   * Session process-set queries mirror MPI_Session_get_num_psets and
 //     friends (two built-ins: mpi://WORLD, mpi://SELF);
-//   * WorldBuilder specs round-trip (describe() strings feed back through
-//     the matching setters) and reject unknown presets/options;
+//   * WorldBuilder spec setters parse into the options they name, a
+//     progress spec round-trips, and unknown presets/options are rejected;
 //   * World(nranks, options) and WorldBuilder::build() are the same lazy
 //     constructor: same final virtual times, same .mpst bytes, same
 //     telemetry CSVs;
-//   * all execution backends produce bit-identical artifacts;
+//   * the fiber scheduler at any worker count and the thread-per-rank
+//     oracle produce bit-identical artifacts;
 //   * streaming trace writes (TraceRecorder::save, codec::compress_stream)
 //     are byte-identical to the monolithic finish().encode()/compress();
 //   * the v5 trace format round-trips the hierarchical-NBC machine flag;
@@ -36,6 +37,7 @@
 #include "trace/recorder.hpp"
 
 #include "temp_path.hpp"
+#include "thread_executor.hpp"
 
 namespace {
 
@@ -71,28 +73,25 @@ TEST(Session, RejectsNonPositiveSizes) {
 // Spec vocabulary round-trips
 // ---------------------------------------------------------------------------
 
-TEST(WorldBuilder, DescribeUsesCanonicalRoundTripSpecs) {
+TEST(WorldBuilder, SpecsParseIntoOptionsAndProgressRoundTrips) {
   Session s(8);
   auto b = s.world_builder()
                .exec_spec("cooperative:workers=4,stack=256")
                .progress_spec("blocking-only")
                .seed(7);
-  EXPECT_EQ(b.describe(),
-            "ranks=8 exec=cooperative:workers=4,stack=256 "
-            "progress=blocking-only seed=7");
-  // Feed every spec back through its setter: a fixed point.
   const auto& o = b.peek_options();
-  mpisim::ExecModel em;
-  em.backend = o.exec;
-  em.workers = o.workers;
-  em.stack_kb = o.stack_kb;
-  EXPECT_EQ(mpisim::ExecModel::parse(em.spec()), em);
+  EXPECT_EQ(o.workers, 4);
+  EXPECT_EQ(o.stack_kb, 256u);
+  EXPECT_FALSE(o.executor);
+  EXPECT_EQ(o.seed, 7u);
+  // The progress spec feeds back through its setter: a fixed point.
   EXPECT_EQ(mpisim::ProgressModel::parse(o.progress.spec()), o.progress);
 }
 
 TEST(WorldBuilder, SpecsRejectUnknownPresetsAndOptions) {
   Session s(4);
   EXPECT_THROW(s.world_builder().exec_spec("fibers"), mpisim::MpiError);
+  EXPECT_THROW(s.world_builder().exec_spec("threads"), mpisim::MpiError);
   EXPECT_THROW(s.world_builder().exec_spec("threads:workers=2"),
                mpisim::MpiError);
   EXPECT_THROW(s.world_builder().exec_spec("cooperative:bogus=1"),
@@ -145,6 +144,15 @@ RunArtifacts run_spec(const std::string& exec) {
   return run_convolution(*world);
 }
 
+RunArtifacts run_thread_per_rank() {
+  WorldOptions opts;
+  opts.machine = mpisim::MachineModel::nehalem_cluster();
+  opts.seed = 0xBEEF;
+  testutil::set_workers(opts, testutil::kThreadPerRank);
+  const auto world = Session(8, opts).world_builder().build();
+  return run_convolution(*world);
+}
+
 void expect_identical(const RunArtifacts& a, const RunArtifacts& b,
                       const std::string& what) {
   EXPECT_EQ(a.final_times, b.final_times) << what;
@@ -168,10 +176,10 @@ TEST(SessionDifferential, EagerShimMatchesLazyBuild) {
 TEST(SessionDifferential, BackendsAndEnginesAreBitIdentical) {
   const RunArtifacts ref = run_spec("cooperative:workers=1");
   ASSERT_EQ(ref.final_times.size(), 8u);
-  for (const char* e :
-       {"cooperative:workers=1", "cooperative:workers=4", "threads"}) {
+  for (const char* e : {"cooperative:workers=1", "cooperative:workers=4"}) {
     expect_identical(ref, run_spec(e), std::string("exec=") + e);
   }
+  expect_identical(ref, run_thread_per_rank(), "thread-per-rank oracle");
 }
 
 // ---------------------------------------------------------------------------

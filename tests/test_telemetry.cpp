@@ -26,6 +26,8 @@
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
 
+#include "thread_executor.hpp"
+
 namespace {
 
 using namespace mpisect;
@@ -33,7 +35,6 @@ using sections::MPIX_Section_enter;
 using sections::MPIX_Section_exit;
 using mpisim::Comm;
 using mpisim::Ctx;
-using mpisim::ExecBackend;
 using mpisim::MachineModel;
 using mpisim::World;
 using mpisim::WorldOptions;
@@ -212,12 +213,12 @@ struct ConvRunResult {
   std::string timeline_json;
 };
 
-ConvRunResult run_conv_with_sampler(ExecBackend exec, int workers) {
+/// workers: fiber-scheduler workers, or testutil::kThreadPerRank.
+ConvRunResult run_conv_with_sampler(int workers) {
   WorldOptions opts;
   opts.machine = MachineModel::nehalem_cluster();
   opts.seed = 0xBEEF;
-  opts.exec = exec;
-  opts.workers = workers;
+  testutil::set_workers(opts, workers);
   World world(4, opts);
   sections::SectionRuntime::install(world);
   SamplerOptions sopts;
@@ -240,9 +241,9 @@ ConvRunResult run_conv_with_sampler(ExecBackend exec, int workers) {
 }
 
 TEST(TelemetryDeterminism, ExportsByteIdenticalAcrossBackendsAndWorkers) {
-  const auto coop1 = run_conv_with_sampler(ExecBackend::Cooperative, 1);
-  const auto coop4 = run_conv_with_sampler(ExecBackend::Cooperative, 4);
-  const auto threads = run_conv_with_sampler(ExecBackend::Threads, 0);
+  const auto coop1 = run_conv_with_sampler(1);
+  const auto coop4 = run_conv_with_sampler(4);
+  const auto threads = run_conv_with_sampler(testutil::kThreadPerRank);
 
   EXPECT_EQ(coop1.final_times, coop4.final_times);
   EXPECT_EQ(coop1.final_times, threads.final_times);

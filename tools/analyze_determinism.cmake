@@ -1,8 +1,8 @@
 # End-to-end offline-analyzer determinism check:
 #   1. traces recorded under MPISECT_WORKERS=1 vs 4 analyze to
 #      byte-identical JSON reports (record + analyze both deterministic)
-#   2. the race fixture's report is byte-identical across worker counts
-#      AND across scheduler backends (cooperative vs threads)
+#   2. the race and latent-deadlock fixtures' reports are byte-identical
+#      across worker counts
 #   3. exit-code contract: findings -> 2, clean -> 0, corrupt trace -> 1
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env MPISECT_WORKERS=1
@@ -34,8 +34,7 @@ if(NOT same1 EQUAL 0)
   message(FATAL_ERROR "analyzer JSON differs across MPISECT_WORKERS=1/4")
 endif()
 
-# Race fixture: workers 1 vs 4, cooperative vs threads backend. Exit code
-# must be 2 (findings reported).
+# Race fixture: workers 1 vs 4. Exit code must be 2 (findings reported).
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env MPISECT_WORKERS=1
           ${ANALYZE} --scenario race --json --out an_race_w1.json
@@ -44,43 +43,35 @@ execute_process(
   COMMAND ${CMAKE_COMMAND} -E env MPISECT_WORKERS=4
           ${ANALYZE} --scenario race --json --out an_race_w4.json
   RESULT_VARIABLE rc6)
-execute_process(
-  COMMAND ${ANALYZE} --scenario race --exec threads --json
-          --out an_race_threads.json
-  RESULT_VARIABLE rc7)
-if(NOT rc5 EQUAL 2 OR NOT rc6 EQUAL 2 OR NOT rc7 EQUAL 2)
-  message(FATAL_ERROR
-          "race fixture did not exit 2 (${rc5}/${rc6}/${rc7})")
+if(NOT rc5 EQUAL 2 OR NOT rc6 EQUAL 2)
+  message(FATAL_ERROR "race fixture did not exit 2 (${rc5}/${rc6})")
 endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files an_race_w1.json an_race_w4.json
   RESULT_VARIABLE same2)
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files an_race_w1.json
-          an_race_threads.json
-  RESULT_VARIABLE same3)
-if(NOT same2 EQUAL 0 OR NOT same3 EQUAL 0)
-  message(FATAL_ERROR
-          "race report differs across workers/backends (${same2}/${same3})")
+if(NOT same2 EQUAL 0)
+  message(FATAL_ERROR "race report differs across MPISECT_WORKERS=1/4")
 endif()
 
-# Latent-deadlock fixture across backends.
+# Latent-deadlock fixture: workers 1 vs 4.
 execute_process(
-  COMMAND ${ANALYZE} --scenario latent-deadlock --json --out an_ld_coop.json
+  COMMAND ${CMAKE_COMMAND} -E env MPISECT_WORKERS=1
+          ${ANALYZE} --scenario latent-deadlock --json --out an_ld_w1.json
   RESULT_VARIABLE rc8)
 execute_process(
-  COMMAND ${ANALYZE} --scenario latent-deadlock --exec threads --json
-          --out an_ld_threads.json
+  COMMAND ${CMAKE_COMMAND} -E env MPISECT_WORKERS=4
+          ${ANALYZE} --scenario latent-deadlock --json --out an_ld_w4.json
   RESULT_VARIABLE rc9)
 if(NOT rc8 EQUAL 2 OR NOT rc9 EQUAL 2)
   message(FATAL_ERROR
           "latent-deadlock fixture did not exit 2 (${rc8}/${rc9})")
 endif()
 execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files an_ld_coop.json an_ld_threads.json
+  COMMAND ${CMAKE_COMMAND} -E compare_files an_ld_w1.json an_ld_w4.json
   RESULT_VARIABLE same4)
 if(NOT same4 EQUAL 0)
-  message(FATAL_ERROR "latent-deadlock report differs across backends")
+  message(FATAL_ERROR
+          "latent-deadlock report differs across MPISECT_WORKERS=1/4")
 endif()
 
 # Exit-code contract: clean fixture -> 0, corrupt trace -> 1 + diagnostic.

@@ -103,3 +103,8 @@ foreach(v 0 -250)
     "^mpisect-top: param 'refresh-ms' must be an integer in \\[1, 3600000\\]\n$"
     ${TOP} --app convolution --ranks 4 --steps 1 --no-live --refresh-ms ${v})
 endforeach()
+# Spec flags answer the same way: `--exec` knows the fiber scheduler's
+# preset only (the thread-per-rank executor is a test oracle, not a preset).
+expect_rejected("mpisect-report --exec threads"
+  "^mpisect-report: MPI_ERR_ARG: unknown exec preset 'threads' \\(expected cooperative\\[:workers=N,stack=KB\\]\\)\n$"
+  ${REPORT} --app convolution --ranks 2 --steps 1 --exec threads)

@@ -8,7 +8,12 @@ library that appears in no test, tool, bench or example executable is
 unreachable code. Exits 1 and prints the demangled names when there is
 any, 0 otherwise.
 
+With --test-only it instead lists the library functions that only test
+executables link (tools, bench and examples count as production) and
+always exits 0: a report of library code that only tests justify.
+
     python3 tools/unreachable_functions.py [--build-dir build-unreachable]
+                                           [--test-only]
 """
 import argparse
 import os
@@ -17,7 +22,8 @@ import shutil
 import subprocess
 import sys
 
-EXECUTABLE_DIRS = ("tests", "tools", "bench", "examples")
+TEST_DIRS = ("tests",)
+PRODUCTION_DIRS = ("tools", "bench", "examples")
 
 
 # The complete, base and deleting variants of one constructor or
@@ -46,9 +52,32 @@ def is_elf_executable(path):
         return f.read(4) == b"\x7fELF"
 
 
+def linked_symbols(build, subdirs):
+    """Functions linked into any executable under build/<subdir>."""
+    linked = set()
+    for sub in subdirs:
+        for dirpath, _, files in os.walk(os.path.join(build, sub)):
+            for name in files:
+                path = os.path.join(dirpath, name)
+                if is_elf_executable(path):
+                    # Hidden-visibility functions turn local (t) at link
+                    # time; inline ones are weak (W).
+                    linked |= text_symbols(path, "TtWw")
+    return linked
+
+
+def demangled(symbols):
+    names = subprocess.run(["c++filt"], input="\n".join(symbols),
+                           capture_output=True, text=True,
+                           check=True).stdout.split("\n")
+    return sorted(filter(None, names))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--build-dir", default="build-unreachable")
+    parser.add_argument("--test-only", action="store_true",
+                        help="list the functions only tests link; exit 0")
     args = parser.parse_args()
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     build = os.path.abspath(args.build_dir)
@@ -70,25 +99,25 @@ def main():
         for name in files:
             if name.endswith(".a"):
                 defined |= text_symbols(os.path.join(dirpath, name), "T")
-    linked = set()
-    for sub in EXECUTABLE_DIRS:
-        for dirpath, _, files in os.walk(os.path.join(build, sub)):
-            for name in files:
-                path = os.path.join(dirpath, name)
-                if is_elf_executable(path):
-                    # Hidden-visibility functions turn local (t) at link
-                    # time; inline ones are weak (W).
-                    linked |= text_symbols(path, "TtWw")
+    by_tests = linked_symbols(build, TEST_DIRS)
+    by_production = linked_symbols(build, PRODUCTION_DIRS)
 
-    unreachable = sorted(defined - linked)
+    if args.test_only:
+        test_only = sorted((defined & by_tests) - by_production)
+        print("functions linked only by test executables (%d of %d; tools, "
+              "bench and examples count as production; perfbench is built "
+              "outside this tree and not counted):"
+              % (len(test_only), len(defined)))
+        for name in demangled(test_only):
+            print("  " + name)
+        return 0
+
+    unreachable = sorted(defined - by_tests - by_production)
     if not unreachable:
         print("unreachable functions: none of %d" % len(defined))
         return 0
-    names = subprocess.run(["c++filt"], input="\n".join(unreachable),
-                           capture_output=True, text=True,
-                           check=True).stdout.split("\n")
     print("unreachable functions (%d of %d):" % (len(unreachable), len(defined)))
-    for name in sorted(filter(None, names)):
+    for name in demangled(unreachable):
         print("  " + name)
     return 1
 
