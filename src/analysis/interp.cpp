@@ -1,8 +1,8 @@
 #include "analysis/interp.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "mpisim/message.hpp"
@@ -44,7 +44,6 @@ struct Interpreter : trace::WalkObserver {
   InterpResult res;
   bool track_clocks = false;
   std::vector<std::vector<std::uint64_t>> vc;  ///< per-rank running clock
-  std::map<int, std::set<int>> members_seen;
 
   explicit Interpreter(const trace::TraceFile& t) : tf(t) {
     const std::size_t n = tf.ranks.size();
@@ -64,10 +63,19 @@ struct Interpreter : trace::WalkObserver {
   }
 
   /// One pass over the raw streams: wildcard presence, envelope coverage,
-  /// and communicator membership (every rank that touches a context).
+  /// and communicator membership (every rank that touches a context). The
+  /// pass visits ranks in order, so a rank is appended to a context's
+  /// member list at its first event there and the lists come out sorted.
   void scan_envelopes() {
     std::size_t recv_posts = 0;
+    std::vector<int> touched;  // contexts of the current rank
     for (const auto& rs : tf.ranks) {
+      touched.clear();
+      const auto touch = [&](int comm) {
+        if (std::ranges::find(touched, comm) == touched.end()) {
+          touched.push_back(comm);
+        }
+      };
       for (const Event& ev : rs.events) {
         switch (ev.kind) {
           case EventKind::RecvPost:
@@ -80,7 +88,7 @@ struct Interpreter : trace::WalkObserver {
                        ev.tag == mpisim::kAnyTag) {
               res.has_wildcard = true;
             }
-            members_seen[ev.comm].insert(rs.rank);
+            touch(ev.comm);
             break;
           case EventKind::SendPost:
           case EventKind::CollBegin:
@@ -88,15 +96,24 @@ struct Interpreter : trace::WalkObserver {
           case EventKind::NbcPost:
           case EventKind::SectionEnter:
           case EventKind::SectionExit:
-            members_seen[ev.comm].insert(rs.rank);
+            touch(ev.comm);
             break;
           default:
             break;
         }
       }
+      for (const int comm : touched) {
+        res.comm_members[comm].push_back(rs.rank);
+      }
     }
-    for (const auto& [ctx, set] : members_seen) {
-      res.comm_members[ctx] = std::vector<int>(set.begin(), set.end());
+    // A stream's rank field out of order (a corrupt trace) still yields
+    // sorted, distinct member lists.
+    for (auto& [ctx, members] : res.comm_members) {
+      if (std::ranges::adjacent_find(members, std::greater_equal<>()) !=
+          members.end()) {
+        std::ranges::sort(members);
+        members.erase(std::ranges::unique(members).begin(), members.end());
+      }
     }
     res.recvs.reserve(recv_posts);
   }
@@ -123,7 +140,7 @@ struct Interpreter : trace::WalkObserver {
 
   /// Mark the channel-side match so match sets can see consumption.
   void on_recv_wait(int r, std::uint32_t idx, std::size_t back,
-                    const trace::MsgKey& /*key*/, const HbWalker::Msg& ms) {
+                    const HbWalker::Msg& ms) {
     SendInfo& send = (*ms.x.channel)[ms.x.channel_slot];
     send.matched = true;
     send.recv_post_idx = ms.post_idx;

@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -249,9 +250,9 @@ Service::Service(std::size_t cache_entries, std::size_t cache_bytes)
                                 "requests");
   id_errors_ = reg_.add_counter("serve.errors", Scope::Process,
                                 "requests rejected with an error", "requests");
-  id_traces_ = reg_.add_counter("serve.traces_loaded", Scope::Process,
-                                "distinct traces decoded and pinned",
-                                "traces");
+  id_traces_ = reg_.add_counter(
+      "serve.traces_loaded", Scope::Process,
+      "decoded traces pinned (twin paths of one trace share one)", "traces");
   id_bytes_decoded_ =
       reg_.add_counter("serve.bytes_decoded", Scope::Process,
                        "container bytes read while loading traces", "bytes");
@@ -286,7 +287,6 @@ std::shared_ptr<const LoadedTrace> Service::trace(const std::string& path) {
   // different traces should not serialize against each other.
   auto lt = std::make_shared<LoadedTrace>();
   std::vector<std::uint8_t> bytes = read_file(path);
-  lt->file_bytes = bytes.size();
   if (codec::is_mpstz(bytes)) {
     lt->tf = codec::decompress(bytes);
   } else {
@@ -297,10 +297,22 @@ std::shared_ptr<const LoadedTrace> Service::trace(const std::string& path) {
   std::lock_guard<std::mutex> lock(traces_mu_);
   Pinned& pinned = traces_[path];
   if (pinned.trace == nullptr || pinned.stamp != stamp) {
-    // First load, or the file changed: the stale decode is dropped.
-    reg_.inc(id_traces_, 0);
-    reg_.inc(id_bytes_decoded_, 0, static_cast<double>(lt->file_bytes));
-    pinned = {stamp, std::move(lt)};
+    // First load, or the file changed: the stale decode is dropped. A
+    // twin path already pinned with the same content (.mpst and .mpstz of
+    // one trace) lends its copy, so the trace and what its walks keep
+    // exist once.
+    reg_.inc(id_bytes_decoded_, 0, static_cast<double>(bytes.size()));
+    std::shared_ptr<const LoadedTrace> keep = std::move(lt);
+    const auto twin = std::ranges::find_if(traces_, [&](const auto& entry) {
+      return entry.second.trace != nullptr &&
+             entry.second.trace->digest == keep->digest;
+    });
+    if (twin != traces_.end()) {
+      keep = twin->second.trace;
+    } else {
+      reg_.inc(id_traces_, 0);
+    }
+    pinned = {stamp, std::move(keep)};
   }
   return pinned.trace;
 }

@@ -32,12 +32,12 @@
 
 namespace mpisect::serve {
 
-/// A trace pinned in memory: decoded events plus its content digest.
+/// A trace pinned in memory: decoded events (with the walk state kept
+/// with them) plus its content digest.
 struct LoadedTrace {
   trace::TraceFile tf;
   std::uint64_t digest = 0;
-  std::string digest_str;      ///< "mpst1-<16 hex>"
-  std::uint64_t file_bytes = 0;  ///< container size on disk
+  std::string digest_str;  ///< "mpst1-<16 hex>"
 };
 
 /// Deterministic worker shard for a trace path (FNV-1a over the path).
@@ -60,7 +60,13 @@ class Service {
 
   /// Load (or fetch the pinned copy of) a trace. The pinned copy is reused
   /// while the file's (size, mtime, inode) stamp is unchanged; a rewritten
-  /// file is decoded again and replaces it. Throws trace::TraceError.
+  /// file is decoded again and replaces it. A path whose decode has the
+  /// digest of a trace pinned under another path (the .mpst and .mpstz of
+  /// one trace) is pinned to that trace's LoadedTrace, so both paths share
+  /// one decode and its kept walk state. serve.traces_loaded counts the
+  /// LoadedTraces pinned this way (a twin adds none); serve.bytes_decoded
+  /// counts the container bytes of every decode pinned under a path.
+  /// Throws trace::TraceError.
   [[nodiscard]] std::shared_ptr<const LoadedTrace> trace(
       const std::string& path);
 

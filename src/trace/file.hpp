@@ -12,12 +12,22 @@
 // the *recorded* model with no external input, and so `info` can print
 // what the trace was captured on. Section totals per (comm, label) form a
 // self-check footer: a same-model replay must reproduce them exactly.
+//
+// A TraceFile also keeps what its walks derive from the events alone
+// (KeptWalkState): the walk plan and the jitter draw tapes, filled by the
+// first walk that needs them and reused by every later verify, replay,
+// sweep, timeline and analyze of the same object. A copy starts without
+// them, so an edited copy is walked as edited; a trace that has been
+// walked is not edited in place.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mpisim/machine.hpp"
@@ -81,10 +91,69 @@ struct RankStream {
   std::vector<SectionTotal> totals;
 };
 
+struct TraceFile;
+struct WalkPlan;  // trace/walker.hpp
+
+/// What walks derive from a trace's events alone, kept with the trace:
+/// - the walk plan (one per trace, see WalkPlan);
+/// - draw tapes, one per (seed, JitterModel) of a jittered network: every
+///   jitter draw the trace's events make under that network, in walk
+///   order. At most kKeptTapes are kept; the least recently used goes
+///   first, and a walk holds the tapes it reads until it ends.
+/// Each is filled on first use, once per key even when walks of one
+/// const TraceFile run concurrently (the first caller fills, the others
+/// wait for it). Both depend on the events only, so the state must not
+/// outlive an edit of them: a copy starts empty, and a move carries the
+/// state along with the events.
+class KeptWalkState {
+ public:
+  static constexpr std::size_t kKeptTapes = 4;
+
+  KeptWalkState() = default;
+  KeptWalkState(const KeptWalkState& /*other*/) noexcept {}
+  KeptWalkState& operator=(const KeptWalkState& other) noexcept {
+    if (this != &other) {
+      plan_.reset();
+      tapes_.clear();
+    }
+    return *this;
+  }
+  KeptWalkState(KeptWalkState&& other) noexcept
+      : plan_(std::move(other.plan_)), tapes_(std::exchange(other.tapes_, {})) {}
+  KeptWalkState& operator=(KeptWalkState&& other) noexcept {
+    plan_ = std::move(other.plan_);
+    tapes_ = std::exchange(other.tapes_, {});
+    return *this;
+  }
+
+  /// tf's walk plan; tf must be the trace this state belongs to.
+  [[nodiscard]] const WalkPlan& plan(const TraceFile& tf) const;
+  /// tf's draw tape under `net`, a jittered network: WalkPlan::draws
+  /// doubles, rank r's draws from row plan(tf).ranks[r].draw.
+  [[nodiscard]] std::shared_ptr<const double[]> tape(
+      const TraceFile& tf, const mpisim::NetworkModel& net) const;
+
+  /// Whether the plan is kept, how many tapes are, and whether the tape of
+  /// net's seed and jitter is among them.
+  [[nodiscard]] bool planned() const;
+  [[nodiscard]] std::size_t tapes() const;
+  [[nodiscard]] bool holds(const mpisim::NetworkModel& net) const;
+
+ private:
+  struct Tape;
+
+  mutable std::mutex mu_;
+  mutable std::shared_ptr<const WalkPlan> plan_;
+  /// Most recently used first.
+  mutable std::vector<std::shared_ptr<Tape>> tapes_;
+};
+
 struct TraceFile {
   TraceHeader header;
   std::vector<std::string> labels;  ///< id -> name, sorted lexicographically
   std::vector<RankStream> ranks;
+  /// Walk state derived from `ranks` (see KeptWalkState).
+  KeptWalkState kept;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   /// Throws TraceError on bad magic, wrong byte order, version mismatch,

@@ -14,26 +14,35 @@
 // they re-charge recorded compute gaps (rescaled per frame by the
 // observer) and cost messages through their own machine and progress model.
 //
-// Jitter draws come from a draw tape. A draw depends only on (seed,
-// JitterModel, rank, event), never on walk order, so the constructor makes
-// every draw of the trace up front into one allocation, rank by rank on
-// support::parallel_for; the fan-out runs inline for a trace of fewer than
-// kParallelMinWork events, a single rank or one usable core. A
-// rank's tape holds, in event order, one double (the factor) per CPU draw
-// of a SendPost, RecvWait, CollBegin or NbcPost and two (factor, additive)
-// per transfer draw of a SendPost: 24 B per sent message and 8 B per other
-// drawing event, for each frame that owns its draws (about 1.2 MB for the
-// 196,880-event Lulesh p = 512 trace). A frame whose network has the same
-// seed and jitter as an earlier frame does not own draws; it reads that
-// frame's column of the tape, so what-if frames that only rescale links or
-// compute cost little beyond the first. step() reads the tape through a
-// per-rank draw cursor; there is no other draw path.
+// What the walk derives from the events alone is kept with the trace
+// (TraceFile::kept, see KeptWalkState) and built by the first walk:
+// - the WalkPlan: each rank's draw-row offset, the event indices of its
+//   sends and receives, each comm-sync's ordinal, and a dense message id
+//   for every SendPost, matched RecvPost and Probe (one id per distinct
+//   MsgKey);
+// - one draw tape per (seed, JitterModel) of a jittered frame. A draw
+//   depends only on (seed, JitterModel, rank, event), never on walk order,
+//   so a tape holds every draw of the trace in walk order: per rank, in
+//   event order, one double (the factor) per CPU draw of a SendPost,
+//   RecvWait, CollBegin or NbcPost and two (factor, additive) per transfer
+//   draw of a SendPost, 24 B per sent message and 8 B per other drawing
+//   event (about 1.2 MB for the 196,880-event Lulesh p = 512 trace). It is
+//   filled rank by rank on support::parallel_for (inline for a trace of
+//   fewer than kParallelMinWork events, a single rank or one usable core).
+// An unjittered frame (JitterModel::Kind::None) has no tape: its draws are
+// the constants of kNoJitter. Every frame reads a draw as its tape at the
+// rank's draw cursor masked by its row mask, which is 0 for an unjittered
+// frame; there is no other draw path. Frames of the same seed and jitter
+// read one tape, so what-if frames that only rescale links or compute cost
+// little beyond the first, and a walk of a trace walked before under the
+// same networks draws nothing. The kept state describes the events as the
+// first walk saw them: edit a copy of a trace, never a walked trace.
 //
 // In-flight messages live in a MsgTable: records in fixed blocks that
-// never move, recycled through a free list and found through an
-// open-addressing index of (MsgKey, slot). A rank remembers its posts as
-// event indices (4 B each) and rebuilds a message's key from the post.
-// Every read of a rank's recorded events goes through events(r).
+// never move, recycled through a free list and found by message id. A
+// rank keeps counters of its posts; a wait finds its post's message id in
+// the plan through its back-reference. Every read of a rank's recorded
+// events goes through events(r).
 //
 // Whatever a caller keeps beyond the clocks lives in an observer passed to
 // run() (hooks: WalkObserver); `Extra` adds observer fields to every
@@ -53,8 +62,6 @@
 
 #include "mpisim/netmodel.hpp"
 #include "mpisim/progress.hpp"
-#include "support/parallel.hpp"
-#include "support/rng.hpp"
 #include "trace/file.hpp"
 
 namespace mpisect::trace {
@@ -67,40 +74,75 @@ struct MsgKey {
   int dst = 0;
   std::uint64_t seq = 0;
   bool operator==(const MsgKey&) const = default;
-  [[nodiscard]] bool null() const noexcept { return comm < 0; }
-  static MsgKey none() noexcept { return MsgKey{-1, 0, 0, 0}; }
 };
 
-struct MsgKeyHash {
-  std::size_t operator()(const MsgKey& k) const noexcept {
-    return static_cast<std::size_t>(support::stream_id(
-        static_cast<std::uint64_t>(k.comm) << 32 |
-            static_cast<std::uint32_t>(k.src),
-        static_cast<std::uint64_t>(k.dst), k.seq));
+/// Tape rows an event of kind `k` draws: a CPU factor for every jittered
+/// call overhead, plus a transfer factor and additive term for a send.
+constexpr std::size_t draw_width(EventKind k) noexcept {
+  switch (k) {
+    case EventKind::SendPost:
+      return 3;
+    case EventKind::RecvWait:
+    case EventKind::CollBegin:
+    case EventKind::NbcPost:
+      return 1;
+    default:
+      return 0;
   }
+}
+
+/// The draws of an unjittered network, laid out as a SendPost's rows (CPU
+/// factor, transfer factor, transfer additive); a one-row event reads the
+/// first.
+inline constexpr double kNoJitter[3] = {1.0, 1.0, 0.0};
+
+/// What a walk derives from a trace's events alone, built once per trace
+/// (KeptWalkState::plan). Per rank, in event order: the draw-row offset,
+/// and for every SendPost, RecvPost, Probe and CommSync what the walk
+/// looks up when it steps or back-references it.
+struct WalkPlan {
+  /// Message id of a RecvPost that never matched.
+  static constexpr std::uint32_t kNoMsg =
+      std::numeric_limits<std::uint32_t>::max();
+
+  struct Rank {
+    std::size_t draw = 0;  ///< tape row of the rank's first draw
+    /// Per SendPost: its event index and message id.
+    std::vector<std::uint32_t> send_idx, send_msg;
+    /// Per RecvPost: its event index and message id (kNoMsg: unmatched).
+    std::vector<std::uint32_t> recv_idx, recv_msg;
+    std::vector<std::uint32_t> probe_msg;  ///< per Probe: its message id
+    /// Per CommSync: how many CommSyncs on its comm the rank made before.
+    std::vector<std::uint64_t> sync_ordinal;
+  };
+
+  std::vector<Rank> ranks;
+  std::size_t draws = 0;       ///< tape rows of the whole trace
+  std::uint32_t messages = 0;  ///< ids are [0, messages)
+
+  /// Throws TraceError when the trace has 2^32 - 1 messages or more.
+  [[nodiscard]] static WalkPlan build(const TraceFile& tf);
 };
 
-/// In-flight message records keyed by MsgKey. Records live in blocks of
-/// kBlock that never move: growth adds a block and copies no record, and
-/// an erased record's slot goes on a free list for the next message. An
-/// open-addressing index (linear probing, at most half full, backward-shift
-/// erase) maps a key to its record's slot.
+/// In-flight message records keyed by message id. Records live in blocks
+/// of kBlock that never move: growth adds a block and copies no record,
+/// and an erased record's slot goes on a free list for the next message.
+/// `slot_of` maps an id to its record's slot.
 template <class Rec>
 class MsgTable {
  public:
-  /// `key`'s record, or nullptr.
-  [[nodiscard]] Rec* find(const MsgKey& key) noexcept {
-    if (index_.empty()) return nullptr;
-    const Entry& e = index_[probe(key)];
-    return e.slot == kNone ? nullptr : &at(e.slot);
+  explicit MsgTable(std::uint32_t ids) : slot_of_(ids, kNone) {}
+
+  /// id's record, or nullptr.
+  [[nodiscard]] Rec* find(std::uint32_t id) noexcept {
+    const std::uint32_t slot = slot_of_[id];
+    return slot == kNone ? nullptr : &at(slot);
   }
 
-  /// `key`'s record, a default-constructed one on first sight.
-  Rec& operator[](const MsgKey& key) {
-    if (2 * (size_ + 1) > index_.size()) grow();
-    Entry& e = index_[probe(key)];
-    if (e.slot != kNone) return at(e.slot);
-    std::uint32_t slot;
+  /// id's record, a default-constructed one on first sight.
+  Rec& operator[](std::uint32_t id) {
+    std::uint32_t& slot = slot_of_[id];
+    if (slot != kNone) return at(slot);
     if (!free_.empty()) {
       slot = free_.back();
       free_.pop_back();
@@ -111,28 +153,13 @@ class MsgTable {
       }
       slot = next_++;
     }
-    e = Entry{key.comm, key.src, key.dst, slot, key.seq};
-    ++size_;
     return at(slot);
   }
 
-  /// Drop `key`'s record, which must exist.
-  void erase(const MsgKey& key) {
-    const std::size_t mask = index_.size() - 1;
-    std::size_t hole = probe(key);
-    free_.push_back(index_[hole].slot);
-    // Pull later entries of the probe run back over the hole unless that
-    // would move one in front of its home position.
-    for (std::size_t j = (hole + 1) & mask; index_[j].slot != kNone;
-         j = (j + 1) & mask) {
-      const std::size_t home = MsgKeyHash{}(index_[j].key()) & mask;
-      if (((j - home) & mask) >= ((j - hole) & mask)) {
-        index_[hole] = index_[j];
-        hole = j;
-      }
-    }
-    index_[hole].slot = kNone;
-    --size_;
+  /// Drop id's record, which must exist.
+  void erase(std::uint32_t id) {
+    free_.push_back(slot_of_[id]);
+    slot_of_[id] = kNone;
   }
 
  private:
@@ -140,45 +167,11 @@ class MsgTable {
   static constexpr std::uint32_t kNone =
       std::numeric_limits<std::uint32_t>::max();
 
-  /// A MsgKey and its record's slot, packed into the key's padding.
-  struct Entry {
-    int comm = 0, src = 0, dst = 0;
-    std::uint32_t slot = kNone;
-    std::uint64_t seq = 0;
-    [[nodiscard]] MsgKey key() const noexcept { return {comm, src, dst, seq}; }
-  };
-
   Rec& at(std::uint32_t slot) noexcept {
     return blocks_[slot / kBlock][slot % kBlock];
   }
 
-  /// The index position holding `key`, else the empty one ending its run.
-  [[nodiscard]] std::size_t probe(const MsgKey& key) const noexcept {
-    const std::size_t mask = index_.size() - 1;
-    std::size_t i = MsgKeyHash{}(key) & mask;
-    for (;; i = (i + 1) & mask) {
-      const Entry& e = index_[i];
-      if (e.slot == kNone || (e.seq == key.seq && e.src == key.src &&
-                              e.dst == key.dst && e.comm == key.comm)) {
-        return i;
-      }
-    }
-  }
-
-  void grow() {
-    std::vector<Entry> old(std::max<std::size_t>(64, 2 * index_.size()));
-    old.swap(index_);
-    const std::size_t mask = index_.size() - 1;
-    for (const Entry& e : old) {
-      if (e.slot == kNone) continue;
-      std::size_t i = MsgKeyHash{}(e.key()) & mask;
-      while (index_[i].slot != kNone) i = (i + 1) & mask;
-      index_[i] = e;
-    }
-  }
-
-  std::vector<Entry> index_;  ///< size is zero or a power of two
-  std::size_t size_ = 0;
+  std::vector<std::uint32_t> slot_of_;
   std::vector<std::unique_ptr<Rec[]>> blocks_;
   std::vector<std::uint32_t> free_;
   std::uint32_t next_ = 0;  ///< slots handed out so far
@@ -244,7 +237,7 @@ struct WalkObserver {
   void on_recv_post(int, const Event&, std::uint32_t /*idx*/) {}
   /// Receive `back` (index into the rank's posts) completed at event `idx`.
   void on_recv_wait(int, std::uint32_t /*idx*/, std::size_t /*back*/,
-                    const MsgKey&, const auto& /*msg*/) {}
+                    const auto& /*msg*/) {}
   /// The rank arrived at a comm-sync barrier or posted an NBC round.
   void on_arrive(int, auto& /*round*/) {}
   /// Event st.cursor is done: its clocks are final. The section stack
@@ -303,11 +296,11 @@ class Walker {
     std::size_t cursor = 0;
     Clocks t{};  ///< final once done
     std::size_t draw = 0;  ///< tape row of the next unread draw
-    /// Event index of every SendPost and RecvPost so far, in post order.
-    std::vector<std::uint32_t> send_posts, recv_posts;
+    /// SendPosts, RecvPosts, Probes and CommSyncs stepped so far: the
+    /// positions of the next ones in the rank's WalkPlan::Rank lists.
+    std::uint32_t sends = 0, recvs = 0, probes = 0, syncs = 0;
     bool sync_entered = false;
     std::pair<int, std::uint64_t> sync_key{0, 0};
-    std::map<int, std::uint64_t> sync_ordinal;  ///< per-comm CommSync count
     std::vector<OpenSection> stack;
     bool done = false;
   };
@@ -323,41 +316,30 @@ class Walker {
   /// `who` names the caller in errors ("<who> failed at rank ...").
   Walker(const TraceFile& tf, const std::array<Frame, N>& frames,
          const char* who)
-      : tf_(tf), frames_(frames), who_(who), ranks_(tf.ranks.size()) {
-    if (tf.ranks.size() != static_cast<std::size_t>(tf.header.nranks)) {
-      throw TraceError("trace rank streams do not match header rank count");
-    }
-    std::array<const mpisim::NetworkModel*, N> owners{};
+      : tf_(tf),
+        frames_(frames),
+        who_(who),
+        plan_(checked(tf).kept.plan(tf)),
+        ranks_(tf.ranks.size()),
+        msgs_(plan_.messages) {
     for (std::size_t f = 0; f < N; ++f) {
       const mpisim::NetworkModel& net = *frames_[f].net;
-      column_[f] = owners_;
-      for (std::size_t g = 0; g < f; ++g) {
-        const mpisim::NetworkModel& other = *frames_[g].net;
-        if (other.seed == net.seed && other.jitter == net.jitter) {
-          column_[f] = column_[g];
-          break;
-        }
+      tape_[f] = kNoJitter;
+      if (net.jitter.kind == mpisim::JitterModel::Kind::None) continue;
+      mask_[f] = ~std::size_t{0};
+      // The first frame of each seed and jitter takes the tape.
+      std::size_t g = 0;
+      while (g < f && (held_[g] == nullptr || frames_[g].net->seed != net.seed ||
+                       !(frames_[g].net->jitter == net.jitter))) {
+        ++g;
       }
-      if (column_[f] == owners_) owners[owners_++] = &net;
+      if (g == f) held_[f] = tf.kept.tape(tf, net);
+      tape_[f] = held_[g].get();
     }
-    std::size_t draws = 0;
     for (std::size_t r = 0; r < ranks_.size(); ++r) {
-      RankState& st = ranks_[r];
-      st.t.fill(tf.ranks[r].t0);
-      st.draw = draws;
-      std::size_t sends = 0, recvs = 0;
-      for (const Event& ev : events(r)) {
-        draws += draw_width(ev.kind);
-        sends += ev.kind == EventKind::SendPost ? 1 : 0;
-        recvs += ev.kind == EventKind::RecvPost ? 1 : 0;
-      }
-      st.send_posts.reserve(sends);
-      st.recv_posts.reserve(recvs);
+      ranks_[r].t.fill(tf.ranks[r].t0);
+      ranks_[r].draw = plan_.ranks[r].draw;
     }
-    tape_ = std::make_unique_for_overwrite<double[]>(draws * owners_);
-    support::parallel_for(ranks_.size(), tf.total_events(), [&](std::size_t r) {
-      fill_tape(r, {owners.data(), owners_});
-    });
   }
 
   [[nodiscard]] const std::vector<RankState>& ranks() const { return ranks_; }
@@ -382,6 +364,14 @@ class Walker {
 
  private:
   using RoundMap = std::map<std::pair<int, std::uint64_t>, Round>;
+
+  /// tf, once its rank streams match the header's rank count.
+  static const TraceFile& checked(const TraceFile& tf) {
+    if (tf.ranks.size() != static_cast<std::size_t>(tf.header.nranks)) {
+      throw TraceError("trace rank streams do not match header rank count");
+    }
+    return tf;
+  }
 
   /// Rank r's recorded events: the walk's only access to the streams.
   [[nodiscard]] std::span<const Event> events(std::size_t r) const noexcept {
@@ -416,72 +406,27 @@ class Walker {
     st.t[0] = ev.t_before;
   }
 
-  /// Tape rows (one double per owner each) an event of kind `k` draws: a
-  /// CPU factor for every jittered call overhead, plus a transfer factor
-  /// and additive term for a send.
-  static constexpr std::size_t draw_width(EventKind k) noexcept {
-    switch (k) {
-      case EventKind::SendPost:
-        return 3;
-      case EventKind::RecvWait:
-      case EventKind::CollBegin:
-      case EventKind::NbcPost:
-        return 1;
-      default:
-        return 0;
-    }
-  }
-
-  /// Draw rank r's tape: per drawing event and draw, one column per owner,
-  /// in the order step() reads them. The salts mirror mpisim::Comm: 0 for
-  /// a send, 1 for a receive, 2 for a collective entry.
-  void fill_tape(std::size_t r,
-                 std::span<const mpisim::NetworkModel* const> owners) {
-    const int rank = static_cast<int>(r);
-    double* out = tape_.get() + ranks_[r].draw * owners.size();
-    const auto cpu = [&](std::uint64_t op, std::uint64_t salt) {
-      for (const mpisim::NetworkModel* net : owners) {
-        *out++ = net->cpu_jitter(rank, op, salt).factor;
-      }
-    };
-    for (const Event& ev : events(r)) {
-      switch (ev.kind) {
-        case EventKind::SendPost:
-          cpu(ev.op, 0);
-          for (const mpisim::NetworkModel* net : owners) {
-            const mpisim::JitterDraw d = net->transfer_jitter(rank, ev.peer,
-                                                              ev.seq);
-            *out++ = d.factor;
-            *out++ = d.additive;
-          }
-          break;
-        case EventKind::RecvWait:
-          cpu(ev.op, 1);
-          break;
-        case EventKind::CollBegin:
-        case EventKind::NbcPost:
-          cpu(ev.op, 2);
-          break;
-        default:
-          break;
-      }
-    }
-  }
-
-  /// The next `width` rows of st's tape, one column per owner each.
-  const double* take(RankState& st, std::size_t width) const noexcept {
-    const double* d = tape_.get() + st.draw * owners_;
+  /// Take the next `width` tape rows of st; returns the first.
+  static std::size_t take(RankState& st, std::size_t width) noexcept {
+    const std::size_t row = st.draw;
     st.draw += width;
-    return d;
+    return row;
   }
 
-  /// Charge the jittered CPU overhead of a call in every frame.
-  void charge_overhead(RankState& st, double mpisim::NetworkModel::*base) {
-    const double* jit = take(st, 1);
+  /// Frame f's draws at tape row `row`: the row of its tape, or kNoJitter.
+  [[nodiscard]] const double* draws(std::size_t f, std::size_t row) const
+      noexcept {
+    return tape_[f] + (row & mask_[f]);
+  }
+
+  /// Charge the jittered CPU overhead of a call in every frame, drawn at
+  /// tape row `row`.
+  void charge_overhead(RankState& st, std::size_t row,
+                       double mpisim::NetworkModel::*base) {
     for (std::size_t f = 0; f < N; ++f) {
       const mpisim::NetworkModel& net = *frames_[f].net;
       st.t[f] += std::max(
-          net.cpu_overhead(net.*base, mpisim::JitterDraw{jit[column_[f]], 0.0}),
+          net.cpu_overhead(net.*base, mpisim::JitterDraw{*draws(f, row), 0.0}),
           0.0);
     }
   }
@@ -501,19 +446,8 @@ class Walker {
     ++round.arrived;
   }
 
-  void consume(const MsgKey& key, Msg& ms) {
-    if (++ms.consumed >= 2) msgs_.erase(key);
-  }
-
-  /// The key of the message a rank-r SendPost or RecvPost names; null for
-  /// a receive that never matched.
-  static MsgKey send_key(int r, const Event& post) noexcept {
-    return {post.comm, r, post.peer, post.seq};
-  }
-  static MsgKey recv_key(int r, const Event& post) noexcept {
-    return post.peer == Event::kUnmatched
-               ? MsgKey::none()
-               : MsgKey{post.comm, post.peer, r, post.seq};
+  void consume(std::uint32_t id, Msg& ms) {
+    if (++ms.consumed >= 2) msgs_.erase(id);
   }
 
   /// Rendezvous completion in frame f: both sides are in and the wire is
@@ -525,14 +459,17 @@ class Walker {
 
   /// Fail when a fault plan lost `ms` for good in some frame: the recorded
   /// event waiting for it can never complete. An eager send completes
-  /// locally, so its wait only cares when `rendezvous_only`.
-  void check_delivered(int r, const Event& ev, const MsgKey& key,
-                       const Msg& ms, bool rendezvous_only) const {
+  /// locally, so its wait only cares when `rendezvous_only`. `key()` names
+  /// the message.
+  template <class KeyFn>
+  void check_delivered(int r, const Event& ev, const Msg& ms,
+                       bool rendezvous_only, KeyFn&& key) const {
     for (std::size_t f = 0; f < N; ++f) {
       if (!ms.lost[f] || (rendezvous_only && !ms.rend[f])) continue;
+      const MsgKey k = key();
       fail(r, ev,
-           "message " + std::to_string(key.src) + "->" +
-               std::to_string(key.dst) + " seq " + std::to_string(key.seq) +
+           "message " + std::to_string(k.src) + "->" + std::to_string(k.dst) +
+               " seq " + std::to_string(k.seq) +
                " lost under the fault plan (retransmit budget exhausted); "
                "the recorded " + event_kind_name(ev.kind) +
                " can never complete");
@@ -542,6 +479,7 @@ class Walker {
   template <class Obs>
   Step step(int r, Obs& obs) {
     RankState& st = ranks_[static_cast<std::size_t>(r)];
+    const WalkPlan::Rank& plan = plan_.ranks[static_cast<std::size_t>(r)];
     const std::span<const Event> stream = events(static_cast<std::size_t>(r));
     if (st.cursor >= stream.size()) {
       st.done = true;  // no Finalize recorded (aborted run): stop here
@@ -555,13 +493,13 @@ class Walker {
     switch (ev.kind) {
       case EventKind::SendPost: {
         charge_gap(r, st, ev, obs);
-        charge_overhead(st, &mpisim::NetworkModel::send_overhead);
-        Msg& ms = msgs_[send_key(r, ev)];
+        const std::size_t row = take(st, 3);
+        charge_overhead(st, row, &mpisim::NetworkModel::send_overhead);
+        Msg& ms = msgs_[plan.send_msg[st.sends++]];
         const auto nbytes = static_cast<std::size_t>(ev.bytes);
-        const double* jit = take(st, 2);
         for (std::size_t f = 0; f < N; ++f) {
           const mpisim::NetworkModel& net = *frames_[f].net;
-          const double* d = jit + 2 * column_[f];
+          const double* d = draws(f, row) + 1;
           ms.start[f] = st.t[f];
           ms.wire[f] = net.transfer_cost(r, ev.peer, nbytes,
                                          mpisim::JitterDraw{d[0], d[1]});
@@ -570,21 +508,23 @@ class Walker {
         ms.send_rank = r;
         ms.send_idx = idx;
         obs.on_send(r, ev, ms);
-        st.send_posts.push_back(idx);
         break;
       }
       case EventKind::SendWait: {
-        if (ev.op >= st.send_posts.size()) fail(r, ev, "bad send backref");
-        const MsgKey key = send_key(
-            r, stream[st.send_posts[st.send_posts.size() - 1 - ev.op]]);
-        Msg* const found = msgs_.find(key);
+        if (ev.op >= st.sends) fail(r, ev, "bad send backref");
+        const std::size_t back = st.sends - 1 - ev.op;
+        const std::uint32_t id = plan.send_msg[back];
+        Msg* const found = msgs_.find(id);
         if (found == nullptr) {
           // Already fully consumed: wait() was a no-op re-wait.
           charge_gap(r, st, ev, obs);
           break;
         }
         Msg& ms = *found;
-        check_delivered(r, ev, key, ms, true);
+        check_delivered(r, ev, ms, true, [&] {
+          const Event& post = stream[plan.send_idx[back]];
+          return MsgKey{post.comm, r, post.peer, post.seq};
+        });
         const bool rend = std::ranges::find(ms.rend, true) != ms.rend.end();
         if (rend && ms.post_rank < 0) return Step::Blocked;
         charge_gap(r, st, ev, obs);
@@ -598,30 +538,35 @@ class Walker {
           }
           st.t[f] = std::max(st.t[f], sync);
         }
-        consume(key, ms);
+        consume(id, ms);
         break;
       }
       case EventKind::RecvPost: {
         charge_gap(r, st, ev, obs);
-        if (ev.peer != Event::kUnmatched) {
-          Msg& ms = msgs_[recv_key(r, ev)];
+        const std::uint32_t id = plan.recv_msg[st.recvs++];
+        if (id != WalkPlan::kNoMsg) {
+          Msg& ms = msgs_[id];
           ms.post = st.t;
           ms.post_rank = r;
           ms.post_idx = idx;
         }
-        st.recv_posts.push_back(idx);
         obs.on_recv_post(r, ev, idx);
         break;
       }
       case EventKind::RecvWait: {
-        if (ev.seq >= st.recv_posts.size()) fail(r, ev, "bad recv backref");
-        const std::size_t back = st.recv_posts.size() - 1 - ev.seq;
-        const MsgKey key = recv_key(r, stream[st.recv_posts[back]]);
-        if (key.null()) fail(r, ev, "wait on a receive that never matched");
-        Msg* const found = msgs_.find(key);
+        if (ev.seq >= st.recvs) fail(r, ev, "bad recv backref");
+        const std::size_t back = st.recvs - 1 - ev.seq;
+        const std::uint32_t id = plan.recv_msg[back];
+        if (id == WalkPlan::kNoMsg) {
+          fail(r, ev, "wait on a receive that never matched");
+        }
+        Msg* const found = msgs_.find(id);
         if (found == nullptr || found->send_rank < 0) return Step::Blocked;
         Msg& ms = *found;
-        check_delivered(r, ev, key, ms, false);
+        check_delivered(r, ev, ms, false, [&] {
+          const Event& post = stream[plan.recv_idx[back]];
+          return MsgKey{post.comm, post.peer, r, post.seq};
+        });
         charge_gap(r, st, ev, obs);
         link = {ms.send_rank, ms.send_idx, false, nullptr};
         for (std::size_t f = 0; f < N; ++f) {
@@ -634,18 +579,19 @@ class Walker {
           }
           st.t[f] = std::max(st.t[f], del);
         }
-        charge_overhead(st, &mpisim::NetworkModel::recv_overhead);
-        obs.on_recv_wait(r, idx, back, key, ms);
-        consume(key, ms);
+        charge_overhead(st, take(st, 1), &mpisim::NetworkModel::recv_overhead);
+        obs.on_recv_wait(r, idx, back, ms);
+        consume(id, ms);
         break;
       }
       case EventKind::Probe: {
-        const MsgKey key{ev.comm, ev.peer, r, ev.seq};
-        const Msg* const found = msgs_.find(key);
+        const Msg* const found = msgs_.find(plan.probe_msg[st.probes]);
         if (found == nullptr || found->send_rank < 0) return Step::Blocked;
         const Msg& ms = *found;
-        check_delivered(r, ev, key, ms, false);
+        check_delivered(r, ev, ms, false,
+                        [&] { return MsgKey{ev.comm, ev.peer, r, ev.seq}; });
         charge_gap(r, st, ev, obs);
+        ++st.probes;
         // Mirror of Channel::probe: the completion time of a hypothetical
         // receive posted at the prober's current time (rendezvous pays its
         // wire cost, eager is availability-bound).
@@ -662,7 +608,7 @@ class Walker {
       }
       case EventKind::CollBegin:
         charge_gap(r, st, ev, obs);
-        charge_overhead(st, &mpisim::NetworkModel::send_overhead);
+        charge_overhead(st, take(st, 1), &mpisim::NetworkModel::send_overhead);
         break;
       case EventKind::CollEnd:
       case EventKind::Pcontrol:
@@ -676,7 +622,7 @@ class Walker {
       case EventKind::CommSync: {
         if (!st.sync_entered) {
           charge_gap(r, st, ev, obs);
-          st.sync_key = {ev.comm, st.sync_ordinal[ev.comm]++};
+          st.sync_key = {ev.comm, plan.sync_ordinal[st.syncs++]};
           Round& sy = syncs_[st.sync_key];
           sy.members = ev.peer;
           sy.rounds = ev.seq;
@@ -701,7 +647,7 @@ class Walker {
         charge_gap(r, st, ev, obs);
         // Entry overhead on the collective-entry jitter stream (salt 2),
         // mirroring Comm::nbc_post.
-        charge_overhead(st, &mpisim::NetworkModel::send_overhead);
+        charge_overhead(st, take(st, 1), &mpisim::NetworkModel::send_overhead);
         Round& nb = nbc_rounds_[{ev.comm, ev.seq}];
         nb.members = ev.peer;
         nb.bytes = std::max(nb.bytes, ev.bytes);
@@ -747,15 +693,16 @@ class Walker {
 
   const TraceFile& tf_;
   std::array<Frame, N> frames_;
-  /// Frames that own their draws; the tape has a column per owner.
-  std::size_t owners_ = 0;
-  /// The tape column each frame reads (shared with an earlier frame of the
-  /// same seed and jitter).
-  std::array<std::size_t, N> column_{};
   const char* who_;
+  const WalkPlan& plan_;
+  /// The tapes this walk reads, held until it ends: held_[f] is set for
+  /// the first jittered frame of each (seed, JitterModel).
+  std::array<std::shared_ptr<const double[]>, N> held_{};
+  /// Frame f reads row k of its draws at tape_[f][k & mask_[f]]: its tape
+  /// (mask all ones) or kNoJitter (mask 0).
+  std::array<const double*, N> tape_{};
+  std::array<std::size_t, N> mask_{};
   std::vector<RankState> ranks_;
-  /// Every rank's draws, rank by rank; RankState::draw indexes its row.
-  std::unique_ptr<double[]> tape_;
   MsgTable<Msg> msgs_;
   RoundMap syncs_;
   RoundMap nbc_rounds_;

@@ -357,6 +357,51 @@ TEST(Service, CacheIsKeyedByContentDigestNotPath) {
   EXPECT_EQ(first.find("digest")->string, second.find("digest")->string);
 }
 
+// The .mpst and .mpstz of one trace pin one decode (and so one kept walk
+// state): a miss through either path walks the shared trace and answers
+// the bytes of the engine on a fresh decode.
+TEST(Service, ContainerTwinsShareOnePinnedTrace) {
+  const Fixture& fx = fixture();
+  serve::Service svc;
+  const std::shared_ptr<const serve::LoadedTrace> flat = svc.trace(fx.mpst_path);
+  const std::shared_ptr<const serve::LoadedTrace> packed =
+      svc.trace(fx.mpstz_path);
+  EXPECT_EQ(flat.get(), packed.get());
+  EXPECT_EQ(svc.trace(fx.mpst_path).get(), flat.get());
+
+  const trace::TraceFile fresh = codec::load_trace(fx.mpst_path);
+  serve::ReplayQuery replay;
+  replay.model.model = "broadwell-2s";
+  replay.format = "csv";
+  serve::TimelineQuery timeline;
+  timeline.model.model = "knl";
+  const struct {
+    std::string request;
+    std::string want;
+  } cases[] = {
+      {"{\"id\":1,\"op\":\"replay\",\"trace\":\"" + fx.mpst_path +
+           "\",\"params\":{\"model\":\"broadwell-2s\",\"format\":\"csv\"}}",
+       serve::run_replay(fresh, replay)},
+      {"{\"id\":2,\"op\":\"timeline\",\"trace\":\"" + fx.mpstz_path +
+           "\",\"params\":{\"model\":\"knl\"}}",
+       serve::run_timeline(fresh, timeline)},
+      {"{\"id\":3,\"op\":\"analyze\",\"trace\":\"" + fx.mpstz_path +
+           "\",\"params\":{\"format\":\"json\"}}",
+       serve::run_analyze(fresh, {.format = "json"})},
+  };
+  for (const auto& c : cases) {
+    const support::JsonValue v = parse_response(svc.handle_line(c.request));
+    ASSERT_TRUE(v.find("ok")->boolean) << c.request;
+    EXPECT_FALSE(v.find("cached")->boolean) << c.request;
+    EXPECT_EQ(v.find("result")->string, c.want) << c.request;
+  }
+  EXPECT_TRUE(flat->tf.kept.planned());
+  const std::string stats = parse_response(svc.handle_line(
+      "{\"id\":4,\"op\":\"stats\"}")).find("result")->string;
+  EXPECT_NE(stats.find("\nmpisect_serve_traces_loaded 1\n"), std::string::npos)
+      << stats;
+}
+
 TEST(Service, SweepAndAnalyzeAndTimelineMatchEngine) {
   const Fixture& fx = fixture();
   serve::Service svc;

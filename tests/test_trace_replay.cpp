@@ -9,6 +9,7 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -765,22 +766,34 @@ TEST(Replay, WalkOutputsArePinned) {
   sweep.bandwidth_scales = {1.0, 0.5};
   sweep.drop_rates = {0.0, 0.01};
 
+  // Each output walks a fresh copy, so each builds its walk plan and fills
+  // its draw tapes.
   std::vector<std::pair<std::string, std::uint64_t>> got;
   for (const Traced& t : traces) {
-    const auto pin = [&](const char* what, const std::string& text) {
-      got.emplace_back(std::string(t.name) + " " + what, output_digest(text));
+    const auto pin = [&](const char* what, const auto& query) {
+      const trace::TraceFile fresh = t.tf;
+      got.emplace_back(std::string(t.name) + " " + what,
+                       output_digest(query(fresh)));
     };
     for (const char* model : {"recorded", "broadwell-2s"}) {
       serve::ReplayQuery q;
       q.model.model = model;
       q.format = "csv";
-      pin(model, serve::run_replay(t.tf, q));
+      pin(model, [&](const trace::TraceFile& tf) {
+        return serve::run_replay(tf, q);
+      });
     }
     serve::TimelineQuery tl;
     tl.model.model = "broadwell-2s";
-    pin("timeline", serve::run_timeline(t.tf, tl));
-    pin("sweep", serve::run_sweep(t.tf, sweep));
-    pin("analyze", serve::run_analyze(t.tf, {.format = "json"}));
+    pin("timeline", [&](const trace::TraceFile& tf) {
+      return serve::run_timeline(tf, tl);
+    });
+    pin("sweep", [&](const trace::TraceFile& tf) {
+      return serve::run_sweep(tf, sweep);
+    });
+    pin("analyze", [&](const trace::TraceFile& tf) {
+      return serve::run_analyze(tf, {.format = "json"});
+    });
   }
 
   const std::uint64_t want[] = {
@@ -957,22 +970,25 @@ TEST(Replay, WalkIsWidthIndependent) {
   std::vector<std::string> serial;
   for (int width = 1; width <= 4; ++width) {
     const WorkersEnv env(width);
+    // Fresh copies: every width builds the plans and fills the tapes.
     std::vector<std::string> got;
     for (const Traced& t : traces) {
-      for (std::string& text : walk_outputs(t.tf)) {
+      const trace::TraceFile fresh = t.tf;
+      for (std::string& text : walk_outputs(fresh)) {
         got.push_back(std::move(text));
       }
     }
     got.push_back(output_or_error([&] {
-      return trace::render_csv(
-          trace::replay(truncated, truncated.header.machine, {}), std::nullopt);
+      const trace::TraceFile fresh = truncated;
+      return trace::render_csv(trace::replay(fresh, fresh.header.machine, {}),
+                               std::nullopt);
     }));
     got.push_back(output_or_error([&] {
+      const trace::TraceFile fresh = traces[4].tf;
       trace::ReplayOptions lossy;
       lossy.faults = mpisim::faults::FaultPlan::parse("drop:p=0.9");
       return trace::render_csv(
-          trace::replay(traces[4].tf, traces[4].tf.header.machine, lossy),
-          std::nullopt);
+          trace::replay(fresh, fresh.header.machine, lossy), std::nullopt);
     }));
     if (width == 1) {
       serial = std::move(got);
@@ -1045,6 +1061,175 @@ TEST(Replay, OneCpuStartsNoHelperThread) {
   EXPECT_EQ(most, threads);
   EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 1000);
   ASSERT_EQ(::sched_setaffinity(0, sizeof saved, &saved), 0);
+}
+
+// --- kept walk state ----------------------------------------------------
+
+/// Replay csv (recorded and broadwell-2s), a sweep, the timeline csv and
+/// the analyze json of `tf`.
+std::vector<std::string> kept_outputs(const trace::TraceFile& tf) {
+  std::vector<std::string> out;
+  for (const char* model : {"recorded", "broadwell-2s"}) {
+    serve::ReplayQuery q;
+    q.model.model = model;
+    q.format = "csv";
+    out.push_back(serve::run_replay(tf, q));
+  }
+  serve::SweepQuery sweep;
+  sweep.models = {"recorded", "broadwell-2s"};
+  sweep.latency_scales = {1.0, 2.0};
+  sweep.drop_rates = {0.0, 0.01};
+  out.push_back(serve::run_sweep(tf, sweep));
+  serve::TimelineQuery tl;
+  tl.model.model = "broadwell-2s";
+  out.push_back(serve::run_timeline(tf, tl));
+  out.push_back(serve::run_analyze(tf, {.format = "json"}));
+  return out;
+}
+
+/// The text of a what-if replay of `tf` under its recorded machine and
+/// `faults`, or its error.
+std::string replay_text(const trace::TraceFile& tf, const char* faults) {
+  return output_or_error([&] {
+    trace::ReplayOptions opt;
+    opt.faults = mpisim::faults::FaultPlan::parse(faults);
+    return trace::render_csv(trace::replay(tf, tf.header.machine, opt),
+                             std::nullopt);
+  });
+}
+
+// What a trace keeps from its walks changes no output: the first walk of
+// a trace (cold), a later one (warm) and a walk of a fresh copy of a
+// walked trace give the same bytes, and an edited copy of a walked trace
+// is walked as edited.
+TEST(Replay, KeptWalkStateIsTransparent) {
+  struct Traced {
+    std::string name;
+    trace::TraceFile tf;
+  };
+  std::vector<Traced> traces;
+  for (const char* pm : {"blocking-only", "opportunistic", "progress-thread"}) {
+    traces.push_back({std::string("conv64/") + pm, conv64(pm)});
+  }
+  traces.push_back({"lulesh64", record_knl("lulesh", "blocking-only")});
+  for (Traced& t : traces) {
+    trace::TraceFile& tf = t.tf;  // a copy no walk has seen
+    ASSERT_FALSE(tf.kept.planned()) << t.name;
+    const std::vector<std::string> cold = kept_outputs(tf);
+    ASSERT_TRUE(tf.kept.planned()) << t.name;
+    EXPECT_GT(tf.kept.tapes(), 0u) << t.name;
+    EXPECT_EQ(kept_outputs(tf), cold) << t.name << ": warm";
+    const trace::TraceFile copy = tf;
+    EXPECT_FALSE(copy.kept.planned());
+    EXPECT_EQ(copy.kept.tapes(), 0u);
+    EXPECT_EQ(kept_outputs(copy), cold) << t.name << ": fresh copy";
+  }
+
+  // Error texts. The truncated and lossy walks run on copies of the
+  // walked trace and of one no walk has seen.
+  const trace::TraceFile& walked = traces[3].tf;
+  const trace::TraceFile unwalked = record_knl("lulesh", "blocking-only");
+  const auto truncated = [](const trace::TraceFile& tf) {
+    trace::TraceFile edit = tf;
+    auto& events = edit.ranks[5].events;
+    events.resize(events.size() / 2);
+    return edit;
+  };
+  const std::string stall = replay_text(truncated(unwalked), "");
+  EXPECT_NE(stall.find("dependency stall"), std::string::npos) << stall;
+  EXPECT_EQ(replay_text(truncated(walked), ""), stall);
+  const std::string lost = replay_text(unwalked, "drop:p=0.9");
+  EXPECT_NE(lost.find("lost under the fault plan"), std::string::npos) << lost;
+  EXPECT_EQ(replay_text(walked, "drop:p=0.9"), lost);
+  const trace::TraceFile lossy_copy = walked;
+  EXPECT_EQ(replay_text(lossy_copy, "drop:p=0.9"), lost);
+}
+
+// Walks of one const trace on four threads fill its plan and tapes once
+// and give the bytes of serial walks of a fresh copy.
+TEST(Replay, ConcurrentWalksShareOneTrace) {
+  const trace::TraceFile tf = record_knl("lulesh", "blocking-only");
+  std::vector<serve::ReplayQuery> queries(4);
+  const char* models[] = {"recorded", "broadwell-2s", "knl", "recorded"};
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    queries[i].model.model = models[i];
+    queries[i].format = "csv";
+  }
+  queries[2].model.jitter_scale = 2.0;
+  queries[3].model.progress = "progress-thread";
+  std::vector<std::string> serial;
+  {
+    const trace::TraceFile fresh = tf;
+    for (const serve::ReplayQuery& q : queries) {
+      serial.push_back(serve::run_replay(fresh, q));
+    }
+  }
+  std::vector<std::string> got(queries.size());
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < static_cast<int>(queries.size())) {
+      }
+      got[i] = output_or_error([&] { return serve::run_replay(tf, queries[i]); });
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(got, serial);
+  EXPECT_TRUE(tf.kept.planned());
+  EXPECT_EQ(tf.kept.tapes(), 3u);  // knl, broadwell-2s, knl at 2x jitter
+}
+
+/// The machine a replay of `tf` under model `name` and `jitter_scale` uses.
+mpisim::MachineModel machine_of(const trace::TraceFile& tf, const char* name,
+                                double jitter_scale = 1.0) {
+  serve::ModelParams p;
+  p.model = name;
+  p.jitter_scale = jitter_scale;
+  return serve::resolve_model(tf, p).machine;
+}
+
+// A trace keeps at most kKeptTapes draw tapes, the most recently used.
+TEST(Replay, KeptTapesAreBounded) {
+  const trace::TraceFile tf = conv64("blocking-only");
+  for (int i = 1; i <= 10; ++i) {
+    serve::ReplayQuery q;
+    q.model.model = "recorded";
+    q.model.jitter_scale = i;
+    q.format = "csv";
+    (void)serve::run_replay(tf, q);
+    EXPECT_LE(tf.kept.tapes(), trace::KeptWalkState::kKeptTapes);
+  }
+  EXPECT_EQ(tf.kept.tapes(), trace::KeptWalkState::kKeptTapes);
+  EXPECT_TRUE(tf.kept.holds(machine_of(tf, "recorded", 10.0).net));
+  EXPECT_TRUE(tf.kept.holds(tf.header.machine.net));  // frame 0, each walk
+  EXPECT_FALSE(tf.kept.holds(machine_of(tf, "recorded", 2.0).net));
+}
+
+// trace_pipeline's stages after decompress (verify, a broadwell-2s
+// replay, a sweep, a timeline, analyze) leave the trace one plan and
+// exactly the tapes of its recorded KNL model and of broadwell-2s.
+TEST(Replay, PipelineStagesKeepTwoTapesAndOnePlan) {
+  const trace::TraceFile tf = record_knl("lulesh", "blocking-only");
+  ASSERT_TRUE(trace::verify_roundtrip(tf).ok);
+  const mpisim::MachineModel broadwell = trace::fold_progress(
+      *mpisim::MachineModel::preset("broadwell-2s"), tf.header.progress,
+      tf.header.progress, /*machine_is_recorded=*/false);
+  (void)trace::replay(tf, broadwell);
+  serve::SweepQuery sweep;
+  sweep.models = {"recorded", "broadwell-2s"};
+  sweep.latency_scales = {1.0, 2.0};
+  sweep.bandwidth_scales = {1.0, 0.5};
+  (void)serve::run_sweep(tf, sweep);
+  serve::TimelineQuery tl;
+  tl.model.model = "broadwell-2s";
+  (void)serve::run_timeline(tf, tl);
+  (void)serve::run_analyze(tf, {});
+  EXPECT_TRUE(tf.kept.planned());
+  EXPECT_EQ(tf.kept.tapes(), 2u);
+  EXPECT_TRUE(tf.kept.holds(tf.header.machine.net));
+  EXPECT_TRUE(tf.kept.holds(broadwell.net));
 }
 
 }  // namespace
